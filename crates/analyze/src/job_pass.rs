@@ -24,7 +24,7 @@
 //! | JS002 | error    | invalid operating-point grid: empty, or a non-finite / non-positive overclock factor (duplicates are a warning) |
 //! | JS003 | error    | invalid parameters: empty or unsafe job id, zero samples, zero threads, zero checkpoint interval |
 //! | JS004 | error    | Monte Carlo population mismatch: exactly one of `chips` / `mc_inputs` is zero |
-//! | JS013 | error    | invalid phase-sampling section: zero window size or zero cluster cap |
+//! | JS013 | —        | retired with phase sampling; the `sampling` key is now rejected as unknown by the spec parser. Not to be reused |
 //! | JS005 | error    | store layout violation: missing `spec.json` or `state`, or a non-directory under `jobs/` |
 //! | JS006 | error    | invalid state file: contents are not one of the six states |
 //! | JS007 | error    | transition-log violation: an edge outside the state machine, or a broken chain |
@@ -111,9 +111,6 @@ pub struct JobSpecView<'a> {
     pub threads: usize,
     /// Checkpoint flush interval (blocks / cells).
     pub checkpoint_every: usize,
-    /// Phase-sampled estimation knobs `(window_size, max_clusters)`, if
-    /// the spec enables SimPoint-style sampling (`None` = exact runs).
-    pub sampling: Option<(u64, u64)>,
 }
 
 /// Whether `id` is safe to use verbatim as a store directory name.
@@ -235,27 +232,6 @@ pub fn analyze_job_spec(
             ),
             "set both `chips` and `mc_inputs` to >= 1 (enable) or both to 0 (disable)",
         );
-    }
-    // JS013 — phase-sampling knobs must be usable as-is.
-    if let Some((window_size, max_clusters)) = spec.sampling {
-        if window_size == 0 {
-            report.push(
-                "JS013",
-                Severity::Error,
-                entity,
-                "`sampling.window_size` is 0",
-                "windows slice the trace; instructions per window must be >= 1",
-            );
-        }
-        if max_clusters == 0 {
-            report.push(
-                "JS013",
-                Severity::Error,
-                entity,
-                "`sampling.max_clusters` is 0",
-                "at least one phase must be simulated; set `sampling.max_clusters` >= 1",
-            );
-        }
     }
 }
 
@@ -638,7 +614,6 @@ mod tests {
             mc_inputs: 2,
             threads: 1,
             checkpoint_every: 4,
-            sampling: None,
         }
     }
 
@@ -716,24 +691,6 @@ mod tests {
             s.mc_inputs = inputs;
             analyze_job_spec(&s, &KNOWN, &mut r);
             assert_eq!(r.has_code("JS004"), bad, "chips={chips} inputs={inputs}");
-        }
-    }
-
-    #[test]
-    fn zero_sampling_knobs_are_js013() {
-        for (sampling, bad) in [
-            (Some((0, 8)), true),
-            (Some((256, 0)), true),
-            (Some((0, 0)), true),
-            (Some((256, 8)), false),
-            (None, false),
-        ] {
-            let mut r = AnalysisReport::new();
-            let grid = [1.0];
-            let mut s = spec(&grid);
-            s.sampling = sampling;
-            analyze_job_spec(&s, &KNOWN, &mut r);
-            assert_eq!(r.has_code("JS013"), bad, "sampling={sampling:?}");
         }
     }
 

@@ -36,7 +36,7 @@ use terse_workloads::{BenchmarkSpec, DatasetSize};
 /// * `detail` — the benchmark-specific payload (the pre-envelope body).
 #[derive(Debug, Clone)]
 pub struct BenchEnvelope {
-    /// Short benchmark id (`dta_incremental`, `parallel`, `phase`, ...).
+    /// Short benchmark id (`dta_incremental`, `parallel`, `bitparallel`, ...).
     pub bench: &'static str,
     /// Run configuration knobs.
     pub config: Value,

@@ -21,19 +21,10 @@
 //!            u64 LE   instructions in the block (n_inst)
 //!            u64 LE × n_inst·s_count   p^c samples (f64 bit patterns)
 //!            u64 LE × n_inst·s_count   p^e samples (f64 bit patterns)
-//!            u64 LE × n_inst·s_count   δ samples (phase-sampled runs only)
 //! ```
 //!
-//! Phase-sampled sweeps carry a third per-entry table — the per-instruction
-//! sampling disagreement `δ` that feeds the reported λ bound. Whether the
-//! table is present is *not* flagged in the image: the caller knows (it
-//! configured the run), and the context hash folds in a sampling digest
-//! (`0` for exact runs), so a sampled image can never be offered to an
-//! exact resume or vice versa. Exact-run images therefore stay
-//! byte-identical to the pre-sampling format.
-//!
 //! The context hash covers the CFG shape, the profiled execution counts,
-//! the phase-sampling digest, and the operating-point periods; a checkpoint
+//! the profiler configuration, and the operating-point periods; a checkpoint
 //! written by a different run is rejected with [`TerseError::Checkpoint`]
 //! rather than silently mixed in. Writes are atomic (temp file + rename), so a crash mid-write leaves
 //! the previous checkpoint intact. `f64` values round-trip through their
@@ -93,8 +84,7 @@ impl EstimateCheckpoint {
 }
 
 /// One completed block's conditional-probability tables: `p^c` and `p^e`
-/// per instruction, plus (for phase-sampled sweeps) the per-instruction
-/// sampling disagreement `δ` that feeds the reported λ bound.
+/// per instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BlockProbs {
     /// `p^c` (previous instruction correct), one [`SampleRv`] per
@@ -103,8 +93,6 @@ pub(crate) struct BlockProbs {
     /// `p^e` (previous instruction erred), one [`SampleRv`] per
     /// instruction.
     pub ce: Vec<SampleRv>,
-    /// Per-instruction phase-sampling `δ` (`None` on exact sweeps).
-    pub delta: Option<Vec<SampleRv>>,
 }
 
 const MAGIC: &[u8; 8] = b"TERSECP1";
@@ -118,16 +106,12 @@ fn fnv_mix(hash: &mut u64, value: u64) {
 
 /// FNV-1a hash of everything the per-block sweep's output depends on: the
 /// CFG shape, the profiled execution counts, the profiler configuration
-/// (its reservoir seed selects the sampled feature vectors), the
-/// phase-sampling digest (`0` for exact runs — the digest folds the window
-/// size, clustering, and representative choice, so an exact resume can
-/// never pick up a sampled image or vice versa), and the operating-point
-/// periods (which pin the trained model's timing regime).
+/// (its reservoir seed selects the sampled feature vectors), and the
+/// operating-point periods (which pin the trained model's timing regime).
 pub(crate) fn context_hash(
     cfg: &Cfg,
-    profiles: &[&ProfileResult],
+    profiles: &[ProfileResult],
     profiler: &Profiler,
-    sampling_digest: u64,
     signoff_period: f64,
     working_period: f64,
 ) -> u64 {
@@ -148,7 +132,10 @@ pub(crate) fn context_hash(
     fnv_mix(&mut h, profiler.budget);
     fnv_mix(&mut h, profiler.dmem_words as u64);
     fnv_mix(&mut h, profiler.max_feature_samples as u64);
-    fnv_mix(&mut h, sampling_digest);
+    // Retired phase-sampling digest slot: exact runs always folded `0`
+    // here, so keeping the constant keeps their images resumable, while an
+    // image from a former sampled run (non-zero digest) can never match.
+    fnv_mix(&mut h, 0);
     fnv_mix(&mut h, signoff_period.to_bits());
     fnv_mix(&mut h, working_period.to_bits());
     h
@@ -175,16 +162,11 @@ pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
 /// cached, so the result is unchanged. A *verified* image that does not
 /// match this run (context hash, grid shape) is a typed error — a
 /// checkpoint from a different run is never mixed in.
-///
-/// `sampled` tells the parser whether each entry carries the third `δ`
-/// table; the caller knows from its own configuration, and the context
-/// hash's sampling digest guarantees the image agrees.
 pub(crate) fn load(
     path: &Path,
     context: u64,
     total_blocks: usize,
     s_count: usize,
-    sampled: bool,
 ) -> Result<Vec<Option<BlockProbs>>> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
@@ -194,7 +176,7 @@ pub(crate) fn load(
         Err(e) => return Err(ck_err(format!("read {}: {e}", path.display()))),
     };
     match terse_analyze::unframe(&bytes) {
-        Ok(payload) => parse_image(payload, context, total_blocks, s_count, sampled),
+        Ok(payload) => parse_image(payload, context, total_blocks, s_count),
         // Pre-framing image: parse the bare bytes (its own magic still
         // guards against foreign files). Bytes with neither frame nor
         // magic (zero-length files from ENOSPC, torn non-atomic writes)
@@ -202,7 +184,7 @@ pub(crate) fn load(
         Err(terse_analyze::FrameError::NotFramed)
             if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == *MAGIC =>
         {
-            parse_image(&bytes, context, total_blocks, s_count, sampled)
+            parse_image(&bytes, context, total_blocks, s_count)
         }
         Err(_damage) => {
             // Detected corruption: preserve the evidence, never parse it.
@@ -210,8 +192,7 @@ pub(crate) fn load(
             let bak = sibling(path, ".bak");
             if let Ok(bak_bytes) = fs::read(&bak) {
                 if let Ok(payload) = terse_analyze::unframe(&bak_bytes) {
-                    if let Ok(slots) = parse_image(payload, context, total_blocks, s_count, sampled)
-                    {
+                    if let Ok(slots) = parse_image(payload, context, total_blocks, s_count) {
                         return Ok(slots);
                     }
                 }
@@ -227,7 +208,6 @@ fn parse_image(
     context: u64,
     total_blocks: usize,
     s_count: usize,
-    sampled: bool,
 ) -> Result<Vec<Option<BlockProbs>>> {
     let mut pos = 0usize;
     let mut take8 = |what: &str| -> Result<[u8; 8]> {
@@ -292,15 +272,10 @@ fn parse_image(
         };
         let cc = read_table("p^c")?;
         let ce = read_table("p^e")?;
-        let delta = if sampled {
-            Some(read_table("delta")?)
-        } else {
-            None
-        };
         if slots[idx].is_some() {
             return Err(ck_err(format!("duplicate entry for block {idx}")));
         }
-        slots[idx] = Some(BlockProbs { cc, ce, delta });
+        slots[idx] = Some(BlockProbs { cc, ce });
     }
     Ok(slots)
 }
@@ -326,8 +301,7 @@ pub(crate) fn store(
         let Some(bp) = slot else { continue };
         out.extend_from_slice(&(idx as u64).to_le_bytes());
         out.extend_from_slice(&(bp.cc.len() as u64).to_le_bytes());
-        let tables = [Some(&bp.cc), Some(&bp.ce), bp.delta.as_ref()];
-        for rvs in tables.into_iter().flatten() {
+        for rvs in [&bp.cc, &bp.ce] {
             for rv in rvs {
                 for &v in rv.samples() {
                     out.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -385,11 +359,7 @@ mod tests {
     }
 
     fn bp(cc: Vec<SampleRv>, ce: Vec<SampleRv>) -> BlockProbs {
-        BlockProbs {
-            cc,
-            ce,
-            delta: None,
-        }
+        BlockProbs { cc, ce }
     }
 
     #[test]
@@ -404,7 +374,7 @@ mod tests {
             Some(bp(vec![rv(&[0.5, 0.5])], vec![rv(&[0.125, 2.5e-17])])),
         ];
         store(&path, 42, &slots, 2).unwrap();
-        let loaded = load(&path, 42, 3, 2, false).unwrap();
+        let loaded = load(&path, 42, 3, 2).unwrap();
         assert_eq!(loaded.len(), 3);
         assert!(loaded[1].is_none());
         assert_eq!(slots, loaded, "SampleRv equality is bitwise on samples");
@@ -414,21 +384,73 @@ mod tests {
         finish(&path).unwrap();
     }
 
+    /// A fixed three-block CFG, one profile and a profiler configuration:
+    /// the inputs of [`context_hash`] for the pinned-hash tests below.
+    fn pinned_context() -> (Cfg, ProfileResult, Profiler) {
+        let program =
+            terse_isa::assemble("addi r1, r0, 3\nloop: addi r1, r1, -1\nbne r1, r0, loop\nhalt\n")
+                .unwrap();
+        let cfg = Cfg::from_program(&program);
+        assert_eq!(cfg.len(), 3);
+        let n = program.len();
+        let profile = ProfileResult {
+            block_counts: vec![1, 4, 7],
+            edge_counts: [((terse_isa::BlockId(0), terse_isa::BlockId(1)), 1)].into(),
+            total_instructions: 11,
+            features_normal: vec![Vec::new(); n],
+            features_corrected: vec![Vec::new(); n],
+            operand_reps: vec![None; n],
+        };
+        let profiler = Profiler {
+            max_feature_samples: 8,
+            budget: 100_000,
+            dmem_words: 4096,
+            seed: 1,
+        };
+        (cfg, profile, profiler)
+    }
+
+    /// Exact-run images written before phase sampling was removed must
+    /// still resume, so the exact context hash is pinned to the value the
+    /// earlier code computed for the same inputs.
     #[test]
-    fn sampled_roundtrip_carries_the_delta_table() {
-        let path = tmp_path("sampled");
-        let slots = vec![
-            Some(BlockProbs {
-                cc: vec![rv(&[0.1, 0.2]), rv(&[0.3, 0.4])],
-                ce: vec![rv(&[0.9, 0.25]), rv(&[0.0, 1.0])],
-                delta: Some(vec![rv(&[0.05, 1.0 / 7.0]), rv(&[0.0, 0.5])]),
-            }),
-            None,
-        ];
-        store(&path, 99, &slots, 2).unwrap();
-        let loaded = load(&path, 99, 2, 2, true).unwrap();
-        assert_eq!(slots, loaded);
-        finish(&path).unwrap();
+    fn exact_context_hash_is_byte_stable() {
+        let (cfg, profile, profiler) = pinned_context();
+        let ctx = context_hash(&cfg, &[profile], &profiler, 1.0, 0.75);
+        assert_eq!(ctx, 0xe5de_0b0a_00d6_0ea4, "got {ctx:#018x}");
+    }
+
+    /// A former phase-sampled run folded a non-zero sampling digest into its
+    /// context and wrote a third δ table per entry. Such an image must be
+    /// refused at the context check, before any entry is parsed.
+    #[test]
+    fn former_sampled_image_is_rejected_unparsed() {
+        let (cfg, profile, profiler) = pinned_context();
+        let exact = context_hash(&cfg, &[profile], &profiler, 1.0, 0.75);
+        // The earlier `context_hash` for the same inputs with sampling digest
+        // 0x9e37_79b9_7f4a_7c15 folded in.
+        let sampled_ctx: u64 = 0xfe9a_733d_cc83_3725;
+        assert_ne!(sampled_ctx, exact);
+        let path = tmp_path("former-sampled");
+        let mut image = Vec::new();
+        image.extend_from_slice(MAGIC);
+        for word in [sampled_ctx, 3, 1, 1, 0, 1] {
+            image.extend_from_slice(&word.to_le_bytes());
+        }
+        // p^c, p^e and δ for the block's single instruction.
+        for v in [0.25f64, 0.5, 0.125] {
+            image.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        fs::write(&path, terse_analyze::frame(&image)).unwrap();
+        match load(&path, exact, 3, 1) {
+            Err(TerseError::Checkpoint(msg)) => {
+                assert!(msg.contains("context"), "{msg}");
+            }
+            other => panic!("expected a context mismatch, got {other:?}"),
+        }
+        // A verified image from another run is refused, not treated as damage.
+        assert!(path.exists() && !sibling(&path, ".corrupt").exists());
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -438,16 +460,16 @@ mod tests {
         store(&path, 7, &slots, 1).unwrap();
         // Wrong context hash.
         assert!(matches!(
-            load(&path, 8, 1, 1, false),
+            load(&path, 8, 1, 1),
             Err(TerseError::Checkpoint(_))
         ));
         // Wrong grid shape.
         assert!(matches!(
-            load(&path, 7, 2, 1, false),
+            load(&path, 7, 2, 1),
             Err(TerseError::Checkpoint(_))
         ));
         assert!(matches!(
-            load(&path, 7, 1, 3, false),
+            load(&path, 7, 1, 3),
             Err(TerseError::Checkpoint(_))
         ));
         // Garbage bytes (no TERSEFR1 envelope, no TERSECP1 magic) are
@@ -455,7 +477,7 @@ mod tests {
         // image — set aside as `.corrupt` and restarted fresh.
         for garbage in [b"not a checkpoint at all".as_slice(), b"".as_slice()] {
             fs::write(&path, garbage).unwrap();
-            assert_eq!(load(&path, 7, 1, 1, false).unwrap(), vec![None]);
+            assert_eq!(load(&path, 7, 1, 1).unwrap(), vec![None]);
             assert!(sibling(&path, ".corrupt").exists(), "evidence preserved");
             let _ = fs::remove_file(sibling(&path, ".corrupt"));
         }
@@ -466,7 +488,7 @@ mod tests {
     #[test]
     fn missing_file_is_a_fresh_start() {
         let path = tmp_path("missing");
-        let slots = load(&path, 1, 4, 2, false).unwrap();
+        let slots = load(&path, 1, 4, 2).unwrap();
         assert_eq!(slots, vec![None, None, None, None]);
     }
 
@@ -486,7 +508,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x20;
         fs::write(&path, &bytes).unwrap();
-        let slots = load(&path, 7, 1, 1, false).unwrap();
+        let slots = load(&path, 7, 1, 1).unwrap();
         assert_eq!(slots.len(), 1);
         let entry = slots[0].as_ref().expect("fallback restored the entry");
         assert_eq!(entry.cc[0].samples(), &[0.5]);
@@ -510,7 +532,7 @@ mod tests {
         // Truncate the framed image mid-payload: torn, no .bak to serve.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        let loaded = load(&path, 7, 1, 1, false).unwrap();
+        let loaded = load(&path, 7, 1, 1).unwrap();
         assert_eq!(loaded, vec![None], "fresh start, never a torn parse");
         assert!(sibling(&path, ".corrupt").exists());
         fs::remove_file(sibling(&path, ".corrupt")).unwrap();
@@ -525,7 +547,7 @@ mod tests {
         let framed = fs::read(&path).unwrap();
         let payload = terse_analyze::unframe(&framed).unwrap().to_vec();
         fs::write(&path, &payload).unwrap();
-        let loaded = load(&path, 7, 1, 1, false).unwrap();
+        let loaded = load(&path, 7, 1, 1).unwrap();
         assert!(loaded[0].is_some());
         fs::remove_file(&path).unwrap();
     }

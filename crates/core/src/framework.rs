@@ -28,7 +28,7 @@
 use crate::checkpoint::{self, BlockProbs, EstimateCheckpoint};
 use crate::operating::{OperatingConfig, OperatingPoint};
 use crate::perf::TsPerformanceModel;
-use crate::report::{BitParallelStats, ErrorRateEstimate, Report, RunTimings, SamplingStats};
+use crate::report::{BitParallelStats, ErrorRateEstimate, Report, RunTimings};
 use crate::{Result, TerseError};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -52,7 +52,6 @@ use terse_sim::correction::CorrectionScheme;
 use terse_sim::cosim::CosimStats;
 use terse_sim::features::InstFeatures;
 use terse_sim::machine::Machine;
-use terse_sim::phase::{PhaseConfig, PhasedProfile};
 use terse_sim::profile::{ProfileResult, Profiler};
 use terse_sta::analysis::{Sta, StatisticalSta};
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
@@ -174,7 +173,6 @@ pub struct FrameworkBuilder {
     degradation: DegradationPolicy,
     dta_cache_entries: usize,
     sim_strategy: SimStrategy,
-    sampling: Option<PhaseConfig>,
     prescreen: PrescreenConfig,
 }
 
@@ -200,7 +198,6 @@ impl Default for FrameworkBuilder {
             // is on by default; see `FrameworkBuilder::dta_cache`.
             dta_cache_entries: 1024,
             sim_strategy: SimStrategy::default(),
-            sampling: None,
             prescreen: PrescreenConfig::default(),
         }
     }
@@ -306,36 +303,6 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Enables phase-clustered trace sampling with an explicit
-    /// configuration: [`Framework::run`] slices each input draw's trace
-    /// into fixed-size windows, clusters the windows by cone-masked toggle
-    /// signatures, and extracts timing features only inside one
-    /// representative window per phase. Block/edge counts stay exact; the
-    /// estimate carries a [`SamplingStats`] section with coverage and a λ
-    /// deviation bound.
-    pub fn sampling(mut self, cfg: PhaseConfig) -> Self {
-        self.sampling = Some(cfg);
-        self
-    }
-
-    /// Sets the phase-sampling window size (instructions per window),
-    /// enabling sampling with default clustering knobs if it was off.
-    pub fn window_size(mut self, n: u64) -> Self {
-        let mut cfg = self.sampling.unwrap_or_default();
-        cfg.window_size = n.max(1);
-        self.sampling = Some(cfg);
-        self
-    }
-
-    /// Sets the phase-sampling cluster cap (phases to simulate), enabling
-    /// sampling with default windowing knobs if it was off.
-    pub fn max_clusters(mut self, k: usize) -> Self {
-        let mut cfg = self.sampling.unwrap_or_default();
-        cfg.max_clusters = k.max(1);
-        self.sampling = Some(cfg);
-        self
-    }
-
     /// Selects the numerical-degradation policy threaded through the
     /// statistical pipeline ([`DegradationPolicy::Strict`] fails fast and
     /// is the default; [`DegradationPolicy::Repair`] applies bounded,
@@ -391,7 +358,6 @@ impl FrameworkBuilder {
             datapath_cache: OnceLock::new(),
             sim_strategy: self.sim_strategy,
             cosim_stats: Mutex::new(CosimStats::default()),
-            sampling: self.sampling,
             prescreen: self.prescreen,
             prescreen_stats: Mutex::new(PrescreenStats::default()),
         })
@@ -424,8 +390,6 @@ pub struct Framework {
     /// Accumulated co-simulation work counters across every training run
     /// this framework has performed.
     cosim_stats: Mutex<CosimStats>,
-    /// Phase-sampling configuration (`None` = exact full-trace runs).
-    sampling: Option<PhaseConfig>,
     /// Static error-immunity pre-screening configuration.
     prescreen: PrescreenConfig,
     /// Pair counters accumulated across every pre-screened training run.
@@ -471,11 +435,6 @@ impl Framework {
     /// The gate-evaluation strategy the training co-simulations use.
     pub fn sim_strategy(&self) -> SimStrategy {
         self.sim_strategy
-    }
-
-    /// The phase-sampling configuration (`None` = exact full-trace runs).
-    pub fn sampling(&self) -> Option<PhaseConfig> {
-        self.sampling
     }
 
     /// Static analysis of every input IR this run would consume: the
@@ -650,39 +609,6 @@ impl Framework {
         })
     }
 
-    /// Phase-sampled counterpart of [`Framework::profile_workload`]: one
-    /// [`PhasedProfile`] per data-variation sample. Counts are exact;
-    /// feature extraction runs only inside one representative window per
-    /// phase. Sample `s` offsets both the profiler seed and the clustering
-    /// seed, so draws stay independent and the whole population is
-    /// reproduced bitwise for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn profile_workload_phased(
-        &self,
-        w: &Workload,
-        cfg: &Cfg,
-        phase: &PhaseConfig,
-    ) -> Result<Vec<PhasedProfile>> {
-        self.pool.install(|| {
-            (0..self.samples)
-                .into_par_iter()
-                .map(|s| {
-                    let mut prof = self.profiler;
-                    prof.seed = self.profiler.seed.wrapping_add(s as u64);
-                    let ph = PhaseConfig {
-                        seed: phase.seed.wrapping_add(s as u64),
-                        ..*phase
-                    };
-                    prof.profile_phased(w.program(), cfg, &ph, |m| w.init_input(s, m))
-                        .map_err(TerseError::from)
-                })
-                .collect()
-        })
-    }
-
     /// Trains the per-workload instruction error model (control table per
     /// profiled edge + the cached datapath model).
     ///
@@ -694,34 +620,6 @@ impl Framework {
         w: &Workload,
         cfg: &Cfg,
         profiles: &[ProfileResult],
-    ) -> Result<InstructionErrorModel> {
-        let refs: Vec<&ProfileResult> = profiles.iter().collect();
-        self.train_model_refs(w, cfg, &refs)
-    }
-
-    /// Phase-sampled counterpart of [`Framework::train_model`]: trains
-    /// from the representative-window features a
-    /// [`Framework::profile_workload_phased`] replay produced. Training
-    /// itself is identical — only the feature population differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DTA errors.
-    pub fn train_model_phased(
-        &self,
-        w: &Workload,
-        cfg: &Cfg,
-        phased: &[PhasedProfile],
-    ) -> Result<InstructionErrorModel> {
-        let refs: Vec<&ProfileResult> = phased.iter().map(|p| &p.profile).collect();
-        self.train_model_refs(w, cfg, &refs)
-    }
-
-    fn train_model_refs(
-        &self,
-        w: &Workload,
-        cfg: &Cfg,
-        profiles: &[&ProfileResult],
     ) -> Result<InstructionErrorModel> {
         let mut engine = self.engine()?;
         let plan = if self.prescreen.mode != PrescreenMode::Off {
@@ -877,45 +775,6 @@ impl Framework {
         ckpt: Option<&EstimateCheckpoint>,
         block_budget: Option<usize>,
     ) -> Result<ErrorRateEstimate> {
-        let refs: Vec<&ProfileResult> = profiles.iter().collect();
-        self.estimate_impl(w, cfg, &refs, model, ckpt, block_budget, None)
-    }
-
-    /// Phase-sampled counterpart of [`Framework::estimate_with`]: consumes
-    /// [`PhasedProfile`]s, aggregates each instruction's conditional error
-    /// probabilities by cluster-population weight, and attaches a
-    /// [`SamplingStats`] section whose `lambda_bound` bounds the λ deviation
-    /// the sampling may have introduced. The checkpoint context hash folds
-    /// each profile's sampling digest, so sampled and exact checkpoints can
-    /// never mix.
-    ///
-    /// # Errors
-    ///
-    /// As [`Framework::estimate`].
-    pub fn estimate_sampled(
-        &self,
-        w: &Workload,
-        cfg: &Cfg,
-        phased: &[PhasedProfile],
-        model: &InstructionErrorModel,
-        ckpt: Option<&EstimateCheckpoint>,
-        block_budget: Option<usize>,
-    ) -> Result<ErrorRateEstimate> {
-        let refs: Vec<&ProfileResult> = phased.iter().map(|p| &p.profile).collect();
-        self.estimate_impl(w, cfg, &refs, model, ckpt, block_budget, Some(phased))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_impl(
-        &self,
-        w: &Workload,
-        cfg: &Cfg,
-        profiles: &[&ProfileResult],
-        model: &InstructionErrorModel,
-        ckpt: Option<&EstimateCheckpoint>,
-        block_budget: Option<usize>,
-        sampling: Option<&[PhasedProfile]>,
-    ) -> Result<ErrorRateEstimate> {
         failpoints::fail_point!("terse::estimate", |_| Err(TerseError::Config(
             "injected estimation fault".into()
         )));
@@ -933,81 +792,31 @@ impl Framework {
             let mut memo: HashMap<(Option<BlockId>, u32, InstFeatures), f64> = HashMap::new();
             let mut cc_blk = Vec::with_capacity(blk.len());
             let mut ce_blk = Vec::with_capacity(blk.len());
-            let mut dl_blk = sampling.map(|_| Vec::with_capacity(blk.len()));
             for idx in blk.range() {
                 let mut cc = vec![0.0f64; s_count];
                 let mut ce = vec![0.0f64; s_count];
-                let mut dl = vec![0.0f64; s_count];
                 for (s, prof) in profiles.iter().enumerate() {
-                    match sampling {
-                        None => {
-                            cc[s] = memoized_mean_prob(
-                                model,
-                                &mut memo,
-                                &contexts[s],
-                                idx as u32,
-                                &prof.features_normal[idx],
-                            );
-                            ce[s] = memoized_mean_prob(
-                                model,
-                                &mut memo,
-                                &contexts[s],
-                                idx as u32,
-                                &prof.features_corrected[idx],
-                            );
-                        }
-                        Some(ph) => {
-                            let weights = &ph[s].feature_weights[idx];
-                            let clusters = &ph[s].feature_clusters[idx];
-                            let (c_val, c_spread) = sampled_mean_prob(
-                                model,
-                                &mut memo,
-                                &contexts[s],
-                                idx as u32,
-                                &prof.features_normal[idx],
-                                weights,
-                                clusters,
-                            )?;
-                            let (e_val, e_spread) = sampled_mean_prob(
-                                model,
-                                &mut memo,
-                                &contexts[s],
-                                idx as u32,
-                                &prof.features_corrected[idx],
-                                weights,
-                                clusters,
-                            )?;
-                            cc[s] = c_val;
-                            ce[s] = e_val;
-                            // δ: with ≥2 observed phases the spread of the
-                            // per-phase means bounds what any phase mix could
-                            // have produced; with exactly one there is no
-                            // observable disagreement, so assume the whole
-                            // probability could be phase noise; an executed
-                            // instruction with no feature samples at all is
-                            // fully unknown.
-                            dl[s] = if prof.block_counts[blk.id.index()] == 0 {
-                                0.0
-                            } else if prof.features_normal[idx].is_empty() {
-                                1.0
-                            } else if distinct_clusters(clusters) >= 2 {
-                                c_spread.max(e_spread)
-                            } else {
-                                c_val.max(e_val)
-                            };
-                        }
-                    }
+                    cc[s] = memoized_mean_prob(
+                        model,
+                        &mut memo,
+                        &contexts[s],
+                        idx as u32,
+                        &prof.features_normal[idx],
+                    );
+                    ce[s] = memoized_mean_prob(
+                        model,
+                        &mut memo,
+                        &contexts[s],
+                        idx as u32,
+                        &prof.features_corrected[idx],
+                    );
                 }
                 cc_blk.push(SampleRv::new(cc).map_err(TerseError::Stats)?);
                 ce_blk.push(SampleRv::new(ce).map_err(TerseError::Stats)?);
-                if let Some(d) = &mut dl_blk {
-                    d.push(SampleRv::new(dl).map_err(TerseError::Stats)?);
-                }
             }
             Ok(BlockProbs {
                 cc: cc_blk,
                 ce: ce_blk,
-                delta: dl_blk,
             })
         };
         let per_block: Vec<BlockProbs> = if ckpt.is_none() && block_budget.is_none() {
@@ -1027,12 +836,11 @@ impl Framework {
                 cfg,
                 profiles,
                 &self.profiler,
-                sampling_digest(sampling),
                 self.operating.signoff_period,
                 self.operating.working_period,
             );
             let mut slots: Vec<Option<BlockProbs>> = match ckpt {
-                Some(ck) => checkpoint::load(ck.path(), ctx, m, s_count, sampling.is_some())?,
+                Some(ck) => checkpoint::load(ck.path(), ctx, m, s_count)?,
                 None => vec![None; m],
             };
             let pending: Vec<usize> = (0..m).filter(|&i| slots[i].is_none()).collect();
@@ -1073,16 +881,9 @@ impl Framework {
         };
         let mut cond_correct = Vec::with_capacity(m);
         let mut cond_error = Vec::with_capacity(m);
-        let mut deltas: Vec<Vec<SampleRv>> =
-            Vec::with_capacity(if sampling.is_some() { m } else { 0 });
         for blk_probs in per_block {
             cond_correct.push(blk_probs.cc);
             cond_error.push(blk_probs.ce);
-            if sampling.is_some() {
-                deltas.push(blk_probs.delta.ok_or_else(|| {
-                    TerseError::Checkpoint("sampled sweep entry missing its delta table".into())
-                })?);
-            }
         }
         // --- Marginals (Eqs. 1–2, Tarjan, per-SCC systems) ----------------
         let mut edge_counts: HashMap<(BlockId, BlockId), Vec<f64>> = HashMap::new();
@@ -1191,50 +992,6 @@ impl Framework {
             .map(|(p, &k)| p.total_instructions as f64 * k)
             .sum::<f64>()
             / s_count as f64;
-        // --- Phase-sampling λ bound (sampled runs only) -------------------
-        let sampling_stats = match sampling {
-            None => None,
-            Some(ph) => {
-                // Per input draw: every execution outside a representative
-                // window may deviate from its phase representative by at
-                // most δ in probability, so the λ deviation is bounded by
-                // Σ nonrep_execs·δ·scale. The safety factor absorbs the
-                // clustering itself being approximate (a window near a
-                // phase boundary can sit farther from its representative
-                // than the inter-phase spread suggests) and the marginal
-                // solver's amplification of conditional deviations.
-                let mut worst = 0.0f64;
-                for s in 0..s_count {
-                    let mut acc = KahanSum::new();
-                    for i in 0..m {
-                        let nonrep = profiles[s].block_counts[i]
-                            .saturating_sub(ph[s].block_rep_counts[i])
-                            as f64;
-                        if nonrep <= 0.0 {
-                            continue;
-                        }
-                        for rv in &deltas[i] {
-                            acc.add(scale[s] * nonrep * rv.samples()[s]);
-                        }
-                    }
-                    worst = worst.max(acc.value());
-                }
-                let covered: f64 = ph.iter().map(|p| p.covered_instructions as f64).sum();
-                let traced: f64 = ph.iter().map(|p| p.profile.total_instructions as f64).sum();
-                Some(SamplingStats {
-                    windows_total: ph.iter().map(|p| p.windows_total).sum(),
-                    windows_simulated: ph.iter().map(|p| p.windows_simulated).sum(),
-                    window_size: ph.first().map_or(0, |p| p.window_size),
-                    clusters: ph
-                        .iter()
-                        .map(|p| p.clustering.clusters())
-                        .max()
-                        .unwrap_or(0),
-                    coverage: if traced > 0.0 { covered / traced } else { 1.0 },
-                    lambda_bound: SAMPLING_SAFETY * worst,
-                })
-            }
-        };
         Ok(ErrorRateEstimate {
             lambda,
             lambda_normal: normal,
@@ -1243,7 +1000,6 @@ impl Framework {
             dk_lambda,
             dk_count,
             chen_stein_b12_worst: b12_worst,
-            sampling: sampling_stats,
         })
     }
 
@@ -1260,36 +1016,15 @@ impl Framework {
         let cfg = Cfg::from_program(w.program());
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t0 = Instant::now();
-        // Sampled runs profile through the phase subsystem; both arms hand
-        // the training and estimation phases the same `&ProfileResult` view.
-        let (phased, exact);
-        if let Some(phase) = &self.sampling {
-            phased = Some(self.profile_workload_phased(w, &cfg, phase)?);
-            exact = None;
-        } else {
-            phased = None;
-            exact = Some(self.profile_workload(w, &cfg)?);
-        }
-        let profiles: Vec<&ProfileResult> = match (&phased, &exact) {
-            (Some(ph), _) => ph.iter().map(|p| &p.profile).collect(),
-            (None, ex) => ex.iter().flatten().collect(),
-        };
+        let profiles = self.profile_workload(w, &cfg)?;
         let simulation_s = t0.elapsed().as_secs_f64();
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t1 = Instant::now();
-        let model = self.train_model_refs(w, &cfg, &profiles)?;
+        let model = self.train_model(w, &cfg, &profiles)?;
         let training_s = t1.elapsed().as_secs_f64();
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t2 = Instant::now();
-        let estimate = self.estimate_impl(
-            w,
-            &cfg,
-            &profiles,
-            &model,
-            self.checkpoint.as_ref(),
-            self.block_budget,
-            phased.as_deref(),
-        )?;
+        let estimate = self.estimate(w, &cfg, &profiles, &model)?;
         let estimation_s = t2.elapsed().as_secs_f64();
         Ok(Report {
             name: w.name().to_owned(),
@@ -1308,75 +1043,6 @@ impl Framework {
             prescreen: self.prescreen_stats(),
         })
     }
-}
-
-/// Safety factor on the phase-disagreement λ bound (see
-/// [`SamplingStats::lambda_bound`]): the raw `Σ nonrep·δ` term measures the
-/// disagreement among the *observed* phase representatives; the factor
-/// covers windows straddling phase boundaries and the marginal solver's
-/// amplification of conditional-probability deviations. Calibrated by the
-/// sampled-vs-exact containment suite (every workload's exact λ must fall
-/// inside the reported bound).
-const SAMPLING_SAFETY: f64 = 4.0;
-
-/// Digest of the per-sample phase-sampling decisions (`0` = exact run),
-/// folded into the checkpoint context hash so sampled and exact
-/// checkpoints can never resume each other.
-fn sampling_digest(sampling: Option<&[PhasedProfile]>) -> u64 {
-    let Some(ph) = sampling else { return 0 };
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = h.wrapping_mul(0x0100_0000_01b3) ^ ph.len() as u64;
-    for p in ph {
-        h = (h ^ p.context_digest).wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Number of distinct clusters in an ascending cluster-id array.
-fn distinct_clusters(clusters: &[u32]) -> usize {
-    let mut n = 0usize;
-    let mut prev = None;
-    for &c in clusters {
-        if prev != Some(c) {
-            n += 1;
-            prev = Some(c);
-        }
-    }
-    n
-}
-
-/// Phase-sampled counterpart of [`memoized_mean_prob`]: evaluates the
-/// context-weighted probability of every retained feature sample, then
-/// aggregates by cluster-population weight (the sampled Eq. 2 kernel) and
-/// measures the per-phase disagreement of the same values (the δ term of
-/// the sampling bound).
-#[allow(clippy::too_many_arguments)]
-fn sampled_mean_prob(
-    model: &InstructionErrorModel,
-    memo: &mut HashMap<(Option<BlockId>, u32, InstFeatures), f64>,
-    contexts: &[(Option<BlockId>, f64)],
-    idx: u32,
-    feats: &[InstFeatures],
-    weights: &[f64],
-    clusters: &[u32],
-) -> Result<(f64, f64)> {
-    if feats.is_empty() || contexts.is_empty() {
-        return Ok((0.0, 0.0));
-    }
-    let mut per_feat = vec![0.0f64; feats.len()];
-    for (j, f) in feats.iter().enumerate() {
-        let mut acc = 0.0;
-        for &(edge, wgt) in contexts {
-            let p = *memo
-                .entry((edge, idx, *f))
-                .or_insert_with(|| model.error_probability_rv(edge, idx, f));
-            acc += wgt * p;
-        }
-        per_feat[j] = acc.clamp(0.0, 1.0);
-    }
-    let mean = terse_errmodel::weighted_mean(&per_feat, weights)?.clamp(0.0, 1.0);
-    let spread = terse_errmodel::cluster_spread(&per_feat, clusters)?.spread;
-    Ok((mean, spread))
 }
 
 /// Context-weighted mean error probability of one static instruction's
@@ -1577,6 +1243,13 @@ mod tests {
         let off = run_with(PrescreenMode::Off);
         assert!(off.prescreen.is_none());
         assert!(off.perf_summary().contains("prescreen: off"));
+        // Oracle shares Prune's shortcut, so the check that matters is
+        // against the unpruned answer: Off computes every pair.
+        let lf = &off.estimate.lambda;
+        assert_eq!(lp.samples().len(), lf.samples().len());
+        for (a, b) in lp.samples().iter().zip(lf.samples()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "Prune λ {a} vs Off λ {b}");
+        }
     }
 
     #[test]
@@ -1921,190 +1594,6 @@ mod tests {
             .unwrap();
         let repair = f.run(&w).unwrap();
         assert_estimates_bitwise_equal(&strict.estimate, &repair.estimate);
-    }
-
-    fn long_loop_workload() -> Workload {
-        Workload::from_asm(
-            "phased",
-            r"
-                addi r1, r0, 40
-                li   r2, 0xBEEF
-            loop:
-                add  r3, r3, r2
-                xor  r4, r3, r1
-                addi r1, r1, -1
-                bne  r1, r0, loop
-                halt
-        ",
-        )
-        .unwrap()
-    }
-
-    fn sampled_framework(threads: usize) -> Framework {
-        Framework::builder()
-            .samples(2)
-            .profiler(Profiler {
-                max_feature_samples: 8,
-                budget: 100_000,
-                dmem_words: 4096,
-                seed: 1,
-            })
-            .threads(threads)
-            .sampling(terse_sim::phase::PhaseConfig {
-                window_size: 16,
-                max_clusters: 4,
-                ..Default::default()
-            })
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn sampled_run_bound_contains_exact_lambda() {
-        let w = long_loop_workload();
-        let exact = small_framework().run(&w).unwrap();
-        let sampled = sampled_framework(0).run(&w).unwrap();
-        assert!(exact.estimate.sampling.is_none());
-        let stats = sampled
-            .estimate
-            .sampling
-            .expect("sampled run reports stats");
-        assert!(stats.windows_total > 1, "stats = {stats:?}");
-        assert!(
-            stats.windows_simulated <= stats.windows_total,
-            "stats = {stats:?}"
-        );
-        assert!(
-            stats.coverage > 0.0 && stats.coverage <= 1.0,
-            "stats = {stats:?}"
-        );
-        assert_eq!(stats.window_size, 16);
-        // Exact counts survive sampling, so the instruction totals agree.
-        assert_eq!(
-            sampled.estimate.total_instructions.to_bits(),
-            exact.estimate.total_instructions.to_bits()
-        );
-        // The reported bound contains the exact λ.
-        let err = (sampled.estimate.lambda.mean() - exact.estimate.lambda.mean()).abs();
-        assert!(
-            err <= stats.lambda_bound,
-            "|λs − λe| = {err} > bound {}",
-            stats.lambda_bound
-        );
-        // And the summary line surfaces it.
-        assert!(sampled.perf_summary().contains("sampling: "), "summary");
-    }
-
-    #[test]
-    fn sampled_run_is_bitwise_deterministic_across_thread_counts() {
-        let w = long_loop_workload();
-        let a = sampled_framework(1).run(&w).unwrap();
-        let b = sampled_framework(4).run(&w).unwrap();
-        assert_estimates_bitwise_equal(&a.estimate, &b.estimate);
-        let (sa, sb) = (a.estimate.sampling.unwrap(), b.estimate.sampling.unwrap());
-        assert_eq!(sa.lambda_bound.to_bits(), sb.lambda_bound.to_bits());
-        assert_eq!(
-            (sa.windows_total, sa.windows_simulated, sa.clusters),
-            (sb.windows_total, sb.windows_simulated, sb.clusters)
-        );
-    }
-
-    #[test]
-    fn sampled_interrupted_run_resumes_bitwise_identically() {
-        let w = long_loop_workload();
-        let plain = sampled_framework(0).run(&w).unwrap();
-        let path = ckpt_path("sampled-resume");
-        let prof = Profiler {
-            max_feature_samples: 8,
-            budget: 100_000,
-            dmem_words: 4096,
-            seed: 1,
-        };
-        let phase = terse_sim::phase::PhaseConfig {
-            window_size: 16,
-            max_clusters: 4,
-            ..Default::default()
-        };
-        let f1 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .sampling(phase)
-            .checkpoint(&path, 1)
-            .block_budget(2)
-            .build()
-            .unwrap();
-        assert!(matches!(f1.run(&w), Err(TerseError::Interrupted { .. })));
-        assert!(path.exists(), "partial sampled checkpoint persisted");
-        let f2 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .sampling(phase)
-            .checkpoint(&path, 1)
-            .threads(1)
-            .build()
-            .unwrap();
-        let resumed = f2.run(&w).unwrap();
-        assert_estimates_bitwise_equal(&plain.estimate, &resumed.estimate);
-        assert_eq!(
-            plain.estimate.sampling.unwrap().lambda_bound.to_bits(),
-            resumed.estimate.sampling.unwrap().lambda_bound.to_bits()
-        );
-        assert!(!path.exists());
-    }
-
-    #[test]
-    fn sampled_and_exact_checkpoints_never_mix() {
-        let w = long_loop_workload();
-        let path = ckpt_path("sampled-mix");
-        let prof = Profiler {
-            max_feature_samples: 8,
-            budget: 100_000,
-            dmem_words: 4096,
-            seed: 1,
-        };
-        // Interrupt an *exact* run to leave its checkpoint behind.
-        let f1 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .checkpoint(&path, 1)
-            .block_budget(1)
-            .build()
-            .unwrap();
-        assert!(matches!(f1.run(&w), Err(TerseError::Interrupted { .. })));
-        // A sampled run with the same everything else must refuse the file.
-        let f2 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .sampling(terse_sim::phase::PhaseConfig {
-                window_size: 16,
-                max_clusters: 4,
-                ..Default::default()
-            })
-            .checkpoint(&path, 1)
-            .build()
-            .unwrap();
-        assert!(matches!(f2.run(&w), Err(TerseError::Checkpoint(_))));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn window_size_and_max_clusters_knobs_enable_sampling() {
-        let b = Framework::builder().window_size(64).max_clusters(3);
-        let f = b
-            .samples(2)
-            .profiler(Profiler {
-                max_feature_samples: 8,
-                budget: 100_000,
-                dmem_words: 4096,
-                seed: 1,
-            })
-            .build()
-            .unwrap();
-        let cfg = f.sampling().expect("knobs enable sampling");
-        assert_eq!(cfg.window_size, 64);
-        assert_eq!(cfg.max_clusters, 3);
-        let report = f.run(&long_loop_workload()).unwrap();
-        assert!(report.estimate.sampling.is_some());
     }
 
     #[test]

@@ -58,15 +58,12 @@ pub use checkpoint::EstimateCheckpoint;
 pub use framework::{Framework, FrameworkBuilder, Workload};
 pub use operating::{OperatingConfig, OperatingPoint};
 pub use perf::TsPerformanceModel;
-pub use report::{
-    BitParallelStats, ErrorRateEstimate, RateCdfPoint, Report, RunTimings, SamplingStats,
-};
+pub use report::{BitParallelStats, ErrorRateEstimate, RateCdfPoint, Report, RunTimings};
 
 // Re-export the substrate types a downstream user needs for configuration.
 pub use terse_dta::engine::DtaMode;
 pub use terse_netlist::pipeline::PipelineConfig;
 pub use terse_sim::correction::CorrectionScheme;
-pub use terse_sim::phase::{PhaseConfig, PhasedProfile};
 pub use terse_sta::statmin::MinOrdering;
 pub use terse_sta::variation::VariationConfig;
 pub use terse_stats::DegradationPolicy;

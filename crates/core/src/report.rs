@@ -8,30 +8,6 @@ use terse_dta::prescreen::PrescreenStats;
 use terse_stats::mixture::CdfBounds;
 use terse_stats::{Normal, PoissonNormalMixture, SampleRv};
 
-/// Phase-sampling telemetry and its error term: how much of the trace was
-/// actually simulated with full feature extraction, and the reported bound
-/// on the λ deviation the sampling may have introduced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SamplingStats {
-    /// Trace windows across all input draws.
-    pub windows_total: u64,
-    /// Windows replayed with full feature extraction (cluster
-    /// representatives) across all input draws.
-    pub windows_simulated: u64,
-    /// Instructions per window.
-    pub window_size: u64,
-    /// Largest per-draw phase (cluster) count.
-    pub clusters: usize,
-    /// Fraction of dynamic instructions inside representative windows.
-    pub coverage: f64,
-    /// Bound on `|λ_sampled − λ_exact|` (absolute, in expected-error-count
-    /// units): the population-weighted per-phase disagreement term, scaled
-    /// by the sampling safety factor. Reported alongside the Stein /
-    /// Chen–Stein bounds, not folded into them — those bound the *limit
-    /// theorem* approximations and stay meaningful separately.
-    pub lambda_bound: f64,
-}
-
 /// The program error-rate estimate: the Eq. 14 mixture over the
 /// CLT-approximated λ, its sampled data-variation distribution, and the
 /// Stein / Chen–Stein approximation-error bounds.
@@ -54,9 +30,6 @@ pub struct ErrorRateEstimate {
     pub dk_count: f64,
     /// Worst-case `b₁ + b₂` (mean + 6σ over data variation) used in Eq. 9.
     pub chen_stein_b12_worst: f64,
-    /// Phase-sampling coverage and error term (`None` = exact full-trace
-    /// run).
-    pub sampling: Option<SamplingStats>,
 }
 
 impl ErrorRateEstimate {
@@ -150,22 +123,6 @@ impl ErrorRateEstimate {
         o.f64("dk_lambda", self.dk_lambda);
         o.f64("dk_count", self.dk_count);
         o.f64("chen_stein_b12_worst", self.chen_stein_b12_worst);
-        // The sampling section is always present: `null` marks an exact
-        // full-trace run, so consumers can distinguish "exact" from "key
-        // missing because the producer predates phase sampling".
-        match &self.sampling {
-            Some(sp) => {
-                let mut s = JsonObj::new();
-                s.raw("windows_total", &sp.windows_total.to_string());
-                s.raw("windows_simulated", &sp.windows_simulated.to_string());
-                s.raw("window_size", &sp.window_size.to_string());
-                s.raw("clusters", &sp.clusters.to_string());
-                s.f64("coverage", sp.coverage);
-                s.f64("lambda_bound", sp.lambda_bound);
-                o.raw("sampling", &s.finish());
-            }
-            None => o.raw("sampling", "null"),
-        }
         o.finish()
     }
 }
@@ -426,21 +383,6 @@ impl Report {
             )),
             None => s.push_str("\nprescreen: off"),
         }
-        // Like the segments above, the sampling line is always present so
-        // line-oriented consumers see a fixed field set.
-        match &self.estimate.sampling {
-            Some(sp) => s.push_str(&format!(
-                "\nsampling: {}/{} windows of {} instructions \
-                 ({} clusters, {:.1}% instruction coverage), λ-bound {:.3e}",
-                sp.windows_simulated,
-                sp.windows_total,
-                sp.window_size,
-                sp.clusters,
-                sp.coverage * 100.0,
-                sp.lambda_bound,
-            )),
-            None => s.push_str("\nsampling: exact (full trace)"),
-        }
         s
     }
 
@@ -565,7 +507,6 @@ mod tests {
             dk_lambda: 0.02,
             dk_count: 0.015,
             chen_stein_b12_worst: 1.0,
-            sampling: None,
         }
     }
 
@@ -703,65 +644,14 @@ mod tests {
             "\"strategy\":\"n/a\"",
             "\"mc_chips\":0",
             "\"mc_lane_occupancy\":0.0",
-            "\"sampling\":null",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"sampling\""), "{json}");
         // Quotes in names are escaped.
         assert!(json.contains("demo \\\"quoted\\\""), "{json}");
         // Deterministic payloads render identically.
         assert_eq!(r.estimate.to_json(), r.estimate.clone().to_json());
-    }
-
-    #[test]
-    fn sampled_report_surfaces_coverage_and_bound() {
-        let mut e = estimate(1000.0, 0.05, 5e8);
-        e.sampling = Some(SamplingStats {
-            windows_total: 400,
-            windows_simulated: 24,
-            window_size: 256,
-            clusters: 6,
-            coverage: 0.06,
-            lambda_bound: 0.0125,
-        });
-        let json = e.to_json();
-        assert!(json.contains("\"windows_total\":400"), "{json}");
-        assert!(json.contains("\"windows_simulated\":24"), "{json}");
-        assert!(json.contains("\"window_size\":256"), "{json}");
-        assert!(json.contains("\"clusters\":6"), "{json}");
-        assert!(json.contains("\"coverage\":0.06"), "{json}");
-        assert!(json.contains("\"lambda_bound\":0.0125"), "{json}");
-        let r = Report {
-            name: "sampled".into(),
-            estimate: e,
-            timings: RunTimings::default(),
-            static_instructions: 1,
-            dynamic_instructions: 1.0,
-            basic_blocks: 1,
-            perf: TsPerformanceModel::paper_default(),
-            dta_cache: None,
-            bitparallel: None,
-            prescreen: None,
-        };
-        let summary = r.perf_summary();
-        assert!(
-            summary.contains("sampling: 24/400 windows of 256 instructions"),
-            "{summary}"
-        );
-        assert!(summary.contains("6 clusters"), "{summary}");
-        assert!(summary.contains("λ-bound"), "{summary}");
-        // The exact path says so explicitly.
-        let exact = Report {
-            estimate: estimate(1000.0, 0.05, 5e8),
-            ..r
-        };
-        assert!(
-            exact
-                .perf_summary()
-                .contains("sampling: exact (full trace)"),
-            "{}",
-            exact.perf_summary()
-        );
     }
 
     #[test]

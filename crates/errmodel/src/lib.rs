@@ -30,11 +30,9 @@
 #![warn(missing_docs)]
 pub mod marginal;
 pub mod tarjan;
-pub mod weighted;
 
 pub use marginal::{solve_marginals, solve_marginals_with, MarginalProblem, MarginalSolution};
 pub use tarjan::{condensation_order, strongly_connected_components};
-pub use weighted::{cluster_spread, weighted_mean, ClusterSpread};
 
 use std::fmt;
 

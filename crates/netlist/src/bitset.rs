@@ -65,21 +65,6 @@ impl BitSet {
         }
     }
 
-    /// Overwrites the set's content from raw little-endian words, in place
-    /// (the allocation-free counterpart of [`BitSet::from_words`] for
-    /// per-cycle scratch sets). Missing trailing words are zeroed; bits at
-    /// or above the capacity are cleared.
-    pub fn copy_from_words(&mut self, words: &[u64]) {
-        for (i, dst) in self.words.iter_mut().enumerate() {
-            *dst = words.get(i).copied().unwrap_or(0);
-        }
-        if !self.capacity.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << (self.capacity % 64)) - 1;
-            }
-        }
-    }
-
     /// Inserts `i`.
     ///
     /// # Panics

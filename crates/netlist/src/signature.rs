@@ -1,15 +1,13 @@
 //! Shared activation-signature helpers.
 //!
-//! Two subsystems fingerprint cone-masked toggle sets: the stage-DTS memo
-//! cache in `terse_dta` (which keys memo entries on `VCD(t) ∧ cone(s)`) and
-//! the phase-sampling windowing pass in `terse_sim` (which summarizes each
-//! trace window by the masked toggle signatures of its instructions). Both
-//! must agree on what a "signature" is, so the definitions live here, next
-//! to [`BitSet::fingerprint`] — the content hash they are built from.
+//! The stage-DTS memo cache in `terse_dta` keys its entries on cone-masked
+//! toggle sets (`VCD(t) ∧ cone(s)`). The engine and the cache must agree on
+//! what a "signature" is, so the definitions live here, next to
+//! [`BitSet::fingerprint`] — the content hash they are built from.
 //!
 //! All helpers are pure functions of set *content*: insertion order, thread
 //! count and platform do not affect them, which is what lets signatures
-//! participate in bitwise-deterministic caches and clusterings.
+//! participate in bitwise-deterministic caches.
 
 use crate::bitset::{mix, BitSet};
 
@@ -45,14 +43,6 @@ pub fn truncated(sig: u64, sig_mask: u64) -> u64 {
 /// that happen to collide additively).
 pub fn combine(acc: u64, sig: u64) -> u64 {
     acc.wrapping_add(mix(sig))
-}
-
-/// Maps a signature to one of `buckets` histogram bins (used by the window
-/// feature vectors: a hashed histogram of masked signatures approximates
-/// the distribution of toggle patterns a window exposes to each cone).
-pub fn bucket(sig: u64, buckets: usize) -> usize {
-    debug_assert!(buckets > 0);
-    (mix(sig) % buckets.max(1) as u64) as usize
 }
 
 #[cfg(test)]
@@ -103,8 +93,8 @@ mod tests {
     #[test]
     fn single_toggle_windows_are_distinct() {
         // Every 1-bit toggle set inside the cone gets its own signature —
-        // single-toggle windows (the smallest non-trivial windows the phase
-        // sampler can see) must not alias each other or the quiet window.
+        // the smallest non-trivial activations must not alias each other or
+        // the quiet set.
         let cone = {
             let mut m = BitSet::new(128);
             for i in 0..128 {
@@ -164,13 +154,5 @@ mod tests {
         let twice = combine(combine(0, 3), 3);
         let once = combine(0, 3);
         assert_ne!(twice, once);
-    }
-
-    #[test]
-    fn bucket_in_range() {
-        for sig in [0u64, 1, u64::MAX, 0x1234_5678] {
-            assert!(bucket(sig, 16) < 16);
-            assert_eq!(bucket(sig, 1), 0);
-        }
     }
 }

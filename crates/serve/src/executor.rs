@@ -448,6 +448,44 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A job queued before phase sampling was removed still has a
+    /// `"sampling"` section in its on-disk spec. Draining must fail it with
+    /// a typed spec error naming the key: no panic, no silent exact run.
+    #[test]
+    fn queued_job_with_retired_sampling_section_fails_typed() {
+        let root = temp_store("sampling");
+        let store = JobStore::open(&root).unwrap();
+        store.submit(&tiny("old", "")).unwrap();
+        let spec_path = store.job_dir("old").join("spec.json");
+        let text = std::fs::read_to_string(&spec_path).unwrap();
+        let old = format!(
+            "{},\"sampling\":{{\"window_size\":64,\"max_clusters\":4}}}}",
+            text.trim_end().strip_suffix('}').unwrap()
+        );
+        std::fs::write(&spec_path, old).unwrap();
+        let stats = serve(
+            &store,
+            &ExecutorConfig {
+                workers: 1,
+                drain: true,
+                poll_ms: 5,
+                ..ExecutorConfig::default()
+            },
+            &AtomicBool::new(false),
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!((stats.completed, stats.failed), (0, 1));
+        assert_eq!(store.state("old").unwrap(), JobState::Failed);
+        let error = store.read_error("old").expect("error.txt written");
+        assert!(error.contains("sampling"), "{error}");
+        assert!(
+            store.read_report("old").is_err(),
+            "no report from an exact rerun"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn failing_jobs_with_retries_are_retried_then_quarantined() {
         let root = temp_store("retry");

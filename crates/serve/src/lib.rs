@@ -43,7 +43,7 @@ pub mod supervise;
 
 pub use executor::{serve, ExecutorConfig, ExecutorStats};
 pub use runner::{deterministic_section, run_job, FrameworkCache, RunOutcome};
-pub use spec::{JobSpec, PipelinePreset, SamplingSpec, WorkloadSpec};
+pub use spec::{JobSpec, PipelinePreset, WorkloadSpec};
 pub use store::{ClaimToken, JobState, JobStore, Recovery};
 pub use supervise::{SupervisorConfig, SupervisorStats};
 

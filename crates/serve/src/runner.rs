@@ -22,15 +22,14 @@
 //! last checkpoint flush, and a re-run converges to byte-identical
 //! deterministic output.
 
-use crate::spec::{JobSpec, PipelinePreset, SamplingSpec};
+use crate::spec::{JobSpec, PipelinePreset};
 use crate::store::{JobState, JobStore};
 use crate::{json::Value, Result, ServeError};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 use terse::{
-    EstimateCheckpoint, Framework, OperatingConfig, PhaseConfig, Report, RunTimings, TerseError,
-    Workload,
+    EstimateCheckpoint, Framework, OperatingConfig, Report, RunTimings, TerseError, Workload,
 };
 use terse_isa::Cfg;
 use terse_sim::monte_carlo::{self, MonteCarloConfig};
@@ -62,14 +61,7 @@ pub struct FrameworkCache {
     map: HashMap<CacheKey, Rc<Framework>>,
 }
 
-type CacheKey = (
-    PipelinePreset,
-    u64,
-    usize,
-    usize,
-    SimStrategy,
-    Option<SamplingSpec>,
-);
+type CacheKey = (PipelinePreset, u64, usize, usize, SimStrategy);
 
 impl FrameworkCache {
     /// An empty cache.
@@ -100,12 +92,11 @@ impl FrameworkCache {
             spec.samples,
             spec.threads,
             spec.sim,
-            spec.sampling,
         );
         if let Some(fw) = self.map.get(&key) {
             return Ok(Rc::clone(fw));
         }
-        let mut builder = Framework::builder()
+        let fw = Framework::builder()
             .pipeline(spec.pipeline.config())
             .operating(OperatingConfig {
                 overclock,
@@ -113,15 +104,7 @@ impl FrameworkCache {
             })
             .samples(spec.samples)
             .threads(spec.threads)
-            .sim_strategy(spec.sim);
-        if let Some(s) = spec.sampling {
-            builder = builder.sampling(PhaseConfig {
-                window_size: s.window_size,
-                max_clusters: s.max_clusters,
-                ..PhaseConfig::default()
-            });
-        }
-        let fw = builder
+            .sim_strategy(spec.sim)
             .build()
             .map_err(|e| ServeError::Run(format!("framework build failed: {e}")))?;
         let fw = Rc::new(fw);
@@ -181,33 +164,17 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
             let _ = std::fs::remove_file(&point_path);
         }
         let fw = cache.framework(&spec, overclock)?;
-        // Sampled jobs profile in phased mode (windowed trace + replayed
-        // representatives); exact jobs keep the classic full-trace path.
-        let phase = fw.sampling();
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t0 = Instant::now();
-        let (profiles, phased) = match &phase {
-            Some(p) => (
-                Vec::new(),
-                Some(
-                    fw.profile_workload_phased(&workload, &cfg, p)
-                        .map_err(|e| ServeError::Run(format!("phased profiling failed: {e}")))?,
-                ),
-            ),
-            None => (
-                fw.profile_workload(&workload, &cfg)
-                    .map_err(|e| ServeError::Run(format!("profiling failed: {e}")))?,
-                None,
-            ),
-        };
+        let profiles = fw
+            .profile_workload(&workload, &cfg)
+            .map_err(|e| ServeError::Run(format!("profiling failed: {e}")))?;
         timings.simulation_s += t0.elapsed().as_secs_f64();
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t1 = Instant::now();
-        let model = match &phased {
-            Some(ph) => fw.train_model_phased(&workload, &cfg, ph),
-            None => fw.train_model(&workload, &cfg, &profiles),
-        }
-        .map_err(|e| ServeError::Run(format!("training failed: {e}")))?;
+        let model = fw
+            .train_model(&workload, &cfg, &profiles)
+            .map_err(|e| ServeError::Run(format!("training failed: {e}")))?;
         timings.training_s += t1.elapsed().as_secs_f64();
         // --- Estimation (TERSECP1 checkpoint path) -----------------------
         let ckpt = EstimateCheckpoint::new(
@@ -216,19 +183,14 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
         );
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t2 = Instant::now();
-        let estimated = match &phased {
-            Some(ph) => {
-                fw.estimate_sampled(&workload, &cfg, ph, &model, Some(&ckpt), spec.block_budget)
-            }
-            None => fw.estimate_with(
-                &workload,
-                &cfg,
-                &profiles,
-                &model,
-                Some(&ckpt),
-                spec.block_budget,
-            ),
-        };
+        let estimated = fw.estimate_with(
+            &workload,
+            &cfg,
+            &profiles,
+            &model,
+            Some(&ckpt),
+            spec.block_budget,
+        );
         let est = match estimated {
             Ok(e) => e,
             Err(TerseError::Interrupted { completed, total }) => {
@@ -519,65 +481,6 @@ mod tests {
             run_job(&store, "c2", &mut cache).unwrap(),
             RunOutcome::Cancelled
         );
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn sampled_job_resumes_bitwise_identical_and_reports_coverage() {
-        let root = temp_store("sampled");
-        let store = JobStore::open(&root).unwrap();
-        let sampling = r#","sampling":{"window_size":8,"max_clusters":2}"#;
-        // Reference: a sampled job straight through.
-        store.submit(&tiny_spec("sref", sampling)).unwrap();
-        let mut cache = FrameworkCache::new();
-        assert_eq!(
-            run_job(&store, "sref", &mut cache).unwrap(),
-            RunOutcome::Done
-        );
-        let ref_report = store.read_report("sref").unwrap();
-        // The point result carries the sampling stats (coverage + bound).
-        let v = Value::parse(&ref_report).unwrap();
-        let points = v.get("points").and_then(Value::as_arr).unwrap();
-        let stats = points[0].get("result").unwrap().get("sampling").unwrap();
-        assert!(
-            stats.get("lambda_bound").is_some(),
-            "missing sampling stats"
-        );
-        assert!(stats.get("windows_total").is_some());
-
-        // Sliced: the same sampled job, interrupted by a 1-block budget,
-        // must converge to byte-identical points.
-        let sliced = tiny_spec("sslice", &format!(r#","block_budget":1{sampling}"#));
-        store.submit(&sliced).unwrap();
-        let mut requeues = 0;
-        loop {
-            match run_job(&store, "sslice", &mut cache).unwrap() {
-                RunOutcome::Done => break,
-                RunOutcome::Requeued { completed, total } => {
-                    assert!(completed < total);
-                    requeues += 1;
-                    assert!(requeues < 100, "not converging");
-                }
-                RunOutcome::Cancelled => panic!("not cancelled"),
-            }
-        }
-        assert!(requeues > 0, "budget must interrupt at least once");
-        let sliced_report = store.read_report("sslice").unwrap();
-        let p_sliced = Value::parse(&sliced_report).unwrap();
-        assert_eq!(
-            v.get("points").unwrap().render(),
-            p_sliced.get("points").unwrap().render(),
-            "sampled resume must be bitwise identical"
-        );
-
-        // A sampled and an exact job never share a framework.
-        assert_eq!(cache.len(), 1);
-        store.submit(&tiny_spec("sexact", "")).unwrap();
-        assert_eq!(
-            run_job(&store, "sexact", &mut cache).unwrap(),
-            RunOutcome::Done
-        );
-        assert_eq!(cache.len(), 2, "sampling must be part of the cache key");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

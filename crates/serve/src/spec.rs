@@ -29,12 +29,6 @@
 //! optional `dataset` of `"small"`/`"large"`) or carries inline assembly:
 //! `{ "asm": "...", "name": "custom" }`. Everything except `id` and
 //! `workload` has a default.
-//!
-//! An optional `"sampling": { "window_size": 256, "max_clusters": 8 }`
-//! section switches the job to phase-sampled estimation (SimPoint-style
-//! window clustering; see DESIGN.md §18). It is absent from the canonical
-//! rendering unless set, so pre-sampling specs keep their historical
-//! digests.
 
 use crate::json::Value;
 use crate::{Result, ServeError};
@@ -102,21 +96,6 @@ pub struct JobSpec {
     /// Optional per-attempt wall-clock deadline (ms). The supervisor
     /// reclaims a running job whose attempt exceeds it.
     pub deadline_ms: Option<u64>,
-    /// Optional phase-sampled estimation: full DTA runs only on each
-    /// phase's representative window (`None` = exact full-trace runs).
-    pub sampling: Option<SamplingSpec>,
-}
-
-/// The phase-sampling section of a spec: which windowing/clustering knobs
-/// a sampled job runs with (the remaining `PhaseConfig` knobs — k-means
-/// iteration cap and clustering seed — stay at library defaults so every
-/// job in a sweep clusters identically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SamplingSpec {
-    /// Instructions per trace window.
-    pub window_size: u64,
-    /// Upper bound on the number of clusters (phases simulated in full).
-    pub max_clusters: usize,
 }
 
 /// The two pipeline presets a spec may name.
@@ -217,7 +196,6 @@ impl JobSpec {
                     }
                 },
             },
-            sampling: parse_sampling(v.get("sampling"))?,
         };
         spec.validate()?;
         Ok(spec)
@@ -254,9 +232,6 @@ impl JobSpec {
             mc_inputs: self.mc_inputs,
             threads: self.threads,
             checkpoint_every: self.checkpoint_every,
-            sampling: self
-                .sampling
-                .map(|s| (s.window_size, s.max_clusters as u64)),
         };
         let mut report = AnalysisReport::new();
         analyze_job_spec(&view, &names, &mut report);
@@ -264,10 +239,7 @@ impl JobSpec {
     }
 
     /// The canonical JSON rendering of this spec (every field explicit,
-    /// fixed key order) — what the store persists as `spec.json`. The
-    /// one exception is `sampling`, which renders only when set: specs
-    /// written before phase sampling existed keep their historical
-    /// canonical bytes (and therefore their digests).
+    /// fixed key order) — what the store persists as `spec.json`.
     pub fn to_json(&self) -> String {
         let workload = match &self.workload {
             WorkloadSpec::Benchmark { name, dataset } => Value::Obj(vec![
@@ -290,7 +262,7 @@ impl JobSpec {
         };
         let num = |n: usize| Value::Num(n as f64);
         let budget = |b: Option<usize>| b.map_or(Value::Null, |n| Value::Num(n as f64));
-        let mut fields = vec![
+        Value::Obj(vec![
             ("id".into(), Value::Str(self.id.clone())),
             ("workload".into(), workload),
             ("samples".into(), num(self.samples)),
@@ -322,17 +294,8 @@ impl JobSpec {
                 self.deadline_ms
                     .map_or(Value::Null, |n| Value::Num(n as f64)),
             ),
-        ];
-        if let Some(s) = self.sampling {
-            fields.push((
-                "sampling".into(),
-                Value::Obj(vec![
-                    ("window_size".into(), Value::Num(s.window_size as f64)),
-                    ("max_clusters".into(), num(s.max_clusters)),
-                ]),
-            ));
-        }
-        Value::Obj(fields).render()
+        ])
+        .render()
     }
 
     /// FNV-1a digest of the canonical spec JSON, as fixed-width hex —
@@ -378,7 +341,7 @@ impl JobSpec {
 }
 
 /// Every legal spec key (strict parsing rejects the rest).
-const ALL_KEYS: [&str; 16] = [
+const ALL_KEYS: [&str; 15] = [
     "id",
     "workload",
     "samples",
@@ -394,7 +357,6 @@ const ALL_KEYS: [&str; 16] = [
     "mc_cell_budget",
     "retries",
     "deadline_ms",
-    "sampling",
 ];
 
 /// SplitMix64 — seeds the inline-asm input draws.
@@ -440,45 +402,6 @@ fn parse_pipeline(v: Option<&Value>) -> Result<PipelinePreset> {
             "`pipeline` must be \"small\" or \"default\"".into(),
         )),
     }
-}
-
-/// `sampling` accepts `null` (absent: exact runs) or an object with any
-/// subset of `window_size` / `max_clusters`; missing knobs take the
-/// library defaults from [`terse::PhaseConfig`]. Zero values parse here
-/// and are rejected by the JS013 validation pass, keeping the phrasing
-/// consistent with `terse-analyze`.
-fn parse_sampling(v: Option<&Value>) -> Result<Option<SamplingSpec>> {
-    let Some(v) = v else {
-        return Ok(None);
-    };
-    if matches!(v, Value::Null) {
-        return Ok(None);
-    }
-    let fields = v
-        .as_obj()
-        .ok_or_else(|| ServeError::Spec("`sampling` must be null or an object".into()))?;
-    for (k, _) in fields {
-        if !["window_size", "max_clusters"].contains(&k.as_str()) {
-            return Err(ServeError::Spec(format!("unknown sampling key `{k}`")));
-        }
-    }
-    let defaults = terse::PhaseConfig::default();
-    let window_size = match v.get("window_size") {
-        None => defaults.window_size,
-        Some(x) => x.as_u64().ok_or_else(|| {
-            ServeError::Spec("`sampling.window_size` must be a non-negative integer".into())
-        })?,
-    };
-    let max_clusters = match v.get("max_clusters") {
-        None => defaults.max_clusters,
-        Some(x) => x.as_usize().ok_or_else(|| {
-            ServeError::Spec("`sampling.max_clusters` must be a non-negative integer".into())
-        })?,
-    };
-    Ok(Some(SamplingSpec {
-        window_size,
-        max_clusters,
-    }))
 }
 
 fn parse_workload(v: &Value) -> Result<WorkloadSpec> {
@@ -539,7 +462,6 @@ fn parse_workload(v: &Value) -> Result<WorkloadSpec> {
                     mc_inputs: 0,
                     threads: 1,
                     checkpoint_every: 1,
-                    sampling: None,
                 },
                 &[""],
                 &mut report,
@@ -603,60 +525,15 @@ mod tests {
         assert!(s.block_budget.is_none());
         assert_eq!(s.retries, 0);
         assert!(s.deadline_ms.is_none());
-        assert!(s.sampling.is_none());
-    }
-
-    #[test]
-    fn sampling_section_parses_round_trips_and_defaults() {
-        let s = JobSpec::from_json(
-            r#"{"id":"p1","workload":{"benchmark":"dijkstra"},"sampling":{"window_size":64,"max_clusters":4}}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            s.sampling,
-            Some(SamplingSpec {
-                window_size: 64,
-                max_clusters: 4,
-            })
-        );
-        let round = JobSpec::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, round);
-        assert_eq!(s.digest(), round.digest());
-        // Missing knobs take the library defaults.
-        let lib = terse::PhaseConfig::default();
-        let d =
-            JobSpec::from_json(r#"{"id":"p2","workload":{"benchmark":"dijkstra"},"sampling":{}}"#)
-                .unwrap();
-        assert_eq!(
-            d.sampling,
-            Some(SamplingSpec {
-                window_size: lib.window_size,
-                max_clusters: lib.max_clusters,
-            })
-        );
-        // Explicit null selects exact estimation, same as absence.
-        let e = JobSpec::from_json(
-            r#"{"id":"p3","workload":{"benchmark":"dijkstra"},"sampling":null}"#,
-        )
-        .unwrap();
-        assert!(e.sampling.is_none());
-        assert!(!e.to_json().contains("sampling"));
     }
 
     #[test]
     fn spec_digests_are_pinned() {
         // The digest is how reports and stores cross-reference a spec, so
         // it must never drift. Pinned values guard against accidental
-        // canonical-rendering changes — in particular, introducing the
-        // `sampling` key must not disturb specs that do not use it.
+        // canonical-rendering changes.
         let legacy = JobSpec::from_json(&minimal("j1")).unwrap();
         assert_eq!(legacy.digest(), "7af7740d1aa7e8ce");
-        let sampled = JobSpec::from_json(
-            r#"{"id":"j1","workload":{"benchmark":"dijkstra"},"sampling":{"window_size":64,"max_clusters":4}}"#,
-        )
-        .unwrap();
-        assert_eq!(sampled.digest(), "a2dc8a317ac397eb");
-        assert_ne!(legacy.digest(), sampled.digest());
     }
 
     #[test]
@@ -688,13 +565,25 @@ mod tests {
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"chips":4}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"deadline_ms":0}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"retries":-1}"#,
+            // The retired phase-sampling section is an unknown key, in
+            // every shape it used to accept or reject.
+            r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":null}"#,
+            r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":{}}"#,
+            r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":{"window_size":64,"max_clusters":4}}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":5}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":{"bogus":1}}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":{"window_size":0}}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":{"max_clusters":0}}"#,
             r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sampling":{"window_size":-8}}"#,
         ] {
-            assert!(JobSpec::from_json(src).is_err(), "accepted: {src}");
+            match JobSpec::from_json(src) {
+                Err(ServeError::Spec(msg)) => {
+                    if src.contains("\"sampling\"") {
+                        assert!(msg.contains("unknown spec key `sampling`"), "{msg}");
+                    }
+                }
+                other => panic!("expected a spec error for {src}, got {other:?}"),
+            }
         }
     }
 

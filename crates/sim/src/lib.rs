@@ -48,7 +48,6 @@ pub mod cosim;
 pub mod features;
 pub mod machine;
 pub mod monte_carlo;
-pub mod phase;
 pub mod profile;
 
 pub use correction::CorrectionScheme;
@@ -56,7 +55,6 @@ pub use cosim::{CoSim, CosimStats};
 pub use features::InstFeatures;
 pub use machine::{Machine, Retired};
 pub use monte_carlo::McCheckpoint;
-pub use phase::{cluster_windows, Clustering, PhaseConfig, PhasedProfile};
 pub use profile::{ProfileResult, Profiler};
 pub use terse_netlist::SimStrategy;
 

@@ -125,22 +125,6 @@ impl Machine {
         &self.dmem
     }
 
-    /// Snapshot of the register file (r0 included, always zero).
-    pub fn regs_snapshot(&self) -> [u32; 32] {
-        self.regs
-    }
-
-    /// Restores a register-file/PC snapshot taken with
-    /// [`Machine::regs_snapshot`] and clears the halt latch. Data memory is
-    /// deliberately *not* part of the snapshot: windowed replay reconstructs
-    /// it incrementally from the store log, which is why whole-machine
-    /// snapshots per window are never needed.
-    pub fn restore_window(&mut self, regs: &[u32; 32], pc: u32) {
-        self.regs = *regs;
-        self.pc = pc;
-        self.halted = false;
-    }
-
     /// Executes one instruction and returns what retired.
     ///
     /// # Errors
