@@ -13,8 +13,10 @@
 //! identical to the scalar one and the packed per-lane activation sets match
 //! the scalar simulators gate for gate. The MC-grid speedup at equal thread
 //! counts is asserted to be at least 10x — the structural floor of packing
-//! 64 chips per machine execution plus the batched probability evaluation
-//! (one slack resolution per lane group instead of per chip).
+//! 64 chips per machine execution plus the slack-class tables (one slack
+//! resolution per distinct query per call, one probability per class and
+//! chip). `detail.mc_grid` also records the distinct `queries` and
+//! `slack_classes` of one call.
 //!
 //! Environment knobs (for the CI smoke job):
 //!
@@ -55,6 +57,7 @@ struct McResult {
     identical: bool,
     lane_occupancy: f64,
     errors_total: u64,
+    classes: monte_carlo::SlackClassStats,
 }
 
 /// Times the scalar and lane-grouped MC grids on the trained instruction
@@ -79,7 +82,7 @@ fn bench_mc(cfg: &HarnessConfig, chips_n: usize, threads: usize) -> McResult {
         .expect("pool");
     let (scalar_s, counts_scalar) = time_min(REPS, || {
         pool.install(|| {
-            monte_carlo::error_counts_scalar(
+            oracle::grid::error_counts_scalar(
                 w.program(),
                 &model,
                 &chips,
@@ -107,6 +110,15 @@ fn bench_mc(cfg: &HarnessConfig, chips_n: usize, threads: usize) -> McResult {
     });
     let identical = counts_scalar == counts_packed;
     assert!(identical, "packed MC grid diverged from the scalar grid");
+    let classes = monte_carlo::slack_class_stats(
+        w.program(),
+        &model,
+        inputs,
+        fw.correction(),
+        |idx, m| w.init_input(idx, m),
+        MonteCarloConfig::default(),
+    )
+    .expect("slack classes");
     McResult {
         chips: chips_n,
         inputs,
@@ -115,6 +127,7 @@ fn bench_mc(cfg: &HarnessConfig, chips_n: usize, threads: usize) -> McResult {
         identical,
         lane_occupancy: monte_carlo::lane_occupancy(chips_n),
         errors_total: counts_packed.iter().flatten().sum(),
+        classes,
     }
 }
 
@@ -234,12 +247,15 @@ fn main() {
     let mc = bench_mc(&cfg, chips_n, host);
     let mc_speedup = mc.scalar_s / mc.packed_s;
     eprintln!(
-        "[mc] scalar {:.3}s / packed {:.3}s ({:.1}x), {:.1}% lane occupancy, {} errors",
+        "[mc] scalar {:.3}s / packed {:.3}s ({:.1}x), {:.1}% lane occupancy, {} errors, \
+         {} queries -> {} slack classes per call",
         mc.scalar_s,
         mc.packed_s,
         mc_speedup,
         mc.lane_occupancy * 100.0,
-        mc.errors_total
+        mc.errors_total,
+        mc.classes.queries,
+        mc.classes.classes
     );
     // The acceptance gate: the structural floor of 64-way packing leaves a
     // wide margin over 10x even on noisy shared runners.
@@ -258,7 +274,7 @@ fn main() {
     );
 
     let detail = format!(
-        "{{\n  \"mc_grid\": {{\n    \"workload\": \"typeset\",\n    \"chips\": {chips},\n    \"inputs\": {inputs},\n    \"lane_group\": {LANE_GROUP},\n    \"lane_occupancy\": {occ:.6},\n    \"scalar_s\": {mc_scalar:.6},\n    \"packed_s\": {mc_packed:.6},\n    \"speedup\": {mc_speedup:.3},\n    \"bitwise_identical\": {mc_id},\n    \"errors_total\": {errors}\n  }},\n  \"netlist_kernel\": {{\n    \"lanes\": {LANE_GROUP},\n    \"cycles\": {cycles},\n    \"tape_ops\": {tape_ops},\n    \"scalar_s\": {k_scalar:.6},\n    \"packed_s\": {k_packed:.6},\n    \"speedup\": {k_speedup:.3},\n    \"packed_ops_per_cycle\": {opc:.3},\n    \"packed_ops_executed\": {ope},\n    \"packed_ops_skipped\": {ops},\n    \"scalar_gate_evals\": {sge},\n    \"bitwise_identical\": {k_id}\n  }}\n}}\n",
+        "{{\n  \"mc_grid\": {{\n    \"workload\": \"typeset\",\n    \"chips\": {chips},\n    \"inputs\": {inputs},\n    \"lane_group\": {LANE_GROUP},\n    \"lane_occupancy\": {occ:.6},\n    \"scalar_s\": {mc_scalar:.6},\n    \"packed_s\": {mc_packed:.6},\n    \"speedup\": {mc_speedup:.3},\n    \"bitwise_identical\": {mc_id},\n    \"errors_total\": {errors},\n    \"queries\": {queries},\n    \"slack_classes\": {slack_classes}\n  }},\n  \"netlist_kernel\": {{\n    \"lanes\": {LANE_GROUP},\n    \"cycles\": {cycles},\n    \"tape_ops\": {tape_ops},\n    \"scalar_s\": {k_scalar:.6},\n    \"packed_s\": {k_packed:.6},\n    \"speedup\": {k_speedup:.3},\n    \"packed_ops_per_cycle\": {opc:.3},\n    \"packed_ops_executed\": {ope},\n    \"packed_ops_skipped\": {ops},\n    \"scalar_gate_evals\": {sge},\n    \"bitwise_identical\": {k_id}\n  }}\n}}\n",
         chips = mc.chips,
         inputs = mc.inputs,
         occ = mc.lane_occupancy,
@@ -266,6 +282,8 @@ fn main() {
         mc_packed = mc.packed_s,
         mc_id = mc.identical,
         errors = mc.errors_total,
+        queries = mc.classes.queries,
+        slack_classes = mc.classes.classes,
         cycles = k.cycles,
         tape_ops = k.tape_ops,
         k_scalar = k.scalar_s,

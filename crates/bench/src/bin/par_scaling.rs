@@ -83,7 +83,7 @@ fn main() {
                     MonteCarloConfig::default(),
                 )
             } else {
-                monte_carlo::error_counts_scalar(
+                oracle::grid::error_counts_scalar(
                     w.program(),
                     &model,
                     &chips,

@@ -610,7 +610,8 @@ impl Framework {
     }
 
     /// Trains the per-workload instruction error model (control table per
-    /// profiled edge + the cached datapath model).
+    /// profiled edge + the cached datapath model), on the framework's pool:
+    /// [`FrameworkBuilder::threads`] bounds its fan-out.
     ///
     /// # Errors
     ///
@@ -621,70 +622,74 @@ impl Framework {
         cfg: &Cfg,
         profiles: &[ProfileResult],
     ) -> Result<InstructionErrorModel> {
-        let mut engine = self.engine()?;
-        let plan = if self.prescreen.mode != PrescreenMode::Off {
-            let p = Arc::new(build_plan(
-                self.pipeline.netlist(),
-                &self.lib,
-                &self.variation,
-                self.operating.working_period,
+        // Training fans out (DTA endpoint ranking, the statistical-min pair
+        // scan), so it runs on the framework's pool like every other stage.
+        self.pool.install(|| {
+            let mut engine = self.engine()?;
+            let plan = if self.prescreen.mode != PrescreenMode::Off {
+                let p = Arc::new(build_plan(
+                    self.pipeline.netlist(),
+                    &self.lib,
+                    &self.variation,
+                    self.operating.working_period,
+                    w.program(),
+                    cfg,
+                    self.prescreen,
+                )?);
+                engine.set_prune_plan(Arc::clone(&p));
+                Some(p)
+            } else {
+                None
+            };
+            let mut edges: Vec<(BlockId, BlockId)> = profiles
+                .iter()
+                // terse-analyze: allow(AZ002): collected, sorted and deduped below.
+                .flat_map(|p| p.edge_counts.keys().copied())
+                .collect();
+            edges.sort();
+            edges.dedup();
+            let char_edges = characterization_edges(cfg, edges);
+            // Merge operand hints across profiles (first observation wins).
+            let n_static = w.program().len();
+            let mut hints: Vec<(u32, u32)> = vec![(0, 0); n_static];
+            for i in 0..n_static {
+                if let Some(h) = profiles.iter().find_map(|p| p.operand_reps[i]) {
+                    hints[i] = h;
+                }
+            }
+            let hint_fn = move |i: u32| hints[i as usize];
+            let mut stats = CosimStats::default();
+            let control = characterize_control_with(
+                &self.pipeline,
                 w.program(),
                 cfg,
-                self.prescreen,
-            )?);
-            engine.set_prune_plan(Arc::clone(&p));
-            Some(p)
-        } else {
-            None
-        };
-        let mut edges: Vec<(BlockId, BlockId)> = profiles
-            .iter()
-            // terse-analyze: allow(AZ002): collected, sorted and deduped below.
-            .flat_map(|p| p.edge_counts.keys().copied())
-            .collect();
-        edges.sort();
-        edges.dedup();
-        let char_edges = characterization_edges(cfg, edges);
-        // Merge operand hints across profiles (first observation wins).
-        let n_static = w.program().len();
-        let mut hints: Vec<(u32, u32)> = vec![(0, 0); n_static];
-        for i in 0..n_static {
-            if let Some(h) = profiles.iter().find_map(|p| p.operand_reps[i]) {
-                hints[i] = h;
+                &engine,
+                &char_edges,
+                &hint_fn,
+                self.sim_strategy,
+                &mut stats,
+            )?;
+            let datapath = self.datapath(&engine, &mut stats)?;
+            match self.cosim_stats.lock() {
+                Ok(mut g) => g.merge(stats),
+                Err(p) => p.into_inner().merge(stats),
             }
-        }
-        let hint_fn = move |i: u32| hints[i as usize];
-        let mut stats = CosimStats::default();
-        let control = characterize_control_with(
-            &self.pipeline,
-            w.program(),
-            cfg,
-            &engine,
-            &char_edges,
-            &hint_fn,
-            self.sim_strategy,
-            &mut stats,
-        )?;
-        let datapath = self.datapath(&engine, &mut stats)?;
-        match self.cosim_stats.lock() {
-            Ok(mut g) => g.merge(stats),
-            Err(p) => p.into_inner().merge(stats),
-        }
-        if let Some(p) = &plan {
-            let s = p.stats();
-            let mut g = match self.prescreen_stats.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            g.pairs_total += s.pairs_total;
-            g.pairs_pruned += s.pairs_pruned;
-        }
-        Ok(InstructionErrorModel::new(
-            cfg,
-            control,
-            datapath,
-            self.ordering,
-        ))
+            if let Some(p) = &plan {
+                let s = p.stats();
+                let mut g = match self.prescreen_stats.lock() {
+                    Ok(g) => g,
+                    Err(p) => p.into_inner(),
+                };
+                g.pairs_total += s.pairs_total;
+                g.pairs_pruned += s.pairs_pruned;
+            }
+            Ok(InstructionErrorModel::new(
+                cfg,
+                control,
+                datapath,
+                self.ordering,
+            ))
+        })
     }
 
     fn datapath(&self, engine: &DtsEngine<'_>, stats: &mut CosimStats) -> Result<DatapathModel> {

@@ -172,13 +172,18 @@ impl DatapathModel {
     /// The statistical datapath slack of an instruction with the given
     /// features; `None` for units with no datapath activity.
     pub fn slack(&self, f: &InstFeatures) -> Option<CanonicalRv> {
-        let unit = unit_of(f.opcode);
+        self.slack_at(unit_of(f.opcode), primary_feature(f))
+    }
+
+    /// The statistical datapath slack of `unit` activated at primary
+    /// feature `level` (see [`primary_feature`]) — everything
+    /// [`DatapathModel::slack`] reads from the features.
+    pub fn slack_at(&self, unit: FuncUnit, level: u8) -> Option<CanonicalRv> {
         if unit == FuncUnit::None {
             return None;
         }
         let entries = self.table.get(&unit)?;
-        let x = primary_feature(f);
-        let rv = interpolate(entries, x);
+        let rv = interpolate(entries, level);
         Some(rv.add_scalar(self.period_shift))
     }
 

@@ -10,13 +10,24 @@
 //! Carlo baseline.
 
 use crate::control::ControlDtsTable;
-use crate::datapath::DatapathModel;
+use crate::datapath::{primary_feature, unit_of, DatapathModel, FuncUnit};
 use terse_isa::{BlockId, Cfg};
 use terse_sim::features::InstFeatures;
 use terse_sim::monte_carlo::InstErrorModel;
 use terse_sta::statmin::{statistical_min, MinOrdering};
-use terse_sta::variation::ChipSample;
 use terse_sta::CanonicalRv;
+
+/// Everything a dynamic instance's slack depends on: the static
+/// instruction, the resolved entered-block edge, and the functional unit
+/// with its primary activating feature level. The key space is bounded by
+/// the static program, not by trace length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SlackKey {
+    index: u32,
+    edge: Option<BlockId>,
+    unit: FuncUnit,
+    level: u8,
+}
 
 /// The per-program instruction error model.
 #[derive(Debug, Clone)]
@@ -81,6 +92,18 @@ impl InstructionErrorModel {
         index: u32,
         f: &InstFeatures,
     ) -> Option<CanonicalRv> {
+        self.slack_at(edge, index, unit_of(f.opcode), primary_feature(f))
+    }
+
+    /// [`InstructionErrorModel::slack_rv`] with the features reduced to
+    /// the datapath unit and its primary feature level.
+    fn slack_at(
+        &self,
+        edge: Option<BlockId>,
+        index: u32,
+        unit: FuncUnit,
+        level: u8,
+    ) -> Option<CanonicalRv> {
         let block = self.block_of[index as usize];
         let k = (index - self.block_start[index as usize]) as usize;
         let mut slacks: Vec<CanonicalRv> = Vec::with_capacity(2);
@@ -92,13 +115,23 @@ impl InstructionErrorModel {
         {
             slacks.push(ctl.clone());
         }
-        if let Some(dp) = self.datapath.slack(f) {
+        if let Some(dp) = self.datapath.slack_at(unit, level) {
             slacks.push(dp);
         }
         if slacks.is_empty() {
             return None;
         }
         statistical_min(&slacks, self.ordering).ok()
+    }
+
+    /// The entered-block edge of a dynamic instance: when the previous
+    /// retired instruction was in a different block (or this instruction
+    /// starts its block), the edge's tail; otherwise `None`, and the model
+    /// falls back to any characterized context for the block.
+    fn entered_edge(&self, prev_index: Option<u32>, index: u32) -> Option<BlockId> {
+        prev_index.map(|p| self.block_of[p as usize]).filter(|&pb| {
+            pb != self.block_of[index as usize] || self.block_start[index as usize] == index
+        })
     }
 
     /// Unconditional error probability (over process variation) of a
@@ -111,69 +144,23 @@ impl InstructionErrorModel {
     }
 }
 
+/// The Monte Carlo engine's view: a query's slack is resolved from its
+/// [`SlackKey`], and the chip-conditional and marginal probabilities are
+/// the trait's provided methods over that slack.
 impl InstErrorModel for InstructionErrorModel {
-    /// Chip-conditional error probability for the Monte Carlo engine: the
-    /// shared variation components are fixed by the chip; the independent
-    /// residual stays Gaussian.
-    fn error_probability(
-        &self,
-        prev_index: Option<u32>,
-        index: u32,
-        features: &InstFeatures,
-        chip: &ChipSample,
-    ) -> f64 {
-        // Resolve the entered edge: when the previous retired instruction
-        // was in a different block, it is the edge's tail; otherwise the
-        // model falls back to any characterized context for the block.
-        let edge = prev_index.map(|p| self.block_of[p as usize]).filter(|&pb| {
-            pb != self.block_of[index as usize] || self.block_start[index as usize] == index
-        });
-        match self.slack_rv(edge, index, features) {
-            Some(slack) => slack.prob_negative_given(chip.shared_draw()),
-            None => 0.0,
+    type SlackKey = SlackKey;
+
+    fn slack_key(&self, prev_index: Option<u32>, index: u32, features: &InstFeatures) -> SlackKey {
+        SlackKey {
+            index,
+            edge: self.entered_edge(prev_index, index),
+            unit: unit_of(features.opcode),
+            level: primary_feature(features),
         }
     }
 
-    /// Batched variant for the bit-parallel Monte Carlo grid: the edge
-    /// resolution and slack distribution are chip-independent, so they are
-    /// hoisted out of the per-chip loop and only the cheap conditional
-    /// tail probability is evaluated per chip. Bitwise identical to calling
-    /// [`Self::error_probability`] per chip — the same `CanonicalRv` feeds
-    /// the same `prob_negative_given` composition.
-    fn error_probabilities_batch(
-        &self,
-        prev_index: Option<u32>,
-        index: u32,
-        features: &InstFeatures,
-        chips: &[ChipSample],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        let edge = prev_index.map(|p| self.block_of[p as usize]).filter(|&pb| {
-            pb != self.block_of[index as usize] || self.block_start[index as usize] == index
-        });
-        match self.slack_rv(edge, index, features) {
-            Some(slack) => {
-                out.extend(
-                    chips
-                        .iter()
-                        .map(|chip| slack.prob_negative_given(chip.shared_draw())),
-                );
-            }
-            None => out.resize(chips.len(), 0.0),
-        }
-    }
-
-    fn marginal_probability(
-        &self,
-        prev_index: Option<u32>,
-        index: u32,
-        features: &InstFeatures,
-    ) -> f64 {
-        let edge = prev_index.map(|p| self.block_of[p as usize]).filter(|&pb| {
-            pb != self.block_of[index as usize] || self.block_start[index as usize] == index
-        });
-        self.error_probability_rv(edge, index, features)
+    fn slack(&self, key: SlackKey) -> Option<CanonicalRv> {
+        self.slack_at(key.edge, key.index, key.unit, key.level)
     }
 }
 
@@ -318,41 +305,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_probabilities_match_per_chip_loop_bitwise() {
-        let (model, cfg, p, _t) = build_model();
-        let lib = DelayLibrary::normalized_45nm();
-        let vm = terse_sta::variation::VariationModel::new(
-            p.netlist(),
-            &lib,
-            VariationConfig::default(),
+    /// A model of a kernel that exercises every datapath unit over several
+    /// blocks, characterized on every CFG edge.
+    fn kernel_model() -> (InstructionErrorModel, terse_isa::Program) {
+        let p = PipelineNetlist::build(PipelineConfig::default()).unwrap();
+        let prog = assemble(
+            r"
+                li   r5, 0x00FF00FF
+                addi r1, r0, 9
+            outer:
+                add  r2, r2, r1
+                xor  r3, r2, r5
+                srl  r4, r3, r1
+                andi r7, r1, 1
+                beq  r7, r0, even
+                mul  r6, r4, r1
+            even:
+                sub  r2, r2, r6
+                addi r1, r1, -1
+                bne  r1, r0, outer
+                halt
+        ",
         )
         .unwrap();
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        let chips: Vec<_> = (0..67).map(|_| vm.sample_chip(&mut rng)).collect();
-        let b1 = cfg.block_containing(1);
-        let _ = b1;
-        // Cover both model paths: covered slack (add) and the 0.0 fill
-        // (uncharacterized context / feature combinations), plus prev=None.
-        let cases = [
-            (None, 0u32, feat(Opcode::Addi, 3)),
-            (Some(0u32), 1, feat(Opcode::Add, 17)),
-            (Some(3), 4, feat(Opcode::Halt, 0)),
-        ];
-        for (prev, idx, f) in cases {
-            let mut batched = Vec::new();
-            model.error_probabilities_batch(prev, idx, &f, &chips, &mut batched);
-            assert_eq!(batched.len(), chips.len());
-            for (c, chip) in chips.iter().enumerate() {
-                let scalar = model.error_probability(prev, idx, &f, chip);
+        let cfg = Cfg::from_program(&prog);
+        let lib = DelayLibrary::normalized_45nm();
+        let t = Sta::new(p.netlist(), &lib).min_period() / 1.15;
+        let eng = DtsEngine::new(
+            p.netlist(),
+            lib,
+            VariationConfig::default(),
+            TimingConstraints::with_period(t),
+            DtaMode::ActivatedSubgraph,
+            MinOrdering::AscendingMean,
+        )
+        .unwrap();
+        let profiled: Vec<(BlockId, BlockId)> = cfg
+            .blocks()
+            .iter()
+            .flat_map(|b| cfg.successors(b.id).iter().map(move |&s| (b.id, s)))
+            .collect();
+        let edges = characterization_edges(&cfg, profiled);
+        let control = characterize_control(&p, &prog, &cfg, &eng, &edges, &|_| (3, 1)).unwrap();
+        let datapath = DatapathModel::train(&p, &eng).unwrap();
+        let model = InstructionErrorModel::new(&cfg, control, datapath, MinOrdering::AscendingMean);
+        (model, prog)
+    }
+
+    fn bits(s: Option<&CanonicalRv>) -> Option<(u64, u64, Vec<u64>)> {
+        s.map(|s| {
+            let coeffs = s.coeffs().iter().map(|c| c.to_bits()).collect();
+            (s.mean().to_bits(), s.indep().to_bits(), coeffs)
+        })
+    }
+
+    #[test]
+    fn slack_keys_resolve_to_slack_rv_bitwise() {
+        use std::collections::HashSet;
+        use terse_sim::features::{extract, BusState};
+        use terse_sim::machine::Machine;
+        let (model, prog) = kernel_model();
+        let mut machine = Machine::new(&prog, 64);
+        // Every query the Monte Carlo grid can make: both the normal bus
+        // and the post-error (flushed) bus at every retired instruction.
+        let mut bus = BusState::flushed();
+        let mut prev: Option<u32> = None;
+        let (mut queries, mut keys) = (HashSet::new(), HashSet::new());
+        let mut exposed = 0usize;
+        while !machine.halted() {
+            let r = machine.step(&prog).unwrap();
+            for b in [bus, BusState::flushed()] {
+                let f = extract(&r, b);
+                // The edge rule written out independently of the model: a
+                // block is entered from the previous instruction's block
+                // when that is another block, or when this instruction
+                // starts its block (a self-loop back edge).
+                let here = model.block_of(r.index);
+                let starts_block = r.index == 0 || model.block_of(r.index - 1) != here;
+                let edge = prev
+                    .map(|p| model.block_of(p))
+                    .filter(|&pb| pb != here || starts_block);
+                let want = model.slack_rv(edge, r.index, &f);
+                let key = model.slack_key(prev, r.index, &f);
+                let got = model.slack(key);
                 assert_eq!(
-                    scalar.to_bits(),
-                    batched[c].to_bits(),
-                    "chip {c} idx {idx}: scalar {scalar} vs batched {}",
-                    batched[c]
+                    bits(got.as_ref()),
+                    bits(want.as_ref()),
+                    "index {} prev {prev:?} features {f:?}",
+                    r.index
                 );
+                exposed += usize::from(got.is_some());
+                queries.insert((prev, r.index, f));
+                keys.insert(key);
             }
+            prev = Some(r.index);
+            bus.advance(&r);
         }
+        assert!(exposed > 0, "the kernel must have timing exposure");
+        // Toggle counts and carry lengths the datapath table does not read
+        // collapse: the key space is coarser than the query space.
+        assert!(
+            keys.len() < queries.len(),
+            "{} keys vs {} queries",
+            keys.len(),
+            queries.len()
+        );
     }
 
     #[test]

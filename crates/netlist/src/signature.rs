@@ -9,7 +9,7 @@
 //! count and platform do not affect them, which is what lets signatures
 //! participate in bitwise-deterministic caches.
 
-use crate::bitset::{mix, BitSet};
+use crate::bitset::BitSet;
 
 /// The full 64-bit signature of a toggle set — [`BitSet::fingerprint`] under
 /// its public name.
@@ -18,7 +18,7 @@ pub fn toggle_signature(toggles: &BitSet) -> u64 {
 }
 
 /// The signature of `toggles ∧ cone` without materializing the intersection
-/// — the quantity the DTS memo cache and the window fingerprints share: a
+/// — the quantity the DTS memo cache keys on: a
 /// stage (or stage proxy) only observes the toggles inside its fan-in cone,
 /// so two cycles that differ only outside the cone must signature equal.
 ///
@@ -33,16 +33,6 @@ pub fn masked_toggle_signature(toggles: &BitSet, cone: &BitSet) -> u64 {
 /// used by the DTS cache (`sig_mask == u64::MAX` in production).
 pub fn truncated(sig: u64, sig_mask: u64) -> u64 {
     sig & sig_mask
-}
-
-/// Order-insensitively folds one per-cycle signature into a window-level
-/// accumulator: windows are *multisets* of cycle signatures, and the
-/// accumulator must not depend on how work was sharded, so the combination
-/// is a commutative sum of mixed terms (the position argument `i` keeps a
-/// window of `n` identical cycles distinct from one of `n` different cycles
-/// that happen to collide additively).
-pub fn combine(acc: u64, sig: u64) -> u64 {
-    acc.wrapping_add(mix(sig))
 }
 
 #[cfg(test)]
@@ -142,17 +132,5 @@ mod tests {
         // Bits past the capacity are cleared, not kept as hidden state.
         let ragged = BitSet::from_words(&[u64::MAX, u64::MAX], 70);
         assert_eq!(ragged.count(), 70);
-    }
-
-    #[test]
-    fn combine_is_order_insensitive() {
-        let sigs = [3u64, 99, 3, 0xDEAD];
-        let fwd = sigs.iter().fold(0u64, |a, &s| combine(a, s));
-        let rev = sigs.iter().rev().fold(0u64, |a, &s| combine(a, s));
-        assert_eq!(fwd, rev);
-        // ... but multiplicity matters.
-        let twice = combine(combine(0, 3), 3);
-        let once = combine(0, 3);
-        assert_ne!(twice, once);
     }
 }

@@ -18,6 +18,10 @@
 //! * [`exhaustive`] — the gate-level oracle: enumerate *all* paths of an
 //!   endpoint by DFS, filter by activation, and reproduce Algorithm 1's
 //!   candidate ranking from the full path set.
+//! * [`grid`] — the one-cell-per-chip Monte Carlo grid: every chip runs
+//!   the program alone and queries the model per retired instruction — the
+//!   reference the packed, slack-class grid of `terse_sim::monte_carlo` is
+//!   diffed against.
 //! * [`mc`] — probability-chain oracles: exact dynamic propagation of the
 //!   Bernoulli error chain over a concrete trace, plus its Monte Carlo
 //!   counterpart, for checking `errmodel`'s marginal solver.
@@ -27,4 +31,5 @@
 
 pub mod exhaustive;
 pub mod gen;
+pub mod grid;
 pub mod mc;

@@ -11,6 +11,7 @@
 //! flip-flop writes are first-class cases, not afterthoughts.
 
 use oracle::gen;
+use oracle::grid::error_counts_scalar;
 use proptest::prelude::*;
 use terse_isa::assemble;
 use terse_netlist::gate::GateKind;
@@ -19,9 +20,10 @@ use terse_netlist::sim::{SimStrategy, Simulator};
 use terse_netlist::PackedSimulator;
 use terse_sim::correction::CorrectionScheme;
 use terse_sim::features::InstFeatures;
-use terse_sim::monte_carlo::{error_counts, error_counts_scalar, InstErrorModel, MonteCarloConfig};
+use terse_sim::monte_carlo::{error_counts, InstErrorModel, MonteCarloConfig};
 use terse_sta::delay::DelayLibrary;
 use terse_sta::variation::{ChipSample, VariationModel};
+use terse_sta::CanonicalRv;
 use terse_stats::rng::Xoshiro256;
 
 const ALL_STRATEGIES: [SimStrategy; 4] = [
@@ -157,23 +159,28 @@ proptest! {
     }
 }
 
-/// A tiny model whose probability depends on the toggle features and the
-/// chip, so lane divergence (post-error flushed-bus features) matters.
-struct ToggleModel;
+/// A tiny model whose slack depends on the toggle features and, through a
+/// shared-component sensitivity, on the chip — so lane divergence
+/// (post-error flushed-bus features) matters. `vars` is the chip
+/// population's shared-variable count.
+struct ToggleModel {
+    vars: usize,
+}
 impl InstErrorModel for ToggleModel {
-    fn error_probability(
-        &self,
-        _prev: Option<u32>,
-        _index: u32,
-        f: &InstFeatures,
-        chip: &ChipSample,
-    ) -> f64 {
-        let toggles = (f.toggle_a as f64 + f.toggle_b as f64) / 160.0;
-        let wobble = chip.shared_draw().first().copied().unwrap_or(0.0).abs() / 40.0;
-        (toggles + f.carry_chain as f64 / 256.0 + wobble).min(1.0)
+    type SlackKey = (u8, u8, u8);
+    fn slack_key(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> (u8, u8, u8) {
+        (f.toggle_a, f.toggle_b, f.carry_chain)
     }
-    fn marginal_probability(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> f64 {
-        (f.toggle_a as f64 + f.toggle_b as f64) / 160.0
+    fn slack(&self, (a, b, carry): (u8, u8, u8)) -> Option<CanonicalRv> {
+        // Equal toggle sums share a mean and a residual, so distinct keys
+        // share classes; the sign of the chip sensitivity still tells
+        // `(a, b)` from `(b, a)`, so interning must compare every component.
+        let mut coeffs = vec![0.0; self.vars];
+        if let Some(c) = coeffs.first_mut() {
+            *c = if a >= b { 2.5 } else { -2.5 };
+        }
+        let mean = 36.0 - f64::from(a) - f64::from(b) - f64::from(carry) / 4.0;
+        Some(CanonicalRv::with_sensitivities(mean, coeffs, 5.0))
     }
 }
 
@@ -208,9 +215,10 @@ proptest! {
         let init = |i: usize, m: &mut terse_sim::machine::Machine| {
             m.store(0, i as u32).expect("store");
         };
-        let scalar = error_counts_scalar(&p, &ToggleModel, &cs, inputs, scheme, init, cfg)
+        let model = ToggleModel { vars: cs[0].shared_draw().len() };
+        let scalar = error_counts_scalar(&p, &model, &cs, inputs, scheme, init, cfg)
             .expect("scalar grid");
-        let packed = error_counts(&p, &ToggleModel, &cs, inputs, scheme, init, cfg)
+        let packed = error_counts(&p, &model, &cs, inputs, scheme, init, cfg)
             .expect("packed grid");
         prop_assert_eq!(scalar, packed, "lane packing must be bitwise exact");
     }

@@ -94,6 +94,13 @@ pub enum SimError {
         /// Total cells in the grid.
         total: usize,
     },
+    /// A packed Monte Carlo cell met a model query its input's collection
+    /// run never made: the dataset writer or the model is not a pure
+    /// function of its arguments.
+    ReplayDiverged {
+        /// The input whose executions disagreed.
+        input: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -112,6 +119,11 @@ impl fmt::Display for SimError {
                 f,
                 "monte carlo grid interrupted after {completed}/{total} cells \
                  (checkpointed; re-run to resume)"
+            ),
+            SimError::ReplayDiverged { input } => write!(
+                f,
+                "monte carlo replay of input {input} diverged from its collection run \
+                 (non-deterministic dataset writer or model)"
             ),
         }
     }

@@ -11,32 +11,45 @@
 
 //! # Parallel execution & determinism
 //!
-//! The `(chip, input)` grid is embarrassingly parallel, so both entry points
-//! fan out over it with `rayon`. Each cell draws its Bernoulli variates from
+//! The `(chip, input)` grid is embarrassingly parallel, so every entry point
+//! fans out over it with `rayon`. Each cell draws its Bernoulli variates from
 //! a private counter-based RNG stream derived from `(cfg.seed, chip index,
-//! input index)` via [`Xoshiro256::seed_stream`], so the count matrix is
-//! **bitwise identical for every thread count** (including 1) and for
-//! repeated runs — the schedule never touches the random stream. The
-//! thread count is whatever `rayon` pool is installed by the caller
-//! (`FrameworkBuilder::threads` upstream, or the machine default).
+//! input index)` via [`Xoshiro256::seed_stream`] and [`cell_stream`], so
+//! the count matrix is **bitwise identical for every thread count**
+//! (including one) and for repeated runs — the schedule never touches the
+//! random stream. The thread count is whatever `rayon` pool is installed by
+//! the caller (`FrameworkBuilder::threads` upstream, or the machine
+//! default).
 //!
-//! # Bit-parallel lane groups
+//! # Slack classes and lane groups
 //!
-//! On top of the thread-level fan-out, [`error_counts`] batches the chip
-//! axis into **lane groups** of [`LANE_GROUP`] = 64 chips evaluated by a
-//! single program execution. This is exact, not approximate, because a
-//! timing-error draw never feeds back into architectural state: the
-//! [`Machine`] trajectory, and hence the retired-instruction sequence, is
-//! identical in every lane. Only two per-instruction states can differ
-//! between lanes — whether the *previous* instruction erred (bus flushed by
-//! the correction scheme) or not (bus advanced normally) — so one machine
-//! step serves all 64 lanes with at most two feature extractions, one
-//! batched per-chip probability evaluation
-//! ([`InstErrorModel::error_probabilities_batch`], memoized per recurring
-//! feature vector), and one Bernoulli draw per lane from that lane's own
-//! `(cfg.seed, chip, input)` stream. Lane `l` of group `g` draws exactly
-//! the sequence chip `64·g + l` would draw in a scalar run, so the count
-//! matrix stays bitwise identical to [`error_counts_scalar`] at any thread
+//! [`error_counts`] and [`error_counts_checkpointed`] share one runner that
+//! works in three steps per call:
+//!
+//! 1. **Collect.** Each input runs once (in parallel across inputs) and
+//!    records the distinct [`InstErrorModel::SlackKey`]s its trajectory
+//!    queries, for both bus states a lane can be in: the normal bus and the
+//!    scheme's post-error bus. A timing-error draw never feeds back into
+//!    architectural state, so the trajectory — and hence this key set — is
+//!    the same on every chip.
+//! 2. **Resolve.** Each distinct key is resolved to its chip-independent
+//!    slack once per call, and bitwise-equal slacks are interned into dense
+//!    *slack classes*. A loop body re-queries the same few classes on every
+//!    iteration.
+//! 3. **Tabulate and replay.** Per lane group of [`LANE_GROUP`] = 64 chips,
+//!    a `class × lane` table of chip-conditional error probabilities is
+//!    filled once and shared by every input. Each `(group, input)` cell then
+//!    re-executes the machine, looks up each retired instruction's class,
+//!    and draws once per live lane from that lane's own `(cfg.seed, chip,
+//!    input)` stream.
+//!
+//! Only two per-instruction states can differ between lanes — whether the
+//! *previous* instruction erred (bus flushed by the correction scheme) or
+//! not (bus advanced normally) — so one machine step serves all 64 lanes
+//! with at most two class lookups. The table entries are the very `f64`s
+//! [`InstErrorModel::error_probability`] returns, and lane `l` of group `g`
+//! draws exactly the sequence chip `64·g + l` would draw alone, so the count
+//! matrix equals the one-cell-per-chip reference bit for bit at any thread
 //! count, any lane occupancy (ragged final group included), and across
 //! checkpoint resumes that cut through a lane group.
 
@@ -45,11 +58,11 @@ use crate::features::{extract, BusState, InstFeatures};
 use crate::machine::Machine;
 use crate::Result;
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
 use terse_isa::Program;
 use terse_sta::variation::ChipSample;
+use terse_sta::CanonicalRv;
 use terse_stats::rng::Xoshiro256;
 
 /// Chips evaluated per packed lane group (one program execution serves one
@@ -58,21 +71,49 @@ pub const LANE_GROUP: usize = 64;
 
 /// An instruction error model queried by the Monte Carlo engine.
 ///
-/// Implemented by the DTA crate's trained model; the probability is
-/// conditional on the manufactured chip (shared process-variation draw) and
-/// on the previous-instruction state (encoded in the features' toggle
-/// components).
+/// Implemented by the DTA crate's trained model. A dynamic instance's
+/// timing slack is a canonical-form Gaussian that depends on the instance
+/// (static instruction, previously retired instruction, features) but not
+/// on the chip; its error probability on one chip conditions that slack on
+/// the chip's shared process-variation draw. The model exposes the slack
+/// through a small [`InstErrorModel::SlackKey`] so the grid can resolve
+/// each distinct slack once per call and share it across chips, inputs and
+/// loop iterations.
 pub trait InstErrorModel {
-    /// Probability that the dynamic instance of static instruction `index`
+    /// The chip-independent part of a query that determines its slack.
+    /// Two queries with equal keys must resolve to bitwise-equal slacks.
+    type SlackKey: Copy + Eq + Hash + Send + Sync;
+
+    /// The slack key of the dynamic instance of static instruction `index`
     /// (previously retired instruction `prev_index`, if any) with these
-    /// features fails on this chip.
+    /// features.
+    fn slack_key(
+        &self,
+        prev_index: Option<u32>,
+        index: u32,
+        features: &InstFeatures,
+    ) -> Self::SlackKey;
+
+    /// The slack distribution of a key; `None` when the instruction has no
+    /// timing exposure (it never errs).
+    fn slack(&self, key: Self::SlackKey) -> Option<CanonicalRv>;
+
+    /// Probability that the dynamic instance fails on this chip: its slack
+    /// conditioned on the chip's shared variation draw, the independent
+    /// residual staying Gaussian.
     fn error_probability(
         &self,
         prev_index: Option<u32>,
         index: u32,
         features: &InstFeatures,
         chip: &ChipSample,
-    ) -> f64;
+    ) -> f64 {
+        chip_probability(
+            self.slack(self.slack_key(prev_index, index, features))
+                .as_ref(),
+            chip,
+        )
+    }
 
     /// Probability with process variation marginalized out per instruction
     /// — the independence treatment the paper's analytic pipeline uses
@@ -84,32 +125,17 @@ pub trait InstErrorModel {
         prev_index: Option<u32>,
         index: u32,
         features: &InstFeatures,
-    ) -> f64;
-
-    /// [`InstErrorModel::error_probability`] for a whole lane group of
-    /// chips at once, written into `out` (cleared first, then one entry per
-    /// chip in order). The default delegates chip by chip; models whose
-    /// per-instance work is dominated by a chip-independent part (slack-RV
-    /// assembly in the trained model) override this to hoist that part out
-    /// of the chip loop. Implementations **must** produce bitwise the same
-    /// `f64`s as per-chip [`InstErrorModel::error_probability`] calls — the
-    /// packed Monte Carlo grid's equivalence to the scalar grid depends on
-    /// it.
-    fn error_probabilities_batch(
-        &self,
-        prev_index: Option<u32>,
-        index: u32,
-        features: &InstFeatures,
-        chips: &[ChipSample],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(
-            chips
-                .iter()
-                .map(|c| self.error_probability(prev_index, index, features, c)),
-        );
+    ) -> f64 {
+        self.slack(self.slack_key(prev_index, index, features))
+            .map_or(0.0, |s| s.prob_negative())
     }
+}
+
+/// `Pr(slack < 0 | chip)`: the one formula behind both
+/// [`InstErrorModel::error_probability`] and the grid's class tables, so
+/// the two agree bit for bit.
+fn chip_probability(slack: Option<&CanonicalRv>, chip: &ChipSample) -> f64 {
+    slack.map_or(0.0, |s| s.prob_negative_given(chip.shared_draw()))
 }
 
 /// Configuration of a Monte Carlo run.
@@ -133,14 +159,17 @@ impl Default for MonteCarloConfig {
     }
 }
 
-/// Encodes a grid cell as an RNG stream index (chip-major, stable across
-/// grid shapes that share a chip count).
-fn cell_stream(chip: usize, input: usize) -> u64 {
+/// The RNG stream of grid cell `(chip, input)` under `cfg.seed`
+/// (chip-major, stable across grid shapes that share a chip count). Every
+/// grid evaluation — packed, checkpointed, or a one-cell-per-chip
+/// reference — draws cell `(chip, input)`'s variates from
+/// `Xoshiro256::seed_stream(cfg.seed, cell_stream(chip, input))`.
+pub fn cell_stream(chip: usize, input: usize) -> u64 {
     ((chip as u64) << 32) | input as u64
 }
 
 /// Executes the program once, drawing per-instruction error indicators from
-/// `prob` with `rng` — the inner loop shared by both grid variants.
+/// `prob` with `rng` — the per-cell loop of the marginalized grid.
 fn run_cell<F, P>(
     program: &Program,
     cfg: MonteCarloConfig,
@@ -184,88 +213,27 @@ where
     Ok(errors)
 }
 
-/// Per-group probability memo: `(prev retired index, retired index,
-/// features)` → the batched per-chip error probabilities for that triple.
-type ProbMemo = HashMap<(Option<u32>, u32, InstFeatures), Rc<[f64]>>;
-
-/// Memoized batched probability lookup: recurring `(prev, index, features)`
-/// triples (loop bodies) hit the cache and skip the model entirely. Exact —
-/// the cached `f64`s are the model's own outputs.
-fn batch_probs<M: InstErrorModel>(
-    memo: &mut ProbMemo,
-    model: &M,
-    prev: Option<u32>,
-    index: u32,
-    f: InstFeatures,
-    chips: &[ChipSample],
-) -> Rc<[f64]> {
-    if let Some(p) = memo.get(&(prev, index, f)) {
-        return Rc::clone(p);
-    }
-    // Bound the memo so adversarial feature churn cannot grow it without
-    // limit; dropping entries only costs recomputation, never exactness.
-    if memo.len() >= 1 << 16 {
-        memo.clear();
-    }
-    let mut out = Vec::with_capacity(chips.len());
-    model.error_probabilities_batch(prev, index, &f, chips, &mut out);
-    let rc: Rc<[f64]> = out.into();
-    memo.insert((prev, index, f), Rc::clone(&rc));
-    rc
-}
-
-/// Executes the program once for a whole lane group: up to [`LANE_GROUP`]
-/// chips (`group_chips`, chip indices `chip_base..`) share one machine
-/// trajectory; `live` selects the lanes actually computed (bit `l` = chip
-/// `chip_base + l`). Returns per-lane error counts (entries of dead lanes
-/// are zero).
-///
-/// Bitwise-exact replay of [`run_cell`] per lane: each live lane draws once
-/// per retired instruction from its own `(cfg.seed, chip, input)` stream,
-/// and its features differ from the shared bus state only through the
-/// did-the-previous-instruction-err bit (see the module docs).
-#[allow(clippy::too_many_arguments)]
-fn run_lane_group<M, F>(
+/// Step 1 of the runner: executes input `input` once and returns the
+/// distinct slack keys its trajectory queries under either bus state, in
+/// first-query order.
+fn collect_keys<M, F>(
     program: &Program,
+    model: &M,
     cfg: MonteCarloConfig,
     scheme: CorrectionScheme,
     input: usize,
     init: &F,
-    model: &M,
-    group_chips: &[ChipSample],
-    chip_base: usize,
-    live: u64,
-) -> Result<Vec<u64>>
+) -> Result<Vec<M::SlackKey>>
 where
-    M: InstErrorModel + Sync,
-    F: Fn(usize, &mut Machine) + Sync,
+    M: InstErrorModel,
+    F: Fn(usize, &mut Machine),
 {
-    failpoints::fail_point!("sim::mc_cell", |_| Err(
-        crate::SimError::InstructionBudgetExhausted { budget: 0 }
-    ));
     let mut machine = Machine::new(program, cfg.dmem_words);
     init(input, &mut machine);
-    let mut rngs: Vec<(usize, Xoshiro256)> = (0..group_chips.len())
-        .filter(|&l| live >> l & 1 == 1)
-        .map(|l| {
-            (
-                l,
-                Xoshiro256::seed_stream(cfg.seed, cell_stream(chip_base + l, input)),
-            )
-        })
-        .collect();
-    let mut errors = vec![0u64; group_chips.len()];
-    let mut memo = ProbMemo::new();
-    // Every lane starts from the flushed processor state (`p^in = 1`).
-    let mut bus = BusState::flushed();
-    // The bus state a correction event leaves behind — per-scheme constant,
-    // so the lanes' bus states form a two-point set at every instruction:
-    // `bus.advance` is memoryless in the prior state, hence non-erred lanes
-    // all share `advance(r_prev)` and erred lanes all share this one.
     let err_bus = scheme.post_error_bus_state();
-    // Lanes whose previous instruction erred: their feature toggles are
-    // measured against the post-correction bus instead.
-    let mut err_mask = 0u64;
+    let mut bus = BusState::flushed();
+    let mut seen = HashSet::new();
+    let mut keys = Vec::new();
     let mut executed = 0u64;
     let mut prev_index: Option<u32> = None;
     while !machine.halted() {
@@ -274,44 +242,319 @@ where
         }
         let r = machine.step(program)?;
         executed += 1;
-        let f_n = extract(&r, bus);
-        let p_n = batch_probs(&mut memo, model, prev_index, r.index, f_n, group_chips);
-        let p_e = if err_mask != 0 {
-            let f_e = extract(&r, err_bus);
-            if f_e == f_n {
-                Rc::clone(&p_n)
-            } else {
-                batch_probs(&mut memo, model, prev_index, r.index, f_e, group_chips)
-            }
-        } else {
-            Rc::clone(&p_n)
-        };
-        let mut new_mask = 0u64;
-        for (l, rng) in &mut rngs {
-            let p = if err_mask >> *l & 1 == 1 {
-                p_e[*l]
-            } else {
-                p_n[*l]
-            };
-            if rng.next_f64() < p {
-                new_mask |= 1 << *l;
-                errors[*l] += 1;
+        for b in [bus, err_bus] {
+            let k = model.slack_key(prev_index, r.index, &extract(&r, b));
+            if seen.insert(k) {
+                keys.push(k);
             }
         }
-        err_mask = new_mask;
         prev_index = Some(r.index);
         bus.advance(&r);
     }
-    Ok(errors)
+    Ok(keys)
 }
 
-/// The live-lane mask of a (possibly ragged) lane group of `len` chips.
-fn full_mask(len: usize) -> u64 {
-    if len >= LANE_GROUP {
-        u64::MAX
-    } else {
-        (1u64 << len) - 1
+/// The bit pattern of a slack: bitwise-equal slacks share a class.
+fn slack_bits(s: Option<&CanonicalRv>) -> Option<(u64, u64, Vec<u64>)> {
+    s.map(|s| {
+        (
+            s.mean().to_bits(),
+            s.indep().to_bits(),
+            s.coeffs().iter().map(|c| c.to_bits()).collect(),
+        )
+    })
+}
+
+/// The slack classes of one grid call (steps 1–2 of the runner).
+struct SlackClasses<K> {
+    /// Slack key → dense class id.
+    class_of: HashMap<K, usize>,
+    /// One slack per class.
+    slacks: Vec<Option<CanonicalRv>>,
+}
+
+impl<K: Copy + Eq + Hash + Send + Sync> SlackClasses<K> {
+    /// Collects the keys of `inputs` (in parallel), resolves each distinct
+    /// key once and interns equal slacks. Class ids follow first-query
+    /// order over ascending inputs, so they do not depend on the thread
+    /// count.
+    fn build<M, F>(
+        program: &Program,
+        model: &M,
+        inputs: &[usize],
+        scheme: CorrectionScheme,
+        init: &F,
+        cfg: MonteCarloConfig,
+    ) -> Result<Self>
+    where
+        M: InstErrorModel<SlackKey = K> + Sync,
+        F: Fn(usize, &mut Machine) + Sync,
+    {
+        let per_input: Vec<Vec<K>> = inputs
+            .par_iter()
+            .map(|&i| collect_keys(program, model, cfg, scheme, i, init))
+            .collect::<Result<_>>()?;
+        let mut seen = HashSet::new();
+        let call_keys: Vec<K> = per_input
+            .into_iter()
+            .flatten()
+            .filter(|&k| seen.insert(k))
+            .collect();
+        let resolved: Vec<Option<CanonicalRv>> =
+            call_keys.par_iter().map(|&k| model.slack(k)).collect();
+        let mut interned: HashMap<Option<(u64, u64, Vec<u64>)>, usize> = HashMap::new();
+        let mut slacks = Vec::new();
+        let mut class_of = HashMap::with_capacity(call_keys.len());
+        for (k, s) in call_keys.into_iter().zip(resolved) {
+            let class = *interned.entry(slack_bits(s.as_ref())).or_insert_with(|| {
+                slacks.push(s);
+                slacks.len() - 1
+            });
+            class_of.insert(k, class);
+        }
+        Ok(SlackClasses { class_of, slacks })
     }
+
+    /// The class of a key the collection step saw.
+    ///
+    /// A miss means a cell's trajectory left the one its input's collection
+    /// run took — a dataset writer or model that is not a pure function of
+    /// its arguments.
+    fn class(&self, key: K, input: usize) -> Result<usize> {
+        self.class_of
+            .get(&key)
+            .copied()
+            .ok_or(crate::SimError::ReplayDiverged { input })
+    }
+
+    /// Step 3's table for one lane group: entry `class · 64 + lane` is the
+    /// chip-conditional error probability of that class on chip `lane`
+    /// (lanes past a ragged group's end stay 0).
+    fn table(&self, group_chips: &[ChipSample]) -> Vec<f64> {
+        let mut table = vec![0.0; self.slacks.len() * LANE_GROUP];
+        for (row, slack) in table.chunks_mut(LANE_GROUP).zip(&self.slacks) {
+            for (p, chip) in row.iter_mut().zip(group_chips) {
+                *p = chip_probability(slack.as_ref(), chip);
+            }
+        }
+        table
+    }
+}
+
+/// Distinct-query statistics of one grid call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlackClassStats {
+    /// Distinct slack keys the inputs' trajectories query (both bus
+    /// states).
+    pub queries: usize,
+    /// Distinct slack distributions those keys resolve to — the rows of
+    /// each lane group's probability table.
+    pub classes: usize,
+}
+
+/// Runs steps 1–2 of the grid for `inputs` inputs and reports how many
+/// distinct queries and slack classes an [`error_counts`] call with the
+/// same arguments tabulates.
+///
+/// # Errors
+///
+/// Propagates machine errors (the lowest-indexed failing input wins).
+pub fn slack_class_stats<M, F>(
+    program: &Program,
+    model: &M,
+    inputs: usize,
+    scheme: CorrectionScheme,
+    init: F,
+    cfg: MonteCarloConfig,
+) -> Result<SlackClassStats>
+where
+    M: InstErrorModel + Sync,
+    F: Fn(usize, &mut Machine) + Sync,
+{
+    let all: Vec<usize> = (0..inputs).collect();
+    let c = SlackClasses::build(program, model, &all, scheme, &init, cfg)?;
+    Ok(SlackClassStats {
+        queries: c.class_of.len(),
+        classes: c.slacks.len(),
+    })
+}
+
+/// One `(lane group, input)` cell of the packed grid: `live` selects the
+/// lanes to compute (bit `l` = chip `64·group + l`).
+type Task = ((usize, usize), u64);
+
+/// Packs grid cells (`chip · inputs + input`) into lane-group tasks in
+/// ascending `(group, input)` order. A resumed checkpoint may cut through a
+/// group, leaving a partial live mask — exactness is unaffected because
+/// every lane draws from its own absolute `(chip, input)` stream.
+fn pack_tasks(cells: &[usize], inputs: usize) -> Vec<Task> {
+    let mut groups: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    for &cell in cells {
+        let (c, i) = (cell / inputs, cell % inputs);
+        *groups.entry((c / LANE_GROUP, i)).or_insert(0) |= 1u64 << (c % LANE_GROUP);
+    }
+    groups.into_iter().collect()
+}
+
+/// Hands each live lane's count of `results` (one entry per task, as
+/// [`PackedGrid::run`] returns them) to `f(chip, input, count)`.
+fn for_each_count(tasks: &[Task], results: &[Vec<u64>], mut f: impl FnMut(usize, usize, u64)) {
+    for (&((g, i), live), lane_counts) in tasks.iter().zip(results) {
+        for (lane, &e) in lane_counts.iter().enumerate() {
+            if live >> lane & 1 == 1 {
+                f(g * LANE_GROUP + lane, i, e);
+            }
+        }
+    }
+}
+
+/// The grid runner shared by [`error_counts`] and
+/// [`error_counts_checkpointed`]: slack classes and per-group tables are
+/// built once per call for every task the call may run (see the module
+/// docs), then [`PackedGrid::run`] executes any subset of those tasks.
+struct PackedGrid<'a, M: InstErrorModel, F> {
+    program: &'a Program,
+    model: &'a M,
+    scheme: CorrectionScheme,
+    init: &'a F,
+    cfg: MonteCarloConfig,
+    classes: SlackClasses<M::SlackKey>,
+    /// Per lane group touched by the call: its `class × lane` table.
+    tables: BTreeMap<usize, Vec<f64>>,
+}
+
+impl<'a, M, F> PackedGrid<'a, M, F>
+where
+    M: InstErrorModel + Sync,
+    F: Fn(usize, &mut Machine) + Sync,
+{
+    fn new(
+        program: &'a Program,
+        model: &'a M,
+        chips: &[ChipSample],
+        scheme: CorrectionScheme,
+        init: &'a F,
+        cfg: MonteCarloConfig,
+        tasks: &[Task],
+    ) -> Result<Self> {
+        let inputs: Vec<usize> = tasks
+            .iter()
+            .map(|&((_, i), _)| i)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let groups: Vec<usize> = tasks
+            .iter()
+            .map(|&((g, _), _)| g)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let classes = SlackClasses::build(program, model, &inputs, scheme, init, cfg)?;
+        let filled: Vec<Vec<f64>> = groups
+            .par_iter()
+            .map(|&g| classes.table(group_of(chips, g)))
+            .collect();
+        Ok(PackedGrid {
+            program,
+            model,
+            scheme,
+            init,
+            cfg,
+            classes,
+            tables: groups.into_iter().zip(filled).collect(),
+        })
+    }
+
+    /// Runs `tasks` in parallel; returns per-task, per-lane error counts
+    /// (dead lanes read 0). The lowest-indexed failing task's error wins.
+    fn run(&self, tasks: &[Task]) -> Result<Vec<Vec<u64>>> {
+        tasks
+            .par_iter()
+            .map(|&((g, i), live)| self.run_task(g, i, live))
+            .collect()
+    }
+
+    /// Executes the program once for one `(group, input)` cell, replaying
+    /// every live lane's draws against the group's table.
+    fn run_task(&self, group: usize, input: usize, live: u64) -> Result<Vec<u64>> {
+        failpoints::fail_point!("sim::mc_cell", |_| Err(
+            crate::SimError::InstructionBudgetExhausted { budget: 0 }
+        ));
+        // `new` tabulated every group its task list names, and `run` only
+        // takes tasks from that list.
+        let table = &self.tables[&group];
+        let mut machine = Machine::new(self.program, self.cfg.dmem_words);
+        (self.init)(input, &mut machine);
+        let chip_base = group * LANE_GROUP;
+        let mut rngs: Vec<(usize, Xoshiro256)> = (0..LANE_GROUP)
+            .filter(|&l| live >> l & 1 == 1)
+            .map(|l| {
+                let stream = cell_stream(chip_base + l, input);
+                (l, Xoshiro256::seed_stream(self.cfg.seed, stream))
+            })
+            .collect();
+        let mut errors = vec![0u64; LANE_GROUP];
+        // Every lane starts from the flushed processor state (`p^in = 1`).
+        let mut bus = BusState::flushed();
+        // The bus state a correction event leaves behind — per-scheme constant,
+        // so the lanes' bus states form a two-point set at every instruction:
+        // `bus.advance` is memoryless in the prior state, hence non-erred lanes
+        // all share `advance(r_prev)` and erred lanes all share this one.
+        let err_bus = self.scheme.post_error_bus_state();
+        // Lanes whose previous instruction erred: their feature toggles are
+        // measured against the post-correction bus instead.
+        let mut err_mask = 0u64;
+        let mut executed = 0u64;
+        let mut prev_index: Option<u32> = None;
+        // Class ids index `classes.slacks`, and every table holds one row
+        // per slack.
+        let row = |class: usize| &table[class * LANE_GROUP..(class + 1) * LANE_GROUP];
+        while !machine.halted() {
+            if executed >= self.cfg.budget {
+                return Err(crate::SimError::InstructionBudgetExhausted {
+                    budget: self.cfg.budget,
+                });
+            }
+            let r = machine.step(self.program)?;
+            executed += 1;
+            let k_n = self.model.slack_key(prev_index, r.index, &extract(&r, bus));
+            let p_n = row(self.classes.class(k_n, input)?);
+            let p_e = if err_mask != 0 {
+                let k_e = self
+                    .model
+                    .slack_key(prev_index, r.index, &extract(&r, err_bus));
+                if k_e == k_n {
+                    p_n
+                } else {
+                    row(self.classes.class(k_e, input)?)
+                }
+            } else {
+                p_n
+            };
+            let mut new_mask = 0u64;
+            for (l, rng) in &mut rngs {
+                let p = if err_mask >> *l & 1 == 1 {
+                    p_e[*l]
+                } else {
+                    p_n[*l]
+                };
+                if rng.next_f64() < p {
+                    new_mask |= 1 << *l;
+                    errors[*l] += 1;
+                }
+            }
+            err_mask = new_mask;
+            prev_index = Some(r.index);
+            bus.advance(&r);
+        }
+        Ok(errors)
+    }
+}
+
+/// The chips of lane group `g` (shorter than [`LANE_GROUP`] for a ragged
+/// final group).
+fn group_of(chips: &[ChipSample], g: usize) -> &[ChipSample] {
+    &chips[g * LANE_GROUP..((g + 1) * LANE_GROUP).min(chips.len())]
 }
 
 /// Mean live-lane occupancy of the packed grid for a given chip count: 1.0
@@ -325,20 +568,21 @@ pub fn lane_occupancy(chips: usize) -> f64 {
     }
 }
 
-/// Runs the program once per `(lane group, input)` pair — in parallel
-/// across that coarser grid, 64 chips per group evaluated bit-parallel by a
-/// single execution — and returns the error count matrix
-/// `counts[chip][input]`, bitwise identical to [`error_counts_scalar`] (see
-/// the module docs for why the lane packing is exact).
+/// Runs the `chips × inputs` grid and returns the error count matrix
+/// `counts[chip][input]`: slack classes are resolved once, each lane group
+/// tabulates its chip probabilities once, and one execution per
+/// `(lane group, input)` serves 64 chips (see the module docs for why this
+/// is exact). Cell `(c, i)` is bitwise identical to executing chip `c`
+/// alone on input `i` with [`InstErrorModel::error_probability`] and the
+/// RNG stream `(cfg.seed, c, i)`, at any thread count.
 ///
-/// `init(input_index, machine)` prepares the input dataset; it must be
-/// callable concurrently (`Fn + Sync`), which every pure dataset writer is.
-/// Cell `(c, i)` draws from the RNG stream `(cfg.seed, c, i)`, so the result
-/// is bitwise identical regardless of thread count (see the module docs).
+/// `init(input_index, machine)` prepares the input dataset; it must be a
+/// pure function of its arguments and callable concurrently (`Fn + Sync`),
+/// which every dataset writer is.
 ///
 /// # Errors
 ///
-/// Propagates machine errors (the lowest-indexed failing lane group wins,
+/// Propagates machine errors (the lowest-indexed failing input wins,
 /// deterministically).
 pub fn error_counts<M, F>(
     program: &Program,
@@ -353,75 +597,15 @@ where
     M: InstErrorModel + Sync,
     F: Fn(usize, &mut Machine) + Sync,
 {
-    if inputs == 0 {
+    if inputs == 0 || chips.is_empty() {
         return Ok(vec![Vec::new(); chips.len()]);
     }
-    let groups = chips.len().div_ceil(LANE_GROUP);
-    let per_group: Vec<Vec<u64>> = (0..groups * inputs)
-        .into_par_iter()
-        .map(|cell| {
-            let (g, i) = (cell / inputs, cell % inputs);
-            let base = g * LANE_GROUP;
-            let group_chips = &chips[base..(base + LANE_GROUP).min(chips.len())];
-            run_lane_group(
-                program,
-                cfg,
-                scheme,
-                i,
-                &init,
-                model,
-                group_chips,
-                base,
-                full_mask(group_chips.len()),
-            )
-        })
-        .collect::<Result<_>>()?;
+    let cells: Vec<usize> = (0..chips.len() * inputs).collect();
+    let tasks = pack_tasks(&cells, inputs);
+    let grid = PackedGrid::new(program, model, chips, scheme, &init, cfg, &tasks)?;
     let mut counts = vec![vec![0u64; inputs]; chips.len()];
-    for (cell, lane_counts) in per_group.iter().enumerate() {
-        let (g, i) = (cell / inputs, cell % inputs);
-        for (lane, &e) in lane_counts.iter().enumerate() {
-            counts[g * LANE_GROUP + lane][i] = e;
-        }
-    }
+    for_each_count(&tasks, &grid.run(&tasks)?, |c, i, e| counts[c][i] = e);
     Ok(counts)
-}
-
-/// The scalar reference grid: one program execution per `(chip, input)`
-/// cell, exactly as [`error_counts`] computed it before lane packing. Kept
-/// as the ground truth the packed grid is differentially tested (and
-/// benchmarked) against.
-///
-/// # Errors
-///
-/// Propagates machine errors (the lowest-indexed failing cell wins,
-/// deterministically).
-pub fn error_counts_scalar<M, F>(
-    program: &Program,
-    model: &M,
-    chips: &[ChipSample],
-    inputs: usize,
-    scheme: CorrectionScheme,
-    init: F,
-    cfg: MonteCarloConfig,
-) -> Result<Vec<Vec<u64>>>
-where
-    M: InstErrorModel + Sync,
-    F: Fn(usize, &mut Machine) + Sync,
-{
-    if inputs == 0 {
-        return Ok(vec![Vec::new(); chips.len()]);
-    }
-    let flat: Vec<u64> = (0..chips.len() * inputs)
-        .into_par_iter()
-        .map(|cell| {
-            let (c, i) = (cell / inputs, cell % inputs);
-            let mut rng = Xoshiro256::seed_stream(cfg.seed, cell_stream(c, i));
-            run_cell(program, cfg, scheme, i, &init, &mut rng, |prev, idx, f| {
-                model.error_probability(prev, idx, f, &chips[c])
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok(flat.chunks(inputs).map(<[u64]>::to_vec).collect())
 }
 
 /// Like [`error_counts`] but with process variation *marginalized* per
@@ -712,42 +896,20 @@ where
     // caller can resume from the checkpoint later.
     let budget = ckpt.cell_budget.unwrap_or(usize::MAX);
     let capped = pending.len().min(budget);
+    let grid = PackedGrid::new(
+        program,
+        model,
+        chips,
+        scheme,
+        &init,
+        cfg,
+        &pack_tasks(&pending[..capped], inputs),
+    )?;
     for batch in pending[..capped].chunks(ckpt.every_n) {
-        // Pack the pending cells of this batch into lane groups: a resumed
-        // checkpoint may cut through a group, leaving a partial live mask —
-        // exactness is unaffected because every lane draws from its own
-        // absolute `(chip, input)` stream.
-        let mut groups: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for &cell in batch {
-            let (c, i) = (cell / inputs, cell % inputs);
-            *groups.entry((c / LANE_GROUP, i)).or_insert(0) |= 1u64 << (c % LANE_GROUP);
-        }
-        let tasks: Vec<((usize, usize), u64)> = groups.into_iter().collect();
-        let results: Vec<Vec<u64>> = tasks
-            .par_iter()
-            .map(|&((g, i), live)| {
-                let base = g * LANE_GROUP;
-                let group_chips = &chips[base..(base + LANE_GROUP).min(chips.len())];
-                run_lane_group(
-                    program,
-                    cfg,
-                    scheme,
-                    i,
-                    &init,
-                    model,
-                    group_chips,
-                    base,
-                    live,
-                )
-            })
-            .collect::<Result<_>>()?;
-        for (&((g, i), live), lane_counts) in tasks.iter().zip(&results) {
-            for (lane, &e) in lane_counts.iter().enumerate() {
-                if live >> lane & 1 == 1 {
-                    done[(g * LANE_GROUP + lane) * inputs + i] = Some(e);
-                }
-            }
-        }
+        let tasks = pack_tasks(batch, inputs);
+        for_each_count(&tasks, &grid.run(&tasks)?, |c, i, e| {
+            done[c * inputs + i] = Some(e);
+        });
         mc_store(ckpt, context, &done)?;
     }
     if capped < pending.len() {
@@ -778,21 +940,29 @@ mod tests {
     use terse_sta::delay::DelayLibrary;
     use terse_sta::variation::{VariationConfig, VariationModel};
 
-    /// A toy model: adds fail with probability proportional to carry chain,
-    /// everything else never fails.
+    /// Shared-variable count of the test chip population (slack
+    /// sensitivities must span the same space as a chip's draw).
+    fn shared_vars() -> usize {
+        static VARS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *VARS.get_or_init(|| chips(1)[0].shared_draw().len())
+    }
+
+    /// A toy model: instructions with a carry chain fail more often the
+    /// longer it is; everything else never fails.
     struct ToyModel;
     impl InstErrorModel for ToyModel {
-        fn error_probability(
-            &self,
-            _prev: Option<u32>,
-            _index: u32,
-            f: &InstFeatures,
-            _chip: &ChipSample,
-        ) -> f64 {
-            f.carry_chain as f64 / 64.0
+        type SlackKey = u8;
+        fn slack_key(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> u8 {
+            f.carry_chain
         }
-        fn marginal_probability(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> f64 {
-            f.carry_chain as f64 / 64.0
+        fn slack(&self, carry: u8) -> Option<CanonicalRv> {
+            (carry > 0).then(|| {
+                CanonicalRv::with_sensitivities(
+                    8.0 - f64::from(carry),
+                    vec![0.0; shared_vars()],
+                    4.0,
+                )
+            })
         }
     }
 
@@ -816,17 +986,10 @@ mod tests {
     fn zero_probability_model_counts_zero() {
         struct Never;
         impl InstErrorModel for Never {
-            fn error_probability(
-                &self,
-                _: Option<u32>,
-                _: u32,
-                _: &InstFeatures,
-                _: &ChipSample,
-            ) -> f64 {
-                0.0
-            }
-            fn marginal_probability(&self, _: Option<u32>, _: u32, _: &InstFeatures) -> f64 {
-                0.0
+            type SlackKey = ();
+            fn slack_key(&self, _: Option<u32>, _: u32, _: &InstFeatures) {}
+            fn slack(&self, _: ()) -> Option<CanonicalRv> {
+                None
             }
         }
         let p = assemble("addi r1, r0, 3\nadd r2, r1, r1\nhalt\n").unwrap();
@@ -1018,28 +1181,51 @@ mod tests {
         );
     }
 
-    /// A bus-sensitive model: the probability depends on the toggle
-    /// features, so the post-error (flushed-bus) feature path of the lane
-    /// group runner is genuinely exercised — a lane that erred draws from a
-    /// different probability than its neighbours on the next instruction.
+    /// A bus-sensitive model: the slack depends on the toggle features, so
+    /// the post-error (flushed-bus) feature path of the lane group runner is
+    /// genuinely exercised — a lane that erred draws from a different
+    /// probability than its neighbours on the next instruction.
     struct ToggleModel;
     impl InstErrorModel for ToggleModel {
-        fn error_probability(
-            &self,
-            _prev: Option<u32>,
-            _index: u32,
-            f: &InstFeatures,
-            chip: &ChipSample,
-        ) -> f64 {
-            let toggles = (f.toggle_a as f64 + f.toggle_b as f64) / 160.0;
-            let carry = f.carry_chain as f64 / 256.0;
-            // A per-chip wobble so lanes disagree even on equal features.
-            let wobble = chip.shared_draw().first().copied().unwrap_or(0.0).abs() / 50.0;
-            (toggles + carry + wobble).min(1.0)
+        type SlackKey = (u8, u8);
+        fn slack_key(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> (u8, u8) {
+            (f.toggle_a.saturating_add(f.toggle_b), f.carry_chain)
         }
-        fn marginal_probability(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> f64 {
-            (f.toggle_a as f64 + f.toggle_b as f64) / 160.0
+        fn slack(&self, (toggles, carry): (u8, u8)) -> Option<CanonicalRv> {
+            // A shared-component sensitivity so lanes disagree even on
+            // equal features.
+            let mut coeffs = vec![0.0; shared_vars()];
+            if let Some(c) = coeffs.first_mut() {
+                *c = 3.0;
+            }
+            let mean = 40.0 - f64::from(toggles) - f64::from(carry) / 2.0;
+            Some(CanonicalRv::with_sensitivities(mean, coeffs, 6.0))
         }
+    }
+
+    /// One execution per `(chip, input)` cell with per-instance
+    /// [`InstErrorModel::error_probability`] calls — no classes, no tables.
+    fn per_chip_counts<M: InstErrorModel>(
+        p: &Program,
+        model: &M,
+        cs: &[ChipSample],
+        inputs: usize,
+        scheme: CorrectionScheme,
+        cfg: MonteCarloConfig,
+    ) -> Vec<Vec<u64>> {
+        (0..cs.len())
+            .map(|c| {
+                (0..inputs)
+                    .map(|i| {
+                        let mut rng = Xoshiro256::seed_stream(cfg.seed, cell_stream(c, i));
+                        run_cell(p, cfg, scheme, i, &|_, _| {}, &mut rng, |prev, idx, f| {
+                            model.error_probability(prev, idx, f, &cs[c])
+                        })
+                        .unwrap()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -1060,11 +1246,38 @@ mod tests {
         let cs = chips(70);
         let cfg = MonteCarloConfig::default();
         let scheme = CorrectionScheme::paper_default();
-        let scalar = error_counts_scalar(&p, &ToggleModel, &cs, 2, scheme, |_, _| {}, cfg).unwrap();
+        let scalar = per_chip_counts(&p, &ToggleModel, &cs, 2, scheme, cfg);
         let packed = error_counts(&p, &ToggleModel, &cs, 2, scheme, |_, _| {}, cfg).unwrap();
         assert_eq!(scalar, packed, "lane packing must be bitwise exact");
         // The run is long enough that errors actually occur.
         assert!(packed.iter().flatten().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn impure_dataset_writer_is_a_typed_replay_error() {
+        // The first execution (the key collection run) sees a zero operand;
+        // every replay sees 0xFFFF, whose carry chain is a slack key the
+        // collection never met.
+        let p = assemble("ld r1, r0, 0\naddi r2, r1, 1\nhalt\n").unwrap();
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        let init = |_: usize, m: &mut Machine| {
+            let first = runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0;
+            m.store(0, if first { 0 } else { 0xFFFF }).unwrap();
+        };
+        let err = error_counts(
+            &p,
+            &ToyModel,
+            &chips(2),
+            1,
+            CorrectionScheme::paper_default(),
+            init,
+            MonteCarloConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, crate::SimError::ReplayDiverged { input: 0 }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -110,20 +110,14 @@ fn simulation_faults_are_typed_errors() {
     assert!(fw.train_model(&w, &cfg, &profiles).is_ok());
 }
 
-/// Zero-probability toy model for driving the Monte Carlo grid.
+/// Zero-probability toy model for driving the Monte Carlo grid: no
+/// instruction has a slack, so none can err.
 struct NeverFails;
 impl InstErrorModel for NeverFails {
-    fn error_probability(
-        &self,
-        _prev: Option<u32>,
-        _index: u32,
-        _f: &InstFeatures,
-        _chip: &terse_sta::variation::ChipSample,
-    ) -> f64 {
-        0.0
-    }
-    fn marginal_probability(&self, _prev: Option<u32>, _index: u32, _f: &InstFeatures) -> f64 {
-        0.0
+    type SlackKey = ();
+    fn slack_key(&self, _prev: Option<u32>, _index: u32, _f: &InstFeatures) {}
+    fn slack(&self, _key: ()) -> Option<terse_sta::CanonicalRv> {
+        None
     }
 }
 
