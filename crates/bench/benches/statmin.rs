@@ -1,8 +1,11 @@
 //! **Ablation A** (timing) — pairwise statistical-min ordering strategies
 //! (Sinha et al. [21] in the paper). Accuracy is compared in the unit tests
-//! of `terse-sta::statmin`; this bench measures cost.
+//! of `terse-sta::statmin`; this bench measures cost, including the
+//! rescan-every-round greedy of `oracle::statmin` that the incremental
+//! `MaxCorrelationFirst` replaces.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use oracle::statmin::max_correlation_first;
 use terse_sta::statmin::{statistical_min, MinOrdering};
 use terse_sta::CanonicalRv;
 use terse_stats::rng::Xoshiro256;
@@ -22,7 +25,7 @@ fn slack_set(n: usize, vars: usize, seed: u64) -> Vec<CanonicalRv> {
 }
 
 fn bench_statmin(c: &mut Criterion) {
-    for n in [8usize, 32] {
+    for n in [8usize, 32, 64] {
         let slacks = slack_set(n, 22, 7);
         let mut group = c.benchmark_group(format!("statmin/{n}_operands"));
         for (name, ordering) in [
@@ -34,6 +37,9 @@ fn bench_statmin(c: &mut Criterion) {
                 b.iter(|| statistical_min(&slacks, ordering).unwrap())
             });
         }
+        group.bench_function("max_correlation_rescan", |b| {
+            b.iter(|| max_correlation_first(&slacks).unwrap())
+        });
         group.finish();
     }
 }

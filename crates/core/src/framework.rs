@@ -622,8 +622,9 @@ impl Framework {
         cfg: &Cfg,
         profiles: &[ProfileResult],
     ) -> Result<InstructionErrorModel> {
-        // Training fans out (DTA endpoint ranking, the statistical-min pair
-        // scan), so it runs on the framework's pool like every other stage.
+        // Training fans out over control edges and datapath directed
+        // sequences, so it runs on the framework's pool like every other
+        // stage; the DTA calls inside each unit then run inline.
         self.pool.install(|| {
             let mut engine = self.engine()?;
             let plan = if self.prescreen.mode != PrescreenMode::Off {

@@ -10,6 +10,7 @@
 
 use crate::engine::{DtsEngine, EndpointFilter};
 use crate::Result;
+use rayon::prelude::*;
 use std::collections::HashMap;
 use terse_isa::{BlockId, Cfg, Instruction, Opcode, Program};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
@@ -69,16 +70,15 @@ impl ControlDtsTable {
     }
 }
 
+/// Representative `(rs1, rs2)` operand values per static instruction index.
+/// `Sync`, because edges are characterized in parallel.
+pub type OperandHint = dyn Fn(u32) -> (u32, u32) + Sync;
+
 /// Builds a synthetic retired-instruction record for characterization: the
 /// control network sees instruction encodings and PCs; operand values come
 /// from the `operand_hint` (typically profile-representative values, or
 /// zeros when unknown).
-fn synth_retired(
-    index: u32,
-    inst: Instruction,
-    next_index: u32,
-    hint: &dyn Fn(u32) -> (u32, u32),
-) -> Retired {
+fn synth_retired(index: u32, inst: Instruction, next_index: u32, hint: &OperandHint) -> Retired {
     let (rs1_val, rs2_val) = hint(index);
     let taken = if inst.opcode.is_branch() {
         Some(inst.imm.cast_unsigned() == next_index)
@@ -124,7 +124,7 @@ pub fn characterize_control(
     cfg: &Cfg,
     engine: &DtsEngine<'_>,
     edges: &[(Option<BlockId>, BlockId)],
-    operand_hint: &dyn Fn(u32) -> (u32, u32),
+    operand_hint: &OperandHint,
 ) -> Result<ControlDtsTable> {
     let mut stats = CosimStats::default();
     characterize_control_with(
@@ -144,6 +144,10 @@ pub fn characterize_control(
 /// `stats`. The produced table is bitwise identical for every strategy —
 /// only the simulation cost differs.
 ///
+/// Edges are characterized in parallel, one edge per unit, on the calling
+/// thread's pool; the table, the counters and the reported error are the
+/// same for every thread count.
+///
 /// # Errors
 ///
 /// Propagates co-simulation and DTA errors.
@@ -156,70 +160,109 @@ pub fn characterize_control_with(
     cfg: &Cfg,
     engine: &DtsEngine<'_>,
     edges: &[(Option<BlockId>, BlockId)],
-    operand_hint: &dyn Fn(u32) -> (u32, u32),
+    operand_hint: &OperandHint,
     strategy: SimStrategy,
     stats: &mut CosimStats,
 ) -> Result<ControlDtsTable> {
+    // One unit per edge: its co-simulation (trace kept local to the task)
+    // and Algorithm 2 over the block. Units are independent, so they fan
+    // out; results come back in edge order, counters are summed in that
+    // order and the lowest-index error wins, whatever the schedule.
+    let units: Vec<(Vec<Option<CanonicalRv>>, CosimStats)> = edges
+        .par_iter()
+        .map(|&(pred, block)| {
+            characterize_edge(
+                pipeline,
+                program,
+                cfg,
+                engine,
+                pred,
+                block,
+                operand_hint,
+                strategy,
+            )
+        })
+        .collect::<Result<_>>()?;
     let mut table = ControlDtsTable::default();
-    for &(pred, block) in edges {
-        let blk = cfg.blocks()[block.index()];
-        // Build the instruction stream: up to STAGE_COUNT tail instructions
-        // of the predecessor (pipeline sharing), then the block.
-        let mut stream: Vec<(u32, Instruction)> = Vec::new();
-        if let Some(p) = pred {
-            let pb = cfg.blocks()[p.index()];
-            let tail_len = (pb.len()).min(STAGE_COUNT);
-            for i in (pb.end as usize - tail_len)..pb.end as usize {
-                // terse-analyze: allow(AZ005): stream indices are program positions, < 2^32.
-                stream.push((i as u32, program.instructions()[i]));
-            }
-        }
-        let body_start = stream.len();
-        for i in blk.range() {
-            // terse-analyze: allow(AZ005): stream indices are program positions, < 2^32.
-            stream.push((i as u32, program.instructions()[i]));
-        }
-        // Synthesize retirements (next index = following stream element).
-        let retired: Vec<Retired> = stream
-            .iter()
-            .enumerate()
-            .map(|(k, &(idx, inst))| {
-                let next = stream.get(k + 1).map(|&(ni, _)| ni).unwrap_or(idx + 1);
-                synth_retired(idx, inst, next, operand_hint)
-            })
-            .collect();
-        // Co-simulate the stream plus drain.
-        let mut cosim = CoSim::with_strategy(pipeline, strategy);
-        let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
-        let mut fed = Vec::new();
-        for r in &retired {
-            fed.push(Some(r.index));
-            activity.push(cosim.feed(Some(*r))?);
-        }
-        for _ in 0..STAGE_COUNT {
-            fed.push(None);
-            activity.push(cosim.feed(None)?);
-        }
-        let trace = CoSimTrace {
-            activity,
-            fed,
-            retired: retired.clone(),
-        };
-        // Record DTS of the block's instructions (Algorithm 2 on control
-        // endpoints).
-        let mut slacks = Vec::with_capacity(blk.len());
-        for k in body_start..retired.len() {
-            slacks.push(engine.inst_dts_for(
-                &trace,
-                k,
-                EndpointFilter::Control,
-                Some(retired[k].index),
-            )?);
-        }
-        stats.absorb(&cosim);
+    for (&(pred, block), (slacks, unit_stats)) in edges.iter().zip(units) {
+        stats.merge(unit_stats);
         table.entries.insert((block, pred), slacks);
     }
     Ok(table)
+}
+
+/// Characterizes one `(pred, block)` edge: co-simulates up to
+/// `STAGE_COUNT` tail instructions of the predecessor followed by the block
+/// and the drain, then records each block instruction's control DTS.
+// The shared training context plus the edge; see `characterize_control_with`.
+#[allow(clippy::too_many_arguments)]
+fn characterize_edge(
+    pipeline: &PipelineNetlist,
+    program: &Program,
+    cfg: &Cfg,
+    engine: &DtsEngine<'_>,
+    pred: Option<BlockId>,
+    block: BlockId,
+    operand_hint: &OperandHint,
+    strategy: SimStrategy,
+) -> Result<(Vec<Option<CanonicalRv>>, CosimStats)> {
+    let blk = cfg.blocks()[block.index()];
+    // Build the instruction stream: up to STAGE_COUNT tail instructions
+    // of the predecessor (pipeline sharing), then the block.
+    let mut stream: Vec<(u32, Instruction)> = Vec::new();
+    if let Some(p) = pred {
+        let pb = cfg.blocks()[p.index()];
+        let tail_len = (pb.len()).min(STAGE_COUNT);
+        for i in (pb.end as usize - tail_len)..pb.end as usize {
+            // terse-analyze: allow(AZ005): stream indices are program positions, < 2^32.
+            stream.push((i as u32, program.instructions()[i]));
+        }
+    }
+    let body_start = stream.len();
+    for i in blk.range() {
+        // terse-analyze: allow(AZ005): stream indices are program positions, < 2^32.
+        stream.push((i as u32, program.instructions()[i]));
+    }
+    // Synthesize retirements (next index = following stream element).
+    let retired: Vec<Retired> = stream
+        .iter()
+        .enumerate()
+        .map(|(k, &(idx, inst))| {
+            let next = stream.get(k + 1).map(|&(ni, _)| ni).unwrap_or(idx + 1);
+            synth_retired(idx, inst, next, operand_hint)
+        })
+        .collect();
+    // Co-simulate the stream plus drain.
+    let mut cosim = CoSim::with_strategy(pipeline, strategy);
+    let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
+    let mut fed = Vec::new();
+    for r in &retired {
+        fed.push(Some(r.index));
+        activity.push(cosim.feed(Some(*r))?);
+    }
+    for _ in 0..STAGE_COUNT {
+        fed.push(None);
+        activity.push(cosim.feed(None)?);
+    }
+    let mut stats = CosimStats::default();
+    stats.absorb(&cosim);
+    let trace = CoSimTrace {
+        activity,
+        fed,
+        retired: retired.clone(),
+    };
+    // Record DTS of the block's instructions (Algorithm 2 on control
+    // endpoints).
+    let mut slacks = Vec::with_capacity(blk.len());
+    for k in body_start..retired.len() {
+        slacks.push(engine.inst_dts_for(
+            &trace,
+            k,
+            EndpointFilter::Control,
+            Some(retired[k].index),
+        )?);
+    }
+    Ok((slacks, stats))
 }
 
 /// The edge set to characterize: all profiled dynamic edges plus the

@@ -14,6 +14,7 @@
 
 use crate::engine::{DtsEngine, EndpointFilter};
 use crate::{DtaError, Result};
+use rayon::prelude::*;
 use std::collections::HashMap;
 use terse_isa::{Instruction, Opcode};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
@@ -110,6 +111,10 @@ impl DatapathModel {
     /// the directed-sequence co-simulation work counters are folded into
     /// `stats`. The trained model is bitwise identical for every strategy.
     ///
+    /// The 44 directed sequences (4 units × 11 feature levels) are measured
+    /// in parallel on the calling thread's pool; the model, the counters
+    /// and the reported error are the same for every thread count.
+    ///
     /// # Errors
     ///
     /// Propagates co-simulation and DTA errors.
@@ -119,25 +124,35 @@ impl DatapathModel {
         strategy: SimStrategy,
         stats: &mut CosimStats,
     ) -> Result<Self> {
-        let mut table: HashMap<FuncUnit, Vec<(u8, CanonicalRv)>> = HashMap::new();
         // Top carry level is 30, not 31: the 31-chain training vector
         // (`0xFFFFFFFF + 1`) wraps to zero, so none of its sum bits toggle
         // and the measurement misses the data-endpoint path entirely.
         // Features above 30 clamp to the level-30 entry.
-        let levels: Vec<u8> = vec![0, 2, 4, 6, 8, 12, 16, 20, 24, 28, 30];
-        let units = [
+        const LEVELS: [u8; 11] = [0, 2, 4, 6, 8, 12, 16, 20, 24, 28, 30];
+        const UNITS: [(FuncUnit, Opcode); 4] = [
             (FuncUnit::AddSub, Opcode::Add),
             (FuncUnit::Logic, Opcode::Xor),
             (FuncUnit::Shift, Opcode::Srl),
             (FuncUnit::Mul, Opcode::Mul),
         ];
-        for (unit, opcode) in units {
+        // One unit per directed sequence, fanned out; measurements come
+        // back in (unit, level) order, counters are summed in that order
+        // and the lowest-index error wins, whatever the schedule.
+        let measured: Vec<(Option<CanonicalRv>, CosimStats)> = (0..UNITS.len() * LEVELS.len())
+            .into_par_iter()
+            .map(|i| {
+                let (unit, opcode) = UNITS[i / LEVELS.len()];
+                let (a, b) = training_operands(unit, LEVELS[i % LEVELS.len()]);
+                measure_data_dts(pipeline, engine, opcode, a, b, strategy)
+            })
+            .collect::<Result<_>>()?;
+        let mut table: HashMap<FuncUnit, Vec<(u8, CanonicalRv)>> = HashMap::new();
+        for ((unit, _), row) in UNITS.iter().zip(measured.chunks(LEVELS.len())) {
             let mut entries = Vec::new();
-            for &level in &levels {
-                let (a, b) = training_operands(unit, level);
-                let dts = measure_data_dts(pipeline, engine, opcode, a, b, strategy, stats)?;
+            for (&level, (dts, unit_stats)) in LEVELS.iter().zip(row) {
+                stats.merge(*unit_stats);
                 if let Some(rv) = dts {
-                    entries.push((level, rv));
+                    entries.push((level, rv.clone()));
                 }
             }
             if entries.is_empty() {
@@ -145,7 +160,7 @@ impl DatapathModel {
                     key: format!("datapath unit {unit:?}"),
                 });
             }
-            table.insert(unit, entries);
+            table.insert(*unit, entries);
         }
         Ok(DatapathModel {
             table,
@@ -264,7 +279,8 @@ fn training_operands(unit: FuncUnit, level: u8) -> (u32, u32) {
 }
 
 /// Runs the directed sequence `nop*; op; nop*` through co-simulation and
-/// measures the target instruction's data-endpoint DTS via Algorithm 2.
+/// measures the target instruction's data-endpoint DTS via Algorithm 2,
+/// along with the sequence's co-simulation counters.
 fn measure_data_dts(
     pipeline: &PipelineNetlist,
     engine: &DtsEngine<'_>,
@@ -272,8 +288,7 @@ fn measure_data_dts(
     a: u32,
     b: u32,
     strategy: SimStrategy,
-    stats: &mut CosimStats,
-) -> Result<Option<CanonicalRv>> {
+) -> Result<(Option<CanonicalRv>, CosimStats)> {
     let target = match opcode {
         o if o.is_rtype() => Instruction::rtype(o, 3, 1, 2),
         o => Instruction::itype(o, 3, 1, 0),
@@ -319,13 +334,17 @@ fn measure_data_dts(
         fed.push(None);
         activity.push(cosim.feed(None)?);
     }
+    let mut stats = CosimStats::default();
     stats.absorb(&cosim);
     let trace = CoSimTrace {
         activity,
         fed,
         retired: stream,
     };
-    engine.inst_dts(&trace, target_pos, EndpointFilter::Data)
+    Ok((
+        engine.inst_dts(&trace, target_pos, EndpointFilter::Data)?,
+        stats,
+    ))
 }
 
 #[cfg(test)]

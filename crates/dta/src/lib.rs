@@ -46,7 +46,7 @@ pub mod instmodel;
 pub mod prescreen;
 
 pub use cache::{DtsCache, DtsCacheStats};
-pub use control::{characterize_control, characterize_control_with, ControlDtsTable};
+pub use control::{characterize_control, characterize_control_with, ControlDtsTable, OperandHint};
 pub use datapath::{DatapathModel, FuncUnit};
 pub use engine::{DtaMode, DtsEngine, EndpointFilter};
 pub use instmodel::InstructionErrorModel;

@@ -25,6 +25,9 @@
 //! * [`mc`] — probability-chain oracles: exact dynamic propagation of the
 //!   Bernoulli error chain over a concrete trace, plus its Monte Carlo
 //!   counterpart, for checking `errmodel`'s marginal solver.
+//! * [`statmin`] — the greedy most-correlated-pair-first statistical min
+//!   that rescans every pair on every round: the reference the
+//!   incremental-matrix greedy of `terse_sta::statmin` is diffed against.
 //!
 //! The slow exhaustive suites are `#[ignore]`d; run them with
 //! `cargo test -p oracle -- --ignored` (CI runs them on a schedule).
@@ -33,3 +36,4 @@ pub mod exhaustive;
 pub mod gen;
 pub mod grid;
 pub mod mc;
+pub mod statmin;

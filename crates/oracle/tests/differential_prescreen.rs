@@ -10,9 +10,13 @@
 //! * **Immunity soundness** — the `Oracle` engine always returns `Ok`:
 //!   no statically-certified-immune pair is ever observed critical.
 //! * **Prune ≡ Oracle** — the control DTS tables produced with pruning on
-//!   and with full oracle recomputation are bitwise identical (Clark's min
-//!   over the surviving stages is dominated by the binding stage), while
-//!   the plan actually prunes a meaningful fraction of pairs.
+//!   and with full oracle recomputation are bitwise identical (both drop
+//!   the certified stages from the statistical min), while the plan
+//!   actually prunes a meaningful fraction of pairs.
+//! * **Prune vs Off** — against the unpruned table, no pruned slack's mean
+//!   drops, the per-instruction shift in mean and σ stays within a
+//!   recorded bound, and a slack moves only where the unpruned one sits at
+//!   least `k_sigma` standard deviations above zero.
 //!
 //! One pipeline netlist is shared across cases (it does not depend on the
 //! seed); programs, plans, and engines are per-case.
@@ -127,6 +131,57 @@ fn assert_tables_bitwise_eq(
     }
 }
 
+/// How far pruning moves the control slacks from the unpruned (`Off`)
+/// ones: the largest per-instruction shift in mean and in σ, and the
+/// smallest `mean / σ` of an unpruned slack that moved. Dropping certified
+/// stages can only remove operands from the statistical min, so every
+/// pruned mean must sit at or above the unpruned one.
+struct PruneShift {
+    mean: f64,
+    sd: f64,
+    moved_min_z: f64,
+}
+
+fn prune_shift(
+    prune: &ControlDtsTable,
+    off: &ControlDtsTable,
+    edges: &[(Option<BlockId>, BlockId)],
+    seed: u64,
+) -> PruneShift {
+    assert_eq!(prune.len(), off.len(), "seed {seed}: table sizes differ");
+    let mut shift = PruneShift {
+        mean: 0.0,
+        sd: 0.0,
+        moved_min_z: f64::INFINITY,
+    };
+    for &(pred, block) in edges {
+        let vp = prune.get(block, pred).expect("prune table entry");
+        let vo = off.get(block, pred).expect("off table entry");
+        assert_eq!(vp.len(), vo.len(), "seed {seed}: slot count");
+        for (slot, (x, y)) in vp.iter().zip(vo).enumerate() {
+            let ctx = format!("seed {seed} {pred:?}->{block:?} slot {slot}");
+            match (x, y) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert!(
+                        x.mean() >= y.mean() - 1e-9,
+                        "{ctx}: pruned mean {} below unpruned {}",
+                        x.mean(),
+                        y.mean()
+                    );
+                    shift.mean = shift.mean.max(x.mean() - y.mean());
+                    shift.sd = shift.sd.max((x.sd() - y.sd()).abs());
+                    if x != y {
+                        shift.moved_min_z = shift.moved_min_z.min(y.mean() / y.sd());
+                    }
+                }
+                _ => panic!("presence mismatch {ctx}: {x:?} vs {y:?}"),
+            }
+        }
+    }
+    shift
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -141,6 +196,8 @@ proptest! {
         let edges = all_edges(&cfg);
         let base = engine(p);
         let lib = DelayLibrary::normalized_45nm();
+        let off = characterize_control(p, &prog, &cfg, &base, &edges, &|_| (0, 0))
+            .expect("unpruned characterization");
         let mut tables = Vec::new();
         let mut prune_stats = None;
         for mode in [PrescreenMode::Prune, PrescreenMode::Oracle] {
@@ -173,6 +230,18 @@ proptest! {
             }
         }
         assert_tables_bitwise_eq(&tables[0], &tables[1], &edges, seed);
+        // Pruning moves slacks that sit far from failing: up to 114.5 in
+        // mean and 5.0 in σ over these cases, and only where the unpruned
+        // slack is at least 39.5σ above zero (DESIGN §19.4) — so no
+        // error probability moves. Fail loudly if that ever changes.
+        let shift = prune_shift(&tables[0], &off, &edges, seed);
+        prop_assert!(shift.mean <= 120.0, "seed {seed}: mean shift {}", shift.mean);
+        prop_assert!(shift.sd <= 6.0, "seed {seed}: σ shift {}", shift.sd);
+        prop_assert!(
+            shift.moved_min_z >= PrescreenConfig::default().k_sigma,
+            "seed {seed}: a slack only {}σ from failing moved",
+            shift.moved_min_z
+        );
         let stats = prune_stats.unwrap();
         prop_assert!(stats.pairs_total > 0, "seed {seed}: empty plan");
         prop_assert!(

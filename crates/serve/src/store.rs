@@ -3,6 +3,7 @@
 //! Layout (everything under one *store root*):
 //!
 //! ```text
+//! <root>/incoming/      private staging dirs of in-flight submits
 //! <root>/jobs/<id>/
 //!     spec.json         canonical spec (written first, atomically)
 //!     state             current state, atomic tmp+rename
@@ -140,6 +141,10 @@ pub struct Recovery {
 /// claim file content unique across workers and restarts.
 static CLAIM_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// Process-wide staging-directory counter; combined with the pid it gives
+/// every in-flight submit its own directory under `incoming/`.
+static STAGE_COUNTER: AtomicU64 = AtomicU64::new(0);
+
 /// A handle to a store root. Cheap to clone; all state lives on disk.
 #[derive(Debug, Clone)]
 pub struct JobStore {
@@ -177,6 +182,13 @@ impl JobStore {
     /// Submits a job: creates `jobs/<id>/` with the canonical spec and
     /// state `queued`. Fails if the id already exists.
     ///
+    /// The job is built in a private staging directory under
+    /// `<root>/incoming/` and renamed into `jobs/` whole, so a concurrent
+    /// scan ([`JobStore::list`] then [`JobStore::state`]) sees the job
+    /// complete or not at all. A submit that fails midway removes its
+    /// staging directory; one killed midway leaves it behind, outside
+    /// `jobs/`, where no scan looks.
+    ///
     /// # Errors
     ///
     /// [`ServeError::Spec`] on validation failure, [`ServeError::State`]
@@ -184,17 +196,35 @@ impl JobStore {
     pub fn submit(&self, spec: &JobSpec) -> Result<()> {
         spec.validate()?;
         let dir = self.job_dir(&spec.id);
+        let duplicate = || ServeError::State(format!("job `{}` already exists", spec.id));
         if dir.exists() {
-            return Err(ServeError::State(format!(
-                "job `{}` already exists",
-                spec.id
-            )));
+            return Err(duplicate());
         }
-        let ckpt = dir.join("checkpoints");
-        fs::create_dir_all(&ckpt).map_err(|e| io_err("create job dir", &ckpt, &e))?;
-        atomic_write(&dir.join("spec.json"), spec.to_json().as_bytes())?;
-        atomic_write(&dir.join("state"), b"queued")?;
-        Ok(())
+        let stage = self.root.join("incoming").join(format!(
+            "{}.{}.{}",
+            spec.id,
+            std::process::id(),
+            STAGE_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let built = (|| {
+            let ckpt = stage.join("checkpoints");
+            fs::create_dir_all(&ckpt).map_err(|e| io_err("create job dir", &ckpt, &e))?;
+            atomic_write(&stage.join("spec.json"), spec.to_json().as_bytes())?;
+            atomic_write(&stage.join("state"), b"queued")?;
+            // A racing submit of the same id wins the rename; this one
+            // then finds `jobs/<id>` occupied and reports the duplicate.
+            fs::rename(&stage, &dir).map_err(|e| {
+                if dir.exists() {
+                    duplicate()
+                } else {
+                    io_err("publish job dir", &dir, &e)
+                }
+            })
+        })();
+        if built.is_err() {
+            let _ = fs::remove_dir_all(&stage);
+        }
+        built
     }
 
     /// Loads and re-validates a job's spec.

@@ -12,13 +12,13 @@
 
 use crate::canonical::CanonicalRv;
 use crate::{Result, StaError};
-use rayon::prelude::*;
 
 /// Order in which pairwise Clark minimums are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MinOrdering {
-    /// Merge the most correlated pair first (greedy, O(n³) pair scans) —
-    /// the Sinha-style error-minimizing heuristic.
+    /// Merge the most correlated pair first (greedy, O(n²) correlations
+    /// over an incrementally maintained matrix) — the Sinha-style
+    /// error-minimizing heuristic.
     #[default]
     MaxCorrelationFirst,
     /// Sort by ascending mean and fold — cheap and usually close.
@@ -86,52 +86,79 @@ pub fn statistical_min(slacks: &[CanonicalRv], ordering: MinOrdering) -> Result<
             if slacks.len() > 64 {
                 return statistical_min(slacks, MinOrdering::AscendingMean);
             }
-            let mut pool: Vec<CanonicalRv> = slacks.to_vec();
-            while pool.len() > 1 {
-                // Each round scans every pair for the most correlated one.
-                // Rows (fixed `i`) are independent, so evaluate them in
-                // parallel; each row keeps its best `j` under a strict `>`,
-                // and a serial fold over rows in ascending `i` (also strict
-                // `>`) then reproduces exactly the pair the serial
-                // double-loop would pick, ties and all. Small pools (the
-                // per-instruction two-operand mins on the simulator's hot
-                // path) stay serial — fan-out would cost more than the scan.
-                let rows = pool.len() - 1;
-                let row_fn = |i: usize| {
-                    let (mut best, mut bj) = (f64::NEG_INFINITY, i + 1);
-                    for j in i + 1..pool.len() {
-                        let c = pool[i].corr(&pool[j]);
-                        if c > best {
-                            best = c;
-                            bj = j;
-                        }
-                    }
-                    (best, bj)
-                };
-                let row_best: Vec<(f64, usize)> = if rows < 32 {
-                    (0..rows).map(row_fn).collect()
-                } else {
-                    (0..rows).into_par_iter().map(row_fn).collect()
-                };
-                let (mut bi, mut bj, mut best) = (0usize, 1usize, f64::NEG_INFINITY);
-                for (i, &(c, j)) in row_best.iter().enumerate() {
-                    if c > best {
-                        best = c;
-                        bi = i;
-                        bj = j;
-                    }
-                }
-                let b = pool.swap_remove(bj);
-                let a = pool.swap_remove(if bi > bj { bi - 1 } else { bi });
-                pool.push(a.stat_min(&b).0);
-            }
-            // The loop above maintains `pool.len() ≥ 1` (each round removes
-            // two and pushes one, and only runs while len > 1).
-            pool.pop().ok_or(StaError::MalformedPath {
-                reason: "statistical min pool emptied",
-            })
+            greedy_max_correlation(slacks)
         }
     }
+}
+
+/// The greedy most-correlated-pair-first fold over `2 ≤ n ≤ 64` operands,
+/// in O(n²) correlations instead of O(n³).
+///
+/// The pairwise correlations live in an `n × n` matrix built once (upper
+/// triangle, mirrored: `corr` is bitwise symmetric — IEEE `*` commutes and
+/// the dot product's summation order is fixed). A merge computes only the
+/// merged operand's row, and every `swap_remove` on the pool is mirrored
+/// on the matrix, so row `i` always describes `pool[i]`. The scan is the
+/// serial double loop of the naive algorithm — strict `>` within a row,
+/// then a fold over rows in ascending order — so it picks exactly the pair
+/// the O(n³) rescan would, ties and NaNs included.
+fn greedy_max_correlation(slacks: &[CanonicalRv]) -> Result<CanonicalRv> {
+    let n = slacks.len();
+    let mut pool: Vec<CanonicalRv> = slacks.to_vec();
+    let mut corr = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in i + 1..n {
+            let c = pool[i].corr(&pool[j]);
+            corr[i * n + j] = c;
+            corr[j * n + i] = c;
+        }
+    }
+    // Moves row and column `from` onto `to` — the matrix image of
+    // `pool.swap_remove(to)` when `from` is the pool's last index.
+    let relocate = |corr: &mut [f64], from: usize, to: usize| {
+        for k in 0..from {
+            let c = corr[from * n + k];
+            corr[to * n + k] = c;
+            corr[k * n + to] = c;
+        }
+    };
+    while pool.len() > 1 {
+        let len = pool.len();
+        let (mut bi, mut bj, mut best) = (0usize, 1usize, f64::NEG_INFINITY);
+        for i in 0..len - 1 {
+            let (mut row_best, mut row_j) = (f64::NEG_INFINITY, i + 1);
+            for j in i + 1..len {
+                let c = corr[i * n + j];
+                if c > row_best {
+                    row_best = c;
+                    row_j = j;
+                }
+            }
+            if row_best > best {
+                best = row_best;
+                bi = i;
+                bj = row_j;
+            }
+        }
+        // `bi < bj`, so the first removal leaves `pool[bi]` in place.
+        let b = pool.swap_remove(bj);
+        relocate(&mut corr, len - 1, bj);
+        let a = pool.swap_remove(bi);
+        relocate(&mut corr, len - 2, bi);
+        let merged = a.stat_min(&b).0;
+        let m = pool.len();
+        for k in 0..m {
+            let c = pool[k].corr(&merged);
+            corr[k * n + m] = c;
+            corr[m * n + k] = c;
+        }
+        pool.push(merged);
+    }
+    // The loop above maintains `pool.len() ≥ 1` (each round removes two
+    // and pushes one, and only runs while len > 1).
+    pool.pop().ok_or(StaError::MalformedPath {
+        reason: "statistical min pool emptied",
+    })
 }
 
 /// Monte Carlo reference for the minimum of canonical forms (shared draw per

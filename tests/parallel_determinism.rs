@@ -244,3 +244,78 @@ fn full_flow_estimate_bitwise_identical_across_thread_counts() {
         "mean error rate differs across thread counts"
     );
 }
+
+/// Every bit of a canonical form: mean, each sensitivity, residual.
+fn rv_bits(rv: &terse_sta::CanonicalRv) -> (u64, Vec<u64>, u64) {
+    (
+        rv.mean().to_bits(),
+        rv.coeffs().iter().map(|c| c.to_bits()).collect(),
+        rv.indep().to_bits(),
+    )
+}
+
+/// Training fans out over control edges and datapath directed sequences,
+/// and every unit consults one shared stage-DTS cache. With 4 entries the
+/// cache evicts while units race on it, so the hit/miss split may vary —
+/// but not a single slack may, and the number of lookups is fixed by the
+/// work itself.
+#[test]
+fn training_bitwise_identical_across_thread_counts_with_evicting_cache() {
+    use terse_dta::datapath::FuncUnit;
+    let spec = terse_workloads::by_name("typeset").expect("registered");
+    let w = spec
+        .workload(terse_workloads::DatasetSize::Small, 2, 0x7EA1)
+        .expect("workload");
+    let cfg = Cfg::from_program(w.program());
+    let train = |threads: usize| {
+        let fw = Framework::builder()
+            .samples(2)
+            .threads(threads)
+            .dta_cache(4)
+            .build()
+            .expect("framework");
+        let profiles = fw.profile_workload(&w, &cfg).expect("profiles");
+        let model = fw.train_model(&w, &cfg, &profiles).expect("model");
+        let control: Vec<_> = model
+            .control()
+            .keys()
+            .into_iter()
+            .map(|(block, edge)| {
+                let slacks = model.control().get(block, edge).expect("characterized");
+                let bits: Vec<_> = slacks.iter().map(|s| s.as_ref().map(rv_bits)).collect();
+                ((block, edge), bits)
+            })
+            .collect();
+        let datapath: Vec<_> = [
+            FuncUnit::AddSub,
+            FuncUnit::Logic,
+            FuncUnit::Shift,
+            FuncUnit::Mul,
+        ]
+        .into_iter()
+        .flat_map(|unit| (0..=32u8).map(move |level| (unit, level)))
+        .map(|(unit, level)| {
+            model
+                .datapath()
+                .slack_at(unit, level)
+                .map(|rv| rv_bits(&rv))
+        })
+        .collect();
+        let cache = fw.dta_cache_stats().expect("cache enabled");
+        (
+            control,
+            datapath,
+            cache.hits + cache.misses,
+            cache.evictions,
+        )
+    };
+    let (control, datapath, lookups, evictions) = train(1);
+    assert!(control.len() > 4, "only {} control contexts", control.len());
+    assert!(evictions > 0, "a 4-entry cache must evict during training");
+    for threads in [2, 7] {
+        let (c, d, l, _) = train(threads);
+        assert_eq!(c, control, "control table differs at {threads} threads");
+        assert_eq!(d, datapath, "datapath model differs at {threads} threads");
+        assert_eq!(l, lookups, "cache lookups differ at {threads} threads");
+    }
+}
