@@ -34,12 +34,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use terse_analyze::{
-    analyze_cfg, analyze_dataflow, analyze_netlist, analyze_slacks, analyze_tape, AnalysisReport,
-    SlackPassConfig,
+    analyze_cfg, analyze_dataflow, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
 use terse_isa::{assemble, Cfg};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
-use terse_netlist::tape::CompiledTape;
 use terse_sta::analysis::{Sta, StatisticalSta};
 use terse_sta::{DelayLibrary, VariationConfig, VariationModel};
 
@@ -177,7 +175,6 @@ fn run_pipeline(report: &mut AnalysisReport) -> Result<(), String> {
         .map_err(|e| format!("pipeline build failed: {e}"))?;
     let netlist = p.netlist();
     analyze_netlist(netlist, report);
-    analyze_tape(&CompiledTape::compile(netlist), report);
 
     let lib = DelayLibrary::normalized_45nm();
     let var_cfg = VariationConfig::default();

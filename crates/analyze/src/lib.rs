@@ -10,10 +10,7 @@
 //!   endpoints), [`cfg_pass`] (unreachable blocks, edge/leader mismatches,
 //!   fall-through consistency, missing terminators), [`slack_pass`]
 //!   (interval + NaN/∞ abstract interpretation over `sta::canonical`
-//!   slack RVs, bounding stage DTS and flagging degenerate forms), and
-//!   [`tape_pass`] (compiled-op-tape write-before-read order, destination
-//!   slot aliasing, slab-range and external-slot ownership checks for the
-//!   bit-parallel kernels).
+//!   slack RVs, bounding stage DTS and flagging degenerate forms).
 //! * **Program dataflow** — [`dataflow`], a monotone-framework fixpoint
 //!   engine over the ISA CFG (reaching definitions, liveness, constant
 //!   propagation, register value intervals) emitting the `DF0xx` family
@@ -34,8 +31,7 @@
 //! derived facts (e.g. static stage-DTS interval bounds) and never gate.
 //!
 //! Diagnostic codes are stable identifiers (`NL0xx` netlist, `CF0xx` CFG,
-//! `SL0xx` slack RVs, `TP0xx` compiled op tapes, `DF0xx` program
-//! dataflow, `AZ0xx` codebase lints, `JS0xx` job specs and job-store
+//! `SL0xx` slack RVs, `DF0xx` program dataflow, `AZ0xx` codebase lints, `JS0xx` job specs and job-store
 //! layouts); see DESIGN.md §14 and §19 for the full table.
 
 // Numeric-kernel idioms used intentionally throughout this crate:
@@ -51,7 +47,6 @@ pub mod job_pass;
 pub mod lint;
 pub mod netlist_pass;
 pub mod slack_pass;
-pub mod tape_pass;
 
 pub use cfg_pass::analyze_cfg;
 pub use dataflow::{
@@ -66,7 +61,6 @@ pub use job_pass::{
 pub use lint::{fail_point_inventory, lint_fail_point_coverage, lint_workspace};
 pub use netlist_pass::analyze_netlist;
 pub use slack_pass::{analyze_slacks, SlackPassConfig};
-pub use tape_pass::analyze_tape;
 
 use std::fmt;
 

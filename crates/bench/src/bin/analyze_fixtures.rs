@@ -6,9 +6,8 @@
 //! cargo run --release -p terse-bench --bin analyze_fixtures [valid_count] [defect_seeds]
 //! ```
 //!
-//! Four artifact families are generated from the oracle crate's seeded
-//! generators: netlists, program CFGs, canonical slack-RV sets, and
-//! compiled op tapes. For
+//! Three artifact families are generated from the oracle crate's seeded
+//! generators: netlists, program CFGs and canonical slack-RV sets. For
 //! each family, `valid_count` (default 256) valid artifacts must produce
 //! **zero** Warning-or-above diagnostics, and each defect class must be
 //! detected (≥ 1 diagnostic of its expected code) on every one of
@@ -19,7 +18,7 @@
 
 use oracle::gen;
 use terse_analyze::{
-    analyze_cfg, analyze_netlist, analyze_slacks, analyze_tape, AnalysisReport, SlackPassConfig,
+    analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
 use terse_isa::Cfg;
 
@@ -34,6 +33,7 @@ struct DefectOutcome {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let valid_count: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(256);
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let defect_seeds: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(32);
 
     let slack_cfg = SlackPassConfig::default();
@@ -62,13 +62,6 @@ fn main() {
         analyze_slacks(&rvs, &slack_cfg, "set", &mut r);
         if !r.is_clean() {
             false_positives.push(format!("slacks seed {seed}:\n{}", r.render_text()));
-        }
-
-        let tape = gen::random_tape(seed, gates_for(seed));
-        let mut r = AnalysisReport::new();
-        analyze_tape(&tape, &mut r);
-        if !r.is_clean() {
-            false_positives.push(format!("tape seed {seed}:\n{}", r.render_text()));
         }
     }
 
@@ -112,25 +105,6 @@ fn main() {
             detected,
         });
     }
-    for defect in gen::TapeDefect::ALL {
-        let code = defect.expected_code();
-        let mut detected = 0usize;
-        for seed in 0..defect_seeds as u64 {
-            let tape = gen::random_tape_with_defect(seed, gates_for(seed), defect);
-            let mut r = AnalysisReport::new();
-            analyze_tape(&tape, &mut r);
-            if r.has_code(code) {
-                detected += 1;
-            }
-        }
-        outcomes.push(DefectOutcome {
-            family: "tape",
-            kind: format!("{defect:?}"),
-            expected_code: code,
-            seeds: defect_seeds,
-            detected,
-        });
-    }
     for defect in gen::SlackDefect::ALL {
         let code = defect.expected_code();
         let mut detected = 0usize;
@@ -163,7 +137,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"valid_count\": {valid_count},\n  \"defect_seeds\": {defect_seeds},\n"
+        "  \"host_threads\": {host},\n  \"valid_count\": {valid_count},\n  \"defect_seeds\": {defect_seeds},\n"
     ));
     json.push_str(&format!(
         "  \"false_positives\": {},\n  \"defects\": [\n",

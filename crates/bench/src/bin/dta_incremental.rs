@@ -1,6 +1,5 @@
-//! Incremental-DTA benchmark: event-driven netlist simulation vs the
-//! exhaustive per-cycle scan, cold- vs warm-cache stage-DTS sweeps with
-//! the activation-signature memo — on loop-heavy workloads where activation
+//! Incremental-DTA benchmark: cold- vs warm-cache stage-DTS sweeps with the
+//! activation-signature memo — on loop-heavy workloads where activation
 //! sets repeat across iterations — and the static error-immunity pre-screen
 //! (pruned vs oracle training wall clock, λ compared bitwise).
 //!
@@ -11,7 +10,7 @@
 //! Writes `results/BENCH_dta_incremental.json` (the common
 //! `{bench, config, wall_ms, speedup, checks, detail}` envelope) and prints
 //! the same JSON to stdout. Every compared variant is checked **bitwise**
-//! against the reference (full-scan simulation, uncached DTA) before any
+//! against the reference (uncached DTA, unpruned training) before any
 //! speedup is reported; the run aborts if anything diverges.
 //!
 //! Environment knobs (for the CI smoke job):
@@ -27,7 +26,7 @@ use terse_netlist::pipeline::STAGE_COUNT;
 use terse_netlist::{ActivityTrace, BitSet};
 use terse_serve::json::Value;
 use terse_sim::cosim::CoSim;
-use terse_sim::{Machine, SimStrategy};
+use terse_sim::Machine;
 use terse_sta::canonical::CanonicalRv;
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
 use terse_sta::statmin::MinOrdering;
@@ -61,51 +60,6 @@ fn rv_bits(rv: &Option<CanonicalRv>) -> Vec<u64> {
             v.extend(rv.coeffs().iter().map(|c| c.to_bits()));
             v
         }
-    }
-}
-
-struct SimResult {
-    full_s: f64,
-    event_s: f64,
-    full_evals: u64,
-    event_evals: u64,
-    identical: bool,
-    activity: ActivityTrace,
-}
-
-/// Runs the workload through the pipeline netlist under both evaluation
-/// strategies, timing each and checking the traces match bit for bit.
-fn bench_sim(
-    pipeline: &terse_netlist::pipeline::PipelineNetlist,
-    w: &terse::Workload,
-) -> SimResult {
-    let run = |strategy: SimStrategy| {
-        let mut machine = Machine::new(w.program(), 1 << 16);
-        w.init_input(0, &mut machine);
-        let mut cosim = CoSim::with_strategy(pipeline, strategy);
-        let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
-        let mut executed = 0u64;
-        while !machine.halted() {
-            assert!(executed < BUDGET, "instruction budget exhausted");
-            let r = machine.step(w.program()).expect("machine step");
-            executed += 1;
-            activity.push(cosim.feed(Some(r)).expect("cosim feed"));
-        }
-        for _ in 0..STAGE_COUNT {
-            activity.push(cosim.feed(None).expect("cosim drain"));
-        }
-        (activity, cosim.gates_evaluated())
-    };
-    let (full_s, (full_trace, full_evals)) = time_min(REPS, || run(SimStrategy::FullScan));
-    let (event_s, (event_trace, event_evals)) = time_min(REPS, || run(SimStrategy::EventDriven));
-    let identical = full_trace == event_trace;
-    SimResult {
-        full_s,
-        event_s,
-        full_evals,
-        event_evals,
-        identical,
-        activity: event_trace,
     }
 }
 
@@ -191,16 +145,11 @@ fn main() {
         eprintln!("[{name}] simulating ({size:?})...");
         let spec = terse_workloads::by_name(name).expect("known workload");
         let w = spec.workload(size, 1, 0xDAC19).expect("workload");
-        let sim = bench_sim(pipeline, &w);
-        assert!(sim.identical, "{name}: event-driven trace diverged");
-        eprintln!(
-            "[{name}] sim: full {:.3}s / event {:.3}s ({:.2}x), evals {} -> {}",
-            sim.full_s,
-            sim.event_s,
-            sim.full_s / sim.event_s,
-            sim.full_evals,
-            sim.event_evals
-        );
+        let mut machine = Machine::new(w.program(), 1 << 16);
+        w.init_input(0, &mut machine);
+        let activity = CoSim::run_program(pipeline, w.program(), &mut machine, BUDGET)
+            .expect("co-simulation")
+            .activity;
 
         eprintln!("[{name}] DTA sweep over {sweep_cap} cycles x {STAGE_COUNT} stages...");
         let mut engine = DtsEngine::new(
@@ -212,7 +161,7 @@ fn main() {
             MinOrdering::default(),
         )
         .expect("engine");
-        let dta = bench_dta(&mut engine, &sim.activity, sweep_cap, STAGE_COUNT);
+        let dta = bench_dta(&mut engine, &activity, sweep_cap, STAGE_COUNT);
         warm_not_slower &= dta.warm_s <= dta.cold_s;
         min_warm_speedup = min_warm_speedup.min(dta.uncached_s / dta.warm_s);
         assert!(dta.identical, "{name}: cached stage DTS diverged");
@@ -234,18 +183,11 @@ fn main() {
             dta.hits,
             dta.misses
         );
-        all_identical &= sim.identical && dta.identical;
+        all_identical &= dta.identical;
 
         rows.push(format!(
-            "    {{\n      \"name\": \"{name}\",\n      \"cycles\": {cycles},\n      \"sim\": {{\n        \"full_scan_s\": {full_s:.6},\n        \"event_driven_s\": {event_s:.6},\n        \"speedup\": {sim_speedup:.3},\n        \"full_gate_evals\": {full_evals},\n        \"event_gate_evals\": {event_evals},\n        \"eval_ratio\": {eval_ratio:.3},\n        \"trace_identical\": {sim_id}\n      }},\n      \"dta\": {{\n        \"sweep_cycles\": {sweep_cycles},\n        \"stages\": {STAGE_COUNT},\n        \"uncached_s\": {uncached_s:.6},\n        \"cold_cache_s\": {cold_s:.6},\n        \"warm_cache_s\": {warm_s:.6},\n        \"warm_speedup\": {warm_speedup:.3},\n        \"cold_overhead\": {cold_overhead:.3},\n        \"cache\": {{\n          \"hits\": {hits},\n          \"misses\": {misses},\n          \"evictions\": {evictions},\n          \"collisions\": {collisions},\n          \"entries\": {entries}\n        }},\n        \"bitwise_identical\": {dta_id}\n      }}\n    }}",
-            cycles = sim.activity.len(),
-            full_s = sim.full_s,
-            event_s = sim.event_s,
-            sim_speedup = sim.full_s / sim.event_s,
-            full_evals = sim.full_evals,
-            event_evals = sim.event_evals,
-            eval_ratio = sim.full_evals as f64 / sim.event_evals.max(1) as f64,
-            sim_id = sim.identical,
+            "    {{\n      \"name\": \"{name}\",\n      \"cycles\": {cycles},\n      \"dta\": {{\n        \"sweep_cycles\": {sweep_cycles},\n        \"stages\": {STAGE_COUNT},\n        \"uncached_s\": {uncached_s:.6},\n        \"cold_cache_s\": {cold_s:.6},\n        \"warm_cache_s\": {warm_s:.6},\n        \"warm_speedup\": {warm_speedup:.3},\n        \"cold_overhead\": {cold_overhead:.3},\n        \"cache\": {{\n          \"hits\": {hits},\n          \"misses\": {misses},\n          \"evictions\": {evictions},\n          \"collisions\": {collisions},\n          \"entries\": {entries}\n        }},\n        \"bitwise_identical\": {dta_id}\n      }}\n    }}",
+            cycles = activity.len(),
             sweep_cycles = dta.sweep_cycles,
             uncached_s = dta.uncached_s,
             cold_s = dta.cold_s,

@@ -47,7 +47,6 @@ use terse_dta::prescreen::{build_plan, PrescreenConfig, PrescreenMode, Prescreen
 use terse_errmodel::marginal::{solve_marginals_with, MarginalProblem};
 use terse_isa::{assemble, BasicBlock, BlockId, Cfg, Program};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
-use terse_netlist::{CompiledTape, SimStrategy};
 use terse_sim::correction::CorrectionScheme;
 use terse_sim::cosim::CosimStats;
 use terse_sim::features::InstFeatures;
@@ -163,7 +162,6 @@ pub struct FrameworkBuilder {
     variation: VariationConfig,
     correction: CorrectionScheme,
     operating: OperatingConfig,
-    dta_mode: DtaMode,
     ordering: MinOrdering,
     samples: usize,
     profiler: Profiler,
@@ -172,7 +170,6 @@ pub struct FrameworkBuilder {
     block_budget: Option<usize>,
     degradation: DegradationPolicy,
     dta_cache_entries: usize,
-    sim_strategy: SimStrategy,
     prescreen: PrescreenConfig,
 }
 
@@ -186,7 +183,6 @@ impl Default for FrameworkBuilder {
             // 0.1–1 % band on the synthetic pipeline (see
             // `OperatingConfig::calibrated`).
             operating: OperatingConfig::calibrated(),
-            dta_mode: DtaMode::default(),
             ordering: MinOrdering::default(),
             samples: 8,
             profiler: Profiler::default(),
@@ -197,7 +193,6 @@ impl Default for FrameworkBuilder {
             // The stage-DTS memo is exact (bit-verified toggle sets), so it
             // is on by default; see `FrameworkBuilder::dta_cache`.
             dta_cache_entries: 1024,
-            sim_strategy: SimStrategy::default(),
             prescreen: PrescreenConfig::default(),
         }
     }
@@ -225,12 +220,6 @@ impl FrameworkBuilder {
     /// Sets the operating-point derivation parameters.
     pub fn operating(mut self, cfg: OperatingConfig) -> Self {
         self.operating = cfg;
-        self
-    }
-
-    /// Sets the Algorithm 1 search mode.
-    pub fn dta_mode(mut self, mode: DtaMode) -> Self {
-        self.dta_mode = mode;
         self
     }
 
@@ -293,16 +282,6 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Sets the gate-evaluation strategy the model-training co-simulations
-    /// use ([`SimStrategy::Packed`] runs the compiled op tape with
-    /// dirty-span skipping). Every strategy produces bitwise-identical
-    /// models; only the simulation cost differs — the work counters land in
-    /// [`Report::perf_summary`].
-    pub fn sim_strategy(mut self, strategy: SimStrategy) -> Self {
-        self.sim_strategy = strategy;
-        self
-    }
-
     /// Selects the numerical-degradation policy threaded through the
     /// statistical pipeline ([`DegradationPolicy::Strict`] fails fast and
     /// is the default; [`DegradationPolicy::Repair`] applies bounded,
@@ -344,7 +323,6 @@ impl FrameworkBuilder {
             variation: self.variation,
             correction: self.correction,
             operating,
-            dta_mode: self.dta_mode,
             ordering: self.ordering,
             samples: self.samples,
             profiler: self.profiler,
@@ -356,7 +334,6 @@ impl FrameworkBuilder {
                 .then(|| Arc::new(DtsCache::new(self.dta_cache_entries))),
             pool,
             datapath_cache: OnceLock::new(),
-            sim_strategy: self.sim_strategy,
             cosim_stats: Mutex::new(CosimStats::default()),
             prescreen: self.prescreen,
             prescreen_stats: Mutex::new(PrescreenStats::default()),
@@ -372,7 +349,6 @@ pub struct Framework {
     variation: VariationConfig,
     correction: CorrectionScheme,
     operating: OperatingPoint,
-    dta_mode: DtaMode,
     ordering: MinOrdering,
     samples: usize,
     profiler: Profiler,
@@ -385,8 +361,6 @@ pub struct Framework {
     dts_cache: Option<Arc<DtsCache>>,
     pool: rayon::ThreadPool,
     datapath_cache: OnceLock<DatapathModel>,
-    /// Gate-evaluation strategy for the model-training co-simulations.
-    sim_strategy: SimStrategy,
     /// Accumulated co-simulation work counters across every training run
     /// this framework has performed.
     cosim_stats: Mutex<CosimStats>,
@@ -430,11 +404,6 @@ impl Framework {
     /// The numerical-degradation policy in effect.
     pub fn degradation(&self) -> DegradationPolicy {
         self.degradation
-    }
-
-    /// The gate-evaluation strategy the training co-simulations use.
-    pub fn sim_strategy(&self) -> SimStrategy {
-        self.sim_strategy
     }
 
     /// Static analysis of every input IR this run would consume: the
@@ -538,7 +507,7 @@ impl Framework {
             self.lib.clone(),
             self.variation,
             TimingConstraints::with_period(self.operating.working_period),
-            self.dta_mode,
+            DtaMode::default(),
             self.ordering,
         )?;
         if let Some(cache) = &self.dts_cache {
@@ -667,7 +636,6 @@ impl Framework {
                 &engine,
                 &char_edges,
                 &hint_fn,
-                self.sim_strategy,
                 &mut stats,
             )?;
             let datapath = self.datapath(&engine, &mut stats)?;
@@ -697,14 +665,14 @@ impl Framework {
         if let Some(m) = self.datapath_cache.get() {
             return Ok(m.clone());
         }
-        let m = DatapathModel::train_with(&self.pipeline, engine, self.sim_strategy, stats)?;
+        let m = DatapathModel::train_with(&self.pipeline, engine, stats)?;
         let _ = self.datapath_cache.set(m.clone());
         Ok(m)
     }
 
     /// Accumulated co-simulation work counters across every
-    /// [`Framework::train_model`] call so far (cycles, gate/tape-op
-    /// evaluations, dirty-span skips).
+    /// [`Framework::train_model`] call so far (cycles and gate
+    /// evaluations).
     pub fn cosim_stats(&self) -> CosimStats {
         match self.cosim_stats.lock() {
             Ok(g) => *g,
@@ -712,21 +680,15 @@ impl Framework {
         }
     }
 
-    /// Bit-parallel backend statistics at this pipeline: the compiled-tape
-    /// shape, the lane width shared by the packed simulator and the Monte
-    /// Carlo lane groups, and the accumulated training co-simulation work
-    /// counters. `mc_chips` sizes the occupancy figure (0 = no MC grid).
+    /// Bit-parallel statistics: the Monte Carlo lane-group width and the
+    /// accumulated training co-simulation work counters. `mc_chips` sizes
+    /// the occupancy figure (0 = no MC grid).
     pub fn bitparallel_stats(&self, mc_chips: usize) -> BitParallelStats {
-        let tape = CompiledTape::compile(self.pipeline.netlist());
         let c = self.cosim_stats();
         BitParallelStats {
-            strategy: format!("{:?}", self.sim_strategy),
-            tape_ops: tape.len(),
-            tape_slots: tape.slot_count() as usize,
-            lane_width: terse_netlist::packed::LANES,
+            lane_width: terse_sim::monte_carlo::LANE_GROUP,
             cosim_cycles: c.cycles,
             gates_evaluated: c.gates_evaluated,
-            tape_ops_skipped: c.tape_ops_skipped,
             mc_chips,
             mc_lane_occupancy: terse_sim::monte_carlo::lane_occupancy(mc_chips),
         }
@@ -1549,36 +1511,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_strategy_run_is_bitwise_identical_and_counted() {
+    fn run_reports_training_cosim_counters() {
         let w = loop_workload();
-        let reference = small_framework().run(&w).unwrap();
-        let f = Framework::builder()
-            .samples(2)
-            .profiler(Profiler {
-                max_feature_samples: 8,
-                budget: 100_000,
-                dmem_words: 4096,
-                seed: 1,
-            })
-            .sim_strategy(SimStrategy::Packed)
-            .build()
-            .unwrap();
-        let packed = f.run(&w).unwrap();
-        assert_estimates_bitwise_equal(&reference.estimate, &packed.estimate);
-        // The training co-simulations ran on the tape backend and skipped
-        // quiescent spans.
+        let f = small_framework();
+        let report = f.run(&w).unwrap();
         let stats = f.cosim_stats();
         assert!(stats.cycles > 0, "stats = {stats:?}");
         assert!(stats.gates_evaluated > 0, "stats = {stats:?}");
-        assert!(stats.tape_ops_skipped > 0, "stats = {stats:?}");
-        let bp = packed.bitparallel.as_ref().expect("run fills counters");
-        assert_eq!(bp.strategy, "Packed");
-        assert_eq!(bp.lane_width, 64);
-        assert!(bp.tape_ops > 0 && bp.tape_slots >= bp.tape_ops);
-        assert_eq!(bp.tape_ops_skipped, stats.tape_ops_skipped);
-        let summary = packed.perf_summary();
+        let bp = report.bitparallel.as_ref().expect("run fills counters");
+        assert_eq!(bp.lane_width, terse_sim::monte_carlo::LANE_GROUP);
+        assert_eq!(bp.cosim_cycles, stats.cycles);
+        assert_eq!(bp.gates_evaluated, stats.gates_evaluated);
+        let summary = report.perf_summary();
         assert!(
-            summary.contains("bit-parallel: strategy Packed"),
+            summary.contains(&format!("{} gates evaluated", stats.gates_evaluated)),
             "{summary}"
         );
     }

@@ -61,7 +61,6 @@ pub use perf::TsPerformanceModel;
 pub use report::{BitParallelStats, ErrorRateEstimate, RateCdfPoint, Report, RunTimings};
 
 // Re-export the substrate types a downstream user needs for configuration.
-pub use terse_dta::engine::DtaMode;
 pub use terse_netlist::pipeline::PipelineConfig;
 pub use terse_sim::correction::CorrectionScheme;
 pub use terse_sta::statmin::MinOrdering;

@@ -225,28 +225,16 @@ impl RunTimings {
     }
 }
 
-/// Bit-parallel backend statistics: the compiled op tape's shape, the lane
-/// width shared by the packed netlist simulator and the Monte Carlo lane
-/// groups, and the accumulated training co-simulation work counters.
+/// Bit-parallel statistics: the Monte Carlo lane-group width and the
+/// accumulated training co-simulation work counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BitParallelStats {
-    /// Gate-evaluation strategy used by the training co-simulations
-    /// (`Debug` rendering of `SimStrategy`).
-    pub strategy: String,
-    /// Ops in the pipeline netlist's compiled tape (== combinational gate
-    /// count; each op is one branch-free slab evaluation).
-    pub tape_ops: usize,
-    /// Slots in the tape's value slab (gates + external endpoints).
-    pub tape_slots: usize,
-    /// Lanes per packed word — one chip/stimulus per bit.
+    /// Chips per Monte Carlo lane group — one chip per bit of a packed word.
     pub lane_width: usize,
     /// Netlist clock cycles co-simulated during model training.
     pub cosim_cycles: u64,
-    /// Gate (or tape-op) evaluations performed during model training.
+    /// Combinational gate evaluations performed during model training.
     pub gates_evaluated: u64,
-    /// Tape ops skipped by the dirty-span bitmap (nonzero only under the
-    /// `Packed` strategy).
-    pub tape_ops_skipped: u64,
     /// Chip population of the associated Monte Carlo grid (0 = none run).
     pub mc_chips: usize,
     /// Mean live-lane occupancy of that grid's lane groups.
@@ -348,20 +336,13 @@ impl Report {
         match &self.bitparallel {
             Some(bp) => {
                 s.push_str(&format!(
-                    "\nbit-parallel: strategy {}, tape {} ops / {} slots, \
-                     {} lanes/word, cosim {} cycles, {} ops evaluated, \
-                     {} ops skipped",
-                    bp.strategy,
-                    bp.tape_ops,
-                    bp.tape_slots,
-                    bp.lane_width,
-                    bp.cosim_cycles,
-                    bp.gates_evaluated,
-                    bp.tape_ops_skipped,
+                    "\nbit-parallel: {} lanes/word, cosim {} cycles, \
+                     {} gates evaluated",
+                    bp.lane_width, bp.cosim_cycles, bp.gates_evaluated,
                 ));
                 // The lane-occupancy segment is always present so that line-
-                // oriented consumers see a fixed field set: scalar-strategy
-                // runs (no MC grid attached) report an explicit "n/a".
+                // oriented consumers see a fixed field set: runs without an
+                // MC grid attached report an explicit "n/a".
                 if bp.mc_chips > 0 {
                     s.push_str(&format!(
                         ", mc {} chips at {:.1}% lane occupancy",
@@ -431,28 +412,20 @@ impl Report {
             None => o.raw("dta_cache", "null"),
         }
         // The bit-parallel section always carries the full key set: a
-        // scalar-strategy run (or a hand-assembled report) gets zeroed
-        // counters and a 0.0 lane occupancy instead of missing keys.
+        // hand-assembled report gets zeroed counters and a 0.0 lane
+        // occupancy instead of missing keys.
         let zero = BitParallelStats {
-            strategy: "n/a".into(),
-            tape_ops: 0,
-            tape_slots: 0,
             lane_width: 0,
             cosim_cycles: 0,
             gates_evaluated: 0,
-            tape_ops_skipped: 0,
             mc_chips: 0,
             mc_lane_occupancy: 0.0,
         };
         let bp = self.bitparallel.as_ref().unwrap_or(&zero);
         let mut b = JsonObj::new();
-        b.str("strategy", &bp.strategy);
-        b.raw("tape_ops", &bp.tape_ops.to_string());
-        b.raw("tape_slots", &bp.tape_slots.to_string());
         b.raw("lane_width", &bp.lane_width.to_string());
         b.raw("cosim_cycles", &bp.cosim_cycles.to_string());
         b.raw("gates_evaluated", &bp.gates_evaluated.to_string());
-        b.raw("tape_ops_skipped", &bp.tape_ops_skipped.to_string());
         b.raw("mc_chips", &bp.mc_chips.to_string());
         b.f64(
             "mc_lane_occupancy",
@@ -579,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn perf_summary_reports_lane_occupancy_na_for_scalar_strategies() {
+    fn perf_summary_reports_lane_occupancy_na_without_mc_grid() {
         let e = estimate(1000.0, 0.05, 5e8);
         let r = Report {
             name: "scalar".into(),
@@ -591,13 +564,9 @@ mod tests {
             perf: TsPerformanceModel::paper_default(),
             dta_cache: None,
             bitparallel: Some(BitParallelStats {
-                strategy: "EventDriven".into(),
-                tape_ops: 5000,
-                tape_slots: 6000,
                 lane_width: 64,
                 cosim_cycles: 120,
                 gates_evaluated: 40_000,
-                tape_ops_skipped: 0,
                 mc_chips: 0,
                 mc_lane_occupancy: 1.0,
             }),
@@ -641,7 +610,7 @@ mod tests {
             "\"timings\"",
             "\"dta_cache\":null",
             "\"bitparallel\"",
-            "\"strategy\":\"n/a\"",
+            "\"lane_width\":0",
             "\"mc_chips\":0",
             "\"mc_lane_occupancy\":0.0",
         ] {
@@ -688,13 +657,9 @@ mod tests {
                 interner_hits: 12,
             }),
             bitparallel: Some(BitParallelStats {
-                strategy: "Packed".into(),
-                tape_ops: 5000,
-                tape_slots: 6000,
                 lane_width: 64,
                 cosim_cycles: 120,
                 gates_evaluated: 40_000,
-                tape_ops_skipped: 560_000,
                 mc_chips: 70,
                 mc_lane_occupancy: 70.0 / 128.0,
             }),
@@ -709,10 +674,8 @@ mod tests {
         assert!(summary.contains("2 evictions"));
         assert!(summary.contains("1 collisions"));
         assert!(summary.contains("75.0% hit rate"));
-        assert!(summary.contains("bit-parallel: strategy Packed"));
-        assert!(summary.contains("tape 5000 ops / 6000 slots"));
-        assert!(summary.contains("64 lanes/word"));
-        assert!(summary.contains("560000 ops skipped"));
+        assert!(summary.contains("bit-parallel: 64 lanes/word"));
+        assert!(summary.contains("cosim 120 cycles, 40000 gates evaluated"));
         assert!(summary.contains("mc 70 chips at 54.7% lane occupancy"));
         assert!(summary.contains("prescreen: 10/40 pairs pruned (25.0%)"));
     }

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use terse_isa::{BlockId, Cfg, Instruction, Opcode, Program};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
 use terse_netlist::ActivityTrace;
-use terse_netlist::SimStrategy;
 use terse_sim::cosim::{CoSim, CoSimTrace, CosimStats};
 use terse_sim::machine::Retired;
 use terse_sta::CanonicalRv;
@@ -134,15 +133,12 @@ pub fn characterize_control(
         engine,
         edges,
         operand_hint,
-        SimStrategy::default(),
         &mut stats,
     )
 }
 
-/// [`characterize_control`] with an explicit gate-evaluation strategy; the
-/// co-simulation work counters of every characterized edge are folded into
-/// `stats`. The produced table is bitwise identical for every strategy —
-/// only the simulation cost differs.
+/// [`characterize_control`], folding the co-simulation work counters of
+/// every characterized edge into `stats`.
 ///
 /// Edges are characterized in parallel, one edge per unit, on the calling
 /// thread's pool; the table, the counters and the reported error are the
@@ -151,9 +147,6 @@ pub fn characterize_control(
 /// # Errors
 ///
 /// Propagates co-simulation and DTA errors.
-// Mirrors `characterize_control`'s argument list plus the two knobs — a
-// config struct here would obscure the side-by-side delegation.
-#[allow(clippy::too_many_arguments)]
 pub fn characterize_control_with(
     pipeline: &PipelineNetlist,
     program: &Program,
@@ -161,7 +154,6 @@ pub fn characterize_control_with(
     engine: &DtsEngine<'_>,
     edges: &[(Option<BlockId>, BlockId)],
     operand_hint: &OperandHint,
-    strategy: SimStrategy,
     stats: &mut CosimStats,
 ) -> Result<ControlDtsTable> {
     // One unit per edge: its co-simulation (trace kept local to the task)
@@ -171,16 +163,7 @@ pub fn characterize_control_with(
     let units: Vec<(Vec<Option<CanonicalRv>>, CosimStats)> = edges
         .par_iter()
         .map(|&(pred, block)| {
-            characterize_edge(
-                pipeline,
-                program,
-                cfg,
-                engine,
-                pred,
-                block,
-                operand_hint,
-                strategy,
-            )
+            characterize_edge(pipeline, program, cfg, engine, pred, block, operand_hint)
         })
         .collect::<Result<_>>()?;
     let mut table = ControlDtsTable::default();
@@ -194,8 +177,6 @@ pub fn characterize_control_with(
 /// Characterizes one `(pred, block)` edge: co-simulates up to
 /// `STAGE_COUNT` tail instructions of the predecessor followed by the block
 /// and the drain, then records each block instruction's control DTS.
-// The shared training context plus the edge; see `characterize_control_with`.
-#[allow(clippy::too_many_arguments)]
 fn characterize_edge(
     pipeline: &PipelineNetlist,
     program: &Program,
@@ -204,7 +185,6 @@ fn characterize_edge(
     pred: Option<BlockId>,
     block: BlockId,
     operand_hint: &OperandHint,
-    strategy: SimStrategy,
 ) -> Result<(Vec<Option<CanonicalRv>>, CosimStats)> {
     let blk = cfg.blocks()[block.index()];
     // Build the instruction stream: up to STAGE_COUNT tail instructions
@@ -233,7 +213,7 @@ fn characterize_edge(
         })
         .collect();
     // Co-simulate the stream plus drain.
-    let mut cosim = CoSim::with_strategy(pipeline, strategy);
+    let mut cosim = CoSim::new(pipeline);
     let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
     let mut fed = Vec::new();
     for r in &retired {

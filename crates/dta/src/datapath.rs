@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use terse_isa::{Instruction, Opcode};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
 use terse_netlist::ActivityTrace;
-use terse_netlist::SimStrategy;
 use terse_sim::cosim::{CoSim, CoSimTrace, CosimStats};
 use terse_sim::features::InstFeatures;
 use terse_sim::machine::Retired;
@@ -104,12 +103,11 @@ impl DatapathModel {
     /// Propagates co-simulation and DTA errors.
     pub fn train(pipeline: &PipelineNetlist, engine: &DtsEngine<'_>) -> Result<Self> {
         let mut stats = CosimStats::default();
-        Self::train_with(pipeline, engine, SimStrategy::default(), &mut stats)
+        Self::train_with(pipeline, engine, &mut stats)
     }
 
-    /// [`DatapathModel::train`] with an explicit gate-evaluation strategy;
-    /// the directed-sequence co-simulation work counters are folded into
-    /// `stats`. The trained model is bitwise identical for every strategy.
+    /// [`DatapathModel::train`], folding the directed-sequence
+    /// co-simulation work counters into `stats`.
     ///
     /// The 44 directed sequences (4 units × 11 feature levels) are measured
     /// in parallel on the calling thread's pool; the model, the counters
@@ -121,7 +119,6 @@ impl DatapathModel {
     pub fn train_with(
         pipeline: &PipelineNetlist,
         engine: &DtsEngine<'_>,
-        strategy: SimStrategy,
         stats: &mut CosimStats,
     ) -> Result<Self> {
         // Top carry level is 30, not 31: the 31-chain training vector
@@ -143,7 +140,7 @@ impl DatapathModel {
             .map(|i| {
                 let (unit, opcode) = UNITS[i / LEVELS.len()];
                 let (a, b) = training_operands(unit, LEVELS[i % LEVELS.len()]);
-                measure_data_dts(pipeline, engine, opcode, a, b, strategy)
+                measure_data_dts(pipeline, engine, opcode, a, b)
             })
             .collect::<Result<_>>()?;
         let mut table: HashMap<FuncUnit, Vec<(u8, CanonicalRv)>> = HashMap::new();
@@ -287,7 +284,6 @@ fn measure_data_dts(
     opcode: Opcode,
     a: u32,
     b: u32,
-    strategy: SimStrategy,
 ) -> Result<(Option<CanonicalRv>, CosimStats)> {
     let target = match opcode {
         o if o.is_rtype() => Instruction::rtype(o, 3, 1, 2),
@@ -323,7 +319,7 @@ fn measure_data_dts(
     for i in 4..6u32 {
         stream.push(mk_nop(i));
     }
-    let mut cosim = CoSim::with_strategy(pipeline, strategy);
+    let mut cosim = CoSim::new(pipeline);
     let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
     let mut fed = Vec::new();
     for r in &stream {

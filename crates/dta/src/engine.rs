@@ -42,16 +42,9 @@ impl EndpointFilter {
 /// How the most-critical activated path of an endpoint is found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DtaMode {
-    /// The paper's literal Algorithm 1 loop: pop paths of `P(e_i)` in
-    /// decreasing criticality, test activation of every gate, stop at the
-    /// first activated path. `max_pops` bounds the pathological case; on
-    /// exhaustion the engine falls back to the subgraph DP.
-    FaithfulPeeling {
-        /// Maximum criticality-ordered paths examined per endpoint.
-        max_pops: usize,
-    },
-    /// Enumerate *within* the activated subgraph (identical result, never
-    /// examines non-activated paths) and keep the `candidates` most
+    /// Enumerate *within* the activated subgraph — the same most-critical
+    /// activated path the paper's literal path-peeling loop finds, without
+    /// examining non-activated paths — and keep the `candidates` most
     /// critical activated paths so the SSTA percentile re-ranking
     /// (Section 3's two-pass rule) can pick both the 1st- and
     /// 99th-percentile winners.
@@ -208,25 +201,6 @@ impl<'n> DtsEngine<'n> {
     /// `candidates − 1` runner-ups in `RestrictedSearch` mode.
     fn activated_candidates(&self, e: terse_netlist::GateId, vcd: &BitSet) -> Result<Vec<Path>> {
         match self.mode {
-            DtaMode::FaithfulPeeling { max_pops } => {
-                // Algorithm 1 lines 5–20, literally: CP pops paths in
-                // decreasing criticality over the *whole* path set; the
-                // while-loop tests each for activation.
-                let mut popped = 0usize;
-                for p in PathEnumerator::new(&self.sta, e)? {
-                    popped += 1;
-                    if p.is_activated(vcd) {
-                        return Ok(vec![p]);
-                    }
-                    if popped >= max_pops {
-                        // Fallback: the DP gives the exact same answer.
-                        return Ok(longest_activated_path(&self.sta, e, vcd)?
-                            .into_iter()
-                            .collect());
-                    }
-                }
-                Ok(Vec::new())
-            }
             DtaMode::RestrictedSearch { candidates } => {
                 Ok(PathEnumerator::restricted(&self.sta, e, vcd)?
                     .take(candidates.max(1))
@@ -515,7 +489,6 @@ mod tests {
             "li r1, 0xFFFFFF\nadd r2, r1, r1\nmul r3, r1, r1\nhalt\n",
         );
         let modes = [
-            DtaMode::FaithfulPeeling { max_pops: 50_000 },
             DtaMode::RestrictedSearch { candidates: 1 },
             DtaMode::ActivatedSubgraph,
         ];
@@ -527,10 +500,9 @@ mod tests {
             let dts = eng.stage_dts(3, vcd, EndpointFilter::All).unwrap();
             means.push(dts.expect("EX active").mean());
         }
-        // With a single candidate each, all three modes find the same most
+        // With a single candidate each, both modes find the same most
         // critical activated path per endpoint.
         assert!((means[0] - means[1]).abs() < 1e-6, "{means:?}");
-        assert!((means[1] - means[2]).abs() < 1e-6, "{means:?}");
     }
 
     #[test]
@@ -683,7 +655,6 @@ mod tests {
             "li r1, 0xF0F0\nli r2, 0x0F0F\nadd r3, r1, r2\nxor r4, r3, r1\nhalt\n",
         );
         for mode in [
-            DtaMode::FaithfulPeeling { max_pops: 2000 },
             DtaMode::RestrictedSearch { candidates: 4 },
             DtaMode::ActivatedSubgraph,
         ] {

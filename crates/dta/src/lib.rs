@@ -5,11 +5,12 @@
 //! * [`engine`] — **Algorithm 1** (dynamic timing slack of a pipeline stage
 //!   at a clock cycle, as the statistical minimum of the slacks of the most
 //!   critical *activated* paths) and **Algorithm 2** (instruction DTS as
-//!   the minimum over the stages the instruction traverses). Three
-//!   activation-search modes are provided: the paper's literal
-//!   path-peeling loop, a search restricted to the activated subgraph, and
-//!   a direct longest-activated-path dynamic program — compared in the
-//!   `ablation_dta` bench.
+//!   the minimum over the stages the instruction traverses). Two
+//!   activation-search modes are provided: a search restricted to the
+//!   activated subgraph (the default, which keeps runner-up candidates for
+//!   the percentile re-ranking) and a direct longest-activated-path dynamic
+//!   program. Both find the path the paper's literal path-peeling loop
+//!   finds; the `dta_modes` bench times them against that loop.
 //! * [`control`] — **control-network DTS characterization**: per basic
 //!   block and per incoming CFG edge, the control-endpoint DTS of every
 //!   instruction, computed once at training time (Section 4's key

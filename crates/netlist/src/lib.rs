@@ -66,11 +66,9 @@ pub mod circuits;
 pub mod consts;
 pub mod gate;
 pub mod netlist;
-pub mod packed;
 pub mod pipeline;
 pub mod signature;
 pub mod sim;
-pub mod tape;
 
 pub use activity::ActivityTrace;
 pub use bitset::BitSet;
@@ -78,10 +76,8 @@ pub use builder::NetlistBuilder;
 pub use consts::{eval_with, stable_values, stable_values_with, Tri, ValueConstraints};
 pub use gate::{GateId, GateKind};
 pub use netlist::{EndpointClass, Netlist};
-pub use packed::PackedSimulator;
 pub use pipeline::{PipelineConfig, PipelineNetlist};
-pub use sim::{SimStrategy, Simulator};
-pub use tape::{CompiledTape, Op, OpKind};
+pub use sim::Simulator;
 
 use std::fmt;
 

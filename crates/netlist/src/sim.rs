@@ -12,33 +12,6 @@ use crate::activity::ActivityTrace;
 use crate::bitset::BitSet;
 use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
-use crate::packed::PackedSimulator;
-
-/// How [`Simulator::step`] propagates values through combinational logic.
-///
-/// All four strategies produce bit-identical activation sets and values;
-/// they differ only in how much work each cycle costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimStrategy {
-    /// Dirty-set worklist propagation: only gates whose fan-in toggled this
-    /// cycle are re-evaluated, in topological order. Produces bit-identical
-    /// activation sets to [`SimStrategy::FullScan`] (a gate whose inputs did
-    /// not change cannot change output), at a fraction of the per-cycle work
-    /// on real programs, whose toggle activity is sparse.
-    #[default]
-    EventDriven,
-    /// Re-evaluate every combinational gate every cycle — the reference
-    /// semantics. Kept for differential testing and benchmarking.
-    FullScan,
-    /// Execute the pre-compiled flat op tape end to end every cycle
-    /// ([`crate::tape::CompiledTape`]): full-scan semantics with no per-gate
-    /// `GateKind` dispatch and no fan-in `Vec` chasing.
-    CompiledTape,
-    /// The bit-parallel backend ([`PackedSimulator`], here with one live
-    /// lane): compiled tape plus event-driven dirty-span skipping — the
-    /// fastest single-instance mode.
-    Packed,
-}
 
 /// A cycle-accurate simulator over a [`Netlist`].
 ///
@@ -79,7 +52,6 @@ pub struct Simulator<'n> {
     /// Pending forced Q overrides (consumed at the next edge).
     forced: Vec<Option<bool>>,
     cycle: u64,
-    strategy: SimStrategy,
     /// Topological position of each combinational gate (`u32::MAX` for
     /// sources and flip-flops, which never appear on the worklist).
     topo_pos: Vec<u32>,
@@ -98,26 +70,11 @@ pub struct Simulator<'n> {
     settled: bool,
     /// Cumulative number of combinational gate evaluations performed.
     evaluated: u64,
-    /// Cumulative number of compiled-tape ops skipped by the dirty-span
-    /// bitmap (0 under scalar strategies and full tape sweeps).
-    tape_skipped: u64,
-    /// Lazily built single-lane packed core backing the
-    /// [`SimStrategy::CompiledTape`] and [`SimStrategy::Packed`] strategies.
-    /// `None` while a scalar strategy is active (or before the first tape
-    /// step); `values` is kept in sync after every tape step so `value()`
-    /// and strategy switches stay sound.
-    packed: Option<Box<PackedSimulator<'n>>>,
 }
 
 impl<'n> Simulator<'n> {
-    /// Creates a simulator with all nets initially low, using the default
-    /// [`SimStrategy::EventDriven`] propagation.
+    /// Creates a simulator with all nets initially low.
     pub fn new(netlist: &'n Netlist) -> Self {
-        Self::with_strategy(netlist, SimStrategy::default())
-    }
-
-    /// Creates a simulator with an explicit propagation strategy.
-    pub fn with_strategy(netlist: &'n Netlist, strategy: SimStrategy) -> Self {
         let n = netlist.gate_count();
         let mut topo_pos = vec![u32::MAX; n];
         for (pos, &g) in netlist.topo_order().iter().enumerate() {
@@ -139,15 +96,12 @@ impl<'n> Simulator<'n> {
             ff_next: vec![false; n],
             forced: vec![None; n],
             cycle: 0,
-            strategy,
             topo_pos,
             dirty_pos: vec![0u64; netlist.topo_order().len().div_ceil(64)],
             seq,
             ffs,
             settled: false,
             evaluated: 0,
-            tape_skipped: 0,
-            packed: None,
         };
         // Constants drive their value from time zero.
         for id in netlist.gate_ids() {
@@ -158,37 +112,10 @@ impl<'n> Simulator<'n> {
         sim
     }
 
-    /// The propagation strategy in use.
-    pub fn strategy(&self) -> SimStrategy {
-        self.strategy
-    }
-
-    /// Switches the propagation strategy. Safe at any cycle boundary: the
-    /// first event-driven step after construction performs one full sweep to
-    /// settle initial values, after which all strategies maintain the same
-    /// state invariants. Switching between the scalar and tape-backed
-    /// strategies transfers the simulation state across representations.
-    pub fn set_strategy(&mut self, strategy: SimStrategy) {
-        // If a packed core is live, fold its state back into the scalar
-        // mirror and drop it; the next tape-strategy step rebuilds it from
-        // there. (Scalar-to-scalar switches find no core — a no-op.)
-        if let Some(core) = self.packed.take() {
-            self.settled = core.to_scalar_state(&mut self.values, &mut self.ff_next);
-        }
-        self.strategy = strategy;
-    }
-
-    /// Cumulative number of combinational gate evaluations across all steps —
-    /// the work metric the event-driven strategy reduces.
+    /// Cumulative number of combinational gate evaluations across all steps
+    /// — the work metric event-driven propagation reduces.
     pub fn gates_evaluated(&self) -> u64 {
         self.evaluated
-    }
-
-    /// Cumulative number of compiled-tape ops the dirty-span bitmap skipped
-    /// — nonzero only under [`SimStrategy::Packed`]; the full-sweep
-    /// [`SimStrategy::CompiledTape`] and the scalar strategies never skip.
-    pub fn tape_ops_skipped(&self) -> u64 {
-        self.tape_skipped
     }
 
     /// The netlist under simulation.
@@ -288,64 +215,6 @@ impl<'n> Simulator<'n> {
         Ok(())
     }
 
-    /// Advances one clock cycle and returns the activation set `VCD(t)`:
-    /// every gate (including endpoints) whose output changed this cycle.
-    ///
-    /// Both strategies produce bit-identical activation sets; see
-    /// [`SimStrategy`].
-    pub fn step(&mut self) -> BitSet {
-        match self.strategy {
-            SimStrategy::FullScan => self.step_full(),
-            SimStrategy::EventDriven => self.step_event(),
-            SimStrategy::CompiledTape => self.step_tape(false),
-            SimStrategy::Packed => self.step_tape(true),
-        }
-    }
-
-    /// Tape-backed step: delegate to a single-lane [`PackedSimulator`]
-    /// (built lazily from the current scalar state), then mirror toggled
-    /// values back so `value()`/`bus_value()` and strategy switches stay
-    /// consistent.
-    fn step_tape(&mut self, event_driven: bool) -> BitSet {
-        if self.packed.is_none() {
-            self.packed = Some(Box::new(PackedSimulator::from_scalar_state(
-                self.netlist,
-                event_driven,
-                &self.values,
-                &self.ff_next,
-                self.settled,
-            )));
-        }
-        let mut activated = BitSet::new(self.netlist.gate_count());
-        if let Some(core) = self.packed.as_mut() {
-            // Hand pending forces/inputs to the core's lane 0.
-            for k in 0..self.seq.len() {
-                let id = self.seq[k];
-                if let Some(v) = self.forced[id.index()].take() {
-                    if self.netlist.kind(id) == GateKind::FlipFlop {
-                        core.force_ff(id, 0, v);
-                    } else {
-                        core.set_input(id, 0, v);
-                    }
-                }
-            }
-            let ops_before = core.ops_executed();
-            let skipped_before = core.ops_skipped();
-            core.step();
-            self.evaluated += core.ops_executed() - ops_before;
-            self.tape_skipped += core.ops_skipped() - skipped_before;
-            for &s in core.touched_slots() {
-                let i = s as usize;
-                if core.toggle_word(GateId::from_index(i)) & 1 == 1 {
-                    activated.insert(i);
-                    self.values[i] = core.value_word(GateId::from_index(i)) & 1 == 1;
-                }
-            }
-        }
-        self.cycle += 1;
-        activated
-    }
-
     /// Clock edge: flip-flop Q outputs update (captured D or forced), primary
     /// inputs take their driven values. Toggled sources are recorded in
     /// `activated` and returned for dirty-marking.
@@ -371,7 +240,7 @@ impl<'n> Simulator<'n> {
         toggled
     }
 
-    /// Re-captures every flip-flop's D pin — the reference phase-3 semantics.
+    /// Re-captures every flip-flop's D pin.
     /// (`Netlist::validate` rejects unconnected flip-flops, so every entry in
     /// `ffs` has a driver.)
     fn capture_all(&mut self) {
@@ -381,33 +250,6 @@ impl<'n> Simulator<'n> {
                 self.ff_next[i] = self.values[d.index()];
             }
         }
-    }
-
-    /// Reference full-scan step: evaluate every combinational gate in
-    /// topological order, then re-capture every D pin.
-    fn step_full(&mut self) -> BitSet {
-        let n = self.netlist.gate_count();
-        let mut activated = BitSet::new(n);
-        self.clock_edge(&mut activated);
-        // Combinational propagation in topological order.
-        let mut inbuf = [false; 3];
-        for &g in self.netlist.topo_order() {
-            let gi = g.index();
-            let fanin = self.netlist.fanin(g);
-            for (slot, f) in inbuf.iter_mut().zip(fanin) {
-                *slot = self.values[f.index()];
-            }
-            self.evaluated += 1;
-            let new = self.netlist.kind(g).eval(&inbuf[..fanin.len()]);
-            if new != self.values[gi] {
-                activated.insert(gi);
-                self.values[gi] = new;
-            }
-        }
-        self.capture_all();
-        self.settled = true;
-        self.cycle += 1;
-        activated
     }
 
     /// Marks the combinational fanout of a toggled gate dirty and forwards
@@ -428,13 +270,18 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Event-driven step. The very first step performs one full sweep (the
-    /// all-low initial state is not a fixed point of the netlist functions —
-    /// e.g. `NAND(0,0) = 1` — and the reference records that settlement as
-    /// cycle-1 activity); afterwards only gates downstream of an actual
-    /// toggle are re-evaluated, which provably yields the same activation
-    /// sets: a gate none of whose fan-ins changed cannot change output.
-    fn step_event(&mut self) -> BitSet {
+    /// Advances one clock cycle and returns the activation set `VCD(t)`:
+    /// every gate (including endpoints) whose output changed this cycle.
+    ///
+    /// Propagation is event-driven. The very first step performs one full
+    /// sweep (the all-low initial state is not a fixed point of the netlist
+    /// functions — e.g. `NAND(0,0) = 1` — and full-scan semantics record
+    /// that settlement as cycle-1 activity); afterwards only gates
+    /// downstream of an actual toggle are re-evaluated, which yields the
+    /// same activation sets as re-evaluating every gate every cycle: a gate
+    /// none of whose fan-ins changed cannot change output. The full-scan
+    /// reference lives in the oracle crate's differential suites.
+    pub fn step(&mut self) -> BitSet {
         let n = self.netlist.gate_count();
         let mut activated = BitSet::new(n);
         let toggled = self.clock_edge(&mut activated);
@@ -599,151 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_matches_full_scan_on_counter() {
-        let n = counter();
-        let mut full = Simulator::with_strategy(&n, SimStrategy::FullScan);
-        let mut event = Simulator::with_strategy(&n, SimStrategy::EventDriven);
-        for cycle in 0..16 {
-            let af = full.step();
-            let ae = event.step();
-            assert_eq!(af, ae, "activation sets diverged at cycle {cycle}");
-            for g in n.gate_ids() {
-                assert_eq!(full.value(g), event.value(g), "values diverged at {cycle}");
-            }
-        }
-        // Event-driven does strictly less evaluation work after settling.
-        assert!(event.gates_evaluated() <= full.gates_evaluated());
-    }
-
-    #[test]
-    fn event_driven_matches_full_scan_with_inputs_and_forcing() {
-        let mut b = NetlistBuilder::new(1);
-        let xs = b.input_bus("x", 4, 0).unwrap();
-        let ff = b.flip_flop("q", EndpointClass::Data, 0).unwrap();
-        let ctl = b.flip_flop("c", EndpointClass::Control, 0).unwrap();
-        let x01 = b.gate(GateKind::Nand, &[xs[0], xs[1]], 0).unwrap();
-        let x23 = b.gate(GateKind::Xor, &[xs[2], xs[3]], 0).unwrap();
-        let mix = b.gate(GateKind::Or, &[x01, ctl], 0).unwrap();
-        let out = b.gate(GateKind::And, &[mix, x23], 0).unwrap();
-        b.connect_ff_input(ff, out).unwrap();
-        b.connect_ff_input(ctl, x01).unwrap();
-        let n = b.finish().unwrap();
-
-        let mut full = Simulator::with_strategy(&n, SimStrategy::FullScan);
-        let mut event = Simulator::with_strategy(&n, SimStrategy::EventDriven);
-        // Deterministic pseudo-random stimulus, including forced banks.
-        let mut state = 0x1234_5678_u64;
-        for cycle in 0..64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let v = state >> 33;
-            full.set_input_bus("x", v & 0xF).unwrap();
-            event.set_input_bus("x", v & 0xF).unwrap();
-            if v & 0x10 != 0 {
-                full.force_ff(ff, v & 0x20 != 0);
-                event.force_ff(ff, v & 0x20 != 0);
-            }
-            let af = full.step();
-            let ae = event.step();
-            assert_eq!(af, ae, "activation sets diverged at cycle {cycle}");
-        }
-        assert!(event.gates_evaluated() < full.gates_evaluated());
-    }
-
-    const ALL_STRATEGIES: [SimStrategy; 4] = [
-        SimStrategy::FullScan,
-        SimStrategy::EventDriven,
-        SimStrategy::CompiledTape,
-        SimStrategy::Packed,
-    ];
-
-    #[test]
-    fn all_strategies_agree_under_random_stimulus() {
-        let mut b = NetlistBuilder::new(1);
-        let xs = b.input_bus("x", 4, 0).unwrap();
-        let ff = b.flip_flop("q", EndpointClass::Data, 0).unwrap();
-        let ctl = b.flip_flop("c", EndpointClass::Control, 0).unwrap();
-        let x01 = b.gate(GateKind::Nand, &[xs[0], xs[1]], 0).unwrap();
-        let x23 = b.gate(GateKind::Xor, &[xs[2], xs[3]], 0).unwrap();
-        let sel = b.gate(GateKind::Mux, &[ctl, x01, x23], 0).unwrap();
-        let out = b.gate(GateKind::And, &[sel, x23], 0).unwrap();
-        b.connect_ff_input(ff, out).unwrap();
-        b.connect_ff_input(ctl, x01).unwrap();
-        let n = b.finish().unwrap();
-
-        let mut sims: Vec<Simulator> = ALL_STRATEGIES
-            .iter()
-            .map(|&s| Simulator::with_strategy(&n, s))
-            .collect();
-        let mut state = 0x0DDB_1A5E_u64;
-        for cycle in 0..64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let v = state >> 33;
-            for sim in &mut sims {
-                sim.set_input_bus("x", v & 0xF).unwrap();
-                if v & 0x10 != 0 {
-                    sim.force_ff(ff, v & 0x20 != 0);
-                }
-            }
-            let acts: Vec<BitSet> = sims.iter_mut().map(Simulator::step).collect();
-            for (k, a) in acts.iter().enumerate().skip(1) {
-                assert_eq!(
-                    *a, acts[0],
-                    "{:?} diverged from FullScan at cycle {cycle}",
-                    ALL_STRATEGIES[k]
-                );
-            }
-            for g in n.gate_ids() {
-                for (k, sim) in sims.iter().enumerate().skip(1) {
-                    assert_eq!(
-                        sim.value(g),
-                        sims[0].value(g),
-                        "{:?} value diverged at cycle {cycle}",
-                        ALL_STRATEGIES[k]
-                    );
-                }
-            }
-        }
-        // Tape full sweep does exactly FullScan's evaluation count; the
-        // packed event mode does no more than the tape sweep.
-        assert_eq!(sims[2].gates_evaluated(), sims[0].gates_evaluated());
-        assert!(sims[3].gates_evaluated() <= sims[2].gates_evaluated());
-    }
-
-    #[test]
-    fn strategy_switch_into_and_out_of_tape_preserves_state() {
-        let n = counter();
-        let mut reference = Simulator::with_strategy(&n, SimStrategy::FullScan);
-        let mut switching = Simulator::with_strategy(&n, SimStrategy::EventDriven);
-        let schedule = [
-            SimStrategy::EventDriven,
-            SimStrategy::Packed,
-            SimStrategy::Packed,
-            SimStrategy::CompiledTape,
-            SimStrategy::FullScan,
-            SimStrategy::Packed,
-            SimStrategy::EventDriven,
-            SimStrategy::CompiledTape,
-        ];
-        for (cycle, &s) in schedule.iter().enumerate() {
-            switching.set_strategy(s);
-            let act_ref = reference.step();
-            let act_sw = switching.step();
-            assert_eq!(
-                act_ref, act_sw,
-                "activation diverged at cycle {cycle} ({s:?})"
-            );
-            assert_eq!(
-                reference.bus_value("count").unwrap(),
-                switching.bus_value("count").unwrap(),
-                "count diverged at cycle {cycle} ({s:?})"
-            );
-        }
-    }
-
-    #[test]
     fn first_event_step_settles_constants() {
-        // NAND of all-low inputs is 1: the reference full scan records that
-        // settlement toggle in cycle 1, so event-driven must too.
+        // NAND of all-low inputs is 1: full-scan semantics record that
+        // settlement toggle in cycle 1, so the event-driven step must too.
         let mut b = NetlistBuilder::new(1);
         let x = b.input("x", 0).unwrap();
         let one = b.tie(true, 0).unwrap();
@@ -751,13 +456,17 @@ mod tests {
         let ff = b.flip_flop("q", EndpointClass::Control, 0).unwrap();
         b.connect_ff_input(ff, g).unwrap();
         let n = b.finish().unwrap();
-        let mut full = Simulator::with_strategy(&n, SimStrategy::FullScan);
-        let mut event = Simulator::with_strategy(&n, SimStrategy::EventDriven);
-        for _ in 0..4 {
-            assert_eq!(full.step(), event.step());
-            assert_eq!(full.value(ff), event.value(ff));
+        let mut sim = Simulator::new(&n);
+        let first = sim.step();
+        assert!(first.contains(g.index()), "settlement toggle in cycle 1");
+        assert!(!first.contains(ff.index()));
+        let second = sim.step();
+        assert!(second.contains(ff.index()), "Q captures the settled D");
+        assert!(!second.contains(g.index()));
+        for _ in 0..2 {
+            assert!(sim.step().is_empty(), "a settled netlist is quiescent");
         }
-        assert!(event.value(ff)); // captured NAND(0,1)=1 through the tie path
+        assert!(sim.value(ff)); // captured NAND(0,1)=1 through the tie path
     }
 
     #[test]

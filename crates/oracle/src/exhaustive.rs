@@ -23,8 +23,8 @@ use terse_sta::CanonicalRv;
 pub enum CandidatePolicy {
     /// Every activated path (the `RestrictedSearch` limit as candidates → ∞).
     All,
-    /// Only the single most critical activated path (what `FaithfulPeeling`
-    /// and `ActivatedSubgraph` produce).
+    /// Only the single most critical activated path (what
+    /// `ActivatedSubgraph` and the paper's path-peeling loop produce).
     MostCritical,
 }
 

@@ -178,91 +178,6 @@ pub fn random_netlist_with_defect(seed: u64, gates: usize, defect: NetlistDefect
     b.finish_unchecked()
 }
 
-/// A compiled-op-tape defect class for static-analyzer fixtures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TapeDefect {
-    /// An op reading a combinational slot no earlier op has written.
-    ReadBeforeWrite,
-    /// Two ops writing the same destination slot.
-    SlotAliasing,
-    /// A source slot index beyond the slab.
-    OutOfRange,
-    /// An op clobbering a clock-edge-owned (external) slot.
-    ExternalClobber,
-}
-
-impl TapeDefect {
-    /// All defect classes, for exhaustive fixture sweeps.
-    pub const ALL: [TapeDefect; 4] = [
-        TapeDefect::ReadBeforeWrite,
-        TapeDefect::SlotAliasing,
-        TapeDefect::OutOfRange,
-        TapeDefect::ExternalClobber,
-    ];
-
-    /// The diagnostic code `terse-analyze` must report for this defect.
-    pub fn expected_code(self) -> &'static str {
-        match self {
-            TapeDefect::ReadBeforeWrite => "TP001",
-            TapeDefect::SlotAliasing => "TP002",
-            TapeDefect::OutOfRange => "TP003",
-            TapeDefect::ExternalClobber => "TP004",
-        }
-    }
-}
-
-/// The compiled op tape of a [`random_netlist`] — the valid artifact for
-/// the tape static-analysis pass (the compiler upholds write-before-read
-/// and single-writer order by construction).
-///
-/// # Panics
-///
-/// Panics if `gates == 0`.
-pub fn random_tape(seed: u64, gates: usize) -> terse_netlist::tape::CompiledTape {
-    terse_netlist::tape::CompiledTape::compile(&random_netlist(seed, gates))
-}
-
-/// A [`random_tape`] corrupted with one defect class and reassembled
-/// through `from_raw_ops` (the unchecked importer path — the compiler can
-/// never emit these shapes).
-///
-/// # Panics
-///
-/// Panics if `gates == 0`.
-pub fn random_tape_with_defect(
-    seed: u64,
-    gates: usize,
-    defect: TapeDefect,
-) -> terse_netlist::tape::CompiledTape {
-    let tape = random_tape(seed, gates);
-    let slots = tape.slot_count();
-    let externals: Vec<u32> = (0..slots).filter(|&s| tape.is_external(s)).collect();
-    let mut ops = tape.ops().to_vec();
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x7A9E);
-    let pick = rng.next_below(ops.len() as u64) as usize;
-    match defect {
-        TapeDefect::ReadBeforeWrite => {
-            // Read the last op's destination: written at a position >= the
-            // victim's own, so the forward sweep sees a use-before-def.
-            let late = ops[ops.len() - 1].dst;
-            ops[pick].src[0] = late;
-        }
-        TapeDefect::SlotAliasing => {
-            // A duplicated op is a second writer of the same slot.
-            let dup = ops[pick];
-            ops.push(dup);
-        }
-        TapeDefect::OutOfRange => {
-            ops[pick].src[0] = slots + 1 + rng.next_below(7) as u32;
-        }
-        TapeDefect::ExternalClobber => {
-            let e = externals[rng.next_below(externals.len() as u64) as usize];
-            ops[pick].dst = e;
-        }
-    }
-    terse_netlist::tape::CompiledTape::from_raw_ops(ops, slots, &externals)
-}
-
 /// A random activation set: each gate is independently activated with
 /// probability `density`. Unrealizable activation patterns are *on purpose*
 /// — the DTA engine must handle any `VCD(t)` bit set, and arbitrary subsets

@@ -25,6 +25,9 @@
 //! * [`mc`] — probability-chain oracles: exact dynamic propagation of the
 //!   Bernoulli error chain over a concrete trace, plus its Monte Carlo
 //!   counterpart, for checking `errmodel`'s marginal solver.
+//! * [`sim`] — the full-scan gate-level simulator: every gate evaluated
+//!   every cycle — the reference the event-driven
+//!   `terse_netlist::sim::Simulator` is diffed against.
 //! * [`statmin`] — the greedy most-correlated-pair-first statistical min
 //!   that rescans every pair on every round: the reference the
 //!   incremental-matrix greedy of `terse_sta::statmin` is diffed against.
@@ -36,4 +39,5 @@ pub mod exhaustive;
 pub mod gen;
 pub mod grid;
 pub mod mc;
+pub mod sim;
 pub mod statmin;

@@ -1,7 +1,8 @@
 //! Differential suite for the incremental-DTA layer: the memoized engine and
-//! the event-driven simulator against their exhaustive counterparts.
+//! the event-driven simulator against their exhaustive counterparts (the
+//! uncached engine, and the full-scan reference [`oracle::sim::FullScan`]).
 //!
-//! The memo cache and the event-driven evaluation strategy are *exact*
+//! The memo cache and event-driven gate evaluation are *exact*
 //! optimizations — not approximations — so every property here demands
 //! **bitwise** agreement (`f64::to_bits` on means, variances and every
 //! sensitivity coefficient; `BitSet` equality on toggle sets), not epsilon
@@ -12,10 +13,12 @@
 use std::sync::Arc;
 
 use oracle::gen;
+use oracle::sim::FullScan;
 use proptest::prelude::*;
 use terse_dta::{DtaMode, DtsCache, DtsEngine, EndpointFilter};
-use terse_netlist::sim::{SimStrategy, Simulator};
-use terse_netlist::{BitSet, GateKind, Netlist};
+use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
+use terse_netlist::sim::Simulator;
+use terse_netlist::{BitSet, GateId, GateKind, Netlist};
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
 use terse_sta::statmin::MinOrdering;
@@ -39,14 +42,14 @@ fn engine<'n>(netlist: &'n Netlist, seed: u64, t_clk: f64, mode: DtaMode) -> Dts
     .expect("valid engine inputs")
 }
 
-/// All three Algorithm-1 variants, with effectively unbounded budgets so the
-/// cached/uncached comparison is over the full search, not a truncation.
-const MODES: [DtaMode; 3] = [
+/// Both Algorithm-1 variants, with an effectively unbounded candidate budget
+/// so the cached/uncached comparison is over the full search, not a
+/// truncation.
+const MODES: [DtaMode; 2] = [
     DtaMode::RestrictedSearch {
         candidates: 1 << 20,
     },
     DtaMode::ActivatedSubgraph,
-    DtaMode::FaithfulPeeling { max_pops: 1 << 20 },
 ];
 
 const FILTERS: [EndpointFilter; 3] = [
@@ -133,7 +136,7 @@ proptest! {
         let n = gen::random_netlist(seed, gates);
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
         let vcds = vcd_pool(&n, seed, density);
-        let mode = MODES[(seed % 3) as usize];
+        let mode = MODES[(seed % MODES.len() as u64) as usize];
         let plain = engine(&n, seed ^ 0xCA11, t, mode);
         let mut cached = engine(&n, seed ^ 0xCA11, t, mode);
         let cache = Arc::new(DtsCache::new(1));
@@ -166,7 +169,7 @@ proptest! {
         let n = gen::random_netlist(seed, gates);
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
         let vcds = vcd_pool(&n, seed, density);
-        let mode = MODES[(seed % 3) as usize];
+        let mode = MODES[(seed % MODES.len() as u64) as usize];
         let plain = engine(&n, seed ^ 0xC0DE, t, mode);
         let mut cached = engine(&n, seed ^ 0xC0DE, t, mode);
         let cache = Arc::new(DtsCache::with_signature_mask(64, 0));
@@ -186,9 +189,10 @@ proptest! {
         }
     }
 
-    /// The event-driven simulator produces exactly the full-scan toggle sets
-    /// and gate values, cycle for cycle, on random netlists under random
-    /// input/flip-flop stimulus — while evaluating no more gates.
+    /// The event-driven simulator produces exactly the full-scan reference's
+    /// toggle sets and gate values, cycle for cycle, on random netlists
+    /// under random input/flip-flop stimulus — while evaluating no more
+    /// gates.
     #[test]
     fn event_driven_simulator_matches_full_scan(
         seed in 0u64..1_000_000,
@@ -196,8 +200,8 @@ proptest! {
         cycles in 2usize..12,
     ) {
         let n = gen::random_netlist(seed, gates);
-        let mut full = Simulator::with_strategy(&n, SimStrategy::FullScan);
-        let mut event = Simulator::with_strategy(&n, SimStrategy::EventDriven);
+        let mut full = FullScan::new(&n);
+        let mut event = Simulator::new(&n);
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x51u64);
         for cycle in 0..cycles {
             for g in n.gate_ids() {
@@ -234,4 +238,103 @@ proptest! {
             full.gates_evaluated()
         );
     }
+}
+
+/// Steps both simulators, checks the activation sets and every gate value,
+/// and returns the activation set.
+fn step_both(
+    full: &mut FullScan<'_>,
+    event: &mut Simulator<'_>,
+    n: &Netlist,
+    cycle: usize,
+) -> BitSet {
+    let af = full.step();
+    let ae = event.step();
+    assert_eq!(af, ae, "activation sets diverged at cycle {cycle}");
+    for g in n.gate_ids() {
+        assert_eq!(
+            full.value(g),
+            event.value(g),
+            "value of {g:?} diverged at cycle {cycle}"
+        );
+    }
+    ae
+}
+
+/// The pipeline netlist under co-simulation-shaped stimulus: every cycle a
+/// random subset of flip-flops is forced and every input port is driven —
+/// 256 cycles, with the event-driven simulator doing strictly less work than
+/// the full scan.
+#[test]
+fn event_driven_matches_full_scan_on_the_pipeline() {
+    let p = PipelineNetlist::build(PipelineConfig::default()).expect("pipeline");
+    let n = p.netlist();
+    let mut full = FullScan::new(n);
+    let mut event = Simulator::new(n);
+    let mut rng = Xoshiro256::seed_from_u64(0x5EED_CAFE);
+    for cycle in 0..256 {
+        for g in n.gate_ids() {
+            match n.kind(g) {
+                GateKind::FlipFlop if rng.next_below(8) == 0 => {
+                    let v = rng.next_u64() & 1 == 1;
+                    full.force_ff(g, v);
+                    event.force_ff(g, v);
+                }
+                GateKind::Input => {
+                    let v = rng.next_u64() & 1 == 1;
+                    full.set_input(g, v);
+                    event.set_input(g, v);
+                }
+                _ => {}
+            }
+        }
+        step_both(&mut full, &mut event, n, cycle);
+    }
+    assert!(
+        event.gates_evaluated() < full.gates_evaluated(),
+        "event {} vs full {}",
+        event.gates_evaluated(),
+        full.gates_evaluated()
+    );
+}
+
+/// Whole-bank writes through `force_ff_bus`, as a co-simulator makes them
+/// between clock edges: the EX operand and control banks take a fresh
+/// random value every cycle for 256 cycles, and the captured ME-stage
+/// result bank `b4.alu` matches the reference bit for bit.
+#[test]
+fn forced_ff_bus_writes_match_full_scan_on_the_pipeline() {
+    let p = PipelineNetlist::build(PipelineConfig::default()).expect("pipeline");
+    let n = p.netlist();
+    let mut full = FullScan::new(n);
+    let mut event = Simulator::new(n);
+    let mut rng = Xoshiro256::seed_from_u64(0xB00B5);
+    let bus_value = |full: &FullScan<'_>, ids: &[GateId]| {
+        ids.iter()
+            .enumerate()
+            .fold(0u64, |v, (i, &g)| v | u64::from(full.value(g)) << i)
+    };
+    let mut active_cycles = 0usize;
+    for cycle in 0..256 {
+        for (bus, mask) in [
+            ("b3.op_a", 0xFFFF_FFFF),
+            ("b3.op_b", 0xFFFF_FFFF),
+            ("b3.ex_ctl", 0xFF),
+        ] {
+            let v = rng.next_u64() & mask;
+            event.force_ff_bus(bus, v).expect("bus");
+            for (i, &g) in n.bus(bus).expect("bus").iter().enumerate() {
+                full.force_ff(g, i < 64 && v >> i & 1 == 1);
+            }
+        }
+        if !step_both(&mut full, &mut event, n, cycle).is_empty() {
+            active_cycles += 1;
+        }
+        assert_eq!(
+            event.bus_value("b4.alu").expect("bus"),
+            bus_value(&full, n.bus("b4.alu").expect("bus")),
+            "b4.alu diverged at cycle {cycle}"
+        );
+    }
+    assert!(active_cycles > 0, "stimulus must activate logic");
 }

@@ -14,17 +14,27 @@
 //! levels) but not their slacks: a logic instruction's datapath slack lies
 //! so far above its control slack that the statistical min returns the
 //! control slack at every toggle level, so those keys intern into the
-//! normal-bus classes. Bus-state handling is therefore checked by the
-//! toggle-sensitive toy model of `differential_packed.rs`; this suite
-//! checks classes, tables and lane alignment on the real model.
+//! normal-bus classes. Bus-state handling is therefore checked by a
+//! toggle-sensitive toy model (`ToggleModel`, under random chip
+//! populations straddling the 64-lane group boundary); the MiBench cases
+//! check classes, tables and lane alignment on the real model.
 
+use oracle::gen;
 use oracle::grid::error_counts_scalar;
+use proptest::prelude::*;
 use terse::Framework;
-use terse_isa::Cfg;
+use terse_isa::{assemble, Cfg};
+use terse_sim::correction::CorrectionScheme;
+use terse_sim::features::InstFeatures;
 use terse_sim::monte_carlo::{
-    error_counts, error_counts_checkpointed, slack_class_stats, McCheckpoint, MonteCarloConfig,
+    error_counts, error_counts_checkpointed, slack_class_stats, InstErrorModel, McCheckpoint,
+    MonteCarloConfig,
 };
 use terse_sim::SimError;
+use terse_sta::delay::DelayLibrary;
+use terse_sta::variation::{ChipSample, VariationModel};
+use terse_sta::CanonicalRv;
+use terse_stats::rng::Xoshiro256;
 use terse_workloads::DatasetSize;
 
 /// 70 chips: one full 64-lane group plus a ragged 6-lane tail.
@@ -98,4 +108,69 @@ fn packed_grid_matches_reference_on_bitcount() {
 #[test]
 fn packed_grid_matches_reference_on_dijkstra() {
     check_kernel("dijkstra");
+}
+
+/// A tiny model whose slack depends on the toggle features and, through a
+/// shared-component sensitivity, on the chip — so lane divergence
+/// (post-error flushed-bus features) matters. `vars` is the chip
+/// population's shared-variable count.
+struct ToggleModel {
+    vars: usize,
+}
+impl InstErrorModel for ToggleModel {
+    type SlackKey = (u8, u8, u8);
+    fn slack_key(&self, _prev: Option<u32>, _index: u32, f: &InstFeatures) -> (u8, u8, u8) {
+        (f.toggle_a, f.toggle_b, f.carry_chain)
+    }
+    fn slack(&self, (a, b, carry): (u8, u8, u8)) -> Option<CanonicalRv> {
+        // Equal toggle sums share a mean and a residual, so distinct keys
+        // share classes; the sign of the chip sensitivity still tells
+        // `(a, b)` from `(b, a)`, so interning must compare every component.
+        let mut coeffs = vec![0.0; self.vars];
+        if let Some(c) = coeffs.first_mut() {
+            *c = if a >= b { 2.5 } else { -2.5 };
+        }
+        let mean = 36.0 - f64::from(a) - f64::from(b) - f64::from(carry) / 4.0;
+        Some(CanonicalRv::with_sensitivities(mean, coeffs, 5.0))
+    }
+}
+
+fn sample_chips(n: usize, seed: u64) -> Vec<ChipSample> {
+    let netlist = gen::random_netlist(7, 4);
+    let lib = DelayLibrary::normalized_45nm();
+    let model = VariationModel::new(&netlist, &lib, gen::random_variation_config(seed))
+        .expect("variation model");
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    (0..n).map(|_| model.sample_chip(&mut rng)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The lane-grouped Monte Carlo grid is bitwise identical to the scalar
+    /// cell-per-chip reference across ragged populations straddling the
+    /// 64-lane group boundary.
+    #[test]
+    fn packed_mc_grid_matches_scalar_reference(
+        chips in prop_oneof![1usize..4, 62usize..67],
+        inputs in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let p = assemble(
+            "li r1, 0xFFFF\nadd r2, r1, r1\nxor r3, r2, r1\nadd r4, r3, r2\nhalt\n",
+        )
+        .expect("assembles");
+        let cs = sample_chips(chips, seed ^ 0xC41F);
+        let cfg = MonteCarloConfig { seed, ..MonteCarloConfig::default() };
+        let scheme = CorrectionScheme::paper_default();
+        let init = |i: usize, m: &mut terse_sim::machine::Machine| {
+            m.store(0, i as u32).expect("store");
+        };
+        let model = ToggleModel { vars: cs[0].shared_draw().len() };
+        let scalar = error_counts_scalar(&p, &model, &cs, inputs, scheme, init, cfg)
+            .expect("scalar grid");
+        let packed = error_counts(&p, &model, &cs, inputs, scheme, init, cfg)
+            .expect("packed grid");
+        prop_assert_eq!(scalar, packed, "lane packing must be bitwise exact");
+    }
 }

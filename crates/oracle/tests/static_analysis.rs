@@ -1,7 +1,7 @@
 //! Property tests for the static analyzer against the seeded generators:
 //!
 //! * **Soundness of silence** — valid artifacts (netlists, program CFGs,
-//!   slack-RV sets, compiled op tapes) produce zero Warning-or-above
+//!   slack-RV sets) produce zero Warning-or-above
 //!   diagnostics.
 //! * **Defect detection** — every injected defect class produces at least
 //!   one diagnostic of its expected code.
@@ -13,7 +13,7 @@ use oracle::gen;
 use proptest::prelude::*;
 use terse::{DegradationPolicy, Framework, TerseError};
 use terse_analyze::{
-    analyze_cfg, analyze_netlist, analyze_slacks, analyze_tape, AnalysisReport, SlackPassConfig,
+    analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
 use terse_isa::Cfg;
 
@@ -106,29 +106,6 @@ proptest! {
         for defect in gen::DataflowDefect::ALL {
             let fx = gen::random_dataflow_fixture(seed, chain, Some(defect));
             let r = gen::dataflow_fixture_report(&fx);
-            prop_assert!(
-                r.has_code(defect.expected_code()),
-                "seed {seed}, {defect:?} must raise {}:\n{}",
-                defect.expected_code(),
-                r.render_text()
-            );
-        }
-    }
-
-    #[test]
-    fn valid_tapes_are_clean(seed in 0u64..1_000_000, gates in 1usize..24) {
-        let tape = gen::random_tape(seed, gates);
-        let mut r = AnalysisReport::new();
-        analyze_tape(&tape, &mut r);
-        prop_assert!(r.is_clean(), "seed {seed}, gates {gates}:\n{}", r.render_text());
-    }
-
-    #[test]
-    fn tape_defects_are_detected(seed in 0u64..1_000_000, gates in 1usize..24) {
-        for defect in gen::TapeDefect::ALL {
-            let tape = gen::random_tape_with_defect(seed, gates, defect);
-            let mut r = AnalysisReport::new();
-            analyze_tape(&tape, &mut r);
             prop_assert!(
                 r.has_code(defect.expected_code()),
                 "seed {seed}, {defect:?} must raise {}:\n{}",

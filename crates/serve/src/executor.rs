@@ -448,6 +448,51 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// Every stored spec carries a `"sim"` key. A job queued with a retired
+    /// strategy fails with a spec error naming it; a job stored with
+    /// `"sim":"event"` completes with the deterministic section it had
+    /// before the key was retired (digest pinned from that build).
+    #[test]
+    fn queued_jobs_with_retired_sim_value_fail_typed_and_event_jobs_complete() {
+        let root = temp_store("sim");
+        let store = JobStore::open(&root).unwrap();
+        store.submit(&tiny("packed", "")).unwrap();
+        store.submit(&tiny("event", "")).unwrap();
+        let spec_path = store.job_dir("packed").join("spec.json");
+        let text = std::fs::read_to_string(&spec_path).unwrap();
+        assert!(text.contains(r#""sim":"event""#), "{text}");
+        std::fs::write(
+            &spec_path,
+            text.replace(r#""sim":"event""#, r#""sim":"packed""#),
+        )
+        .unwrap();
+        let stats = serve(
+            &store,
+            &ExecutorConfig {
+                workers: 1,
+                drain: true,
+                poll_ms: 5,
+                ..ExecutorConfig::default()
+            },
+            &AtomicBool::new(false),
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!((stats.completed, stats.failed), (1, 1));
+        assert_eq!(store.state("packed").unwrap(), JobState::Failed);
+        let error = store.read_error("packed").expect("error.txt written");
+        assert!(error.contains(r#""packed" is retired"#), "{error}");
+        assert_eq!(store.state("event").unwrap(), JobState::Done);
+        let section = crate::deterministic_section(&store.read_report("event").unwrap()).unwrap();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in section.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(format!("{h:016x}"), "25fa95c4cfe2eadd", "{section}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     /// A job queued before phase sampling was removed still has a
     /// `"sampling"` section in its on-disk spec. Draining must fail it with
     /// a typed spec error naming the key: no panic, no silent exact run.

@@ -6,7 +6,7 @@
 //! instead of hand-driven loops:
 //!
 //! 1. **[`spec`]** — a strict JSON [`JobSpec`] (workload, dataset,
-//!    operating-point grid, chip population, seed, sim strategy),
+//!    operating-point grid, chip population, seed),
 //!    validated by the analyzer's JS001–JS004 pass so the CLI, the store,
 //!    and `terse-analyze` agree on admissibility.
 //! 2. **[`store`]** — a directory-backed [`JobStore`]

@@ -33,7 +33,7 @@ use terse::{
 };
 use terse_isa::Cfg;
 use terse_sim::monte_carlo::{self, MonteCarloConfig};
-use terse_sim::{McCheckpoint, SimError, SimStrategy};
+use terse_sim::{McCheckpoint, SimError};
 
 /// How one run attempt of a job ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +61,7 @@ pub struct FrameworkCache {
     map: HashMap<CacheKey, Rc<Framework>>,
 }
 
-type CacheKey = (PipelinePreset, u64, usize, usize, SimStrategy);
+type CacheKey = (PipelinePreset, u64, usize, usize);
 
 impl FrameworkCache {
     /// An empty cache.
@@ -91,7 +91,6 @@ impl FrameworkCache {
             overclock.to_bits(),
             spec.samples,
             spec.threads,
-            spec.sim,
         );
         if let Some(fw) = self.map.get(&key) {
             return Ok(Rc::clone(fw));
@@ -104,7 +103,6 @@ impl FrameworkCache {
             })
             .samples(spec.samples)
             .threads(spec.threads)
-            .sim_strategy(spec.sim)
             .build()
             .map_err(|e| ServeError::Run(format!("framework build failed: {e}")))?;
         let fw = Rc::new(fw);

@@ -14,7 +14,7 @@
 //!   "grid": [1.15, 1.33],
 //!   "chips": 0,
 //!   "mc_inputs": 0,
-//!   "sim": "packed",
+//!   "sim": "event",
 //!   "threads": 1,
 //!   "pipeline": "small",
 //!   "checkpoint_every": 4,
@@ -25,6 +25,13 @@
 //! }
 //! ```
 //!
+//! `sim` names the gate-level simulation strategy. Event-driven
+//! simulation is the only one left, so the key is optional and `"event"`
+//! is its only legal value; it stays in the canonical rendering so that
+//! stored specs keep their bytes and digests. The retired strategies
+//! (`"fullscan"`, `"tape"`, `"packed"`) are rejected with an error that
+//! names them.
+//!
 //! `workload` names either a benchmark from `terse-workloads` (with an
 //! optional `dataset` of `"small"`/`"large"`) or carries inline assembly:
 //! `{ "asm": "...", "name": "custom" }`. Everything except `id` and
@@ -34,7 +41,6 @@ use crate::json::Value;
 use crate::{Result, ServeError};
 use terse::{PipelineConfig, Workload};
 use terse_analyze::{analyze_job_spec, AnalysisReport, JobSpecView};
-use terse_sim::SimStrategy;
 use terse_workloads::DatasetSize;
 
 /// The workload a job runs.
@@ -73,8 +79,6 @@ pub struct JobSpec {
     pub chips: usize,
     /// Monte Carlo inputs per chip (0 disables the MC grid).
     pub mc_inputs: usize,
-    /// Gate-evaluation strategy for training co-simulation.
-    pub sim: SimStrategy,
     /// Worker-local rayon threads (jobs parallelize across workers, so 1
     /// per job is the default).
     pub threads: usize,
@@ -170,6 +174,7 @@ impl JobSpec {
                 })
                 .collect::<Result<Vec<f64>>>()?,
         };
+        check_sim(v.get("sim"))?;
         let spec = JobSpec {
             id,
             workload,
@@ -178,7 +183,6 @@ impl JobSpec {
             grid,
             chips: opt_usize(v, "chips")?.unwrap_or(0),
             mc_inputs: opt_usize(v, "mc_inputs")?.unwrap_or(0),
-            sim: parse_sim(v.get("sim"))?,
             threads: opt_usize(v, "threads")?.unwrap_or(1),
             pipeline: parse_pipeline(v.get("pipeline"))?,
             checkpoint_every: opt_usize(v, "checkpoint_every")?.unwrap_or(4),
@@ -273,7 +277,7 @@ impl JobSpec {
             ),
             ("chips".into(), num(self.chips)),
             ("mc_inputs".into(), num(self.mc_inputs)),
-            ("sim".into(), Value::Str(sim_name(self.sim).into())),
+            ("sim".into(), Value::Str("event".into())),
             ("threads".into(), num(self.threads)),
             (
                 "pipeline".into(),
@@ -367,24 +371,17 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn sim_name(s: SimStrategy) -> &'static str {
-    match s {
-        SimStrategy::EventDriven => "event",
-        SimStrategy::FullScan => "fullscan",
-        SimStrategy::CompiledTape => "tape",
-        SimStrategy::Packed => "packed",
-    }
-}
-
-fn parse_sim(v: Option<&Value>) -> Result<SimStrategy> {
+/// Accepts an absent `sim` key or `"event"`; names the retired strategies.
+fn check_sim(v: Option<&Value>) -> Result<()> {
     let Some(v) = v else {
-        return Ok(SimStrategy::default());
+        return Ok(());
     };
     match v.as_str() {
-        Some("event") => Ok(SimStrategy::EventDriven),
-        Some("fullscan") => Ok(SimStrategy::FullScan),
-        Some("tape") => Ok(SimStrategy::CompiledTape),
-        Some("packed") => Ok(SimStrategy::Packed),
+        Some("event") => Ok(()),
+        Some(retired @ ("fullscan" | "tape" | "packed")) => Err(ServeError::Spec(format!(
+            "`sim` strategy \"{retired}\" is retired: event-driven simulation is the only \
+             gate-level simulator; drop the key or set it to \"event\""
+        ))),
         _ => Err(ServeError::Spec(
             "`sim` must be one of \"event\", \"fullscan\", \"tape\", \"packed\"".into(),
         )),
@@ -521,7 +518,6 @@ mod tests {
         assert_eq!(s.chips, 0);
         assert_eq!(s.threads, 1);
         assert_eq!(s.pipeline, PipelinePreset::Small);
-        assert_eq!(s.sim, SimStrategy::default());
         assert!(s.block_budget.is_none());
         assert_eq!(s.retries, 0);
         assert!(s.deadline_ms.is_none());
@@ -538,7 +534,7 @@ mod tests {
 
     #[test]
     fn canonical_json_round_trips() {
-        let src = r#"{"id":"mc-1","workload":{"asm":"halt\n","name":"nop"},"samples":3,"seed":7,"grid":[1.0,1.33],"chips":8,"mc_inputs":2,"sim":"packed","threads":2,"pipeline":"default","checkpoint_every":2,"block_budget":5,"mc_cell_budget":3,"retries":2,"deadline_ms":60000}"#;
+        let src = r#"{"id":"mc-1","workload":{"asm":"halt\n","name":"nop"},"samples":3,"seed":7,"grid":[1.0,1.33],"chips":8,"mc_inputs":2,"sim":"event","threads":2,"pipeline":"default","checkpoint_every":2,"block_budget":5,"mc_cell_budget":3,"retries":2,"deadline_ms":60000}"#;
         let s = JobSpec::from_json(src).unwrap();
         let round = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(s, round);
@@ -584,6 +580,34 @@ mod tests {
                 }
                 other => panic!("expected a spec error for {src}, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn retired_sim_values_fail_typed() {
+        for retired in ["fullscan", "tape", "packed"] {
+            let src =
+                format!(r#"{{"id":"x","workload":{{"benchmark":"dijkstra"}},"sim":"{retired}"}}"#);
+            match JobSpec::from_json(&src) {
+                Err(ServeError::Spec(msg)) => {
+                    assert!(msg.contains(&format!("\"{retired}\" is retired")), "{msg}");
+                }
+                other => panic!("expected a retirement error for {retired}, got {other:?}"),
+            }
+        }
+        // "event" (what every stored spec holds) and an absent key both
+        // parse to the same spec, rendered with the same bytes.
+        let explicit =
+            JobSpec::from_json(r#"{"id":"j1","workload":{"benchmark":"dijkstra"},"sim":"event"}"#)
+                .unwrap();
+        let absent = JobSpec::from_json(&minimal("j1")).unwrap();
+        assert_eq!(explicit, absent);
+        assert_eq!(explicit.to_json(), absent.to_json());
+        assert!(absent.to_json().contains(r#""sim":"event""#));
+        // Any other value keeps the old error.
+        match JobSpec::from_json(r#"{"id":"x","workload":{"benchmark":"dijkstra"},"sim":1}"#) {
+            Err(ServeError::Spec(msg)) => assert!(msg.contains("must be one of"), "{msg}"),
+            other => panic!("expected a spec error, got {other:?}"),
         }
     }
 

@@ -18,7 +18,7 @@ use crate::Result;
 use std::collections::VecDeque;
 use terse_isa::{Opcode, Program};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
-use terse_netlist::{ActivityTrace, SimStrategy, Simulator};
+use terse_netlist::{ActivityTrace, Simulator};
 
 /// EX-stage control word for an opcode, matching the pipeline netlist's
 /// `b3.ex_ctl` bit assignments:
@@ -118,42 +118,23 @@ pub struct CoSim<'n> {
 }
 
 impl<'n> CoSim<'n> {
-    /// Creates a co-simulator over a pipeline netlist (with the default
-    /// event-driven gate-evaluation strategy).
+    /// Creates a co-simulator over a pipeline netlist.
     pub fn new(pipeline: &'n PipelineNetlist) -> Self {
-        CoSim::with_strategy(pipeline, SimStrategy::default())
-    }
-
-    /// Creates a co-simulator with an explicit gate-evaluation strategy.
-    /// Strategies never change the produced activation sets — only how many
-    /// gates are (re-)evaluated per cycle (see [`CoSim::gates_evaluated`]).
-    pub fn with_strategy(pipeline: &'n PipelineNetlist, strategy: SimStrategy) -> Self {
         let mut window = VecDeque::with_capacity(STAGE_COUNT);
         for _ in 0..STAGE_COUNT {
             window.push_back(None);
         }
         CoSim {
             pipeline,
-            sim: Simulator::with_strategy(pipeline.netlist(), strategy),
+            sim: Simulator::new(pipeline.netlist()),
             window,
         }
     }
 
-    /// The gate-evaluation strategy in use.
-    pub fn strategy(&self) -> SimStrategy {
-        self.sim.strategy()
-    }
-
     /// Total combinational gate evaluations performed so far — the work
-    /// metric the event-driven strategy reduces.
+    /// metric event-driven propagation reduces.
     pub fn gates_evaluated(&self) -> u64 {
         self.sim.gates_evaluated()
-    }
-
-    /// Total compiled-tape ops skipped by the dirty-span bitmap — nonzero
-    /// only under [`SimStrategy::Packed`].
-    pub fn tape_ops_skipped(&self) -> u64 {
-        self.sim.tape_ops_skipped()
     }
 
     /// Cycles simulated so far.
@@ -269,24 +250,7 @@ impl<'n> CoSim<'n> {
         machine: &mut Machine,
         budget: u64,
     ) -> Result<CoSimTrace> {
-        CoSim::run_program_with(pipeline, program, machine, budget, SimStrategy::default())
-    }
-
-    /// [`CoSim::run_program`] with an explicit gate-evaluation strategy.
-    /// The trace is identical for every strategy; only the simulation cost
-    /// differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine errors and [`crate::SimError::Netlist`].
-    pub fn run_program_with(
-        pipeline: &'n PipelineNetlist,
-        program: &Program,
-        machine: &mut Machine,
-        budget: u64,
-        strategy: SimStrategy,
-    ) -> Result<CoSimTrace> {
-        let mut cosim = CoSim::with_strategy(pipeline, strategy);
+        let mut cosim = CoSim::new(pipeline);
         let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
         let mut fed = Vec::new();
         let mut retired = Vec::new();
@@ -322,11 +286,8 @@ impl<'n> CoSim<'n> {
 pub struct CosimStats {
     /// Netlist clock cycles simulated.
     pub cycles: u64,
-    /// Combinational gate (or tape-op) evaluations performed.
+    /// Combinational gate evaluations performed.
     pub gates_evaluated: u64,
-    /// Compiled-tape ops skipped by the dirty-span bitmap (nonzero only
-    /// under [`SimStrategy::Packed`]).
-    pub tape_ops_skipped: u64,
 }
 
 impl CosimStats {
@@ -334,14 +295,12 @@ impl CosimStats {
     pub fn absorb(&mut self, cosim: &CoSim<'_>) {
         self.cycles += cosim.cycles_simulated();
         self.gates_evaluated += cosim.gates_evaluated();
-        self.tape_ops_skipped += cosim.tape_ops_skipped();
     }
 
     /// Sums two counter sets.
     pub fn merge(&mut self, other: CosimStats) {
         self.cycles += other.cycles;
         self.gates_evaluated += other.gates_evaluated;
-        self.tape_ops_skipped += other.tape_ops_skipped;
     }
 }
 
@@ -413,46 +372,6 @@ mod tests {
         assert!(
             long_carry > short_carry,
             "long {long_carry} vs short {short_carry}"
-        );
-    }
-
-    #[test]
-    fn strategies_produce_identical_traces() {
-        let p = pipeline();
-        let prog = assemble(
-            r"
-                addi r1, r0, 9
-                li   r2, 0x5A5A
-            loop:
-                add  r3, r3, r2
-                addi r1, r1, -1
-                bne  r1, r0, loop
-                halt
-        ",
-        )
-        .unwrap();
-        let run = |strategy| {
-            let mut m = Machine::new(&prog, 64);
-            let mut cosim = CoSim::with_strategy(&p, strategy);
-            assert_eq!(cosim.strategy(), strategy);
-            let mut activity = ActivityTrace::new(p.netlist().gate_count());
-            while !m.halted() {
-                let r = m.step(&prog).unwrap();
-                activity.push(cosim.feed(Some(r)).unwrap());
-            }
-            for _ in 0..STAGE_COUNT {
-                activity.push(cosim.feed(None).unwrap());
-            }
-            (activity, cosim.gates_evaluated())
-        };
-        let (full_trace, full_work) = run(SimStrategy::FullScan);
-        let (event_trace, event_work) = run(SimStrategy::EventDriven);
-        assert_eq!(full_trace, event_trace);
-        // The loop repeats state, so delta propagation re-evaluates fewer
-        // gates than the exhaustive per-cycle scan.
-        assert!(
-            event_work < full_work,
-            "event {event_work} vs full {full_work}"
         );
     }
 

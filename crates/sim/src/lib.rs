@@ -56,7 +56,6 @@ pub use features::InstFeatures;
 pub use machine::{Machine, Retired};
 pub use monte_carlo::McCheckpoint;
 pub use profile::{ProfileResult, Profiler};
-pub use terse_netlist::SimStrategy;
 
 use std::fmt;
 
