@@ -9,9 +9,8 @@
 //! * [`Liveness`] — backward live-register bitmasks.
 //! * [`ConstProp`] — constant propagation with the exact wrapping
 //!   semantics of `terse_sim::machine`.
-//! * [`IntervalAnalysis`] — unsigned value ranges per register, the
-//!   input to the DTA error-immunity pre-screen (operand magnitude
-//!   bounds prove high adder/shifter bits quiescent).
+//! * [`IntervalAnalysis`] — unsigned value ranges per register, checked
+//!   for internal consistency by DF005.
 //!
 //! # Termination and order-independence
 //!
@@ -31,8 +30,9 @@
 //! indirect block can only land on a `jal` return site, so the solver
 //! augments the edge set with `jr-block -> every return site`. The
 //! [`call_return_discipline`] predicate reports whether a program obeys
-//! the discipline; consumers deriving *proofs* from these facts (the DTA
-//! pre-screen) must downgrade to value-free reasoning when it is broken.
+//! the discipline; a consumer deriving *proofs* from these edges, or
+//! from any bound that assumes `jr` lands only on a return site, must
+//! downgrade to value-free reasoning when it is broken.
 //!
 //! # Diagnostics
 //!
@@ -124,7 +124,7 @@ pub struct Solution<F> {
 /// return site. Out-of-range edge targets (a corrupted CFG) are
 /// dropped; the CF pass diagnoses those separately. The lists are only
 /// sound proofs when [`call_return_discipline`] holds.
-pub fn augmented_edges(program: &Program, cfg: &Cfg) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+fn augmented_edges(program: &Program, cfg: &Cfg) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let m = cfg.len();
     let insts = program.instructions();
     let mut succs: Vec<Vec<usize>> = cfg
@@ -187,7 +187,7 @@ pub fn call_return_discipline(program: &Program) -> bool {
 /// Blocks statically reachable from the entry over the augmented edge
 /// set (so `jal` return sites count as reachable when the program has
 /// indirect blocks, matching `cfg_pass::reachability`).
-pub fn reachable_blocks(program: &Program, cfg: &Cfg) -> Vec<bool> {
+fn reachable_blocks(program: &Program, cfg: &Cfg) -> Vec<bool> {
     let m = cfg.len();
     let mut reachable = vec![false; m];
     if m == 0 {
@@ -597,29 +597,6 @@ impl Interval {
             hi: ladder_up(self.hi.min(U32MAX)),
         }
     }
-
-    /// The bit positions every contained value agrees on: returns
-    /// `(known_mask, value)` where bits set in `known_mask` are
-    /// constant across the interval and take the bits of `value`.
-    /// Empty intervals report nothing known (callers treat them as
-    /// unreachable separately).
-    pub fn known_bits(self) -> (u32, u32) {
-        if self.is_empty() {
-            return (0, 0);
-        }
-        let lo = self.lo as u32;
-        let hi = self.hi as u32;
-        let diff = lo ^ hi;
-        // Bits above the highest differing position form a common prefix
-        // shared by every value in [lo, hi] (all 32 bits when lo == hi,
-        // none when the top bit differs).
-        let known = if diff == 0 {
-            u32::MAX
-        } else {
-            u32::MAX.checked_shl(32 - diff.leading_zeros()).unwrap_or(0)
-        };
-        (known, hi & known)
-    }
 }
 
 /// Largest ladder value `≤ x` (for `x ≤ u32::MAX + small` sums the
@@ -1022,8 +999,9 @@ fn check_branches(
 /// DF005 — an empty operand interval at a reachable instruction. The
 /// shipped transfer functions preserve non-emptiness along reachable
 /// paths, so a hit means the solution object was corrupted (oracle
-/// fixtures inject exactly that); severity is `Error` because every
-/// consumer of the solution (the DTA pre-screen) would be unsound.
+/// fixtures inject exactly that); severity is `Error` because a fact
+/// derived from an empty interval would be a proof from an impossible
+/// premise.
 pub fn check_intervals(
     program: &Program,
     cfg: &Cfg,
@@ -1053,67 +1031,6 @@ pub fn check_intervals(
             IntervalAnalysis.transfer_inst(i, inst, &mut fact);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Operand bounds export (consumed by the DTA pre-screen)
-// ---------------------------------------------------------------------
-
-/// Static value bounds for the three EX operand buses of one
-/// instruction, mirroring the co-simulation's bank forcing: `op_a` is
-/// the `rs1` value, `op_b` is the sign-extended immediate for
-/// I-type/memory opcodes and the `rs2` value otherwise, `store` is the
-/// `rs2` value (store-data port).
-#[derive(Debug, Clone, Copy)]
-pub struct OperandBounds {
-    /// Value range of the `op_a` bus (`rs1` read).
-    pub a: Interval,
-    /// Value range of the `op_b` bus (immediate or `rs2` read).
-    pub b: Interval,
-    /// Value range of the `store` bus (`rs2` read).
-    pub s: Interval,
-}
-
-/// Solves the interval analysis and derives per-instruction
-/// [`OperandBounds`]. Instructions in statically unreachable blocks get
-/// `TOP` bounds (they never retire, but callers need a sound default).
-pub fn operand_bounds(program: &Program, cfg: &Cfg) -> Vec<OperandBounds> {
-    let sol = solve(&IntervalAnalysis, program, cfg, WorklistOrder::Fifo);
-    let insts = program.instructions();
-    let reachable = reachable_blocks(program, cfg);
-    let top = OperandBounds {
-        a: Interval::TOP,
-        b: Interval::TOP,
-        s: Interval::TOP,
-    };
-    let mut out = vec![top; insts.len()];
-    for (bidx, blk) in cfg.blocks().iter().enumerate() {
-        if !reachable[bidx] || blk.end as usize > insts.len() {
-            continue;
-        }
-        let mut fact = sol.entry[bidx].clone();
-        for i in blk.range() {
-            let inst = &insts[i];
-            let a = ival(&fact, inst.rs1);
-            let s = ival(&fact, inst.rs2);
-            let b = if inst.opcode.is_itype() || inst.opcode.is_memory() {
-                Interval::point(inst.imm as u32)
-            } else {
-                s
-            };
-            // An empty fact on a reachable path cannot happen (DF005
-            // guards it); degrade to TOP rather than "proving" immunity
-            // from an impossible premise.
-            let sane = |iv: Interval| if iv.is_empty() { Interval::TOP } else { iv };
-            out[i] = OperandBounds {
-                a: sane(a),
-                b: sane(b),
-                s: sane(s),
-            };
-            IntervalAnalysis.transfer_inst(i, inst, &mut fact);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1148,20 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn known_bits_common_prefix() {
-        // 0x100..=0x1FF share bit 8 set and bits 9.. clear.
-        let iv = Interval {
-            lo: 0x100,
-            hi: 0x1FF,
-        };
-        let (mask, val) = iv.known_bits();
-        assert_eq!(mask, !0xFFu32);
-        assert_eq!(val, 0x100);
-        let (pmask, pval) = Interval::point(0xDEAD_BEEF).known_bits();
-        assert_eq!((pmask, pval), (u32::MAX, 0xDEAD_BEEF));
-    }
-
-    #[test]
     fn straight_line_constants_and_intervals() {
         let (p, cfg) =
             setup("addi r1, r0, 5\naddi r2, r1, 3\nadd r3, r1, r2\nst r3, r0, 0\nhalt\n");
@@ -1170,11 +1073,11 @@ mod tests {
         assert_eq!(exit[1], CVal::Const(5));
         assert_eq!(exit[2], CVal::Const(8));
         assert_eq!(exit[3], CVal::Const(13));
-        let bounds = operand_bounds(&p, &cfg);
-        // add r3, r1, r2: op_a = r1 in [5,5], op_b = r2 in [8,8]
-        assert!(bounds[2].a.hi <= 5 && bounds[2].b.hi <= 8);
-        // addi op_b is the exact immediate
-        assert_eq!(bounds[1].b, Interval::point(3));
+        let intervals = solve(&IntervalAnalysis, &p, &cfg, WorklistOrder::Fifo);
+        let exit = &intervals.exit[0];
+        assert_eq!(exit[1], Interval::point(5));
+        assert_eq!(exit[2], Interval::point(8));
+        assert_eq!(exit[3], Interval::point(13));
     }
 
     #[test]
@@ -1195,8 +1098,7 @@ mod tests {
         assert_eq!(fifo.entry, lifo.entry, "fixpoint is order-independent");
         assert_eq!(fifo.exit, lifo.exit);
         // The raw counter climbs the ladder to TOP (no branch-condition
-        // refinement, by design), but the masked value stays in [0, 15]:
-        // that magnitude bound is what the pre-screen feeds on.
+        // refinement, by design), but the masked value stays in [0, 15].
         let r3 = fifo.exit[1][3];
         assert!(!r3.is_empty() && r3.hi <= 15, "{r3:?}");
         let r1 = fifo.exit[1][1];

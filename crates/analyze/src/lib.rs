@@ -14,8 +14,8 @@
 //! * **Program dataflow** — [`dataflow`], a monotone-framework fixpoint
 //!   engine over the ISA CFG (reaching definitions, liveness, constant
 //!   propagation, register value intervals) emitting the `DF0xx` family
-//!   and exporting the per-instruction operand bounds the DTA
-//!   error-immunity pre-screen consumes.
+//!   and exporting the call/return-discipline check the DTA
+//!   error-immunity pre-screen gates its program-counter pin on.
 //! * **Codebase lints** — [`lint`], an offline scanner over the
 //!   workspace's own Rust sources (no registry dependencies, consistent
 //!   with the vendored-shim policy): panicking APIs in library crates,
@@ -49,10 +49,7 @@ pub mod netlist_pass;
 pub mod slack_pass;
 
 pub use cfg_pass::analyze_cfg;
-pub use dataflow::{
-    analyze_dataflow, augmented_edges, call_return_discipline, operand_bounds, reachable_blocks,
-    Interval, OperandBounds,
-};
+pub use dataflow::{analyze_dataflow, call_return_discipline, Interval};
 pub use integrity::{crc32, crc32_hex, frame, unframe, FrameError};
 pub use job_pass::{
     analyze_job_spec, analyze_job_store, is_terminal_state, scrub_job_store, valid_transition,

@@ -1,7 +1,8 @@
 //! Incremental-DTA benchmark: cold- vs warm-cache stage-DTS sweeps with the
 //! activation-signature memo — on loop-heavy workloads where activation
 //! sets repeat across iterations — and the static error-immunity pre-screen
-//! (pruned vs oracle training wall clock, λ compared bitwise).
+//! (plan-building time, pruned vs oracle training wall clock, λ compared
+//! bitwise).
 //!
 //! ```text
 //! cargo run --release -p terse-bench --bin dta_incremental
@@ -21,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use terse_bench::BenchEnvelope;
-use terse_dta::{DtaMode, DtsCache, DtsEngine, EndpointFilter, PrescreenConfig, PrescreenMode};
+use terse_dta::{build_plan, DtaMode, DtsCache, DtsEngine, EndpointFilter, PrescreenMode};
 use terse_netlist::pipeline::STAGE_COUNT;
 use terse_netlist::{ActivityTrace, BitSet};
 use terse_serve::json::Value;
@@ -205,11 +206,12 @@ fn main() {
 
     // --- Static pre-screen: pruned vs oracle training, λ bitwise --------
     //
-    // For each workload the full pipeline runs twice: once with the
-    // pre-screen in `Prune` mode (certified-immune (instruction, stage)
-    // pairs skipped) and once in `Oracle` mode (every pruned pair still
-    // computed and checked against its certificate — the unpruned-work
-    // baseline). λ must agree bitwise; the plan must prune ≥20% of pairs.
+    // For each workload the plan is built on its own and timed, then the
+    // full pipeline runs twice: once with the pre-screen in `Prune` mode
+    // (certified-immune (instruction, stage) pairs skipped) and once in
+    // `Oracle` mode (every pruned pair still computed and checked against
+    // its certificate — the unpruned-work baseline). λ must agree
+    // bitwise; the plan must prune ≥20% of pairs.
     let mut pre_rows = Vec::new();
     let mut lambda_bitwise = true;
     let mut pruned_ok = true;
@@ -219,10 +221,21 @@ fn main() {
         let w = spec
             .workload(DatasetSize::Small, 1, 0xDAC19)
             .expect("workload");
+        let (plan_s, _) = time_min(REPS, || {
+            build_plan(
+                pipeline.netlist(),
+                &DelayLibrary::normalized_45nm(),
+                &VariationConfig::default(),
+                op.working_period,
+                w.program(),
+                PrescreenMode::Prune,
+            )
+            .expect("prune plan")
+        });
         let run_with = |mode: PrescreenMode| {
             let f = terse::Framework::builder()
                 .samples(2)
-                .prescreen(PrescreenConfig::with_mode(mode))
+                .prescreen(mode)
                 .build()
                 .expect("framework");
             f.run(&w).expect("prescreened run")
@@ -246,7 +259,8 @@ fn main() {
         );
         pruned_ok &= stats.pairs_pruned * 5 >= stats.pairs_total;
         eprintln!(
-            "[{name}] prescreen: train {:.3}s pruned / {:.3}s oracle, {}/{} pairs pruned ({:.0}%), λ bitwise: {identical}",
+            "[{name}] prescreen: plan {:.2}ms, train {:.3}s pruned / {:.3}s oracle, {}/{} pairs pruned ({:.0}%), λ bitwise: {identical}",
+            plan_s * 1e3,
             pruned.timings.training_s,
             oracle.timings.training_s,
             stats.pairs_pruned,
@@ -254,8 +268,12 @@ fn main() {
             frac * 100.0
         );
         pre_rows.push(format!(
-            "    {{\"name\": \"{name}\", \"prune_train_s\": {:.6}, \"oracle_train_s\": {:.6}, \"pairs_total\": {}, \"pairs_pruned\": {}, \"pruned_fraction\": {frac:.3}, \"lambda_bitwise\": {identical}}}",
-            pruned.timings.training_s, oracle.timings.training_s, stats.pairs_total, stats.pairs_pruned
+            "    {{\"name\": \"{name}\", \"plan_ms\": {:.3}, \"prune_train_s\": {:.6}, \"oracle_train_s\": {:.6}, \"pairs_total\": {}, \"pairs_pruned\": {}, \"pruned_fraction\": {frac:.3}, \"lambda_bitwise\": {identical}}}",
+            plan_s * 1e3,
+            pruned.timings.training_s,
+            oracle.timings.training_s,
+            stats.pairs_total,
+            stats.pairs_pruned
         ));
     }
 

@@ -43,7 +43,7 @@ use terse_dta::control::{characterization_edges, characterize_control_with};
 use terse_dta::datapath::DatapathModel;
 use terse_dta::engine::{DtaMode, DtsEngine};
 use terse_dta::instmodel::InstructionErrorModel;
-use terse_dta::prescreen::{build_plan, PrescreenConfig, PrescreenMode, PrescreenStats};
+use terse_dta::prescreen::{build_plan, PrescreenMode, PrescreenStats};
 use terse_errmodel::marginal::{solve_marginals_with, MarginalProblem};
 use terse_isa::{assemble, BasicBlock, BlockId, Cfg, Program};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
@@ -170,7 +170,7 @@ pub struct FrameworkBuilder {
     block_budget: Option<usize>,
     degradation: DegradationPolicy,
     dta_cache_entries: usize,
-    prescreen: PrescreenConfig,
+    prescreen: PrescreenMode,
 }
 
 impl Default for FrameworkBuilder {
@@ -193,7 +193,7 @@ impl Default for FrameworkBuilder {
             // The stage-DTS memo is exact (bit-verified toggle sets), so it
             // is on by default; see `FrameworkBuilder::dta_cache`.
             dta_cache_entries: 1024,
-            prescreen: PrescreenConfig::default(),
+            prescreen: PrescreenMode::Off,
         }
     }
 }
@@ -291,14 +291,14 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Sets the static error-immunity pre-screening configuration (see
+    /// Sets the static error-immunity pre-screening mode (see
     /// [`terse_dta::prescreen`]). Default: [`PrescreenMode::Off`] —
     /// every `(instruction, stage)` pair is computed. `Prune` skips
     /// statically proven-immune pairs during control characterization;
     /// `Oracle` computes them anyway and asserts the proof (bitwise
     /// identical results to `Prune`).
-    pub fn prescreen(mut self, cfg: PrescreenConfig) -> Self {
-        self.prescreen = cfg;
+    pub fn prescreen(mut self, mode: PrescreenMode) -> Self {
+        self.prescreen = mode;
         self
     }
 
@@ -364,8 +364,8 @@ pub struct Framework {
     /// Accumulated co-simulation work counters across every training run
     /// this framework has performed.
     cosim_stats: Mutex<CosimStats>,
-    /// Static error-immunity pre-screening configuration.
-    prescreen: PrescreenConfig,
+    /// Static error-immunity pre-screening mode.
+    prescreen: PrescreenMode,
     /// Pair counters accumulated across every pre-screened training run.
     prescreen_stats: Mutex<PrescreenStats>,
 }
@@ -528,7 +528,7 @@ impl Framework {
     /// or `None` when pre-screening is off. Counters only grow while a
     /// built plan is consulted (its certificates cover the engine clock).
     pub fn prescreen_stats(&self) -> Option<PrescreenStats> {
-        if self.prescreen.mode == PrescreenMode::Off {
+        if self.prescreen == PrescreenMode::Off {
             return None;
         }
         Some(match self.prescreen_stats.lock() {
@@ -596,14 +596,13 @@ impl Framework {
         // stage; the DTA calls inside each unit then run inline.
         self.pool.install(|| {
             let mut engine = self.engine()?;
-            let plan = if self.prescreen.mode != PrescreenMode::Off {
+            let plan = if self.prescreen != PrescreenMode::Off {
                 let p = Arc::new(build_plan(
                     self.pipeline.netlist(),
                     &self.lib,
                     &self.variation,
                     self.operating.working_period,
                     w.program(),
-                    cfg,
                     self.prescreen,
                 )?);
                 engine.set_prune_plan(Arc::clone(&p));
@@ -1185,7 +1184,7 @@ mod tests {
                     dmem_words: 4096,
                     seed: 1,
                 })
-                .prescreen(PrescreenConfig::with_mode(mode))
+                .prescreen(mode)
                 .build()
                 .unwrap();
             f.run(&Workload::from_asm("pre", src).unwrap()).unwrap()

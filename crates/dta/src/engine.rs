@@ -592,13 +592,11 @@ mod tests {
 
     #[test]
     fn prune_and_oracle_prescreen_are_bitwise_identical() {
-        use crate::prescreen::{build_plan, PrescreenConfig, PrescreenMode};
-        use terse_isa::Cfg;
+        use crate::prescreen::{build_plan, PrescreenMode};
         use terse_sta::delay::DelayLibrary;
         let p = pipeline();
         let src = "li r1, 5\nloop: add r2, r2, r1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n";
         let prog = assemble(src).unwrap();
-        let cfg = Cfg::from_program(&prog);
         let t = trace(&p, src);
         let lib = DelayLibrary::normalized_45nm();
         let base = engine(&p, DtaMode::default());
@@ -610,8 +608,7 @@ mod tests {
                     &VariationConfig::default(),
                     base.clock_period(),
                     &prog,
-                    &cfg,
-                    PrescreenConfig::with_mode(mode),
+                    mode,
                 )
                 .unwrap(),
             );

@@ -51,7 +51,7 @@ pub use control::{characterize_control, characterize_control_with, ControlDtsTab
 pub use datapath::{DatapathModel, FuncUnit};
 pub use engine::{DtaMode, DtsEngine, EndpointFilter};
 pub use instmodel::InstructionErrorModel;
-pub use prescreen::{build_plan, PrescreenConfig, PrescreenMode, PrescreenStats, PrunePlan};
+pub use prescreen::{build_plan, PrescreenMode, PrescreenStats, PrunePlan};
 
 use std::fmt;
 

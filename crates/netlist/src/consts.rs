@@ -21,11 +21,6 @@
 //! the fixpoint, induction over cycles shows `Q` covers every reachable
 //! value (cycle 0 is the all-zero reset; each later cycle either holds
 //! a constrained/forced value or captures the D input, both covered).
-//!
-//! Callers that know a flip-flop is forced to program-derived values on
-//! *every* relevant cycle (the co-simulation's bank forcing) can
-//! instead evaluate one combinational pass via [`eval_with`] with those
-//! tighter assumptions.
 
 use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
@@ -105,7 +100,7 @@ impl Tri {
 /// ignored). Returns the abstract value of every gate: combinational
 /// outputs are derived, `Tie` gates are their constant, flip-flops and
 /// inputs echo their assumption.
-pub fn eval_with(netlist: &Netlist, assumptions: &[Tri]) -> Vec<Tri> {
+fn eval_with(netlist: &Netlist, assumptions: &[Tri]) -> Vec<Tri> {
     let n = netlist.gate_count();
     let mut vals = vec![Tri::Unknown; n];
     // `topo_order` lists only combinational gates; seed the sequential

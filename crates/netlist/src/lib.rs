@@ -73,7 +73,7 @@ pub mod sim;
 pub use activity::ActivityTrace;
 pub use bitset::BitSet;
 pub use builder::NetlistBuilder;
-pub use consts::{eval_with, stable_values, stable_values_with, Tri, ValueConstraints};
+pub use consts::{stable_values, stable_values_with, Tri, ValueConstraints};
 pub use gate::{GateId, GateKind};
 pub use netlist::{EndpointClass, Netlist};
 pub use pipeline::{PipelineConfig, PipelineNetlist};

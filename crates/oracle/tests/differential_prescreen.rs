@@ -20,14 +20,20 @@
 //!
 //! One pipeline netlist is shared across cases (it does not depend on the
 //! seed); programs, plans, and engines are per-case.
+//!
+//! A second test pins the pruning on the 12 MiBench kernels through the
+//! framework: `Oracle` training succeeds, the pair counts match the
+//! recorded ones, and a digest of the `Prune`-mode λ, control table and
+//! datapath table matches a recorded value at both overclocks.
 
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
+use terse::{Framework, OperatingConfig};
 use terse_dta::control::characterization_edges;
 use terse_dta::{
-    build_plan, characterize_control, ControlDtsTable, DtaMode, DtsEngine, PrescreenConfig,
-    PrescreenMode,
+    build_plan, characterize_control, ControlDtsTable, DtaMode, DtsEngine, FuncUnit,
+    InstructionErrorModel, PrescreenMode,
 };
 use terse_isa::{assemble, BlockId, Cfg, Program};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
@@ -36,6 +42,7 @@ use terse_sta::delay::{DelayLibrary, TimingConstraints};
 use terse_sta::statmin::MinOrdering;
 use terse_sta::variation::VariationConfig;
 use terse_sta::CanonicalRv;
+use terse_workloads::DatasetSize;
 
 fn pipeline() -> &'static PipelineNetlist {
     static P: OnceLock<PipelineNetlist> = OnceLock::new();
@@ -199,7 +206,7 @@ proptest! {
         let off = characterize_control(p, &prog, &cfg, &base, &edges, &|_| (0, 0))
             .expect("unpruned characterization");
         let mut tables = Vec::new();
-        let mut prune_stats = None;
+        let mut prune_plan = None;
         for mode in [PrescreenMode::Prune, PrescreenMode::Oracle] {
             let plan = Arc::new(
                 build_plan(
@@ -208,8 +215,7 @@ proptest! {
                     &VariationConfig::default(),
                     base.clock_period(),
                     &prog,
-                    &cfg,
-                    PrescreenConfig::with_mode(mode),
+                    mode,
                 )
                 .expect("plan builds"),
             );
@@ -226,7 +232,7 @@ proptest! {
             );
             tables.push(table.unwrap());
             if mode == PrescreenMode::Prune {
-                prune_stats = Some(plan.stats());
+                prune_plan = Some(plan);
             }
         }
         assert_tables_bitwise_eq(&tables[0], &tables[1], &edges, seed);
@@ -234,19 +240,139 @@ proptest! {
         // mean and 5.0 in σ over these cases, and only where the unpruned
         // slack is at least 39.5σ above zero (DESIGN §19.4) — so no
         // error probability moves. Fail loudly if that ever changes.
+        let prune_plan = prune_plan.unwrap();
         let shift = prune_shift(&tables[0], &off, &edges, seed);
         prop_assert!(shift.mean <= 120.0, "seed {seed}: mean shift {}", shift.mean);
         prop_assert!(shift.sd <= 6.0, "seed {seed}: σ shift {}", shift.sd);
         prop_assert!(
-            shift.moved_min_z >= PrescreenConfig::default().k_sigma,
+            shift.moved_min_z >= prune_plan.k_sigma(),
             "seed {seed}: a slack only {}σ from failing moved",
             shift.moved_min_z
         );
-        let stats = prune_stats.unwrap();
+        let stats = prune_plan.stats();
         prop_assert!(stats.pairs_total > 0, "seed {seed}: empty plan");
         prop_assert!(
             stats.pairs_pruned * 5 >= stats.pairs_total,
             "seed {seed}: expected ≥20% pruning, got {stats:?}"
         );
+    }
+}
+
+/// `(kernel, pairs_pruned, pairs_total)` of `Prune`-mode training on every
+/// MiBench kernel at `Small`, 2 input draws, seed 7, on a fresh framework
+/// (so the datapath training pairs are counted too). The counts are the
+/// same at both overclocks.
+const KERNEL_PAIRS: [(&str, u64, u64); 12] = [
+    ("basicmath", 595, 714),
+    ("bitcount", 905, 1086),
+    ("dijkstra", 565, 678),
+    ("patricia", 610, 732),
+    ("pgp.encode", 420, 504),
+    ("pgp.decode", 425, 510),
+    ("tiff2bw", 410, 492),
+    ("typeset", 455, 546),
+    ("ghostscript", 935, 1122),
+    ("stringsearch", 550, 660),
+    ("gsm.encode", 655, 786),
+    ("gsm.decode", 570, 684),
+];
+
+/// FNV-1a over the little-endian bytes of one word.
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fnv_rv(h: &mut u64, rv: Option<&CanonicalRv>) {
+    let Some(rv) = rv else {
+        fnv(h, u64::MAX);
+        return;
+    };
+    fnv(h, rv.mean().to_bits());
+    fnv(h, rv.indep().to_bits());
+    fnv(h, rv.coeffs().len() as u64);
+    for c in rv.coeffs() {
+        fnv(h, c.to_bits());
+    }
+}
+
+/// Folds every control slack (keys in sorted order) and every trained
+/// datapath slack of a model into `h`.
+fn fnv_model(h: &mut u64, model: &InstructionErrorModel) {
+    let control = model.control();
+    for (block, edge) in control.keys() {
+        fnv(h, block.index() as u64);
+        fnv(h, edge.map_or(u64::MAX, |e| e.index() as u64));
+        for rv in control.get(block, edge).expect("listed key") {
+            fnv_rv(h, rv.as_ref());
+        }
+    }
+    let datapath = model.datapath();
+    for unit in [
+        FuncUnit::AddSub,
+        FuncUnit::Logic,
+        FuncUnit::Shift,
+        FuncUnit::Mul,
+    ] {
+        for level in datapath.levels(unit) {
+            fnv(h, u64::from(level));
+            fnv_rv(h, datapath.slack_at(unit, level).as_ref());
+        }
+    }
+}
+
+#[test]
+fn prescreen_pins_pruning_and_results_on_mibench_kernels() {
+    for (op, expected_digest) in [
+        (OperatingConfig::calibrated(), 0xa954_20bf_1569_ee94),
+        (OperatingConfig::paper(), 0xbc7c_c015_7869_d432),
+    ] {
+        let build = |mode: PrescreenMode| {
+            Framework::builder()
+                .operating(op)
+                .samples(2)
+                .prescreen(mode)
+                .build()
+                .expect("framework")
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let specs = terse_workloads::all();
+        assert_eq!(specs.len(), KERNEL_PAIRS.len());
+        for (spec, &(name, pruned, total)) in specs.into_iter().zip(&KERNEL_PAIRS) {
+            assert_eq!(spec.name, name, "kernel order");
+            let ctx = format!("{name} at {}x", op.overclock);
+            let w = spec.workload(DatasetSize::Small, 2, 7).expect("workload");
+            let cfg = Cfg::from_program(w.program());
+            let prune = build(PrescreenMode::Prune);
+            let profiles = prune.profile_workload(&w, &cfg).expect("profile");
+            let model = prune
+                .train_model(&w, &cfg, &profiles)
+                .expect("prune training");
+            let stats = prune.prescreen_stats().expect("prune stats");
+            assert_eq!(
+                (stats.pairs_pruned, stats.pairs_total),
+                (pruned, total),
+                "{ctx}: (pruned, total) pairs"
+            );
+            // Oracle recomputes every pruned pair and checks its certificate.
+            let oracle = build(PrescreenMode::Oracle);
+            let checked = oracle.train_model(&w, &cfg, &profiles);
+            assert!(
+                checked.is_ok(),
+                "{ctx}: certificate violation: {:?}",
+                checked.err()
+            );
+            assert_eq!(oracle.prescreen_stats(), Some(stats), "{ctx}: oracle pairs");
+            let est = prune
+                .estimate(&w, &cfg, &profiles, &model)
+                .expect("estimate");
+            for l in est.lambda.samples() {
+                fnv(&mut digest, l.to_bits());
+            }
+            fnv_model(&mut digest, &model);
+        }
+        assert_eq!(digest, expected_digest, "digest at {}x", op.overclock);
     }
 }
