@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use terse_bench::BenchEnvelope;
-use terse_dta::{build_plan, DtaMode, DtsCache, DtsEngine, EndpointFilter, PrescreenMode};
+use terse_dta::{build_plan, DtsCache, DtsEngine, EndpointFilter, PrescreenMode};
 use terse_netlist::pipeline::STAGE_COUNT;
 use terse_netlist::{ActivityTrace, BitSet};
 use terse_serve::json::Value;
@@ -30,7 +30,6 @@ use terse_sim::cosim::CoSim;
 use terse_sim::Machine;
 use terse_sta::canonical::CanonicalRv;
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
-use terse_sta::statmin::MinOrdering;
 use terse_sta::variation::VariationConfig;
 use terse_workloads::DatasetSize;
 
@@ -158,8 +157,6 @@ fn main() {
             DelayLibrary::normalized_45nm(),
             VariationConfig::default(),
             TimingConstraints::with_period(op.working_period),
-            DtaMode::default(),
-            MinOrdering::default(),
         )
         .expect("engine");
         let dta = bench_dta(&mut engine, &activity, sweep_cap, STAGE_COUNT);

@@ -41,7 +41,7 @@ use terse_analyze::{
 use terse_dta::cache::{DtsCache, DtsCacheStats};
 use terse_dta::control::{characterization_edges, characterize_control_with};
 use terse_dta::datapath::DatapathModel;
-use terse_dta::engine::{DtaMode, DtsEngine};
+use terse_dta::engine::DtsEngine;
 use terse_dta::instmodel::InstructionErrorModel;
 use terse_dta::prescreen::{build_plan, PrescreenMode, PrescreenStats};
 use terse_errmodel::marginal::{solve_marginals_with, MarginalProblem};
@@ -54,7 +54,6 @@ use terse_sim::machine::Machine;
 use terse_sim::profile::{ProfileResult, Profiler};
 use terse_sta::analysis::{Sta, StatisticalSta};
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
-use terse_sta::statmin::MinOrdering;
 use terse_sta::variation::{ChipSample, VariationConfig, VariationModel};
 use terse_stats::kahan::KahanSum;
 use terse_stats::stein::{
@@ -162,7 +161,6 @@ pub struct FrameworkBuilder {
     variation: VariationConfig,
     correction: CorrectionScheme,
     operating: OperatingConfig,
-    ordering: MinOrdering,
     samples: usize,
     profiler: Profiler,
     threads: usize,
@@ -183,7 +181,6 @@ impl Default for FrameworkBuilder {
             // 0.1–1 % band on the synthetic pipeline (see
             // `OperatingConfig::calibrated`).
             operating: OperatingConfig::calibrated(),
-            ordering: MinOrdering::default(),
             samples: 8,
             profiler: Profiler::default(),
             threads: 0,
@@ -220,12 +217,6 @@ impl FrameworkBuilder {
     /// Sets the operating-point derivation parameters.
     pub fn operating(mut self, cfg: OperatingConfig) -> Self {
         self.operating = cfg;
-        self
-    }
-
-    /// Sets the statistical-min ordering strategy.
-    pub fn ordering(mut self, ordering: MinOrdering) -> Self {
-        self.ordering = ordering;
         self
     }
 
@@ -323,7 +314,6 @@ impl FrameworkBuilder {
             variation: self.variation,
             correction: self.correction,
             operating,
-            ordering: self.ordering,
             samples: self.samples,
             profiler: self.profiler,
             threads: self.threads,
@@ -349,7 +339,6 @@ pub struct Framework {
     variation: VariationConfig,
     correction: CorrectionScheme,
     operating: OperatingPoint,
-    ordering: MinOrdering,
     samples: usize,
     profiler: Profiler,
     threads: usize,
@@ -507,8 +496,6 @@ impl Framework {
             self.lib.clone(),
             self.variation,
             TimingConstraints::with_period(self.operating.working_period),
-            DtaMode::default(),
-            self.ordering,
         )?;
         if let Some(cache) = &self.dts_cache {
             engine.set_cache(Arc::clone(cache));
@@ -651,12 +638,7 @@ impl Framework {
                 g.pairs_total += s.pairs_total;
                 g.pairs_pruned += s.pairs_pruned;
             }
-            Ok(InstructionErrorModel::new(
-                cfg,
-                control,
-                datapath,
-                self.ordering,
-            ))
+            Ok(InstructionErrorModel::new(cfg, control, datapath))
         })
     }
 

@@ -63,7 +63,6 @@ pub use report::{BitParallelStats, ErrorRateEstimate, RateCdfPoint, Report, RunT
 // Re-export the substrate types a downstream user needs for configuration.
 pub use terse_netlist::pipeline::PipelineConfig;
 pub use terse_sim::correction::CorrectionScheme;
-pub use terse_sta::statmin::MinOrdering;
 pub use terse_sta::variation::VariationConfig;
 pub use terse_stats::DegradationPolicy;
 // Re-export the static-analysis report so `Framework::preflight` callers

@@ -1,8 +1,9 @@
 //! Activation-signature memoization of stage DTS.
 //!
-//! Algorithm 1 is a pure function of `(stage, VCD(t) ∧ cone(stage), DtaMode,
-//! MinOrdering, T_clk)`: every path it can enumerate for a stage consists of
-//! gates inside that stage's fan-in cone (see
+//! Algorithm 1 is a pure function of `(stage, filter, VCD(t) ∧ cone(stage),
+//! T_clk)` — the engine runs one path search and one statistical-min fold,
+//! so neither is part of the key. Every path it can enumerate for a stage
+//! consists of gates inside that stage's fan-in cone (see
 //! [`Netlist::stage_cones`](terse_netlist::Netlist::stage_cones)), so two
 //! cycles whose toggle sets agree on the cone produce bit-identical stage
 //! DTS. Real programs execute tight loops whose per-stage toggle patterns
@@ -22,9 +23,8 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use crate::engine::{DtaMode, EndpointFilter};
+use crate::engine::EndpointFilter;
 use terse_netlist::BitSet;
-use terse_sta::statmin::MinOrdering;
 use terse_sta::{CanonicalRv, SensitivityInterner};
 
 /// The exact inputs a stage-DTS computation depends on.
@@ -32,8 +32,6 @@ use terse_sta::{CanonicalRv, SensitivityInterner};
 pub(crate) struct CacheKey {
     pub stage: usize,
     pub filter: EndpointFilter,
-    pub mode: DtaMode,
-    pub ordering: MinOrdering,
     /// `f64::to_bits` of the clock period (the engine's operating point can
     /// be swept; each period gets its own entries).
     pub t_clk_bits: u64,
@@ -318,8 +316,6 @@ mod tests {
         CacheKey {
             stage,
             filter: EndpointFilter::All,
-            mode: DtaMode::default(),
-            ordering: MinOrdering::default(),
             t_clk_bits: 1.0_f64.to_bits(),
             signature: sig,
         }

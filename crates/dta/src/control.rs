@@ -264,12 +264,10 @@ pub fn characterization_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DtaMode;
     use terse_isa::assemble;
     use terse_netlist::pipeline::PipelineConfig;
     use terse_sta::analysis::Sta;
     use terse_sta::delay::{DelayLibrary, TimingConstraints};
-    use terse_sta::statmin::MinOrdering;
     use terse_sta::variation::VariationConfig;
 
     fn setup() -> (PipelineNetlist, Program, Cfg) {
@@ -298,8 +296,6 @@ mod tests {
             lib,
             VariationConfig::default(),
             TimingConstraints::with_period(t),
-            DtaMode::ActivatedSubgraph,
-            MinOrdering::AscendingMean,
         )
         .unwrap()
     }

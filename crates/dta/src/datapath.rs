@@ -346,11 +346,9 @@ fn measure_data_dts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DtaMode;
     use terse_netlist::pipeline::PipelineConfig;
     use terse_sta::analysis::Sta;
     use terse_sta::delay::{DelayLibrary, TimingConstraints};
-    use terse_sta::statmin::MinOrdering;
     use terse_sta::variation::VariationConfig;
 
     fn setup() -> (PipelineNetlist, f64) {
@@ -367,8 +365,6 @@ mod tests {
             DelayLibrary::normalized_45nm(),
             VariationConfig::default(),
             TimingConstraints::with_period(t),
-            DtaMode::ActivatedSubgraph,
-            MinOrdering::AscendingMean,
         )
         .unwrap()
     }

@@ -10,8 +10,8 @@ use terse_netlist::{BitSet, EndpointClass, Netlist};
 use terse_sim::cosim::CoSimTrace;
 use terse_sta::analysis::Sta;
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
-use terse_sta::paths::{longest_activated_path, ActivatedDp, Path, PathEnumerator};
-use terse_sta::statmin::{statistical_min, MinOrdering};
+use terse_sta::paths::{Path, PathEnumerator};
+use terse_sta::statmin::statistical_min;
 use terse_sta::variation::{VariationConfig, VariationModel};
 use terse_sta::CanonicalRv;
 
@@ -39,29 +39,13 @@ impl EndpointFilter {
     }
 }
 
-/// How the most-critical activated path of an endpoint is found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DtaMode {
-    /// Enumerate *within* the activated subgraph — the same most-critical
-    /// activated path the paper's literal path-peeling loop finds, without
-    /// examining non-activated paths — and keep the `candidates` most
-    /// critical activated paths so the SSTA percentile re-ranking
-    /// (Section 3's two-pass rule) can pick both the 1st- and
-    /// 99th-percentile winners.
-    RestrictedSearch {
-        /// Activated candidates retained per endpoint.
-        candidates: usize,
-    },
-    /// Single longest-activated-path dynamic program per endpoint — the
-    /// fastest mode; skips percentile re-ranking.
-    ActivatedSubgraph,
-}
-
-impl Default for DtaMode {
-    fn default() -> Self {
-        DtaMode::RestrictedSearch { candidates: 4 }
-    }
-}
+/// Activated candidate paths retained per endpoint. Algorithm 1 searches
+/// *within* the activated subgraph — finding first the same most-critical
+/// activated path the paper's literal path-peeling loop finds, without
+/// examining non-activated paths — and keeps this many of the most critical
+/// activated paths so the SSTA percentile re-ranking (Section 3's two-pass
+/// rule) can pick both the 1st- and 99th-percentile winners.
+pub const CANDIDATES: usize = 4;
 
 /// The dynamic-timing-slack engine over one netlist: owns the STA results,
 /// the variation model and the operating point.
@@ -71,8 +55,6 @@ pub struct DtsEngine<'n> {
     model: VariationModel,
     lib: DelayLibrary,
     t_clk: f64,
-    mode: DtaMode,
-    ordering: MinOrdering,
     cache: Option<CacheBinding>,
     plan: Option<Arc<PrunePlan>>,
 }
@@ -88,8 +70,6 @@ impl std::fmt::Debug for DtsEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DtsEngine")
             .field("t_clk", &self.t_clk)
-            .field("mode", &self.mode)
-            .field("ordering", &self.ordering)
             .finish()
     }
 }
@@ -105,8 +85,6 @@ impl<'n> DtsEngine<'n> {
         lib: DelayLibrary,
         variation: VariationConfig,
         constraints: TimingConstraints,
-        mode: DtaMode,
-        ordering: MinOrdering,
     ) -> Result<Self> {
         let sta = Sta::new(netlist, &lib);
         let model = VariationModel::new(netlist, &lib, variation)?;
@@ -116,8 +94,6 @@ impl<'n> DtsEngine<'n> {
             model,
             lib,
             t_clk: constraints.clock_period,
-            mode,
-            ordering,
             cache: None,
             plan: None,
         })
@@ -139,9 +115,9 @@ impl<'n> DtsEngine<'n> {
 
     /// Attaches a stage-DTS memo cache. The cache may be shared across
     /// engines over the *same* netlist (results are keyed on everything an
-    /// engine instance can vary: stage, masked activation set, mode,
-    /// ordering and clock period); per-stage fan-in cone masks are computed
-    /// once here.
+    /// engine instance can vary: stage, endpoint filter, masked activation
+    /// set and clock period); per-stage fan-in cone masks are computed once
+    /// here.
     pub fn set_cache(&mut self, cache: Arc<DtsCache>) {
         let cones = self.netlist.stage_cones();
         self.cache = Some(CacheBinding { cache, cones });
@@ -196,24 +172,9 @@ impl<'n> DtsEngine<'n> {
         Ok(())
     }
 
-    /// The most critical activated path capturing at endpoint `e` under
-    /// activation set `vcd`, per the configured [`DtaMode`] — plus up to
-    /// `candidates − 1` runner-ups in `RestrictedSearch` mode.
-    fn activated_candidates(&self, e: terse_netlist::GateId, vcd: &BitSet) -> Result<Vec<Path>> {
-        match self.mode {
-            DtaMode::RestrictedSearch { candidates } => {
-                Ok(PathEnumerator::restricted(&self.sta, e, vcd)?
-                    .take(candidates.max(1))
-                    .collect())
-            }
-            DtaMode::ActivatedSubgraph => Ok(longest_activated_path(&self.sta, e, vcd)?
-                .into_iter()
-                .collect()),
-        }
-    }
-
-    /// The Section 3 two-pass percentile ranking for one endpoint: evaluate
-    /// the slack of every activated candidate path in parallel, then keep
+    /// The Section 3 two-pass percentile ranking for one endpoint: take the
+    /// [`CANDIDATES`] most critical activated paths capturing at `e` under
+    /// activation set `vcd`, evaluate their slacks in parallel, then keep
     /// the candidates most critical at the 1st and 99th percentiles.
     ///
     /// Returns an empty set for endpoints with no activated path.
@@ -221,12 +182,10 @@ impl<'n> DtsEngine<'n> {
         &self,
         e: terse_netlist::GateId,
         vcd: &BitSet,
-        dp: Option<&ActivatedDp>,
     ) -> Result<Vec<CanonicalRv>> {
-        let cands = match dp {
-            Some(dp) => dp.path_to(&self.sta, e)?.into_iter().collect(),
-            None => self.activated_candidates(e, vcd)?,
-        };
+        let cands: Vec<Path> = PathEnumerator::restricted(&self.sta, e, vcd)?
+            .take(CANDIDATES)
+            .collect();
         if cands.is_empty() {
             return Ok(Vec::new());
         }
@@ -295,8 +254,6 @@ impl<'n> DtsEngine<'n> {
                     let key = CacheKey {
                         stage: s,
                         filter,
-                        mode: self.mode,
-                        ordering: self.ordering,
                         t_clk_bits: self.t_clk.to_bits(),
                         signature: sig,
                     };
@@ -324,11 +281,6 @@ impl<'n> DtsEngine<'n> {
             .netlist
             .endpoints(s)
             .map_err(|e| DtaError::Sim(e.to_string()))?;
-        // In subgraph mode, one DP pass serves every endpoint of the stage.
-        let dp = match self.mode {
-            DtaMode::ActivatedSubgraph => Some(ActivatedDp::new(&self.sta, vcd)),
-            _ => None,
-        };
         let mut admitted: Vec<terse_netlist::GateId> = Vec::with_capacity(endpoints.len());
         for &e in endpoints {
             let class = self.netlist.endpoint_class(e).ok_or_else(|| {
@@ -340,13 +292,13 @@ impl<'n> DtsEngine<'n> {
         }
         let per_endpoint: Vec<Vec<CanonicalRv>> = admitted
             .par_iter()
-            .map(|&e| self.endpoint_ap_slacks(e, vcd, dp.as_ref()))
+            .map(|&e| self.endpoint_ap_slacks(e, vcd))
             .collect::<Result<_>>()?;
         let ap_slacks: Vec<CanonicalRv> = per_endpoint.into_iter().flatten().collect();
         if ap_slacks.is_empty() {
             return Ok((ap_slacks, None));
         }
-        let dts = statistical_min(&ap_slacks, self.ordering)?;
+        let dts = statistical_min(&ap_slacks)?;
         Ok((ap_slacks, Some(dts)))
     }
 
@@ -426,12 +378,7 @@ impl<'n> DtsEngine<'n> {
         if per_stage.is_empty() {
             return Ok(None);
         }
-        Ok(Some(statistical_min(&per_stage, self.ordering)?))
-    }
-
-    /// The min-ordering strategy in use.
-    pub fn ordering(&self) -> MinOrdering {
-        self.ordering
+        Ok(Some(statistical_min(&per_stage)?))
     }
 }
 
@@ -447,7 +394,7 @@ mod tests {
         PipelineNetlist::build(PipelineConfig::default()).unwrap()
     }
 
-    fn engine(p: &PipelineNetlist, mode: DtaMode) -> DtsEngine<'_> {
+    fn engine(p: &PipelineNetlist) -> DtsEngine<'_> {
         let lib = DelayLibrary::normalized_45nm();
         let sta = Sta::new(p.netlist(), &lib);
         let t = sta.min_period() / 1.15; // overclocked 1.15× like the paper
@@ -456,8 +403,6 @@ mod tests {
             lib,
             VariationConfig::default(),
             TimingConstraints::with_period(t),
-            mode,
-            MinOrdering::AscendingMean,
         )
         .unwrap()
     }
@@ -471,7 +416,7 @@ mod tests {
     #[test]
     fn stage_dts_none_when_idle() {
         let p = pipeline();
-        let eng = engine(&p, DtaMode::default());
+        let eng = engine(&p);
         let empty = BitSet::new(p.netlist().gate_count());
         for s in 0..6 {
             assert!(eng
@@ -482,33 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn modes_agree_on_most_critical_path() {
-        let p = pipeline();
-        let t = trace(
-            &p,
-            "li r1, 0xFFFFFF\nadd r2, r1, r1\nmul r3, r1, r1\nhalt\n",
-        );
-        let modes = [
-            DtaMode::RestrictedSearch { candidates: 1 },
-            DtaMode::ActivatedSubgraph,
-        ];
-        // Cycle where the add is in EX: fed index 2 (two li halves), +3.
-        let vcd = t.activity.cycle(2 + 3);
-        let mut means = Vec::new();
-        for mode in modes {
-            let eng = engine(&p, mode);
-            let dts = eng.stage_dts(3, vcd, EndpointFilter::All).unwrap();
-            means.push(dts.expect("EX active").mean());
-        }
-        // With a single candidate each, both modes find the same most
-        // critical activated path per endpoint.
-        assert!((means[0] - means[1]).abs() < 1e-6, "{means:?}");
-    }
-
-    #[test]
     fn instruction_dts_depends_on_operands() {
         let p = pipeline();
-        let eng = engine(&p, DtaMode::default());
+        let eng = engine(&p);
         // Long-carry add vs no-carry add.
         let t_long = trace(&p, "li r1, 0x7FFFFFFF\nli r2, 1\nadd r3, r1, r2\nhalt\n");
         let t_short = trace(&p, "li r1, 0\nli r2, 0\nadd r3, r1, r2\nhalt\n");
@@ -532,7 +453,7 @@ mod tests {
     #[test]
     fn inst_dts_is_min_over_stages() {
         let p = pipeline();
-        let eng = engine(&p, DtaMode::default());
+        let eng = engine(&p);
         let t = trace(&p, "li r1, 0xABCD\nadd r2, r1, r1\nhalt\n");
         let k = 2;
         let inst = eng
@@ -557,7 +478,7 @@ mod tests {
     #[test]
     fn control_filter_excludes_datapath_criticality() {
         let p = pipeline();
-        let eng = engine(&p, DtaMode::default());
+        let eng = engine(&p);
         // A long multiply makes the *data* endpoints critical; control DTS
         // should be looser.
         let t = trace(&p, "li r1, 0xFFFF\nmul r2, r1, r1\nhalt\n");
@@ -599,7 +520,7 @@ mod tests {
         let prog = assemble(src).unwrap();
         let t = trace(&p, src);
         let lib = DelayLibrary::normalized_45nm();
-        let base = engine(&p, DtaMode::default());
+        let base = engine(&p);
         let mut plans = [PrescreenMode::Prune, PrescreenMode::Oracle].map(|mode| {
             let plan = Arc::new(
                 build_plan(
@@ -612,7 +533,7 @@ mod tests {
                 )
                 .unwrap(),
             );
-            let mut eng = engine(&p, DtaMode::default());
+            let mut eng = engine(&p);
             eng.set_prune_plan(Arc::clone(&plan));
             (eng, plan)
         });
@@ -651,35 +572,30 @@ mod tests {
             &p,
             "li r1, 0xF0F0\nli r2, 0x0F0F\nadd r3, r1, r2\nxor r4, r3, r1\nhalt\n",
         );
-        for mode in [
-            DtaMode::RestrictedSearch { candidates: 4 },
-            DtaMode::ActivatedSubgraph,
-        ] {
-            let plain = engine(&p, mode);
-            let mut cached = engine(&p, mode);
-            cached.set_cache(Arc::new(crate::cache::DtsCache::new(64)));
-            // Sweep twice so the second pass is all warm hits.
-            for pass in 0..2 {
-                for k in 0..t.activity.len().min(12) {
-                    for s in 0..p.netlist().stage_count() {
-                        let vcd = t.activity.cycle(k);
-                        let a = plain.stage_dts(s, vcd, EndpointFilter::All).unwrap();
-                        let b = cached.stage_dts(s, vcd, EndpointFilter::All).unwrap();
-                        assert_rv_bitwise_eq(&a, &b, &format!("{mode:?} pass {pass} k{k} s{s}"));
-                    }
+        let plain = engine(&p);
+        let mut cached = engine(&p);
+        cached.set_cache(Arc::new(crate::cache::DtsCache::new(64)));
+        // Sweep twice so the second pass is all warm hits.
+        for pass in 0..2 {
+            for k in 0..t.activity.len().min(12) {
+                for s in 0..p.netlist().stage_count() {
+                    let vcd = t.activity.cycle(k);
+                    let a = plain.stage_dts(s, vcd, EndpointFilter::All).unwrap();
+                    let b = cached.stage_dts(s, vcd, EndpointFilter::All).unwrap();
+                    assert_rv_bitwise_eq(&a, &b, &format!("pass {pass} k{k} s{s}"));
                 }
             }
-            let stats = cached.cache().unwrap().stats();
-            assert!(stats.hits > 0, "{mode:?}: second pass must hit");
-            assert!(stats.misses > 0);
         }
+        let stats = cached.cache().unwrap().stats();
+        assert!(stats.hits > 0, "second pass must hit");
+        assert!(stats.misses > 0);
     }
 
     #[test]
     fn cache_counters_track_hits_and_misses() {
         let p = pipeline();
         let t = trace(&p, "li r1, 3\nadd r2, r1, r1\nhalt\n");
-        let mut eng = engine(&p, DtaMode::default());
+        let mut eng = engine(&p);
         eng.set_cache(Arc::new(crate::cache::DtsCache::new(16)));
         let vcd = t.activity.cycle(3);
         eng.stage_dts(2, vcd, EndpointFilter::All).unwrap();
@@ -698,7 +614,7 @@ mod tests {
     fn cache_keys_on_clock_period() {
         let p = pipeline();
         let t = trace(&p, "li r1, 0xFFFF\nadd r2, r1, r1\nhalt\n");
-        let mut eng = engine(&p, DtaMode::default());
+        let mut eng = engine(&p);
         eng.set_cache(Arc::new(crate::cache::DtsCache::new(16)));
         let vcd = t.activity.cycle(3);
         let base = eng.stage_dts(2, vcd, EndpointFilter::All).unwrap();
@@ -722,7 +638,7 @@ mod tests {
     fn dts_tightens_with_overclocking() {
         let p = pipeline();
         let t = trace(&p, "li r1, 0xFFFFFF\nadd r2, r1, r1\nhalt\n");
-        let mut eng = engine(&p, DtaMode::default());
+        let mut eng = engine(&p);
         let base = eng
             .inst_dts(&t, 2, EndpointFilter::All)
             .unwrap()

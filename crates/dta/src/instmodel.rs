@@ -14,7 +14,7 @@ use crate::datapath::{primary_feature, unit_of, DatapathModel, FuncUnit};
 use terse_isa::{BlockId, Cfg};
 use terse_sim::features::InstFeatures;
 use terse_sim::monte_carlo::InstErrorModel;
-use terse_sta::statmin::{statistical_min, MinOrdering};
+use terse_sta::statmin::statistical_min;
 use terse_sta::CanonicalRv;
 
 /// Everything a dynamic instance's slack depends on: the static
@@ -38,17 +38,11 @@ pub struct InstructionErrorModel {
     block_of: Vec<BlockId>,
     /// Block start index of each static instruction's block.
     block_start: Vec<u32>,
-    ordering: MinOrdering,
 }
 
 impl InstructionErrorModel {
     /// Assembles the model from its two characterized halves.
-    pub fn new(
-        cfg: &Cfg,
-        control: ControlDtsTable,
-        datapath: DatapathModel,
-        ordering: MinOrdering,
-    ) -> Self {
+    pub fn new(cfg: &Cfg, control: ControlDtsTable, datapath: DatapathModel) -> Self {
         let mut block_of = Vec::new();
         let mut block_start = Vec::new();
         for b in cfg.blocks() {
@@ -62,7 +56,6 @@ impl InstructionErrorModel {
             datapath,
             block_of,
             block_start,
-            ordering,
         }
     }
 
@@ -121,7 +114,7 @@ impl InstructionErrorModel {
         if slacks.is_empty() {
             return None;
         }
-        statistical_min(&slacks, self.ordering).ok()
+        statistical_min(&slacks).ok()
     }
 
     /// The entered-block edge of a dynamic instance: when the previous
@@ -168,7 +161,7 @@ impl InstErrorModel for InstructionErrorModel {
 mod tests {
     use super::*;
     use crate::control::{characterization_edges, characterize_control};
-    use crate::engine::{DtaMode, DtsEngine};
+    use crate::engine::DtsEngine;
     use terse_isa::{assemble, Cfg, Opcode};
     use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
     use terse_sta::analysis::Sta;
@@ -198,8 +191,6 @@ mod tests {
             lib,
             VariationConfig::default(),
             TimingConstraints::with_period(t),
-            DtaMode::ActivatedSubgraph,
-            MinOrdering::AscendingMean,
         )
         .unwrap();
         let b0 = cfg.block_containing(0);
@@ -208,7 +199,7 @@ mod tests {
         let edges = characterization_edges(&cfg, vec![(b0, b1), (b1, b1), (b1, b2)]);
         let control = characterize_control(&p, &prog, &cfg, &eng, &edges, &|_| (3, 1)).unwrap();
         let datapath = DatapathModel::train(&p, &eng).unwrap();
-        let model = InstructionErrorModel::new(&cfg, control, datapath, MinOrdering::AscendingMean);
+        let model = InstructionErrorModel::new(&cfg, control, datapath);
         (model, cfg, p, t)
     }
 
@@ -336,8 +327,6 @@ mod tests {
             lib,
             VariationConfig::default(),
             TimingConstraints::with_period(t),
-            DtaMode::ActivatedSubgraph,
-            MinOrdering::AscendingMean,
         )
         .unwrap();
         let profiled: Vec<(BlockId, BlockId)> = cfg
@@ -348,7 +337,7 @@ mod tests {
         let edges = characterization_edges(&cfg, profiled);
         let control = characterize_control(&p, &prog, &cfg, &eng, &edges, &|_| (3, 1)).unwrap();
         let datapath = DatapathModel::train(&p, &eng).unwrap();
-        let model = InstructionErrorModel::new(&cfg, control, datapath, MinOrdering::AscendingMean);
+        let model = InstructionErrorModel::new(&cfg, control, datapath);
         (model, prog)
     }
 

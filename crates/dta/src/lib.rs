@@ -5,12 +5,11 @@
 //! * [`engine`] — **Algorithm 1** (dynamic timing slack of a pipeline stage
 //!   at a clock cycle, as the statistical minimum of the slacks of the most
 //!   critical *activated* paths) and **Algorithm 2** (instruction DTS as
-//!   the minimum over the stages the instruction traverses). Two
-//!   activation-search modes are provided: a search restricted to the
-//!   activated subgraph (the default, which keeps runner-up candidates for
-//!   the percentile re-ranking) and a direct longest-activated-path dynamic
-//!   program. Both find the path the paper's literal path-peeling loop
-//!   finds; the `dta_modes` bench times them against that loop.
+//!   the minimum over the stages the instruction traverses). One search
+//!   runs: a best-first enumeration restricted to the activated subgraph,
+//!   which yields the path the paper's literal path-peeling loop finds
+//!   first and keeps [`engine::CANDIDATES`] of the most critical activated
+//!   paths per endpoint for the percentile re-ranking.
 //! * [`control`] — **control-network DTS characterization**: per basic
 //!   block and per incoming CFG edge, the control-endpoint DTS of every
 //!   instruction, computed once at training time (Section 4's key
@@ -49,7 +48,7 @@ pub mod prescreen;
 pub use cache::{DtsCache, DtsCacheStats};
 pub use control::{characterize_control, characterize_control_with, ControlDtsTable, OperandHint};
 pub use datapath::{DatapathModel, FuncUnit};
-pub use engine::{DtaMode, DtsEngine, EndpointFilter};
+pub use engine::{DtsEngine, EndpointFilter};
 pub use instmodel::InstructionErrorModel;
 pub use prescreen::{build_plan, PrescreenMode, PrescreenStats, PrunePlan};
 

@@ -3,7 +3,8 @@
 //! ranking and stage DTS from the full path set.
 //!
 //! This is the computation `terse-sta`'s lazy best-first enumerator, the
-//! activated-subgraph DP, and `terse-dta`'s engine all avoid doing — which
+//! activated-subgraph DP of [`crate::paths`], and `terse-dta`'s engine all
+//! avoid doing — which
 //! is exactly what makes it a ground truth to diff them against. Costs are
 //! exponential in netlist depth; callers keep netlists small (the [`crate::gen`]
 //! generators stay well under twenty gates).
@@ -13,19 +14,19 @@ use terse_netlist::{BitSet, GateId, Netlist};
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
 use terse_sta::paths::Path;
-use terse_sta::statmin::{statistical_min, MinOrdering};
+use terse_sta::statmin::statistical_min;
 use terse_sta::variation::{VariationConfig, VariationModel};
 use terse_sta::CanonicalRv;
 
 /// How many of the most critical activated paths the oracle keeps per
-/// endpoint before the percentile re-ranking — mirrors [`terse_dta::DtaMode`].
+/// endpoint before the percentile re-ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidatePolicy {
-    /// Every activated path (the `RestrictedSearch` limit as candidates → ∞).
+    /// Every activated path.
     All,
-    /// Only the single most critical activated path (what
-    /// `ActivatedSubgraph` and the paper's path-peeling loop produce).
-    MostCritical,
+    /// The `k` most critical activated paths — `Top(terse_dta::engine::
+    /// CANDIDATES)` is what the engine keeps.
+    Top(usize),
 }
 
 /// Every path capturing at `endpoint`, enumerated by depth-first search
@@ -83,7 +84,7 @@ pub fn activated_paths(
 }
 
 /// The delay of the most critical activated path of `endpoint`, if any —
-/// the scalar every DTA mode must agree on exactly.
+/// the scalar every path search must agree on exactly.
 pub fn most_critical_activated_delay(
     netlist: &Netlist,
     sta: &Sta<'_>,
@@ -178,7 +179,7 @@ impl<'n> ExhaustiveOracle<'n> {
         let cands = activated_paths(self.netlist, &self.sta, endpoint, vcd);
         let cands: &[Path] = match policy {
             CandidatePolicy::All => &cands,
-            CandidatePolicy::MostCritical => &cands[..cands.len().min(1)],
+            CandidatePolicy::Top(k) => &cands[..cands.len().min(k)],
         };
         if cands.is_empty() {
             return Vec::new();
@@ -209,13 +210,12 @@ impl<'n> ExhaustiveOracle<'n> {
         vcd: &BitSet,
         filter: EndpointFilter,
         policy: CandidatePolicy,
-        ordering: MinOrdering,
     ) -> Option<CanonicalRv> {
         let ap = self.stage_ap_slacks(s, vcd, filter, policy);
         if ap.is_empty() {
             return None;
         }
-        Some(statistical_min(&ap, ordering).expect("non-empty AP"))
+        Some(statistical_min(&ap).expect("non-empty AP"))
     }
 
     /// The assembled `AP` slack set of a stage — the exact operand list the

@@ -18,6 +18,10 @@
 //! * [`exhaustive`] — the gate-level oracle: enumerate *all* paths of an
 //!   endpoint by DFS, filter by activation, and reproduce Algorithm 1's
 //!   candidate ranking from the full path set.
+//! * [`paths`] — the activated-subgraph dynamic program: the most
+//!   critical activated path of every endpoint in one pass — the reference
+//!   for the restricted search's first path on netlists too deep for the
+//!   DFS (the pipeline).
 //! * [`grid`] — the one-cell-per-chip Monte Carlo grid: every chip runs
 //!   the program alone and queries the model per retired instruction — the
 //!   reference the packed, slack-class grid of `terse_sim::monte_carlo` is
@@ -39,5 +43,6 @@ pub mod exhaustive;
 pub mod gen;
 pub mod grid;
 pub mod mc;
+pub mod paths;
 pub mod sim;
 pub mod statmin;

@@ -1,6 +1,6 @@
 //! The rescan-every-round greedy statistical minimum.
 //!
-//! `terse_sta::statmin`'s `MaxCorrelationFirst` keeps the pairwise
+//! `terse_sta::statmin::statistical_min` keeps the pairwise
 //! correlations in a matrix built once and updated per merge.
 //! [`max_correlation_first`] keeps nothing: every round recomputes the
 //! correlation of every remaining pair — O(n³) correlations — and merges
@@ -11,7 +11,7 @@
 use terse_sta::{CanonicalRv, StaError};
 
 /// The greedy most-correlated-pair-first statistical min, naively: the same
-/// contract as `statistical_min(slacks, MinOrdering::MaxCorrelationFirst)`,
+/// contract as `terse_sta::statmin::statistical_min(slacks)`,
 /// including the ascending-mean fold for more than 64 operands.
 ///
 /// # Errors

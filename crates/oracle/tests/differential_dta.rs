@@ -1,5 +1,8 @@
-//! Differential suite: the DTA engine (both modes), the paper's literal
-//! path-peeling loop, and the activated path machinery in `terse-sta` against the exhaustive DFS oracle.
+//! Differential suite: the DTA engine as the framework runs it, the paper's
+//! literal path-peeling loop, and the activated path machinery in
+//! `terse-sta` against the exhaustive DFS oracle — and, on the pipeline,
+//! which is too deep for the DFS, against the activated-subgraph DP of
+//! [`oracle::paths`].
 //!
 //! Every property builds one small random netlist and one activation set,
 //! computes the same quantity with the implementation under test and with
@@ -19,12 +22,18 @@ use oracle::exhaustive::{
     ExhaustiveOracle,
 };
 use oracle::gen;
+use oracle::paths::{longest_activated_path, ActivatedDp};
 use proptest::prelude::*;
-use terse_dta::{DtaMode, DtsEngine, EndpointFilter};
+use terse_dta::engine::CANDIDATES;
+use terse_dta::{DtsEngine, EndpointFilter};
+use terse_isa::assemble;
+use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
+use terse_sim::cosim::CoSim;
+use terse_sim::machine::Machine;
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
-use terse_sta::paths::{longest_activated_path, PathEnumerator};
-use terse_sta::statmin::{monte_carlo_min, MinOrdering};
+use terse_sta::paths::PathEnumerator;
+use terse_sta::statmin::monte_carlo_min;
 use terse_sta::TimingConstraints;
 
 /// The speculative clock period used throughout: 15% past the STA limit.
@@ -32,19 +41,12 @@ fn speculative_period(sta: &Sta<'_>) -> f64 {
     sta.min_period() / 1.15
 }
 
-fn engine<'n>(
-    netlist: &'n terse_netlist::Netlist,
-    seed: u64,
-    t_clk: f64,
-    mode: DtaMode,
-) -> DtsEngine<'n> {
+fn engine(netlist: &terse_netlist::Netlist, seed: u64, t_clk: f64) -> DtsEngine<'_> {
     DtsEngine::new(
         netlist,
         DelayLibrary::normalized_45nm(),
         gen::random_variation_config(seed),
         TimingConstraints::with_period(t_clk),
-        mode,
-        MinOrdering::AscendingMean,
     )
     .expect("valid engine inputs")
 }
@@ -152,8 +154,8 @@ proptest! {
         }
     }
 
-    /// The engine's `RestrictedSearch` stage DTS with an unbounded candidate
-    /// budget equals the oracle's all-candidates DTS exactly (same percentile
+    /// The engine's stage DTS equals the oracle's DTS over the top
+    /// [`CANDIDATES`] activated paths of every endpoint (same percentile
     /// re-ranking, same statmin inputs) — on tie-free activation sets.
     #[test]
     fn restricted_search_stage_dts_matches_oracle(
@@ -168,10 +170,10 @@ proptest! {
         if orc.stage_has_ties(0, &vcd, 1e-9) {
             return; // ambiguous winner: both answers are right
         }
-        let eng = engine(&n, seed ^ 0x11, t, DtaMode::RestrictedSearch { candidates: 1 << 20 });
+        let eng = engine(&n, seed ^ 0x11, t);
         for filter in [EndpointFilter::All, EndpointFilter::Control, EndpointFilter::Data] {
             let got = eng.stage_dts(0, &vcd, filter).unwrap();
-            let want = orc.stage_dts(0, &vcd, filter, CandidatePolicy::All, MinOrdering::AscendingMean);
+            let want = orc.stage_dts(0, &vcd, filter, CandidatePolicy::Top(CANDIDATES));
             match (got, want) {
                 (None, None) => {}
                 (Some(g), Some(w)) => {
@@ -179,40 +181,6 @@ proptest! {
                     prop_assert!((g.sd() - w.sd()).abs() < 1e-9, "{filter:?}: {} vs {}", g.sd(), w.sd());
                 }
                 (g, w) => prop_assert!(false, "{filter:?}: presence disagreement {g:?} vs {w:?}"),
-            }
-        }
-    }
-
-    /// The two single-candidate modes (the subgraph DP, and restricted
-    /// search keeping one candidate) both equal the oracle's
-    /// most-critical-only DTS — on tie-free activation sets.
-    #[test]
-    fn single_candidate_modes_match_oracle(
-        seed in 0u64..1_000_000,
-        gates in 1usize..10,
-        density in 0.2f64..1.0,
-    ) {
-        let n = gen::random_netlist(seed, gates);
-        let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
-        let orc = oracle_for(&n, seed ^ 0x33, t);
-        let vcd = gen::random_vcd(&n, seed ^ 0x44, density);
-        if orc.stage_has_ties(0, &vcd, 1e-9) {
-            return;
-        }
-        let want = orc.stage_dts(0, &vcd, EndpointFilter::All, CandidatePolicy::MostCritical, MinOrdering::AscendingMean);
-        for mode in [
-            DtaMode::ActivatedSubgraph,
-            DtaMode::RestrictedSearch { candidates: 1 },
-        ] {
-            let eng = engine(&n, seed ^ 0x33, t, mode);
-            let got = eng.stage_dts(0, &vcd, EndpointFilter::All).unwrap();
-            match (&got, &want) {
-                (None, None) => {}
-                (Some(g), Some(w)) => {
-                    prop_assert!((g.mean() - w.mean()).abs() < 1e-9, "{mode:?}: {} vs {}", g.mean(), w.mean());
-                    prop_assert!((g.sd() - w.sd()).abs() < 1e-9, "{mode:?}: {} vs {}", g.sd(), w.sd());
-                }
-                (g, w) => prop_assert!(false, "{mode:?}: presence disagreement {g:?} vs {w:?}"),
             }
         }
     }
@@ -249,11 +217,11 @@ proptest! {
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
         let orc = oracle_for(&n, seed ^ 0x77, t);
         let vcd = gen::random_vcd(&n, seed ^ 0x88, density);
-        let ap = orc.stage_ap_slacks(0, &vcd, EndpointFilter::All, CandidatePolicy::All);
+        let ap = orc.stage_ap_slacks(0, &vcd, EndpointFilter::All, CandidatePolicy::Top(CANDIDATES));
         if ap.is_empty() {
             return;
         }
-        let eng = engine(&n, seed ^ 0x77, t, DtaMode::RestrictedSearch { candidates: 1 << 20 });
+        let eng = engine(&n, seed ^ 0x77, t);
         let got = eng.stage_dts(0, &vcd, EndpointFilter::All).unwrap().expect("non-empty AP");
         let (mc_mean, mc_var) = monte_carlo_min(&ap, SAMPLES, seed ^ 0x99).unwrap();
         let mc_var = mc_var.max(0.0); // sample-variance cancellation on deterministic sets
@@ -273,14 +241,56 @@ proptest! {
     }
 }
 
+/// The restricted search's first path — the path Algorithm 1 ranks first —
+/// has the delay of the activated-subgraph DP's longest activated path, for
+/// every endpoint of every stage on every cycle of a pipeline trace.
+#[test]
+fn restricted_search_first_path_matches_dp_reference_on_pipeline() {
+    let p = PipelineNetlist::build(PipelineConfig::default()).expect("pipeline");
+    let prog =
+        assemble("li r1, 0xFFFFFF\nadd r2, r1, r1\nmul r3, r1, r1\nhalt\n").expect("program");
+    let mut m = Machine::new(&prog, 64);
+    let trace = CoSim::run_program(&p, &prog, &mut m, 1000).expect("co-simulation");
+    let n = p.netlist();
+    let sta = Sta::new(n, &DelayLibrary::normalized_45nm());
+    let mut compared = 0usize;
+    for t in 0..trace.activity.len() {
+        let vcd = trace.activity.cycle(t);
+        let dp = ActivatedDp::new(&sta, vcd);
+        for s in 0..n.stage_count() {
+            for &e in n.endpoints(s).expect("stage in range") {
+                let first = PathEnumerator::restricted(&sta, e, vcd)
+                    .expect("endpoint")
+                    .next()
+                    .map(|p| p.delay_nominal(&sta));
+                let want = dp
+                    .path_to(&sta, e)
+                    .expect("endpoint")
+                    .map(|p| p.delay_nominal(&sta));
+                match (first, want) {
+                    (None, None) => {}
+                    (Some(f), Some(w)) => {
+                        assert!((f - w).abs() < 1e-9, "cycle {t} stage {s}: {f} vs DP {w}");
+                        compared += 1;
+                    }
+                    (f, w) => panic!("cycle {t} stage {s}: activation disagreement {f:?} vs {w:?}"),
+                }
+            }
+        }
+    }
+    assert!(compared > 0, "trace activated no path");
+}
+
 /// The heavyweight exhaustive sweep: larger netlists (deeper DFS), denser
-/// seeds, all three modes per case. Scheduled CI only.
+/// seeds, the engine as the framework runs it against the oracle's top
+/// [`CANDIDATES`] per endpoint. Scheduled CI only.
 #[test]
 #[ignore = "slow exhaustive suite: cargo test -p oracle -- --ignored"]
 fn stage_dts_matches_oracle_exhaustive() {
     let mut checked = 0usize;
     let mut tied = 0usize;
-    for seed in 0..192 {
+    // Enough seeds that at least 200 are tie-free.
+    for seed in 0..384 {
         let gates = 4 + (seed as usize % 13);
         let n = gen::random_netlist(seed, gates);
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
@@ -290,43 +300,31 @@ fn stage_dts_matches_oracle_exhaustive() {
             tied += 1;
             continue;
         }
-        let cases = [
-            (
-                DtaMode::RestrictedSearch {
-                    candidates: 1 << 20,
-                },
-                CandidatePolicy::All,
-            ),
-            (DtaMode::ActivatedSubgraph, CandidatePolicy::MostCritical),
-        ];
-        for (mode, policy) in cases {
-            let eng = engine(&n, seed ^ 0xE1, t, mode);
-            let got = eng.stage_dts(0, &vcd, EndpointFilter::All).unwrap();
-            let want = orc.stage_dts(
-                0,
-                &vcd,
-                EndpointFilter::All,
-                policy,
-                MinOrdering::AscendingMean,
-            );
-            match (got, want) {
-                (None, None) => {}
-                (Some(g), Some(w)) => {
-                    assert!(
-                        (g.mean() - w.mean()).abs() < 1e-9 && (g.sd() - w.sd()).abs() < 1e-9,
-                        "seed {seed} {mode:?}: ({}, {}) vs ({}, {})",
-                        g.mean(),
-                        g.sd(),
-                        w.mean(),
-                        w.sd()
-                    );
-                }
-                (g, w) => panic!("seed {seed} {mode:?}: presence disagreement {g:?} vs {w:?}"),
+        let eng = engine(&n, seed ^ 0xE1, t);
+        let got = eng.stage_dts(0, &vcd, EndpointFilter::All).unwrap();
+        let want = orc.stage_dts(
+            0,
+            &vcd,
+            EndpointFilter::All,
+            CandidatePolicy::Top(CANDIDATES),
+        );
+        match (got, want) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                assert!(
+                    (g.mean() - w.mean()).abs() < 1e-9 && (g.sd() - w.sd()).abs() < 1e-9,
+                    "seed {seed}: ({}, {}) vs ({}, {})",
+                    g.mean(),
+                    g.sd(),
+                    w.mean(),
+                    w.sd()
+                );
             }
-            checked += 1;
+            (g, w) => panic!("seed {seed}: presence disagreement {g:?} vs {w:?}"),
         }
+        checked += 1;
     }
-    // The tie-skip must not hollow the sweep out (two cases per seed).
+    // The tie-skip must not hollow the sweep out (one case per seed).
     assert!(
         checked >= 200,
         "too few tie-free cases: {checked} checked, {tied} tied"
@@ -334,8 +332,9 @@ fn stage_dts_matches_oracle_exhaustive() {
 }
 
 /// Full-activation sanity at scale: with every gate toggling, the subgraph
-/// DP, the brute-force maximum, and plain STA all collapse to the same number on
-/// netlists too deep for the fast suite. Scheduled CI only.
+/// DP, the restricted search's first path, the brute-force maximum, and
+/// plain STA all collapse to the same number on netlists too deep for the
+/// fast suite. Scheduled CI only.
 #[test]
 #[ignore = "slow exhaustive suite: cargo test -p oracle -- --ignored"]
 fn full_activation_collapses_to_sta_exhaustive() {
@@ -354,6 +353,11 @@ fn full_activation_collapses_to_sta_exhaustive() {
                 .unwrap()
                 .expect("fully-activated endpoint has a path")
                 .delay_nominal(&sta);
+            let first = PathEnumerator::restricted(&sta, e, &vcd)
+                .unwrap()
+                .next()
+                .expect("fully-activated endpoint has a path")
+                .delay_nominal(&sta);
             assert!(
                 (brute - block).abs() < 1e-9,
                 "seed {seed}: brute {brute} vs sta {block}"
@@ -361,6 +365,10 @@ fn full_activation_collapses_to_sta_exhaustive() {
             assert!(
                 (dp - block).abs() < 1e-9,
                 "seed {seed}: dp {dp} vs sta {block}"
+            );
+            assert!(
+                (first - block).abs() < 1e-9,
+                "seed {seed}: restricted search {first} vs sta {block}"
             );
         }
         let _ = has_delay_ties(&n, &sta, n.endpoints(0).unwrap()[2], &vcd, 1e-9);

@@ -15,13 +15,12 @@ use std::sync::Arc;
 use oracle::gen;
 use oracle::sim::FullScan;
 use proptest::prelude::*;
-use terse_dta::{DtaMode, DtsCache, DtsEngine, EndpointFilter};
+use terse_dta::{DtsCache, DtsEngine, EndpointFilter};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
 use terse_netlist::sim::Simulator;
 use terse_netlist::{BitSet, GateId, GateKind, Netlist};
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
-use terse_sta::statmin::MinOrdering;
 use terse_sta::TimingConstraints;
 use terse_stats::rng::Xoshiro256;
 
@@ -30,27 +29,16 @@ fn speculative_period(sta: &Sta<'_>) -> f64 {
     sta.min_period() / 1.15
 }
 
-fn engine<'n>(netlist: &'n Netlist, seed: u64, t_clk: f64, mode: DtaMode) -> DtsEngine<'n> {
+/// The engine as the framework runs it.
+fn engine(netlist: &Netlist, seed: u64, t_clk: f64) -> DtsEngine<'_> {
     DtsEngine::new(
         netlist,
         DelayLibrary::normalized_45nm(),
         gen::random_variation_config(seed),
         TimingConstraints::with_period(t_clk),
-        mode,
-        MinOrdering::AscendingMean,
     )
     .expect("valid engine inputs")
 }
-
-/// Both Algorithm-1 variants, with an effectively unbounded candidate budget
-/// so the cached/uncached comparison is over the full search, not a
-/// truncation.
-const MODES: [DtaMode; 2] = [
-    DtaMode::RestrictedSearch {
-        candidates: 1 << 20,
-    },
-    DtaMode::ActivatedSubgraph,
-];
 
 const FILTERS: [EndpointFilter; 3] = [
     EndpointFilter::All,
@@ -95,8 +83,8 @@ fn sweep(eng: &DtsEngine<'_>, vcds: &[BitSet]) -> Vec<Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The memoized engine is bitwise identical to the uncached engine in all
-    /// three DTA modes, on both arbitrary and realizable activation sets —
+    /// The memoized engine is bitwise identical to the uncached engine, on
+    /// both arbitrary and realizable activation sets —
     /// including the repeat pass where every query is served from the cache.
     #[test]
     fn cached_stage_dts_bitwise_matches_uncached(
@@ -107,22 +95,20 @@ proptest! {
         let n = gen::random_netlist(seed, gates);
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
         let vcds = vcd_pool(&n, seed, density);
-        for mode in MODES {
-            let plain = engine(&n, seed ^ 0x7E57, t, mode);
-            let mut cached = engine(&n, seed ^ 0x7E57, t, mode);
-            let cache = Arc::new(DtsCache::new(64));
-            cached.set_cache(Arc::clone(&cache));
-            let want = sweep(&plain, &vcds);
-            let cold = sweep(&cached, &vcds);
-            let warm = sweep(&cached, &vcds);
-            prop_assert_eq!(&want, &cold, "{:?}: cold pass diverged", mode);
-            prop_assert_eq!(&want, &warm, "{:?}: warm pass diverged", mode);
-            let stats = cache.stats();
-            prop_assert!(stats.misses > 0, "{mode:?}: nothing was ever computed");
-            // The warm pass re-issues every cold query, so hits are certain.
-            prop_assert!(stats.hits >= want.len() as u64, "{mode:?}: {stats:?}");
-            prop_assert_eq!(stats.collisions, 0, "{:?}: full-width signatures collided", mode);
-        }
+        let plain = engine(&n, seed ^ 0x7E57, t);
+        let mut cached = engine(&n, seed ^ 0x7E57, t);
+        let cache = Arc::new(DtsCache::new(64));
+        cached.set_cache(Arc::clone(&cache));
+        let want = sweep(&plain, &vcds);
+        let cold = sweep(&cached, &vcds);
+        let warm = sweep(&cached, &vcds);
+        prop_assert_eq!(&want, &cold, "cold pass diverged");
+        prop_assert_eq!(&want, &warm, "warm pass diverged");
+        let stats = cache.stats();
+        prop_assert!(stats.misses > 0, "nothing was ever computed");
+        // The warm pass re-issues every cold query, so hits are certain.
+        prop_assert!(stats.hits >= want.len() as u64, "{stats:?}");
+        prop_assert_eq!(stats.collisions, 0, "full-width signatures collided");
     }
 
     /// A capacity-1 cache churns through eviction on every distinct
@@ -136,24 +122,23 @@ proptest! {
         let n = gen::random_netlist(seed, gates);
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
         let vcds = vcd_pool(&n, seed, density);
-        let mode = MODES[(seed % MODES.len() as u64) as usize];
-        let plain = engine(&n, seed ^ 0xCA11, t, mode);
-        let mut cached = engine(&n, seed ^ 0xCA11, t, mode);
+        let plain = engine(&n, seed ^ 0xCA11, t);
+        let mut cached = engine(&n, seed ^ 0xCA11, t);
         let cache = Arc::new(DtsCache::new(1));
         cached.set_cache(Arc::clone(&cache));
         let want = sweep(&plain, &vcds);
         for pass in 0..2 {
             let got = sweep(&cached, &vcds);
-            prop_assert_eq!(&want, &got, "{:?}: pass {} diverged", mode, pass);
+            prop_assert_eq!(&want, &got, "pass {} diverged", pass);
         }
         let stats = cache.stats();
-        prop_assert!(stats.entries <= 1, "{mode:?}: {stats:?}");
+        prop_assert!(stats.entries <= 1, "{stats:?}");
         // Distinct answers imply distinct keys, and two keys cannot share
         // one slot without evicting.
         let first = rv_bits(&plain.stage_dts(0, &vcds[0], EndpointFilter::All).expect("dts"));
         let second = rv_bits(&plain.stage_dts(0, &vcds[2], EndpointFilter::All).expect("dts"));
         if first != second {
-            prop_assert!(stats.evictions > 0, "{mode:?}: {stats:?}");
+            prop_assert!(stats.evictions > 0, "{stats:?}");
         }
     }
 
@@ -169,15 +154,14 @@ proptest! {
         let n = gen::random_netlist(seed, gates);
         let t = speculative_period(&Sta::new(&n, &DelayLibrary::normalized_45nm()));
         let vcds = vcd_pool(&n, seed, density);
-        let mode = MODES[(seed % MODES.len() as u64) as usize];
-        let plain = engine(&n, seed ^ 0xC0DE, t, mode);
-        let mut cached = engine(&n, seed ^ 0xC0DE, t, mode);
+        let plain = engine(&n, seed ^ 0xC0DE, t);
+        let mut cached = engine(&n, seed ^ 0xC0DE, t);
         let cache = Arc::new(DtsCache::with_signature_mask(64, 0));
         cached.set_cache(Arc::clone(&cache));
         let want = sweep(&plain, &vcds);
         for pass in 0..2 {
             let got = sweep(&cached, &vcds);
-            prop_assert_eq!(&want, &got, "{:?}: pass {} diverged", mode, pass);
+            prop_assert_eq!(&want, &got, "pass {} diverged", pass);
         }
         // Different answers for two sets under one filter mean their masked
         // toggle sets differ, so alternating them through one degenerate key
@@ -185,7 +169,7 @@ proptest! {
         let per_vcd: Vec<&[Vec<u64>]> = want.chunks(FILTERS.len()).collect();
         if per_vcd.iter().any(|c| *c != per_vcd[0]) {
             let stats = cache.stats();
-            prop_assert!(stats.collisions > 0, "{mode:?}: {stats:?}");
+            prop_assert!(stats.collisions > 0, "{stats:?}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! The incremental greedy statistical min against the rescan reference.
 //!
-//! `terse_sta::statmin`'s `MaxCorrelationFirst` builds the pairwise
+//! `terse_sta::statmin::statistical_min` builds the pairwise
 //! correlation matrix once and, per merge, computes only the merged
 //! operand's row and mirrors the pool's `swap_remove`s on the matrix.
 //! `oracle::statmin::max_correlation_first` recomputes every pair on every
@@ -17,7 +17,7 @@
 use oracle::gen;
 use oracle::statmin::max_correlation_first;
 use proptest::prelude::*;
-use terse_sta::statmin::{statistical_min, MinOrdering};
+use terse_sta::statmin::statistical_min;
 use terse_sta::CanonicalRv;
 use terse_stats::rng::Xoshiro256;
 
@@ -97,7 +97,7 @@ proptest! {
         shape in 0usize..4,
     ) {
         let slacks = operands(seed, n, var_count, SHAPES[shape]);
-        let got = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst).unwrap();
+        let got = statistical_min(&slacks).unwrap();
         let want = max_correlation_first(&slacks).unwrap();
         assert_bitwise_equal(&got, &want);
     }
@@ -109,10 +109,14 @@ proptest! {
         shape in 0usize..4,
     ) {
         let slacks = operands(seed, n, 4, SHAPES[shape]);
-        let got = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst).unwrap();
+        let got = statistical_min(&slacks).unwrap();
         let want = max_correlation_first(&slacks).unwrap();
         assert_bitwise_equal(&got, &want);
-        let sorted = statistical_min(&slacks, MinOrdering::AscendingMean).unwrap();
+        let mut by_mean: Vec<&CanonicalRv> = slacks.iter().collect();
+        by_mean.sort_by(|a, b| a.mean().total_cmp(&b.mean()));
+        let sorted = by_mean[1..]
+            .iter()
+            .fold(by_mean[0].clone(), |acc, s| acc.stat_min(s).0);
         assert_bitwise_equal(&got, &sorted);
     }
 }
@@ -124,7 +128,7 @@ fn all_equal_operands_match() {
     let s = CanonicalRv::with_sensitivities(10.0, vec![0.5, -0.25, 1.0], 0.3);
     for n in [2, 3, 17, 64] {
         let slacks = vec![s.clone(); n];
-        let got = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst).unwrap();
+        let got = statistical_min(&slacks).unwrap();
         let want = max_correlation_first(&slacks).unwrap();
         assert_eq!(got, want, "n = {n}");
     }

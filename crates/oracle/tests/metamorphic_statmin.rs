@@ -5,20 +5,19 @@
 //! minimum must satisfy — shift equivariance, permutation invariance,
 //! monotonicity, and the two correlation limits (ρ → 1 and ρ → 0) where the
 //! exact answer *is* known in closed form (Sinha et al.'s correlation-limit
-//! analysis). A final differential property diffs every ordering against the
+//! analysis). A final differential property diffs the fold against the
 //! crate's own dense Monte Carlo estimator.
+//!
+//! `statistical_min` is one fold with a size cutoff: most-correlated pair
+//! first up to 64 operands, ascending mean above. Properties on small sets
+//! check the greedy fold; `ascending_mean_is_permutation_invariant` draws
+//! 65–100 operands to check the large-set fold.
 
 use oracle::gen;
 use proptest::prelude::*;
-use terse_sta::statmin::{monte_carlo_min, statistical_min, MinOrdering};
+use terse_sta::statmin::{monte_carlo_min, statistical_min};
 use terse_sta::CanonicalRv;
 use terse_stats::rng::Xoshiro256;
-
-const ORDERINGS: [MinOrdering; 3] = [
-    MinOrdering::InputOrder,
-    MinOrdering::AscendingMean,
-    MinOrdering::MaxCorrelationFirst,
-];
 
 /// A deterministic Fisher–Yates shuffle.
 fn shuffled(slacks: &[CanonicalRv], seed: u64) -> Vec<CanonicalRv> {
@@ -34,19 +33,17 @@ fn shuffled(slacks: &[CanonicalRv], seed: u64) -> Vec<CanonicalRv> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// min(sᵢ + c) = min(sᵢ) + c — exact for Clark, every ordering: adding a
+    /// min(sᵢ + c) = min(sᵢ) + c — exact for Clark in any fold order: adding a
     /// constant shifts every operand mean, leaves θ and the tightness
     /// unchanged, and so shifts the folded result by exactly c.
     #[test]
     fn shift_equivariance(seed in 0u64..1_000_000, n in 2usize..10, c in -40.0f64..40.0) {
         let slacks = gen::random_slacks(seed, n, 4);
         let shifted: Vec<CanonicalRv> = slacks.iter().map(|s| s.add_scalar(c)).collect();
-        for ordering in ORDERINGS {
-            let base = statistical_min(&slacks, ordering).unwrap();
-            let moved = statistical_min(&shifted, ordering).unwrap();
-            prop_assert!((moved.mean() - base.mean() - c).abs() < 1e-9, "{ordering:?}");
-            prop_assert!((moved.sd() - base.sd()).abs() < 1e-9, "{ordering:?}");
-        }
+        let base = statistical_min(&slacks).unwrap();
+        let moved = statistical_min(&shifted).unwrap();
+        prop_assert!((moved.mean() - base.mean() - c).abs() < 1e-9);
+        prop_assert!((moved.sd() - base.sd()).abs() < 1e-9);
     }
 
     /// ρ → 1 limit: operands with identical sensitivities and no independent
@@ -71,29 +68,21 @@ proptest! {
             .iter()
             .map(CanonicalRv::mean)
             .fold(f64::INFINITY, f64::min);
-        for ordering in ORDERINGS {
-            let m = statistical_min(&slacks, ordering).unwrap();
-            prop_assert!((m.mean() - lowest).abs() < 1e-9, "{ordering:?}");
-            prop_assert!((m.sd() - slacks[0].sd()).abs() < 1e-9, "{ordering:?}");
-        }
+        let m = statistical_min(&slacks).unwrap();
+        prop_assert!((m.mean() - lowest).abs() < 1e-9);
+        prop_assert!((m.sd() - slacks[0].sd()).abs() < 1e-9);
     }
 
     /// ρ → 0 limit: for two iid N(m, σ²) independent operands the exact
     /// answer is E[min] = m − σ/√π, and Clark is exact for a single pairwise
-    /// step — every ordering must hit the closed form.
+    /// step — the fold must hit the closed form.
     #[test]
     fn independent_iid_pair_closed_form(m in -50.0f64..120.0, sigma in 0.05f64..4.0) {
         let a = CanonicalRv::with_sensitivities(m, vec![0.0, 0.0], sigma);
         let b = CanonicalRv::with_sensitivities(m, vec![0.0, 0.0], sigma);
         let expect = m - sigma / std::f64::consts::PI.sqrt();
-        for ordering in ORDERINGS {
-            let got = statistical_min(&[a.clone(), b.clone()], ordering).unwrap();
-            prop_assert!(
-                (got.mean() - expect).abs() < 1e-9,
-                "{ordering:?}: {} vs {expect}",
-                got.mean()
-            );
-        }
+        let got = statistical_min(&[a, b]).unwrap();
+        prop_assert!((got.mean() - expect).abs() < 1e-9, "{} vs {expect}", got.mean());
     }
 
     /// Pairwise monotonicity: raising one operand's mean can only raise (or
@@ -105,31 +94,29 @@ proptest! {
     ) {
         let slacks = gen::random_slacks(seed, 2, 4);
         let raised = vec![slacks[0].add_scalar(delta), slacks[1].clone()];
-        for ordering in ORDERINGS {
-            let lo = statistical_min(&slacks, ordering).unwrap();
-            let hi = statistical_min(&raised, ordering).unwrap();
-            prop_assert!(hi.mean() >= lo.mean() - 1e-9, "{ordering:?}");
-        }
+        let lo = statistical_min(&slacks).unwrap();
+        let hi = statistical_min(&raised).unwrap();
+        prop_assert!(hi.mean() >= lo.mean() - 1e-9);
     }
 
-    /// Commutativity for the mean-sorted ordering: `AscendingMean` folds in
-    /// sorted order regardless of input order, so any permutation of a
-    /// distinct-mean operand set gives the identical result.
+    /// Commutativity above the greedy cutoff: more than 64 operands fold in
+    /// ascending-mean order regardless of input order, so any permutation
+    /// of a distinct-mean operand set gives the identical result.
     #[test]
     fn ascending_mean_is_permutation_invariant(
         seed in 0u64..1_000_000,
-        n in 2usize..12,
+        n in 65usize..=100,
         shuffle_seed in 0u64..1_000_000,
     ) {
         let slacks = gen::random_slacks(seed, n, 4);
         let perm = shuffled(&slacks, shuffle_seed);
-        let a = statistical_min(&slacks, MinOrdering::AscendingMean).unwrap();
-        let b = statistical_min(&perm, MinOrdering::AscendingMean).unwrap();
+        let a = statistical_min(&slacks).unwrap();
+        let b = statistical_min(&perm).unwrap();
         prop_assert!((a.mean() - b.mean()).abs() < 1e-9);
         prop_assert!((a.sd() - b.sd()).abs() < 1e-9);
     }
 
-    /// The greedy correlation-first ordering re-derives its fold order from
+    /// The greedy correlation-first fold re-derives its merge order from
     /// the operand set itself, so permutations *mostly* agree — but when two
     /// candidate pairs have near-tied correlations, different input orders
     /// legitimately pick different folds and the results drift apart by the
@@ -143,8 +130,8 @@ proptest! {
     ) {
         let slacks = gen::random_slacks(seed, n, 4);
         let perm = shuffled(&slacks, shuffle_seed);
-        let a = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst).unwrap();
-        let b = statistical_min(&perm, MinOrdering::MaxCorrelationFirst).unwrap();
+        let a = statistical_min(&slacks).unwrap();
+        let b = statistical_min(&perm).unwrap();
         let scale = slacks.iter().map(CanonicalRv::sd).fold(1.0, f64::max);
         prop_assert!(
             (a.mean() - b.mean()).abs() < 0.02 * scale,
@@ -172,11 +159,11 @@ proptest! {
     ) {
         let slacks = gen::random_slacks(seed, n, 4);
         let split = split.min(n - 1);
-        let flat = statistical_min(&slacks, MinOrdering::InputOrder).unwrap();
-        let head = statistical_min(&slacks[..split], MinOrdering::InputOrder).unwrap();
+        let flat = statistical_min(&slacks).unwrap();
+        let head = statistical_min(&slacks[..split]).unwrap();
         let mut regrouped = vec![head];
         regrouped.extend_from_slice(&slacks[split..]);
-        let grouped = statistical_min(&regrouped, MinOrdering::InputOrder).unwrap();
+        let grouped = statistical_min(&regrouped).unwrap();
         let scale = slacks.iter().map(CanonicalRv::sd).fold(1.0, f64::max);
         prop_assert!(
             (flat.mean() - grouped.mean()).abs() < 0.05 * scale,
@@ -186,8 +173,8 @@ proptest! {
         );
     }
 
-    /// Differential check against dense Monte Carlo: every ordering's mean
-    /// and spread must track the sampled distribution of min(sᵢ) within the
+    /// Differential check against dense Monte Carlo: the fold's mean and
+    /// spread must track the sampled distribution of min(sᵢ) within the
     /// Clark approximation error plus sampling noise.
     #[test]
     fn orderings_track_monte_carlo(seed in 0u64..1_000_000, n in 2usize..10) {
@@ -197,20 +184,18 @@ proptest! {
         let mc_var = mc_var.max(0.0); // sample-variance cancellation on deterministic sets
         let scale = slacks.iter().map(CanonicalRv::sd).fold(1.0, f64::max);
         let se = scale / (SAMPLES as f64).sqrt();
-        for ordering in ORDERINGS {
-            let m = statistical_min(&slacks, ordering).unwrap();
-            prop_assert!(
-                (m.mean() - mc_mean).abs() < 0.15 * scale + 5.0 * se,
-                "{ordering:?}: analytic {} vs mc {mc_mean} (scale {scale})",
-                m.mean()
-            );
-            prop_assert!(
-                (m.sd() - mc_var.sqrt()).abs() < 0.25 * scale + 5.0 * se,
-                "{ordering:?}: analytic sd {} vs mc {} (scale {scale})",
-                m.sd(),
-                mc_var.sqrt()
-            );
-        }
+        let m = statistical_min(&slacks).unwrap();
+        prop_assert!(
+            (m.mean() - mc_mean).abs() < 0.15 * scale + 5.0 * se,
+            "analytic {} vs mc {mc_mean} (scale {scale})",
+            m.mean()
+        );
+        prop_assert!(
+            (m.sd() - mc_var.sqrt()).abs() < 0.25 * scale + 5.0 * se,
+            "analytic sd {} vs mc {} (scale {scale})",
+            m.sd(),
+            mc_var.sqrt()
+        );
     }
 }
 
@@ -226,14 +211,12 @@ fn orderings_track_monte_carlo_exhaustive() {
             let (mc_mean, _) = monte_carlo_min(&slacks, SAMPLES, seed ^ 0xABC).unwrap();
             let scale = slacks.iter().map(CanonicalRv::sd).fold(1.0, f64::max);
             let se = scale / (SAMPLES as f64).sqrt();
-            for ordering in ORDERINGS {
-                let m = statistical_min(&slacks, ordering).unwrap();
-                assert!(
-                    (m.mean() - mc_mean).abs() < 0.15 * scale + 5.0 * se,
-                    "seed {seed} n {n} {ordering:?}: analytic {} vs mc {mc_mean}",
-                    m.mean()
-                );
-            }
+            let m = statistical_min(&slacks).unwrap();
+            assert!(
+                (m.mean() - mc_mean).abs() < 0.15 * scale + 5.0 * se,
+                "seed {seed} n {n}: analytic {} vs mc {mc_mean}",
+                m.mean()
+            );
         }
     }
 }

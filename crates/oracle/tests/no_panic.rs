@@ -21,7 +21,6 @@ use terse_netlist::netlist::EndpointClass;
 use terse_netlist::{BitSet, GateKind};
 use terse_sim::machine::Machine;
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
-use terse_sta::statmin::MinOrdering;
 use terse_stats::rng::Xoshiro256;
 
 /// Deterministically mutates ASCII source text: byte substitutions, line
@@ -189,8 +188,6 @@ proptest! {
             DelayLibrary::normalized_45nm(),
             gen::random_variation_config(seed),
             TimingConstraints::with_period(50.0),
-            terse_dta::engine::DtaMode::default(),
-            MinOrdering::default(),
         )
         .expect("engine construction on a valid netlist");
         let full = gen::random_vcd(&netlist, seed ^ 1, density);

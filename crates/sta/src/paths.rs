@@ -10,10 +10,6 @@
 //! expanded backward from the endpoint, using the longest upstream arrival
 //! as an admissible bound (this is the classical K-most-critical-paths
 //! construction).
-//!
-//! For the fast DTA mode, [`longest_activated_path`] computes the single
-//! most-critical *activated* path directly by dynamic programming on the
-//! activated subgraph.
 
 use crate::analysis::Sta;
 use crate::canonical::CanonicalRv;
@@ -271,114 +267,6 @@ impl Iterator for PathEnumerator<'_, '_> {
     }
 }
 
-/// The per-cycle activated-subgraph dynamic program, shared across all
-/// endpoints: one `O(V + E)` pass computes the longest activated arrival at
-/// every gate, after which each endpoint's most critical activated path is
-/// a backtrack.
-#[derive(Debug, Clone)]
-pub struct ActivatedDp {
-    act_arr: Vec<f64>,
-    pred: Vec<Option<GateId>>,
-}
-
-impl ActivatedDp {
-    /// Runs the DP over the activated subgraph `vcd`.
-    pub fn new(sta: &Sta<'_>, vcd: &BitSet) -> Self {
-        let netlist = sta.netlist();
-        let n = netlist.gate_count();
-        let mut act_arr = vec![f64::NEG_INFINITY; n];
-        let mut pred: Vec<Option<GateId>> = vec![None; n];
-        for g in netlist.gate_ids() {
-            if netlist.kind(g).is_endpoint()
-                && !matches!(netlist.kind(g), GateKind::Tie(_))
-                && vcd.contains(g.index())
-            {
-                act_arr[g.index()] = sta.clk_to_q();
-            }
-        }
-        for &g in netlist.topo_order() {
-            let gi = g.index();
-            if !vcd.contains(gi) {
-                continue;
-            }
-            let mut best = f64::NEG_INFINITY;
-            let mut best_f = None;
-            for &f in netlist.fanin(g) {
-                let a = act_arr[f.index()];
-                if a > best {
-                    best = a;
-                    best_f = Some(f);
-                }
-            }
-            if let Some(f) = best_f {
-                if best > f64::NEG_INFINITY {
-                    act_arr[gi] = best + sta.delay(g);
-                    pred[gi] = Some(f);
-                }
-            }
-        }
-        ActivatedDp { act_arr, pred }
-    }
-
-    /// The most critical activated path capturing at `endpoint`, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError::NotAnEndpoint`] if `endpoint` is not a flip-flop.
-    // Invariant: the DP stores a predecessor for every gate it assigns an
-    // activated arrival to, so walking back from an activated endpoint
-    // always reaches a source before `pred` runs out.
-    #[allow(clippy::expect_used)]
-    pub fn path_to(&self, sta: &Sta<'_>, endpoint: GateId) -> Result<Option<Path>> {
-        let netlist = sta.netlist();
-        if netlist.kind(endpoint) != GateKind::FlipFlop {
-            return Err(StaError::NotAnEndpoint {
-                id: endpoint.index() as u32,
-            });
-        }
-        let driver = netlist
-            .ff_input(endpoint)
-            .map_err(|_| StaError::NotAnEndpoint {
-                id: endpoint.index() as u32,
-            })?;
-        if self.act_arr[driver.index()] == f64::NEG_INFINITY {
-            return Ok(None);
-        }
-        let mut gates = Vec::new();
-        let mut cur = driver;
-        loop {
-            if netlist.kind(cur).is_endpoint() {
-                gates.reverse();
-                return Ok(Some(Path {
-                    source: cur,
-                    gates,
-                    endpoint,
-                }));
-            }
-            gates.push(cur);
-            cur = self.pred[cur.index()].expect("activated arrival implies a predecessor chain");
-        }
-    }
-}
-
-/// The most critical (longest-delay) **activated** path capturing at
-/// `endpoint`, or `None` if no activated path reaches it — the inner loop of
-/// Algorithm 1 in the fast (subgraph) mode.
-///
-/// Dynamic programming over the activated subgraph: `O(gates + edges)` per
-/// call, independent of how many non-activated paths are more critical.
-///
-/// # Errors
-///
-/// Returns [`StaError::NotAnEndpoint`] if `endpoint` is not a flip-flop.
-pub fn longest_activated_path(
-    sta: &Sta<'_>,
-    endpoint: GateId,
-    vcd: &BitSet,
-) -> Result<Option<Path>> {
-    ActivatedDp::new(sta, vcd).path_to(sta, endpoint)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,28 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn longest_activated_matches_restricted_enumeration() {
-        let (n, src, dst) = diamond();
-        let lib = DelayLibrary::normalized_45nm();
-        let sta = Sta::new(&n, &lib);
-        // Activate everything.
-        let mut vcd = BitSet::new(n.gate_count());
-        for g in n.gate_ids() {
-            vcd.insert(g.index());
-        }
-        let fast = longest_activated_path(&sta, dst, &vcd).unwrap().unwrap();
-        let slow = PathEnumerator::restricted(&sta, dst, &vcd)
-            .unwrap()
-            .next()
-            .unwrap();
-        assert!((fast.delay_nominal(&sta) - slow.delay_nominal(&sta)).abs() < 1e-9);
-        // Nothing activated → no path.
-        let empty = BitSet::new(n.gate_count());
-        assert!(longest_activated_path(&sta, dst, &empty).unwrap().is_none());
-        let _ = src;
-    }
-
-    #[test]
     fn statistical_path_slack() {
         use crate::variation::{VariationConfig, VariationModel};
         let (n, _src, dst) = diamond();
@@ -558,6 +424,6 @@ mod tests {
         let driver = n.ff_input(dst).unwrap();
         assert!(PathEnumerator::new(&sta, driver).is_err());
         let vcd = BitSet::new(n.gate_count());
-        assert!(longest_activated_path(&sta, driver, &vcd).is_err());
+        assert!(PathEnumerator::restricted(&sta, driver, &vcd).is_err());
     }
 }

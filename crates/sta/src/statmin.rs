@@ -7,28 +7,17 @@
 //! jointly Gaussian pairs only in its first two moments, and the error of a
 //! *sequence* of mins depends on the order — Sinha et al. showed that
 //! merging highly correlated (or clearly ordered) operands first reduces the
-//! accumulated moment-matching error. We implement three orderings and
-//! expose them for the ablation bench.
+//! accumulated moment-matching error. [`statistical_min`] is that one fold:
+//! most-correlated pair first, with an ascending-mean fold for large sets.
 
 use crate::canonical::CanonicalRv;
 use crate::{Result, StaError};
 
-/// Order in which pairwise Clark minimums are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MinOrdering {
-    /// Merge the most correlated pair first (greedy, O(n²) correlations
-    /// over an incrementally maintained matrix) — the Sinha-style
-    /// error-minimizing heuristic.
-    #[default]
-    MaxCorrelationFirst,
-    /// Sort by ascending mean and fold — cheap and usually close.
-    AscendingMean,
-    /// Fold in the order given — the naive baseline the ablation compares
-    /// against.
-    InputOrder,
-}
-
-/// Statistical minimum of a non-empty set of canonical slacks.
+/// Statistical minimum of a non-empty set of canonical slacks: merge the
+/// most correlated pair first (greedy, O(n²) correlations over an
+/// incrementally maintained matrix) for up to 64 operands; above that, sort
+/// by ascending mean and fold (quadratic pair scans would dominate the
+/// whole analysis).
 ///
 /// # Errors
 ///
@@ -37,7 +26,7 @@ pub enum MinOrdering {
 /// # Example
 /// ```
 /// use terse_sta::CanonicalRv;
-/// use terse_sta::statmin::{statistical_min, MinOrdering};
+/// use terse_sta::statmin::statistical_min;
 ///
 /// # fn main() -> Result<(), terse_sta::StaError> {
 /// let slacks = vec![
@@ -45,13 +34,13 @@ pub enum MinOrdering {
 ///     CanonicalRv::with_sensitivities(12.0, vec![0.8], 0.3),
 ///     CanonicalRv::with_sensitivities(9.5, vec![1.1], 0.1),
 /// ];
-/// let min = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst)?;
+/// let min = statistical_min(&slacks)?;
 /// // The min's mean is below every operand's mean.
 /// assert!(min.mean() <= 9.5);
 /// # Ok(())
 /// # }
 /// ```
-pub fn statistical_min(slacks: &[CanonicalRv], ordering: MinOrdering) -> Result<CanonicalRv> {
+pub fn statistical_min(slacks: &[CanonicalRv]) -> Result<CanonicalRv> {
     failpoints::fail_point!("sta::statmin", |_| Err(StaError::MalformedPath {
         reason: "injected statistical-min fault",
     }));
@@ -63,32 +52,16 @@ pub fn statistical_min(slacks: &[CanonicalRv], ordering: MinOrdering) -> Result<
     if slacks.len() == 1 {
         return Ok(slacks[0].clone());
     }
-    match ordering {
-        MinOrdering::InputOrder => {
-            let mut acc = slacks[0].clone();
-            for s in &slacks[1..] {
-                acc = acc.stat_min(s).0;
-            }
-            Ok(acc)
+    if slacks.len() > 64 {
+        let mut sorted: Vec<&CanonicalRv> = slacks.iter().collect();
+        sorted.sort_by(|a, b| a.mean().total_cmp(&b.mean()));
+        let mut acc = sorted[0].clone();
+        for s in &sorted[1..] {
+            acc = acc.stat_min(s).0;
         }
-        MinOrdering::AscendingMean => {
-            let mut sorted: Vec<&CanonicalRv> = slacks.iter().collect();
-            sorted.sort_by(|a, b| a.mean().total_cmp(&b.mean()));
-            let mut acc = sorted[0].clone();
-            for s in &sorted[1..] {
-                acc = acc.stat_min(s).0;
-            }
-            Ok(acc)
-        }
-        MinOrdering::MaxCorrelationFirst => {
-            // Greedy agglomeration; for large sets fall back to the sort
-            // (quadratic pair scans would dominate the whole analysis).
-            if slacks.len() > 64 {
-                return statistical_min(slacks, MinOrdering::AscendingMean);
-            }
-            greedy_max_correlation(slacks)
-        }
+        return Ok(acc);
     }
+    greedy_max_correlation(slacks)
 }
 
 /// The greedy most-correlated-pair-first fold over `2 ≤ n ≤ 64` operands,
@@ -162,8 +135,8 @@ fn greedy_max_correlation(slacks: &[CanonicalRv]) -> Result<CanonicalRv> {
 }
 
 /// Monte Carlo reference for the minimum of canonical forms (shared draw per
-/// scenario, independent residual per operand) — used by tests and the
-/// ordering ablation to measure each ordering's approximation error.
+/// scenario, independent residual per operand) — used by tests to measure
+/// the fold's approximation error.
 pub fn monte_carlo_min(slacks: &[CanonicalRv], samples: usize, seed: u64) -> Result<(f64, f64)> {
     if slacks.is_empty() {
         return Err(StaError::MalformedPath {
@@ -204,31 +177,31 @@ mod tests {
     #[test]
     fn min_below_every_operand_mean() {
         let slacks = slack_set();
-        for ord in [
-            MinOrdering::MaxCorrelationFirst,
-            MinOrdering::AscendingMean,
-            MinOrdering::InputOrder,
-        ] {
-            let m = statistical_min(&slacks, ord).unwrap();
-            for s in &slacks {
-                assert!(m.mean() <= s.mean() + 1e-9, "{ord:?}");
-            }
+        let m = statistical_min(&slacks).unwrap();
+        for s in &slacks {
+            assert!(m.mean() <= s.mean() + 1e-9);
         }
     }
 
+    /// Both folds — greedy for the five-operand set, ascending mean for the
+    /// same set repeated past the 64-operand cutoff — match Monte Carlo.
     #[test]
     fn orderings_agree_with_monte_carlo() {
-        let slacks = slack_set();
-        let (mc_mean, _) = monte_carlo_min(&slacks, 200_000, 3).unwrap();
-        for ord in [
-            MinOrdering::MaxCorrelationFirst,
-            MinOrdering::AscendingMean,
-            MinOrdering::InputOrder,
-        ] {
-            let m = statistical_min(&slacks, ord).unwrap();
+        let small = slack_set();
+        let large: Vec<CanonicalRv> = (0..70)
+            .map(|i| {
+                let s = &small[i % small.len()];
+                let shift = (i / small.len()) as f64 * 0.5;
+                CanonicalRv::with_sensitivities(s.mean() + shift, s.coeffs().to_vec(), s.indep())
+            })
+            .collect();
+        for slacks in [small, large] {
+            let (mc_mean, _) = monte_carlo_min(&slacks, 200_000, 3).unwrap();
+            let m = statistical_min(&slacks).unwrap();
             assert!(
                 (m.mean() - mc_mean).abs() < 0.05,
-                "{ord:?}: {} vs MC {mc_mean}",
+                "{} operands: {} vs MC {mc_mean}",
+                slacks.len(),
                 m.mean()
             );
         }
@@ -237,15 +210,18 @@ mod tests {
     #[test]
     fn correlation_first_beats_or_matches_naive_on_adversarial_order() {
         // Adversarial input order: alternating between two correlated
-        // clusters. The greedy ordering should be at least as accurate.
+        // clusters. The greedy ordering should be at least as accurate as
+        // the naive fold in input order.
         let a = CanonicalRv::with_sensitivities(10.0, vec![2.0, 0.0], 0.1);
         let a2 = CanonicalRv::with_sensitivities(10.1, vec![2.0, 0.0], 0.1);
         let b = CanonicalRv::with_sensitivities(10.0, vec![0.0, 2.0], 0.1);
         let b2 = CanonicalRv::with_sensitivities(10.1, vec![0.0, 2.0], 0.1);
         let slacks = vec![a, b, a2, b2];
         let (mc_mean, _) = monte_carlo_min(&slacks, 400_000, 11).unwrap();
-        let greedy = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst).unwrap();
-        let naive = statistical_min(&slacks, MinOrdering::InputOrder).unwrap();
+        let greedy = statistical_min(&slacks).unwrap();
+        let naive = slacks[1..]
+            .iter()
+            .fold(slacks[0].clone(), |acc, s| acc.stat_min(s).0);
         let err_greedy = (greedy.mean() - mc_mean).abs();
         let err_naive = (naive.mean() - mc_mean).abs();
         assert!(
@@ -257,13 +233,13 @@ mod tests {
     #[test]
     fn single_operand_is_identity() {
         let s = slack_set();
-        let m = statistical_min(&s[..1], MinOrdering::MaxCorrelationFirst).unwrap();
+        let m = statistical_min(&s[..1]).unwrap();
         assert_eq!(&m, &s[0]);
     }
 
     #[test]
     fn empty_set_rejected() {
-        assert!(statistical_min(&[], MinOrdering::AscendingMean).is_err());
+        assert!(statistical_min(&[]).is_err());
         assert!(monte_carlo_min(&[], 10, 0).is_err());
     }
 
@@ -272,7 +248,7 @@ mod tests {
         let slacks: Vec<CanonicalRv> = (0..100)
             .map(|i| CanonicalRv::with_sensitivities(10.0 + i as f64 * 0.01, vec![1.0, 0.5], 0.2))
             .collect();
-        let m = statistical_min(&slacks, MinOrdering::MaxCorrelationFirst).unwrap();
+        let m = statistical_min(&slacks).unwrap();
         assert!(m.mean() <= 10.0 + 1e-9);
         assert!(m.sd() > 0.0);
     }

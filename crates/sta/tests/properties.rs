@@ -7,7 +7,7 @@ use terse_netlist::{GateKind, Netlist};
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
 use terse_sta::paths::PathEnumerator;
-use terse_sta::statmin::{statistical_min, MinOrdering};
+use terse_sta::statmin::statistical_min;
 use terse_sta::variation::{VariationConfig, VariationModel};
 use terse_sta::CanonicalRv;
 
@@ -114,16 +114,10 @@ proptest! {
             })
             .collect();
         let min_mean = means.iter().copied().fold(f64::INFINITY, f64::min);
-        for ordering in [
-            MinOrdering::InputOrder,
-            MinOrdering::AscendingMean,
-            MinOrdering::MaxCorrelationFirst,
-        ] {
-            let m = statistical_min(&slacks, ordering).unwrap();
-            // E[min] ≤ min of means, and the result keeps a valid variance.
-            prop_assert!(m.mean() <= min_mean + 1e-9, "{ordering:?}");
-            prop_assert!(m.variance() >= 0.0);
-        }
+        let m = statistical_min(&slacks).unwrap();
+        // E[min] ≤ min of means, and the result keeps a valid variance.
+        prop_assert!(m.mean() <= min_mean + 1e-9);
+        prop_assert!(m.variance() >= 0.0);
     }
 
     #[test]
