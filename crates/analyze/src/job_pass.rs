@@ -41,6 +41,7 @@
 //! | JS011 | error    | damaged store file: a zero-length artifact (stray `*.tmp.*` writer leftovers and `.corrupt` evidence files are warnings) |
 //! | JS012 | error    | incomplete quarantine: a `quarantined` job missing its diagnostic bundle (`quarantine/{spec.json,error.txt,transitions.log,attempts}`) or top-level `error.txt` |
 
+use crate::integrity::{unframe, FrameError, BAK_SUFFIX, CORRUPT_SUFFIX, TMP_SUFFIX};
 use crate::{AnalysisReport, Severity};
 use std::path::Path;
 
@@ -449,7 +450,7 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
     for name in sorted_files(dir) {
         let path = dir.join(&name);
         let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(1);
-        if name.contains(".tmp") {
+        if name.contains(TMP_SUFFIX) {
             report.push(
                 "JS011",
                 Severity::Warning,
@@ -474,7 +475,7 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
     let ckpts = dir.join("checkpoints");
     for name in sorted_files(&ckpts) {
         let path = ckpts.join(&name);
-        if name.contains(".tmp") {
+        if name.contains(TMP_SUFFIX) {
             report.push(
                 "JS011",
                 Severity::Warning,
@@ -484,7 +485,7 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
             );
             continue;
         }
-        if name.ends_with(".corrupt") {
+        if name.ends_with(CORRUPT_SUFFIX) {
             report.push(
                 "JS011",
                 Severity::Warning,
@@ -494,7 +495,8 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
             );
             continue;
         }
-        if !(name.ends_with(".ckpt") || name.ends_with(".ckpt.bak")) {
+        let image = name.strip_suffix(BAK_SUFFIX).unwrap_or(&name);
+        if !image.ends_with(".ckpt") {
             continue;
         }
         let Ok(bytes) = std::fs::read(&path) else {
@@ -517,9 +519,9 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
             );
             continue;
         }
-        match crate::integrity::unframe(&bytes) {
+        match unframe(&bytes) {
             Ok(_) => {}
-            Err(crate::integrity::FrameError::NotFramed) => report.push(
+            Err(FrameError::NotFramed) => report.push(
                 "JS009",
                 Severity::Warning,
                 format!("{id}/checkpoints/{name}"),

@@ -25,14 +25,13 @@
 //! outputs are placed by index, and floating-point reductions fold in index
 //! order.
 
-use crate::checkpoint::{self, BlockProbs, EstimateCheckpoint};
+use crate::checkpoint::{self, BlockProbs, EstimateImage};
 use crate::operating::{OperatingConfig, OperatingPoint};
 use crate::perf::TsPerformanceModel;
 use crate::report::{BitParallelStats, ErrorRateEstimate, Report, RunTimings};
 use crate::{Result, TerseError};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use terse_analyze::{
@@ -52,6 +51,7 @@ use terse_sim::cosim::CosimStats;
 use terse_sim::features::InstFeatures;
 use terse_sim::machine::Machine;
 use terse_sim::profile::{ProfileResult, Profiler};
+use terse_sim::sweep::{Checkpoint, Sweep};
 use terse_sta::analysis::{Sta, StatisticalSta};
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
 use terse_sta::variation::{ChipSample, VariationConfig, VariationModel};
@@ -164,8 +164,6 @@ pub struct FrameworkBuilder {
     samples: usize,
     profiler: Profiler,
     threads: usize,
-    checkpoint: Option<EstimateCheckpoint>,
-    block_budget: Option<usize>,
     degradation: DegradationPolicy,
     dta_cache_entries: usize,
     prescreen: PrescreenMode,
@@ -184,8 +182,6 @@ impl Default for FrameworkBuilder {
             samples: 8,
             profiler: Profiler::default(),
             threads: 0,
-            checkpoint: None,
-            block_budget: None,
             degradation: DegradationPolicy::Strict,
             // The stage-DTS memo is exact (bit-verified toggle sets), so it
             // is on by default; see `FrameworkBuilder::dta_cache`.
@@ -237,27 +233,6 @@ impl FrameworkBuilder {
     /// changes results — see the module docs.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Checkpoints [`Framework::estimate`]'s per-block sweep to `path`,
-    /// flushing after every `every_n` completed blocks. A later run with
-    /// the same configuration resumes from the file and produces a result
-    /// bitwise identical to an uninterrupted run; the file is removed once
-    /// the sweep completes. A checkpoint written by a *different*
-    /// configuration is rejected with [`TerseError::Checkpoint`].
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>, every_n: usize) -> Self {
-        self.checkpoint = Some(EstimateCheckpoint::new(path, every_n));
-        self
-    }
-
-    /// Caps the number of per-block units one [`Framework::estimate`] call
-    /// may compute. When the cap is hit mid-sweep the completed prefix is
-    /// flushed to the checkpoint (if one is configured) and the call
-    /// returns [`TerseError::Interrupted`] — the supported way to exercise
-    /// and test kill/resume behaviour deterministically.
-    pub fn block_budget(mut self, n: usize) -> Self {
-        self.block_budget = Some(n);
         self
     }
 
@@ -317,8 +292,6 @@ impl FrameworkBuilder {
             samples: self.samples,
             profiler: self.profiler,
             threads: self.threads,
-            checkpoint: self.checkpoint,
-            block_budget: self.block_budget,
             degradation: self.degradation,
             dts_cache: (self.dta_cache_entries > 0)
                 .then(|| Arc::new(DtsCache::new(self.dta_cache_entries))),
@@ -342,8 +315,6 @@ pub struct Framework {
     samples: usize,
     profiler: Profiler,
     threads: usize,
-    checkpoint: Option<EstimateCheckpoint>,
-    block_budget: Option<usize>,
     degradation: DegradationPolicy,
     /// Shared stage-DTS memo, attached to every engine this framework
     /// hands out (`None` = caching disabled).
@@ -469,11 +440,6 @@ impl Framework {
             return Err(TerseError::Preflight(preflight_message(&report)));
         }
         Ok(report)
-    }
-
-    /// The configured estimate checkpoint, if any.
-    pub fn estimate_checkpoint(&self) -> Option<&EstimateCheckpoint> {
-        self.checkpoint.as_ref()
     }
 
     /// The TS performance model at this operating point.
@@ -676,19 +642,11 @@ impl Framework {
     }
 
     /// Computes the error-rate estimate from profiles and a trained model
-    /// (the Section 5 statistical pipeline), using the builder-configured
-    /// checkpoint and block budget.
-    ///
-    /// With [`FrameworkBuilder::checkpoint`] configured, the per-block
-    /// sweep periodically flushes completed blocks to disk and a re-run
-    /// resumes from the file, bitwise identical to an uninterrupted run
-    /// (each block's unit is a pure function of its inputs).
+    /// (the Section 5 statistical pipeline) in one uncheckpointed sweep.
     ///
     /// # Errors
     ///
-    /// Propagates marginal-solver and bound errors; returns
-    /// [`TerseError::Interrupted`] when a configured
-    /// [`FrameworkBuilder::block_budget`] runs out mid-sweep.
+    /// Propagates marginal-solver and bound errors.
     pub fn estimate(
         &self,
         w: &Workload,
@@ -696,32 +654,31 @@ impl Framework {
         profiles: &[ProfileResult],
         model: &InstructionErrorModel,
     ) -> Result<ErrorRateEstimate> {
-        self.estimate_with(
-            w,
-            cfg,
-            profiles,
-            model,
-            self.checkpoint.as_ref(),
-            self.block_budget,
-        )
+        self.estimate_with(w, cfg, profiles, model, None, None)
     }
 
-    /// [`Framework::estimate`] with an explicit checkpoint handle and block
-    /// budget — the job-facing entry point: a job server sharing one
-    /// framework across many queued jobs passes each job its own
-    /// TERSECP1 checkpoint file and (optional) per-attempt unit budget
-    /// instead of baking them into the builder.
+    /// [`Framework::estimate`] as a resumable sweep over the basic blocks
+    /// (see `terse_sim::sweep`): blocks already in the `TERSECP1`
+    /// checkpoint are skipped, at most `block_budget` pending blocks are
+    /// computed (`0` is treated as 1), in parallel batches of the
+    /// checkpoint's `every_n` with a flush after each, and the file is
+    /// removed once the sweep completes. Each block's tables are a pure
+    /// function of the run, so the estimate is bitwise identical to an
+    /// uninterrupted run however the sweep was cut. A job server sharing
+    /// one framework across queued jobs passes each job its own checkpoint.
     ///
     /// # Errors
     ///
-    /// As [`Framework::estimate`].
+    /// As [`Framework::estimate`]; [`TerseError::Checkpoint`] for an
+    /// unreadable checkpoint or one written by a different configuration;
+    /// [`TerseError::Interrupted`] when the budget leaves blocks pending.
     pub fn estimate_with(
         &self,
         w: &Workload,
         cfg: &Cfg,
         profiles: &[ProfileResult],
         model: &InstructionErrorModel,
-        ckpt: Option<&EstimateCheckpoint>,
+        ckpt: Option<&Checkpoint>,
         block_budget: Option<usize>,
     ) -> Result<ErrorRateEstimate> {
         failpoints::fail_point!("terse::estimate", |_| Err(TerseError::Config(
@@ -768,66 +725,26 @@ impl Framework {
                 ce: ce_blk,
             })
         };
-        let per_block: Vec<BlockProbs> = if ckpt.is_none() && block_budget.is_none() {
-            self.pool.install(|| {
-                cfg.blocks()
-                    .par_iter()
-                    .map(block_probs)
-                    .collect::<Result<_>>()
-            })?
-        } else {
-            // Batched sweep: resume from the checkpoint (if any),
-            // compute pending blocks `every_n` at a time (parallel
-            // within a batch), flush after each batch, and honour the
-            // unit budget. Block results are order-independent pure
-            // functions, so batching never changes the values.
-            let ctx = checkpoint::context_hash(
+        let format = EstimateImage {
+            context: checkpoint::context_hash(
                 cfg,
                 profiles,
                 &self.profiler,
                 self.operating.signoff_period,
                 self.operating.working_period,
-            );
-            let mut slots: Vec<Option<BlockProbs>> = match ckpt {
-                Some(ck) => checkpoint::load(ck.path(), ctx, m, s_count)?,
-                None => vec![None; m],
-            };
-            let pending: Vec<usize> = (0..m).filter(|&i| slots[i].is_none()).collect();
-            let budget = block_budget.unwrap_or(usize::MAX);
-            let every = ckpt.map_or(usize::MAX, |c| c.every_n());
-            let blocks = cfg.blocks();
-            let mut computed = 0usize;
-            let mut next = 0usize;
-            while next < pending.len() && computed < budget {
-                let take = (pending.len() - next).min(every).min(budget - computed);
-                let batch = &pending[next..next + take];
-                let results: Vec<(usize, BlockProbs)> = self.pool.install(|| {
-                    batch
-                        .par_iter()
-                        .map(|&i| block_probs(&blocks[i]).map(|r| (i, r)))
-                        .collect::<Result<_>>()
-                })?;
-                for (i, r) in results {
-                    slots[i] = Some(r);
-                }
-                computed += take;
-                next += take;
-                if let Some(ck) = ckpt {
-                    checkpoint::store(ck.path(), ctx, &slots, s_count)?;
-                }
-            }
-            let completed = slots.iter().filter(|s| s.is_some()).count();
-            if completed < m {
-                return Err(TerseError::Interrupted {
-                    completed,
-                    total: m,
-                });
-            }
-            if let Some(ck) = ckpt {
-                checkpoint::finish(ck.path())?;
-            }
-            slots.into_iter().flatten().collect()
+            ),
+            blocks: m,
+            s_count,
         };
+        let blocks = cfg.blocks();
+        let per_block = Sweep::start(&format, ckpt, block_budget)?.run(|batch| {
+            self.pool.install(|| {
+                batch
+                    .par_iter()
+                    .map(|&i| block_probs(&blocks[i]).map(|r| (i, r)))
+                    .collect::<Result<Vec<_>>>()
+            })
+        })?;
         let mut cond_correct = Vec::with_capacity(m);
         let mut cond_error = Vec::with_capacity(m);
         for blk_probs in per_block {
@@ -1297,24 +1214,28 @@ mod tests {
         );
     }
 
+    /// [`Framework::run`]'s profile → train → estimate flow, with the
+    /// estimate sweep checkpointed to `ckpt` under `block_budget`.
+    fn run_checkpointed(
+        f: &Framework,
+        w: &Workload,
+        ckpt: &Checkpoint,
+        block_budget: Option<usize>,
+    ) -> Result<ErrorRateEstimate> {
+        let cfg = Cfg::from_program(w.program());
+        let profiles = f.profile_workload(w, &cfg)?;
+        let model = f.train_model(w, &cfg, &profiles)?;
+        f.estimate_with(w, &cfg, &profiles, &model, Some(ckpt), block_budget)
+    }
+
     #[test]
     fn checkpointed_estimate_matches_plain_and_cleans_up() {
         let w = loop_workload();
         let plain = small_framework().run(&w).unwrap();
         let path = ckpt_path("match");
-        let f = Framework::builder()
-            .samples(2)
-            .profiler(Profiler {
-                max_feature_samples: 8,
-                budget: 100_000,
-                dmem_words: 4096,
-                seed: 1,
-            })
-            .checkpoint(&path, 1)
-            .build()
-            .unwrap();
-        let ck = f.run(&w).unwrap();
-        assert_estimates_bitwise_equal(&plain.estimate, &ck.estimate);
+        let ck =
+            run_checkpointed(&small_framework(), &w, &Checkpoint::new(&path, 1), None).unwrap();
+        assert_estimates_bitwise_equal(&plain.estimate, &ck);
         assert!(!path.exists(), "checkpoint removed on completion");
     }
 
@@ -1323,6 +1244,7 @@ mod tests {
         let w = loop_workload();
         let plain = small_framework().run(&w).unwrap();
         let path = ckpt_path("resume");
+        let ckpt = Checkpoint::new(&path, 1);
         let prof = Profiler {
             max_feature_samples: 8,
             budget: 100_000,
@@ -1330,14 +1252,7 @@ mod tests {
             seed: 1,
         };
         // First run: budget of 2 blocks → flush + Interrupted.
-        let f1 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .checkpoint(&path, 1)
-            .block_budget(2)
-            .build()
-            .unwrap();
-        let err = f1.run(&w).unwrap_err();
+        let err = run_checkpointed(&small_framework(), &w, &ckpt, Some(2)).unwrap_err();
         match err {
             TerseError::Interrupted { completed, total } => {
                 assert_eq!(completed, 2);
@@ -1351,13 +1266,37 @@ mod tests {
         let f2 = Framework::builder()
             .samples(2)
             .profiler(prof)
-            .checkpoint(&path, 1)
             .threads(1)
             .build()
             .unwrap();
-        let resumed = f2.run(&w).unwrap();
-        assert_estimates_bitwise_equal(&plain.estimate, &resumed.estimate);
+        let resumed = run_checkpointed(&f2, &w, &ckpt, None).unwrap();
+        assert_estimates_bitwise_equal(&plain.estimate, &resumed);
         assert!(!path.exists());
+    }
+
+    /// A budget of 0 is treated as 1: a caller that requeues on
+    /// `Interrupted` always finishes, one block per call.
+    #[test]
+    fn zero_block_budget_still_makes_progress() {
+        let w = loop_workload();
+        let plain = small_framework().run(&w).unwrap();
+        let path = ckpt_path("zero-budget");
+        let ckpt = Checkpoint::new(&path, 1);
+        let f = small_framework();
+        let mut completed = 0;
+        let resumed = loop {
+            match run_checkpointed(&f, &w, &ckpt, Some(0)) {
+                Ok(est) => break est,
+                Err(TerseError::Interrupted { completed: c, .. }) => {
+                    assert_eq!(c, completed + 1, "each call computes one block");
+                    completed = c;
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        };
+        assert!(completed > 0, "the sweep was sliced");
+        assert_estimates_bitwise_equal(&plain.estimate, &resumed);
+        assert!(!path.exists(), "checkpoint removed on completion");
     }
 
     /// Kill a *cached* run mid-sweep, resume it in a fresh process-alike
@@ -1383,31 +1322,29 @@ mod tests {
             .run(&w)
             .unwrap();
         let path = ckpt_path("cache-resume");
-        let f1 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .checkpoint(&path, 1)
-            .block_budget(2)
-            .dta_cache(256)
-            .build()
-            .unwrap();
-        assert!(matches!(f1.run(&w), Err(TerseError::Interrupted { .. })));
+        let ckpt = Checkpoint::new(&path, 1);
+        let cached = || {
+            Framework::builder()
+                .samples(2)
+                .profiler(prof)
+                .dta_cache(256)
+                .build()
+                .unwrap()
+        };
+        assert!(matches!(
+            run_checkpointed(&cached(), &w, &ckpt, Some(2)),
+            Err(TerseError::Interrupted { .. })
+        ));
         assert!(path.exists(), "partial checkpoint persisted");
-        let f2 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .checkpoint(&path, 1)
-            .dta_cache(256)
-            .build()
-            .unwrap();
+        let f2 = cached();
         let fresh = f2.dta_cache_stats().expect("cache enabled");
         assert_eq!(
             (fresh.hits, fresh.misses, fresh.entries),
             (0, 0, 0),
             "resume must start from a cold cache"
         );
-        let resumed = f2.run(&w).unwrap();
-        assert_estimates_bitwise_equal(&plain.estimate, &resumed.estimate);
+        let resumed = run_checkpointed(&f2, &w, &ckpt, None).unwrap();
+        assert_estimates_bitwise_equal(&plain.estimate, &resumed);
         assert!(!path.exists(), "checkpoint removed on completion");
     }
 
@@ -1415,6 +1352,7 @@ mod tests {
     fn stale_checkpoint_is_rejected() {
         let w = loop_workload();
         let path = ckpt_path("stale");
+        let ckpt = Checkpoint::new(&path, 1);
         let prof = Profiler {
             max_feature_samples: 8,
             budget: 100_000,
@@ -1422,23 +1360,21 @@ mod tests {
             seed: 1,
         };
         // Interrupt a run to leave a checkpoint behind.
-        let f1 = Framework::builder()
-            .samples(2)
-            .profiler(prof)
-            .checkpoint(&path, 1)
-            .block_budget(1)
-            .build()
-            .unwrap();
-        assert!(matches!(f1.run(&w), Err(TerseError::Interrupted { .. })));
+        assert!(matches!(
+            run_checkpointed(&small_framework(), &w, &ckpt, Some(1)),
+            Err(TerseError::Interrupted { .. })
+        ));
         // A differently-configured run (different profiler seed → different
         // profiles) must refuse the file rather than mix results.
         let f2 = Framework::builder()
             .samples(2)
             .profiler(Profiler { seed: 99, ..prof })
-            .checkpoint(&path, 1)
             .build()
             .unwrap();
-        assert!(matches!(f2.run(&w), Err(TerseError::Checkpoint(_))));
+        assert!(matches!(
+            run_checkpointed(&f2, &w, &ckpt, None),
+            Err(TerseError::Checkpoint(_))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -54,7 +54,6 @@ pub mod operating;
 pub mod perf;
 pub mod report;
 
-pub use checkpoint::EstimateCheckpoint;
 pub use framework::{Framework, FrameworkBuilder, Workload};
 pub use operating::{OperatingConfig, OperatingPoint};
 pub use perf::TsPerformanceModel;
@@ -63,6 +62,7 @@ pub use report::{BitParallelStats, ErrorRateEstimate, RateCdfPoint, Report, RunT
 // Re-export the substrate types a downstream user needs for configuration.
 pub use terse_netlist::pipeline::PipelineConfig;
 pub use terse_sim::correction::CorrectionScheme;
+pub use terse_sim::sweep::Checkpoint;
 pub use terse_sta::variation::VariationConfig;
 pub use terse_stats::DegradationPolicy;
 // Re-export the static-analysis report so `Framework::preflight` callers
@@ -101,7 +101,7 @@ pub enum TerseError {
     /// before any phase started.
     Preflight(String),
     /// An estimate sweep ran out of its configured unit budget; the
-    /// checkpoint (if any) holds the completed prefix and a re-run resumes
+    /// checkpoint (if any) holds the completed blocks and a re-run resumes
     /// from it.
     Interrupted {
         /// Per-block units already completed (and checkpointed).
@@ -154,6 +154,17 @@ from_error!(Sta, terse_sta::StaError);
 from_error!(Dta, terse_dta::DtaError);
 from_error!(ErrModel, terse_errmodel::ErrModelError);
 from_error!(Stats, terse_stats::StatsError);
+
+impl From<terse_sim::sweep::SweepError> for TerseError {
+    fn from(e: terse_sim::sweep::SweepError) -> Self {
+        match e {
+            terse_sim::sweep::SweepError::Checkpoint(m) => TerseError::Checkpoint(m),
+            terse_sim::sweep::SweepError::Interrupted { completed, total } => {
+                TerseError::Interrupted { completed, total }
+            }
+        }
+    }
+}
 
 /// Crate-wide result alias.
 pub type Result<T, E = TerseError> = std::result::Result<T, E>;

@@ -27,10 +27,9 @@ use terse_isa::{assemble, Cfg};
 use terse_sim::correction::CorrectionScheme;
 use terse_sim::features::InstFeatures;
 use terse_sim::monte_carlo::{
-    error_counts, error_counts_checkpointed, slack_class_stats, InstErrorModel, McCheckpoint,
-    MonteCarloConfig,
+    error_counts, error_counts_with, slack_class_stats, InstErrorModel, MonteCarloConfig,
 };
-use terse_sim::SimError;
+use terse_sim::{Checkpoint, SimError};
 use terse_sta::delay::DelayLibrary;
 use terse_sta::variation::{ChipSample, VariationModel};
 use terse_sta::CanonicalRv;
@@ -82,11 +81,21 @@ fn check_kernel(name: &str) {
     let mut path = std::env::temp_dir();
     path.push(format!("oracle_mc_grid_{name}_{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&path);
+    let ck = Checkpoint::new(&path, 37);
     let mut slices = 0;
     let resumed = loop {
-        let ck = McCheckpoint::new(&path, 37).with_cell_budget(45);
-        match error_counts_checkpointed(w.program(), &model, &chips, INPUTS, scheme, init, mc, &ck)
-        {
+        let sliced = error_counts_with(
+            w.program(),
+            &model,
+            &chips,
+            INPUTS,
+            scheme,
+            init,
+            mc,
+            Some(&ck),
+            Some(45),
+        );
+        match sliced {
             Ok(counts) => break counts,
             Err(SimError::Interrupted { .. }) => slices += 1,
             Err(e) => panic!("{name}: {e}"),

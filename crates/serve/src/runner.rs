@@ -28,12 +28,10 @@ use crate::{json::Value, Result, ServeError};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
-use terse::{
-    EstimateCheckpoint, Framework, OperatingConfig, Report, RunTimings, TerseError, Workload,
-};
+use terse::{Checkpoint, Framework, OperatingConfig, Report, RunTimings, TerseError, Workload};
 use terse_isa::Cfg;
 use terse_sim::monte_carlo::{self, MonteCarloConfig};
-use terse_sim::{McCheckpoint, SimError};
+use terse_sim::SimError;
 
 /// How one run attempt of a job ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,7 +173,7 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
             .map_err(|e| ServeError::Run(format!("training failed: {e}")))?;
         timings.training_s += t1.elapsed().as_secs_f64();
         // --- Estimation (TERSECP1 checkpoint path) -----------------------
-        let ckpt = EstimateCheckpoint::new(
+        let ckpt = Checkpoint::new(
             ckpt_dir.join(format!("est-{g}.ckpt")),
             spec.checkpoint_every,
         );
@@ -204,13 +202,9 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
             let chips = fw
                 .sample_chips(spec.chips, spec.seed)
                 .map_err(|e| ServeError::Run(format!("chip sampling failed: {e}")))?;
-            let mut mck =
-                McCheckpoint::new(ckpt_dir.join(format!("mc-{g}.ckpt")), spec.checkpoint_every);
-            if let Some(b) = spec.mc_cell_budget {
-                mck = mck.with_cell_budget(b);
-            }
+            let mck = Checkpoint::new(ckpt_dir.join(format!("mc-{g}.ckpt")), spec.checkpoint_every);
             let inputs = workload.input_count();
-            let counts = match monte_carlo::error_counts_checkpointed(
+            let counts = match monte_carlo::error_counts_with(
                 workload.program(),
                 &model,
                 &chips,
@@ -222,7 +216,8 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
                     }
                 },
                 MonteCarloConfig::default(),
-                &mck,
+                Some(&mck),
+                spec.mc_cell_budget,
             ) {
                 Ok(c) => c,
                 Err(SimError::Interrupted { completed, total }) => {

@@ -49,13 +49,14 @@ pub mod features;
 pub mod machine;
 pub mod monte_carlo;
 pub mod profile;
+pub mod sweep;
 
 pub use correction::CorrectionScheme;
 pub use cosim::{CoSim, CosimStats};
 pub use features::InstFeatures;
 pub use machine::{Machine, Retired};
-pub use monte_carlo::McCheckpoint;
 pub use profile::{ProfileResult, Profiler};
+pub use sweep::Checkpoint;
 
 use std::fmt;
 
@@ -84,9 +85,8 @@ pub enum SimError {
     /// A Monte Carlo checkpoint file could not be read, written, or did not
     /// match the run it was resumed into.
     Checkpoint(String),
-    /// A checkpointed Monte Carlo grid ran out of its configured cell
-    /// budget; the checkpoint holds the completed cells and a re-run
-    /// resumes from it.
+    /// A Monte Carlo grid ran out of its cell budget; the checkpoint (if
+    /// any) holds the completed cells and a re-run resumes from it.
     Interrupted {
         /// Grid cells already completed (and checkpointed).
         completed: usize,

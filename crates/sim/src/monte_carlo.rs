@@ -23,8 +23,8 @@
 //!
 //! # Slack classes and lane groups
 //!
-//! [`error_counts`] and [`error_counts_checkpointed`] share one runner that
-//! works in three steps per call:
+//! [`error_counts`] is [`error_counts_with`] without a checkpoint or a
+//! budget; both run one packed grid that works in three steps per call:
 //!
 //! 1. **Collect.** Each input runs once (in parallel across inputs) and
 //!    records the distinct [`InstErrorModel::SlackKey`]s its trajectory
@@ -52,10 +52,21 @@
 //! matrix equals the one-cell-per-chip reference bit for bit at any thread
 //! count, any lane occupancy (ragged final group included), and across
 //! checkpoint resumes that cut through a lane group.
+//!
+//! # Checkpoint and resume
+//!
+//! [`error_counts_with`] runs the grid as a resumable sweep over its cells
+//! ([`crate::sweep`]): stored cells are skipped, at most a budget of pending
+//! cells is computed in batches with a flush after each, and the checkpoint
+//! is removed once the grid is complete. This module keeps only the
+//! `TERSEMC1` payload codec and its context hash; the file protocol (the
+//! `TERSEFR1` envelope, `.bak`/`.corrupt` generations, the durable writer)
+//! is `terse_analyze::integrity`'s, shared with the estimate's `TERSECP1`.
 
 use crate::correction::CorrectionScheme;
 use crate::features::{extract, BusState, InstFeatures};
 use crate::machine::Machine;
+use crate::sweep::{Checkpoint, CheckpointFormat, Sweep};
 use crate::Result;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -408,10 +419,10 @@ fn for_each_count(tasks: &[Task], results: &[Vec<u64>], mut f: impl FnMut(usize,
     }
 }
 
-/// The grid runner shared by [`error_counts`] and
-/// [`error_counts_checkpointed`]: slack classes and per-group tables are
-/// built once per call for every task the call may run (see the module
-/// docs), then [`PackedGrid::run`] executes any subset of those tasks.
+/// The grid runner behind [`error_counts_with`]: slack classes and
+/// per-group tables are built once per call for every task the call may run
+/// (see the module docs), then [`PackedGrid::run`] executes any subset of
+/// those tasks.
 struct PackedGrid<'a, M: InstErrorModel, F> {
     program: &'a Program,
     model: &'a M,
@@ -597,15 +608,7 @@ where
     M: InstErrorModel + Sync,
     F: Fn(usize, &mut Machine) + Sync,
 {
-    if inputs == 0 || chips.is_empty() {
-        return Ok(vec![Vec::new(); chips.len()]);
-    }
-    let cells: Vec<usize> = (0..chips.len() * inputs).collect();
-    let tasks = pack_tasks(&cells, inputs);
-    let grid = PackedGrid::new(program, model, chips, scheme, &init, cfg, &tasks)?;
-    let mut counts = vec![vec![0u64; inputs]; chips.len()];
-    for_each_count(&tasks, &grid.run(&tasks)?, |c, i, e| counts[c][i] = e);
-    Ok(counts)
+    error_counts_with(program, model, chips, inputs, scheme, init, cfg, None, None)
 }
 
 /// Like [`error_counts`] but with process variation *marginalized* per
@@ -661,70 +664,29 @@ pub fn pooled_counts(counts: &[Vec<u64>]) -> Vec<u64> {
 // Checkpoint / resume for the (chip, input) grid
 // ---------------------------------------------------------------------------
 
-/// Periodic checkpointing of the Monte Carlo grid.
+/// The `TERSEMC1` payload: completed grid cells (`chip · inputs + input`)
+/// and their counts, all little-endian `u64`s.
 ///
-/// Because every cell draws from its own counter-based RNG stream (see the
-/// module docs), a cell's count depends only on `(cfg.seed, chip, input)` —
-/// never on which cells ran before it or on the thread schedule. A resumed
-/// run therefore reproduces the uninterrupted count matrix **bitwise**: it
-/// simply skips the cells already on disk and recomputes the rest from
-/// their own streams.
-///
-/// The on-disk format is a small hand-rolled binary file (the build is
-/// offline — no serde): a magic tag, a context fingerprint binding the file
-/// to one `(seed, grid shape, program)` combination, and `(cell, count)`
-/// pairs, all little-endian `u64`s. Writes go to a sibling `.tmp` file and
-/// are renamed into place, so a kill mid-flush leaves the previous
-/// checkpoint intact.
-#[derive(Debug, Clone)]
-pub struct McCheckpoint {
-    path: std::path::PathBuf,
-    every_n: usize,
-    cell_budget: Option<usize>,
+/// ```text
+/// magic      8 bytes  b"TERSEMC1"
+/// context    u64      mc_context_hash of the run
+/// cells      u64      chips × inputs
+/// entries    u64      number of (cell, count) pairs that follow
+/// entry*     u64 cell, u64 count
+/// ```
+struct McImage {
+    context: u64,
+    cells: usize,
 }
 
-impl McCheckpoint {
-    /// Checkpoint to `path`, flushing after every `every_n` newly computed
-    /// cells (`every_n == 0` is treated as 1).
-    pub fn new(path: impl Into<std::path::PathBuf>, every_n: usize) -> Self {
-        McCheckpoint {
-            path: path.into(),
-            every_n: every_n.max(1),
-            cell_budget: None,
-        }
-    }
-
-    /// Caps the number of new cells one [`error_counts_checkpointed`] call
-    /// may compute (`0` is treated as 1). When the cap is hit mid-grid the
-    /// completed cells are flushed and the call returns
-    /// [`crate::SimError::Interrupted`] — the supported way to exercise and
-    /// test kill/resume behaviour deterministically, and a job server's
-    /// time-slicing knob.
-    pub fn with_cell_budget(mut self, n: usize) -> Self {
-        self.cell_budget = Some(n.max(1));
-        self
-    }
-
-    /// The checkpoint file path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Cells per checkpoint flush.
-    pub fn every_n(&self) -> usize {
-        self.every_n
-    }
-
-    /// The per-call cell budget, if any.
-    pub fn cell_budget(&self) -> Option<usize> {
-        self.cell_budget
-    }
-}
-
-const MC_MAGIC: &[u8; 8] = b"TERSEMC1";
-
-/// FNV-1a over the run parameters that determine every cell count. A resumed
-/// checkpoint must match, or the stored counts belong to a different run.
+/// The 64-bit hash of the run parameters that determine every cell count;
+/// a resumed checkpoint must match, or its counts belong to another run.
+///
+/// It is FNV-1a in shape (offset basis `0xcbf2_9ce4_8422_2325`, xor then
+/// multiply per byte) but multiplies by `0x1000_0000_01b3`, sixteen times
+/// the FNV prime `0x100_0000_01b3`. The multiplier must not change: every
+/// `TERSEMC1` checkpoint already on disk carries this hash, and a different
+/// one would orphan them all.
 fn mc_context_hash(cfg: MonteCarloConfig, chips: usize, inputs: usize, program_len: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [
@@ -743,134 +705,83 @@ fn mc_context_hash(cfg: MonteCarloConfig, chips: usize, inputs: usize, program_l
     h
 }
 
-fn ck_err(e: impl std::fmt::Display) -> crate::SimError {
-    crate::SimError::Checkpoint(e.to_string())
-}
+impl CheckpointFormat for McImage {
+    type Unit = u64;
+    const MAGIC: [u8; 8] = *b"TERSEMC1";
 
-/// `path` with `suffix` appended to the full file name (`mc-0.ckpt` +
-/// `.bak` → `mc-0.ckpt.bak`).
-fn ck_sibling(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(suffix);
-    std::path::PathBuf::from(name)
-}
+    fn units(&self) -> usize {
+        self.cells
+    }
 
-/// Loads a checkpoint: `done[cell] = Some(count)` for stored cells.
-///
-/// A missing file is a fresh start. A CRC-damaged or torn `TERSEFR1`
-/// image (see `terse_analyze::integrity`) is set aside as `.corrupt`
-/// evidence and the previous good generation (`.bak`) is served instead —
-/// or a fresh start; either way the resumed run recomputes the missing
-/// cells from their own RNG streams, bitwise identically. A *verified*
-/// file with the wrong magic, context hash, or cell range is an error
-/// (silently mixing two runs' counts would corrupt the statistics).
-fn mc_load(ckpt: &McCheckpoint, context: u64, total: usize) -> Result<Vec<Option<u64>>> {
-    let bytes = match std::fs::read(&ckpt.path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(vec![None; total]),
-        Err(e) => return Err(ck_err(e)),
-    };
-    match terse_analyze::unframe(&bytes) {
-        Ok(payload) => mc_parse(payload, context, total),
-        // Pre-framing image: its own magic still guards against foreign
-        // files. Bytes with neither frame nor magic (zero-length files
-        // from ENOSPC, torn non-atomic writes) are damage, not legacy.
-        Err(terse_analyze::FrameError::NotFramed)
-            if bytes.len() >= MC_MAGIC.len() && &bytes[..MC_MAGIC.len()] == MC_MAGIC =>
-        {
-            mc_parse(&bytes, context, total)
-        }
-        Err(_damage) => {
-            let _ = std::fs::rename(&ckpt.path, ck_sibling(&ckpt.path, ".corrupt"));
-            let bak = ck_sibling(&ckpt.path, ".bak");
-            if let Ok(bak_bytes) = std::fs::read(&bak) {
-                if let Ok(payload) = terse_analyze::unframe(&bak_bytes) {
-                    if let Ok(done) = mc_parse(payload, context, total) {
-                        return Ok(done);
-                    }
-                }
+    fn encode(&self, done: &[Option<u64>]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(32 + 16 * done.len());
+        buf.extend_from_slice(&Self::MAGIC);
+        buf.extend_from_slice(&self.context.to_le_bytes());
+        buf.extend_from_slice(&(done.len() as u64).to_le_bytes());
+        let entries = done.iter().filter(|d| d.is_some()).count() as u64;
+        buf.extend_from_slice(&entries.to_le_bytes());
+        for (cell, d) in done.iter().enumerate() {
+            if let Some(count) = d {
+                buf.extend_from_slice(&(cell as u64).to_le_bytes());
+                buf.extend_from_slice(&count.to_le_bytes());
             }
-            Ok(vec![None; total])
         }
+        buf
+    }
+
+    fn parse(&self, bytes: &[u8]) -> std::result::Result<Vec<Option<u64>>, String> {
+        let mut done = vec![None; self.cells];
+        let word = |i: usize| -> std::result::Result<u64, String> {
+            let at = 8 + 8 * i;
+            bytes
+                .get(at..at + 8)
+                .and_then(|s| <[u8; 8]>::try_from(s).ok())
+                .map(u64::from_le_bytes)
+                .ok_or_else(|| "truncated checkpoint file".to_owned())
+        };
+        if !bytes.starts_with(&Self::MAGIC) {
+            return Err("bad checkpoint magic".into());
+        }
+        if word(0)? != self.context {
+            return Err("checkpoint belongs to a different run".into());
+        }
+        if word(1)? != self.cells as u64 {
+            return Err("checkpoint grid size mismatch".into());
+        }
+        let entries = word(2)? as usize;
+        for k in 0..entries {
+            let cell = word(3 + 2 * k)? as usize;
+            let count = word(4 + 2 * k)?;
+            if cell >= self.cells {
+                return Err("checkpoint cell index out of range".into());
+            }
+            done[cell] = Some(count);
+        }
+        Ok(done)
     }
 }
 
-/// Parses a verified (or legacy bare) `TERSEMC1` image.
-fn mc_parse(bytes: &[u8], context: u64, total: usize) -> Result<Vec<Option<u64>>> {
-    let mut done = vec![None; total];
-    let word = |i: usize| -> Result<u64> {
-        let at = 8 + 8 * i;
-        bytes
-            .get(at..at + 8)
-            .and_then(|s| <[u8; 8]>::try_from(s).ok())
-            .map(u64::from_le_bytes)
-            .ok_or_else(|| ck_err("truncated checkpoint file"))
-    };
-    if bytes.len() < 8 || &bytes[..8] != MC_MAGIC {
-        return Err(ck_err("bad checkpoint magic"));
-    }
-    if word(0)? != context {
-        return Err(ck_err("checkpoint belongs to a different run"));
-    }
-    if word(1)? != total as u64 {
-        return Err(ck_err("checkpoint grid size mismatch"));
-    }
-    let entries = word(2)? as usize;
-    for k in 0..entries {
-        let cell = word(3 + 2 * k)? as usize;
-        let count = word(4 + 2 * k)?;
-        if cell >= total {
-            return Err(ck_err("checkpoint cell index out of range"));
-        }
-        done[cell] = Some(count);
-    }
-    Ok(done)
-}
-
-/// Atomically writes the checkpoint (tmp + rename), wrapped in the
-/// `TERSEFR1` integrity envelope. The previous image is preserved as
-/// `.bak` so a later load can fall back past a damaged primary.
-fn mc_store(ckpt: &McCheckpoint, context: u64, done: &[Option<u64>]) -> Result<()> {
-    let mut buf = Vec::with_capacity(32 + 16 * done.len());
-    buf.extend_from_slice(MC_MAGIC);
-    buf.extend_from_slice(&context.to_le_bytes());
-    buf.extend_from_slice(&(done.len() as u64).to_le_bytes());
-    let entries = done.iter().filter(|d| d.is_some()).count() as u64;
-    buf.extend_from_slice(&entries.to_le_bytes());
-    for (cell, d) in done.iter().enumerate() {
-        if let Some(count) = d {
-            buf.extend_from_slice(&(cell as u64).to_le_bytes());
-            buf.extend_from_slice(&count.to_le_bytes());
-        }
-    }
-    let image = terse_analyze::frame(&buf);
-    let tmp = ckpt.path.with_extension("tmp");
-    std::fs::write(&tmp, &image).map_err(ck_err)?;
-    // Best-effort backup of the outgoing generation: a failed or torn
-    // copy only narrows fallback (its CRC is checked before use).
-    if ckpt.path.exists() {
-        let _ = std::fs::copy(&ckpt.path, ck_sibling(&ckpt.path, ".bak"));
-    }
-    std::fs::rename(&tmp, &ckpt.path).map_err(ck_err)
-}
-
-/// [`error_counts`] with periodic checkpointing: cells already present in
-/// the checkpoint file are skipped, the rest are computed (in parallel,
-/// batch by batch) with a flush after every `every_n` new cells, and the
-/// file is removed once the full grid is done.
+/// [`error_counts`] as a resumable sweep over the grid's cells: cells
+/// already in the `TERSEMC1` checkpoint are skipped, at most `cell_budget`
+/// pending cells are computed (`0` is treated as 1), in batches of the
+/// checkpoint's `every_n` with a flush after each, and the file is removed
+/// once the grid is complete (see [`crate::sweep`]). Without a checkpoint
+/// or a budget this is [`error_counts`].
 ///
-/// The returned matrix is bitwise identical to an uninterrupted
-/// [`error_counts`] call with the same arguments (see [`McCheckpoint`]).
+/// One [`PackedGrid`] is built over the cells this call computes, so its
+/// slack classes and lane-group tables are shared by every batch. Each
+/// cell's count depends only on `(cfg.seed, chip, input)`, so the returned
+/// matrix is bitwise identical to an uninterrupted [`error_counts`] call
+/// however the grid was sliced.
 ///
 /// # Errors
 ///
-/// Propagates machine errors and [`crate::SimError::Checkpoint`] for
-/// unreadable or mismatched checkpoint files.
-// Mirrors `error_counts`' signature exactly, plus the checkpoint handle —
-// splitting a config struct out here would break the side-by-side symmetry
-// the determinism tests rely on.
+/// Propagates machine errors; [`crate::SimError::Checkpoint`] for an
+/// unreadable or mismatched checkpoint; [`crate::SimError::Interrupted`]
+/// when the budget leaves cells pending.
+// Mirrors `error_counts`' signature, plus the checkpoint and the budget.
 #[allow(clippy::too_many_arguments)]
-pub fn error_counts_checkpointed<M, F>(
+pub fn error_counts_with<M, F>(
     program: &Program,
     model: &M,
     chips: &[ChipSample],
@@ -878,7 +789,8 @@ pub fn error_counts_checkpointed<M, F>(
     scheme: CorrectionScheme,
     init: F,
     cfg: MonteCarloConfig,
-    ckpt: &McCheckpoint,
+    ckpt: Option<&Checkpoint>,
+    cell_budget: Option<usize>,
 ) -> Result<Vec<Vec<u64>>>
 where
     M: InstErrorModel + Sync,
@@ -887,55 +799,28 @@ where
     if inputs == 0 {
         return Ok(vec![Vec::new(); chips.len()]);
     }
-    let total = chips.len() * inputs;
-    let context = mc_context_hash(cfg, chips.len(), inputs, program.len());
-    let mut done = mc_load(ckpt, context, total)?;
-    let pending: Vec<usize> = (0..total).filter(|&c| done[c].is_none()).collect();
-    // Honour the per-call cell budget: compute at most `budget` new cells
-    // (flushing per batch as usual), then report a typed interruption so the
-    // caller can resume from the checkpoint later.
-    let budget = ckpt.cell_budget.unwrap_or(usize::MAX);
-    let capped = pending.len().min(budget);
-    let grid = PackedGrid::new(
-        program,
-        model,
-        chips,
-        scheme,
-        &init,
-        cfg,
-        &pack_tasks(&pending[..capped], inputs),
-    )?;
-    for batch in pending[..capped].chunks(ckpt.every_n) {
+    let format = McImage {
+        context: mc_context_hash(cfg, chips.len(), inputs, program.len()),
+        cells: chips.len() * inputs,
+    };
+    let sweep = Sweep::start(&format, ckpt, cell_budget)?;
+    let tasks = pack_tasks(sweep.units(), inputs);
+    let grid = PackedGrid::new(program, model, chips, scheme, &init, cfg, &tasks)?;
+    let done = sweep.run(|batch| {
         let tasks = pack_tasks(batch, inputs);
+        let mut counts = Vec::with_capacity(batch.len());
         for_each_count(&tasks, &grid.run(&tasks)?, |c, i, e| {
-            done[c * inputs + i] = Some(e);
+            counts.push((c * inputs + i, e));
         });
-        mc_store(ckpt, context, &done)?;
-    }
-    if capped < pending.len() {
-        return Err(crate::SimError::Interrupted {
-            completed: total - (pending.len() - capped),
-            total,
-        });
-    }
-    let counts: Vec<Vec<u64>> = done
-        .chunks(inputs)
-        .map(|row| row.iter().map(|d| d.unwrap_or(0)).collect())
-        .collect();
-    // The grid is complete — the checkpoint (and its backup generation)
-    // has served its purpose. `.corrupt` evidence is left for diagnosis.
-    let _ = std::fs::remove_file(ck_sibling(&ckpt.path, ".bak"));
-    if let Err(e) = std::fs::remove_file(&ckpt.path) {
-        if e.kind() != std::io::ErrorKind::NotFound {
-            return Err(ck_err(e));
-        }
-    }
-    Ok(counts)
+        Ok::<_, crate::SimError>(counts)
+    })?;
+    Ok(done.chunks(inputs).map(<[u64]>::to_vec).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use terse_analyze::integrity;
     use terse_isa::assemble;
     use terse_sta::delay::DelayLibrary;
     use terse_sta::variation::{VariationConfig, VariationModel};
@@ -1049,6 +934,16 @@ mod tests {
         p
     }
 
+    /// Flushes `done` as one `TERSEMC1` generation through the shared
+    /// writer, as a sweep does after a batch.
+    fn mc_store(ck: &Checkpoint, context: u64, done: &[Option<u64>]) {
+        let image = McImage {
+            context,
+            cells: done.len(),
+        };
+        integrity::store_checkpoint(ck.path(), &image.encode(done)).unwrap();
+    }
+
     #[test]
     fn checkpointed_matches_plain_and_cleans_up() {
         let p = assemble("li r1, 0xFFFF\nadd r2, r1, r1\nadd r3, r2, r1\nhalt\n").unwrap();
@@ -1064,8 +959,8 @@ mod tests {
             cfg,
         )
         .unwrap();
-        let ck = McCheckpoint::new(ckpt_path("fresh"), 5);
-        let resumed = error_counts_checkpointed(
+        let ck = Checkpoint::new(ckpt_path("fresh"), 5);
+        let resumed = error_counts_with(
             &p,
             &ToyModel,
             &cs,
@@ -1073,7 +968,8 @@ mod tests {
             CorrectionScheme::paper_default(),
             |_, _| {},
             cfg,
-            &ck,
+            Some(&ck),
+            None,
         )
         .unwrap();
         assert_eq!(plain, resumed, "checkpointed run must be bitwise identical");
@@ -1102,9 +998,9 @@ mod tests {
         for cell in 0..total / 2 {
             done[cell] = Some(plain[cell / inputs][cell % inputs]);
         }
-        let ck = McCheckpoint::new(ckpt_path("partial"), 2);
-        mc_store(&ck, context, &done).unwrap();
-        let resumed = error_counts_checkpointed(
+        let ck = Checkpoint::new(ckpt_path("partial"), 2);
+        mc_store(&ck, context, &done);
+        let resumed = error_counts_with(
             &p,
             &ToyModel,
             &cs,
@@ -1112,7 +1008,8 @@ mod tests {
             CorrectionScheme::paper_default(),
             |_, _| {},
             cfg,
-            &ck,
+            Some(&ck),
+            None,
         )
         .unwrap();
         assert_eq!(plain, resumed, "resume must reproduce the full run");
@@ -1141,10 +1038,9 @@ mod tests {
         // the final call must finish and clean up.
         let budget = 5;
         let mut completed = 0;
+        let ck = Checkpoint::new(&path, 2);
         loop {
-            let ck = McCheckpoint::new(&path, 2).with_cell_budget(budget);
-            assert_eq!(ck.cell_budget(), Some(budget));
-            match error_counts_checkpointed(
+            match error_counts_with(
                 &p,
                 &ToyModel,
                 &cs,
@@ -1152,7 +1048,8 @@ mod tests {
                 CorrectionScheme::paper_default(),
                 |_, _| {},
                 cfg,
-                &ck,
+                Some(&ck),
+                Some(budget),
             ) {
                 Ok(counts) => {
                     assert_eq!(plain, counts, "sliced run must equal the plain run");
@@ -1164,7 +1061,11 @@ mod tests {
                     total: t,
                 }) => {
                     assert_eq!(t, total);
-                    assert!(c > completed, "each slice must make progress");
+                    assert_eq!(
+                        c,
+                        (completed + budget).min(total),
+                        "a slice computes its budget"
+                    );
                     assert!(c < total, "an interrupted slice cannot be the full grid");
                     completed = c;
                     assert!(
@@ -1307,11 +1208,20 @@ mod tests {
         for cell in [0usize, 2, 5, 9, 11, 16] {
             done[cell] = Some(plain[cell / inputs][cell % inputs]);
         }
-        let ck = McCheckpoint::new(ckpt_path("midgroup"), 4);
-        mc_store(&ck, context, &done).unwrap();
-        let resumed =
-            error_counts_checkpointed(&p, &ToggleModel, &cs, inputs, scheme, |_, _| {}, cfg, &ck)
-                .unwrap();
+        let ck = Checkpoint::new(ckpt_path("midgroup"), 4);
+        mc_store(&ck, context, &done);
+        let resumed = error_counts_with(
+            &p,
+            &ToggleModel,
+            &cs,
+            inputs,
+            scheme,
+            |_, _| {},
+            cfg,
+            Some(&ck),
+            None,
+        )
+        .unwrap();
         assert_eq!(plain, resumed, "mid-group resume must be bitwise exact");
         assert!(!ck.path().exists());
     }
@@ -1321,15 +1231,15 @@ mod tests {
         let p = assemble("li r1, 1\nhalt\n").unwrap();
         let cs = chips(2);
         let cfg = MonteCarloConfig::default();
-        let ck = McCheckpoint::new(ckpt_path("mismatch"), 4);
+        let ck = Checkpoint::new(ckpt_path("mismatch"), 4);
         // A checkpoint written under a different seed must be rejected.
         let other = MonteCarloConfig {
             seed: cfg.seed ^ 1,
             ..cfg
         };
         let context = mc_context_hash(other, cs.len(), 2, p.len());
-        mc_store(&ck, context, &[None; 4]).unwrap();
-        let err = error_counts_checkpointed(
+        mc_store(&ck, context, &[None; 4]);
+        let err = error_counts_with(
             &p,
             &ToyModel,
             &cs,
@@ -1337,47 +1247,12 @@ mod tests {
             CorrectionScheme::paper_default(),
             |_, _| {},
             cfg,
-            &ck,
+            Some(&ck),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, crate::SimError::Checkpoint(_)), "{err}");
         let _ = std::fs::remove_file(ck.path());
-        // Bytes with neither frame nor magic (garbage, zero-length) are
-        // indistinguishable from a torn write: set aside as `.corrupt`
-        // and recomputed from scratch — never deserialized into
-        // nonsense, never a hard error.
-        let reference = error_counts(
-            &p,
-            &ToyModel,
-            &cs,
-            2,
-            CorrectionScheme::paper_default(),
-            |_, _| {},
-            cfg,
-        )
-        .unwrap();
-        for garbage in [b"not a checkpoint".as_slice(), b"".as_slice()] {
-            let ck2 = McCheckpoint::new(ckpt_path("garbage"), 4);
-            std::fs::write(ck2.path(), garbage).unwrap();
-            let counts = error_counts_checkpointed(
-                &p,
-                &ToyModel,
-                &cs,
-                2,
-                CorrectionScheme::paper_default(),
-                |_, _| {},
-                cfg,
-                &ck2,
-            )
-            .unwrap();
-            assert_eq!(counts, reference, "fallback recompute must be bitwise");
-            assert!(
-                ck_sibling(ck2.path(), ".corrupt").exists(),
-                "evidence preserved"
-            );
-            let _ = std::fs::remove_file(ck2.path());
-            let _ = std::fs::remove_file(ck_sibling(ck2.path(), ".corrupt"));
-        }
     }
 
     #[test]
@@ -1393,11 +1268,12 @@ mod tests {
         // Two generations on disk: a half-done image, then a fuller one.
         let mut done: Vec<Option<u64>> = vec![None; total];
         done[0] = Some(plain[0][0]);
-        let ck = McCheckpoint::new(ckpt_path("corrupt"), 4);
-        mc_store(&ck, context, &done).unwrap();
+        let ck = Checkpoint::new(ckpt_path("corrupt"), 4);
+        mc_store(&ck, context, &done);
         done[1] = Some(plain[0][1]);
-        mc_store(&ck, context, &done).unwrap();
-        assert!(ck_sibling(ck.path(), ".bak").exists());
+        mc_store(&ck, context, &done);
+        let bak = integrity::suffixed(ck.path(), integrity::BAK_SUFFIX);
+        assert!(bak.exists());
         // Flip a payload bit in the primary: the CRC must catch it, the
         // loader must fall back to the .bak generation — never parse the
         // damaged image — and the final counts must still be bitwise
@@ -1406,14 +1282,85 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x08;
         std::fs::write(ck.path(), &bytes).unwrap();
-        let resumed =
-            error_counts_checkpointed(&p, &ToggleModel, &cs, inputs, scheme, |_, _| {}, cfg, &ck)
-                .unwrap();
+        let resumed = error_counts_with(
+            &p,
+            &ToggleModel,
+            &cs,
+            inputs,
+            scheme,
+            |_, _| {},
+            cfg,
+            Some(&ck),
+            None,
+        )
+        .unwrap();
         assert_eq!(plain, resumed, "fallback resume must be bitwise exact");
-        let evidence = ck_sibling(ck.path(), ".corrupt");
+        let evidence = integrity::suffixed(ck.path(), integrity::CORRUPT_SUFFIX);
         assert!(evidence.exists(), "evidence of the damaged image is kept");
-        assert!(!ck.path().exists() && !ck_sibling(ck.path(), ".bak").exists());
+        assert!(!ck.path().exists() && !bak.exists());
         std::fs::remove_file(&evidence).unwrap();
+    }
+
+    /// A budget of 0 is treated as 1: every call makes progress, so a
+    /// caller that requeues on `Interrupted` always finishes.
+    #[test]
+    fn zero_cell_budget_still_makes_progress() {
+        let p = assemble("li r1, 0xFFFF\nadd r2, r1, r1\nhalt\n").unwrap();
+        let cs = chips(2);
+        let (inputs, cfg) = (2, MonteCarloConfig::default());
+        let scheme = CorrectionScheme::paper_default();
+        let plain = error_counts(&p, &ToggleModel, &cs, inputs, scheme, |_, _| {}, cfg).unwrap();
+        let ck = Checkpoint::new(ckpt_path("zero-budget"), 3);
+        let mut completed = 0;
+        let sliced = loop {
+            match error_counts_with(
+                &p,
+                &ToggleModel,
+                &cs,
+                inputs,
+                scheme,
+                |_, _| {},
+                cfg,
+                Some(&ck),
+                Some(0),
+            ) {
+                Ok(counts) => break counts,
+                Err(crate::SimError::Interrupted { completed: c, .. }) => {
+                    assert_eq!(c, completed + 1, "each call computes one cell");
+                    completed = c;
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        };
+        assert_eq!(completed, cs.len() * inputs - 1);
+        assert_eq!(plain, sliced);
+        assert!(!ck.path().exists());
+    }
+
+    /// `TERSEMC1` images already on disk must keep resuming, so the image
+    /// bytes and the context hash are pinned to the values the code wrote
+    /// before the file protocol was shared with `TERSECP1`.
+    #[test]
+    fn tersemc1_image_and_context_hash_are_byte_stable() {
+        let ctx = mc_context_hash(MonteCarloConfig::default(), 3, 2, 4);
+        assert_eq!(ctx, 0x1e0e_879f_33b4_6727, "got {ctx:#018x}");
+        // A 3-chip × 2-input grid with one stored cell.
+        let ck = Checkpoint::new(ckpt_path("pinned"), 1);
+        let mut done = vec![None; 6];
+        done[3] = Some(17);
+        mc_store(&ck, ctx, &done);
+        let bytes = std::fs::read(ck.path()).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(
+            (bytes.len(), h),
+            (72, 0x9b60_60c0_8289_120f),
+            "got {h:#018x}"
+        );
+        std::fs::remove_file(ck.path()).unwrap();
     }
 
     #[test]

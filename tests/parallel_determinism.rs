@@ -2,7 +2,7 @@
 //! never a semantic one. Every result here must be **bitwise identical**
 //! across thread counts and across repeated runs.
 
-use terse::{Framework, Workload};
+use terse::{Checkpoint, Framework, Workload};
 use terse_isa::Cfg;
 use terse_sim::monte_carlo::{self, MonteCarloConfig};
 
@@ -113,6 +113,15 @@ fn kill_at_checkpoint_then_resume_is_bitwise_identical_across_thread_counts() {
         .expect("framework")
         .run(&kernel())
         .expect("reference run");
+    // The run's profile → train → estimate flow, with the estimate sweep
+    // checkpointed and (optionally) cut by a block budget.
+    let estimate = |fw: &Framework, ckpt: &Checkpoint, block_budget: Option<usize>| {
+        let w = kernel();
+        let cfg = Cfg::from_program(w.program());
+        let profiles = fw.profile_workload(&w, &cfg).expect("profiles");
+        let model = fw.train_model(&w, &cfg, &profiles).expect("model");
+        fw.estimate_with(&w, &cfg, &profiles, &model, Some(ckpt), block_budget)
+    };
     // For each resume thread count: "kill" a run mid-estimate (the block
     // budget flushes the completed prefix and aborts, exactly like a kill
     // arriving right after a checkpoint write), then resume from the file
@@ -122,26 +131,27 @@ fn kill_at_checkpoint_then_resume_is_bitwise_identical_across_thread_counts() {
             "terse-det-resume-{threads}-{}.ckpt",
             std::process::id()
         ));
-        let killed = Framework::builder()
-            .samples(2)
-            .checkpoint(&path, 1)
-            .block_budget(2)
-            .build()
-            .expect("framework")
-            .run(&kernel());
+        let ckpt = Checkpoint::new(&path, 1);
+        let killed = estimate(
+            &Framework::builder().samples(2).build().expect("framework"),
+            &ckpt,
+            Some(2),
+        );
         assert!(
             matches!(killed, Err(terse::TerseError::Interrupted { .. })),
             "expected an interrupted run"
         );
         assert!(path.exists(), "partial checkpoint persisted");
-        let resumed = Framework::builder()
-            .samples(2)
-            .checkpoint(&path, 1)
-            .threads(threads)
-            .build()
-            .expect("framework")
-            .run(&kernel())
-            .expect("resumed run");
+        let resumed = estimate(
+            &Framework::builder()
+                .samples(2)
+                .threads(threads)
+                .build()
+                .expect("framework"),
+            &ckpt,
+            None,
+        )
+        .expect("resumed run");
         assert!(!path.exists(), "checkpoint removed after completion");
         assert_eq!(
             reference
@@ -152,7 +162,6 @@ fn kill_at_checkpoint_then_resume_is_bitwise_identical_across_thread_counts() {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>(),
             resumed
-                .estimate
                 .lambda
                 .samples()
                 .iter()
@@ -162,12 +171,12 @@ fn kill_at_checkpoint_then_resume_is_bitwise_identical_across_thread_counts() {
         );
         assert_eq!(
             reference.estimate.mean_error_rate().to_bits(),
-            resumed.estimate.mean_error_rate().to_bits(),
+            resumed.mean_error_rate().to_bits(),
             "mean error rate differs after resume with {threads} threads"
         );
         assert_eq!(
             reference.estimate.dk_lambda.to_bits(),
-            resumed.estimate.dk_lambda.to_bits(),
+            resumed.dk_lambda.to_bits(),
             "Stein bound differs after resume with {threads} threads"
         );
     }
@@ -193,13 +202,13 @@ fn mc_checkpointed_grid_matches_plain_across_thread_counts() {
             "terse-det-mc-{threads}-{}.ckpt",
             std::process::id()
         ));
-        let ckpt = monte_carlo::McCheckpoint::new(&path, 3);
+        let ckpt = Checkpoint::new(&path, 3);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool");
         let checkpointed = pool.install(|| {
-            monte_carlo::error_counts_checkpointed(
+            monte_carlo::error_counts_with(
                 w.program(),
                 &model,
                 &chips,
@@ -207,7 +216,8 @@ fn mc_checkpointed_grid_matches_plain_across_thread_counts() {
                 fw.correction(),
                 |idx, m| w.init_input(idx, m),
                 MonteCarloConfig::default(),
-                &ckpt,
+                Some(&ckpt),
+                None,
             )
             .expect("checkpointed grid")
         });
