@@ -110,7 +110,7 @@ pub struct JobSpecView<'a> {
     pub mc_inputs: usize,
     /// Worker-local rayon threads.
     pub threads: usize,
-    /// Checkpoint flush interval (blocks / cells).
+    /// Checkpoint flush interval (blocks / MC lane-group tasks).
     pub checkpoint_every: usize,
 }
 
@@ -208,7 +208,7 @@ pub fn analyze_job_spec(
         (
             spec.checkpoint_every,
             "checkpoint_every",
-            "blocks/cells per checkpoint flush",
+            "blocks or MC lane-group tasks per checkpoint flush",
         ),
     ] {
         if value == 0 {

@@ -737,14 +737,17 @@ impl Framework {
             s_count,
         };
         let blocks = cfg.blocks();
-        let per_block = Sweep::start(&format, ckpt, block_budget)?.run(|batch| {
-            self.pool.install(|| {
-                batch
-                    .par_iter()
-                    .map(|&i| block_probs(&blocks[i]).map(|r| (i, r)))
-                    .collect::<Result<Vec<_>>>()
-            })
-        })?;
+        let per_block = Sweep::start(&format, ckpt, block_budget)?.run(
+            |block| block,
+            |batch| {
+                self.pool.install(|| {
+                    batch
+                        .par_iter()
+                        .map(|&i| block_probs(&blocks[i]).map(|r| (i, r)))
+                        .collect::<Result<Vec<_>>>()
+                })
+            },
+        )?;
         let mut cond_correct = Vec::with_capacity(m);
         let mut cond_error = Vec::with_capacity(m);
         for blk_probs in per_block {

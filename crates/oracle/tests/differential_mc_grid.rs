@@ -10,6 +10,13 @@
 //! bit, for the plain grid and for a checkpointed grid whose resumes cut
 //! through a lane group.
 //!
+//! The checkpointed grid batches whole `(lane group, input)` tasks per
+//! flush while its budget counts cells, so on a ragged toy grid every
+//! flush interval × cell budget combination, at 1 and 2 threads, must
+//! reproduce both the plain grid and the reference; and a checkpoint cut
+//! chip-major through a lane group, as cell-sized batches left it, must
+//! resume to the same counts.
+//!
 //! The post-error bus changes these kernels' slack keys (logic-unit toggle
 //! levels) but not their slacks: a logic instruction's datapath slack lies
 //! so far above its control slack that the statistical min returns the
@@ -182,4 +189,192 @@ proptest! {
             .expect("packed grid");
         prop_assert_eq!(scalar, packed, "lane packing must be bitwise exact");
     }
+}
+
+/// A loop whose operand comes from the input, long enough that the toggle
+/// model errs on most cells.
+const LOOP: &str = "ld r5, r0, 0\nli r1, 0xFFFF\naddi r2, r0, 40\nloop: add r3, r1, r5\nxor r4, r3, r1\naddi r2, r2, -1\nbne r2, r0, loop\nhalt\n";
+
+fn loop_init(i: usize, m: &mut terse_sim::machine::Machine) {
+    m.store(0, 0x0F0F ^ (i as u32) << 3).expect("store");
+}
+
+/// Runs the checkpointed grid to completion with `budget` cells per call,
+/// looping on `Interrupted`; returns the counts and the number of calls.
+fn run_sliced(
+    p: &terse_isa::Program,
+    model: &ToggleModel,
+    cs: &[ChipSample],
+    inputs: usize,
+    cfg: MonteCarloConfig,
+    ck: &Checkpoint,
+    budget: Option<usize>,
+) -> (Vec<Vec<u64>>, usize) {
+    let scheme = CorrectionScheme::paper_default();
+    let mut calls = 0;
+    loop {
+        calls += 1;
+        match error_counts_with(
+            p,
+            model,
+            cs,
+            inputs,
+            scheme,
+            loop_init,
+            cfg,
+            Some(ck),
+            budget,
+        ) {
+            Ok(counts) => return (counts, calls),
+            Err(SimError::Interrupted { completed, total }) => {
+                assert!(
+                    completed < total,
+                    "an interrupted call leaves cells pending"
+                );
+            }
+            Err(e) => panic!("sliced grid: {e}"),
+        }
+    }
+}
+
+/// Every flush interval (in tasks) × cell budget, at 1 and 2 threads, on a
+/// 70-chip × 2-input grid: one full lane group and a ragged 6-lane tail.
+#[test]
+fn checkpointed_grid_matches_reference_for_every_batch_shape() {
+    let p = assemble(LOOP).expect("assembles");
+    let cs = sample_chips(CHIPS, 0x5EED);
+    let model = ToggleModel {
+        vars: cs[0].shared_draw().len(),
+    };
+    let cfg = MonteCarloConfig {
+        seed: 0xBA7C,
+        ..MonteCarloConfig::default()
+    };
+    let scheme = CorrectionScheme::paper_default();
+    let reference =
+        error_counts_scalar(&p, &model, &cs, INPUTS, scheme, loop_init, cfg).expect("scalar");
+    let plain = error_counts(&p, &model, &cs, INPUTS, scheme, loop_init, cfg).expect("packed");
+    assert_eq!(reference, plain, "packed grid vs reference");
+    assert!(
+        plain.iter().flatten().any(|&c| c > 0),
+        "the toy grid must err"
+    );
+    let cells = CHIPS * INPUTS;
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        for every_n in [1, 2, 3, 7, 1000] {
+            for budget in [None, Some(1), Some(5), Some(64)] {
+                let mut path = std::env::temp_dir();
+                path.push(format!(
+                    "oracle_mc_shapes_{threads}_{every_n}_{budget:?}_{}.bin",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_file(&path);
+                let ck = Checkpoint::new(&path, every_n);
+                let (counts, calls) =
+                    pool.install(|| run_sliced(&p, &model, &cs, INPUTS, cfg, &ck, budget));
+                let shape = format!("threads {threads}, every_n {every_n}, budget {budget:?}");
+                assert_eq!(counts, plain, "{shape}: sliced grid vs plain grid");
+                assert_eq!(counts, reference, "{shape}: sliced grid vs reference");
+                assert_eq!(
+                    calls,
+                    budget.map_or(1, |b| cells.div_ceil(b)),
+                    "{shape}: the budget counts cells"
+                );
+                assert!(
+                    !path.exists(),
+                    "{shape}: the finished run removes its checkpoint"
+                );
+            }
+        }
+    }
+}
+
+/// The `TERSEMC1` context hash, as the format defines it: FNV-1a in shape
+/// with multiplier `0x1000_0000_01b3` over the little-endian seed, budget,
+/// data-memory words, chips, inputs and program length.
+fn mc_context(cfg: MonteCarloConfig, chips: usize, inputs: usize, program_len: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in [
+        cfg.seed,
+        cfg.budget,
+        cfg.dmem_words as u64,
+        chips as u64,
+        inputs as u64,
+        program_len as u64,
+    ] {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A checkpoint written with chip-major cell batches of 4 — cells 0..4
+/// (chips 0–1, both inputs) of a 64 × 2 grid — cuts through both of the
+/// grid's tasks; the resumed run finishes them with partial live masks.
+#[test]
+fn cell_batch_checkpoint_resumes_bitwise() {
+    const GRID_CHIPS: usize = 64;
+    let p = assemble(LOOP).expect("assembles");
+    let cs = sample_chips(GRID_CHIPS, 0xCE11);
+    let model = ToggleModel {
+        vars: cs[0].shared_draw().len(),
+    };
+    let cfg = MonteCarloConfig::default();
+    let scheme = CorrectionScheme::paper_default();
+    let reference =
+        error_counts_scalar(&p, &model, &cs, INPUTS, scheme, loop_init, cfg).expect("scalar");
+    let plain = error_counts(&p, &model, &cs, INPUTS, scheme, loop_init, cfg).expect("packed");
+    assert_eq!(reference, plain, "packed grid vs reference");
+    // The TERSEMC1 image, word by word.
+    let done: Vec<usize> = (0..4).collect();
+    let mut image = b"TERSEMC1".to_vec();
+    for word in [
+        mc_context(cfg, GRID_CHIPS, INPUTS, p.len()),
+        (GRID_CHIPS * INPUTS) as u64,
+        done.len() as u64,
+    ] {
+        image.extend_from_slice(&word.to_le_bytes());
+    }
+    for &cell in &done {
+        image.extend_from_slice(&(cell as u64).to_le_bytes());
+        image.extend_from_slice(&plain[cell / INPUTS][cell % INPUTS].to_le_bytes());
+    }
+    let mut path = std::env::temp_dir();
+    path.push(format!("oracle_mc_cell_batch_{}.bin", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    terse_analyze::integrity::store_checkpoint(&path, &image).expect("store image");
+    let ck = Checkpoint::new(&path, 4);
+    // A one-cell slice proves the image loaded: 4 stored + 1 computed.
+    let sliced = error_counts_with(
+        &p,
+        &model,
+        &cs,
+        INPUTS,
+        scheme,
+        loop_init,
+        cfg,
+        Some(&ck),
+        Some(1),
+    );
+    assert!(
+        matches!(
+            sliced,
+            Err(SimError::Interrupted {
+                completed: 5,
+                total: 128
+            })
+        ),
+        "{sliced:?}"
+    );
+    let (resumed, calls) = run_sliced(&p, &model, &cs, INPUTS, cfg, &ck, None);
+    assert_eq!(calls, 1);
+    assert_eq!(resumed, plain, "resumed grid vs plain grid");
+    assert_eq!(resumed, reference, "resumed grid vs reference");
+    assert!(!path.exists(), "the finished run removes its checkpoint");
 }

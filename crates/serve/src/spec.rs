@@ -84,7 +84,10 @@ pub struct JobSpec {
     pub threads: usize,
     /// Pipeline preset: `"small"` (8-bit, fast) or `"default"` (32-bit).
     pub pipeline: PipelinePreset,
-    /// TERSECP1/TERSEMC1 flush interval (blocks / cells).
+    /// Checkpoint flush interval in work items: basic blocks for the
+    /// estimate (TERSECP1), `(lane group, input)` tasks — program
+    /// executions — for the Monte Carlo grid (TERSEMC1). The budgets
+    /// still count blocks and cells.
     pub checkpoint_every: usize,
     /// Optional per-attempt estimate unit budget: when it runs out the job
     /// is requeued at a checkpoint boundary (time slicing).

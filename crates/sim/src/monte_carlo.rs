@@ -57,8 +57,11 @@
 //!
 //! [`error_counts_with`] runs the grid as a resumable sweep over its cells
 //! ([`crate::sweep`]): stored cells are skipped, at most a budget of pending
-//! cells is computed in batches with a flush after each, and the checkpoint
-//! is removed once the grid is complete. This module keeps only the
+//! cells is computed, and the checkpoint is removed once the grid is
+//! complete. The budget and every count are in cells, but a batch is cut in
+//! whole `(lane group, input)` tasks: the checkpoint's `every_n` counts
+//! tasks — program executions — per flush, and each task runs every pending
+//! lane of its group in one execution. This module keeps only the
 //! `TERSEMC1` payload codec and its context hash; the file protocol (the
 //! `TERSEFR1` envelope, `.bak`/`.corrupt` generations, the durable writer)
 //! is `terse_analyze::integrity`'s, shared with the estimate's `TERSECP1`.
@@ -763,10 +766,11 @@ impl CheckpointFormat for McImage {
 
 /// [`error_counts`] as a resumable sweep over the grid's cells: cells
 /// already in the `TERSEMC1` checkpoint are skipped, at most `cell_budget`
-/// pending cells are computed (`0` is treated as 1), in batches of the
-/// checkpoint's `every_n` with a flush after each, and the file is removed
-/// once the grid is complete (see [`crate::sweep`]). Without a checkpoint
-/// or a budget this is [`error_counts`].
+/// pending cells are computed (`0` is treated as 1), and the file is removed
+/// once the grid is complete (see [`crate::sweep`]). The sweep's work item
+/// is one `(lane group, input)` task with all of its pending cells, so a
+/// flush follows every `every_n` tasks (program executions), not cells.
+/// Without a checkpoint or a budget this is [`error_counts`].
 ///
 /// One [`PackedGrid`] is built over the cells this call computes, so its
 /// slack classes and lane-group tables are shared by every batch. Each
@@ -806,7 +810,11 @@ where
     let sweep = Sweep::start(&format, ckpt, cell_budget)?;
     let tasks = pack_tasks(sweep.units(), inputs);
     let grid = PackedGrid::new(program, model, chips, scheme, &init, cfg, &tasks)?;
-    let done = sweep.run(|batch| {
+    // One work item per `(group, input)` task, numbered in `pack_tasks`'
+    // order: a batch runs whole tasks, each one execution for every
+    // pending lane of its group.
+    let task_of = |cell: usize| cell / inputs / LANE_GROUP * inputs + cell % inputs;
+    let done = sweep.run(task_of, |batch| {
         let tasks = pack_tasks(batch, inputs);
         let mut counts = Vec::with_capacity(batch.len());
         for_each_count(&tasks, &grid.run(&tasks)?, |c, i, e| {
@@ -1152,6 +1160,49 @@ mod tests {
         assert_eq!(scalar, packed, "lane packing must be bitwise exact");
         // The run is long enough that errors actually occur.
         assert!(packed.iter().flatten().sum::<u64>() > 0);
+    }
+
+    /// Program executions per checkpointed grid, counted through `init`
+    /// (each execution calls it once): one key-collection run per input,
+    /// then one replay per `(lane group, input)` task, whatever the flush
+    /// interval.
+    #[test]
+    fn checkpointed_grid_runs_one_execution_per_lane_group_task() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let p = assemble("li r1, 0xFFFF\nadd r2, r1, r1\nadd r3, r2, r2\nhalt\n").unwrap();
+        let (scheme, cfg) = (
+            CorrectionScheme::paper_default(),
+            MonteCarloConfig::default(),
+        );
+        let executions = |n: usize, inputs: usize, every_n: usize| {
+            let cs = chips(n);
+            let plain =
+                error_counts(&p, &ToggleModel, &cs, inputs, scheme, |_, _| {}, cfg).unwrap();
+            let runs = AtomicUsize::new(0);
+            let ck = Checkpoint::new(ckpt_path(&format!("execs-{n}-{every_n}")), every_n);
+            let counted = error_counts_with(
+                &p,
+                &ToggleModel,
+                &cs,
+                inputs,
+                scheme,
+                |_, _| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                },
+                cfg,
+                Some(&ck),
+                None,
+            )
+            .unwrap();
+            assert_eq!(
+                plain, counted,
+                "the count matrix does not depend on batching"
+            );
+            assert!(!ck.path().exists());
+            runs.into_inner()
+        };
+        assert_eq!(executions(64, 2, 4), 2 + 2);
+        assert_eq!(executions(70, 3, 1), 3 + 6);
     }
 
     #[test]

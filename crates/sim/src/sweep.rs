@@ -10,10 +10,18 @@
 //! the budget. The result is bitwise identical to an uninterrupted run
 //! however often the sweep is cut.
 //!
+//! Progress is stored and budgeted in units, but a batch is cut in *work
+//! items*: the caller maps each unit to the item that computes it, and a
+//! batch holds `every_n` whole items. For the estimate an item is one block,
+//! i.e. one unit. For the Monte Carlo grid an item is one `(lane group,
+//! input)` task — one program execution for up to 64 chips — so a flush
+//! never splits a task's lanes across executions.
+//!
 //! A format supplies only its payload codec ([`CheckpointFormat`]); the file
 //! protocol — framing, the `.bak` and `.corrupt` generations, the durable
 //! tmp+sync+rename writer — is `terse_analyze::integrity`'s.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use terse_analyze::integrity;
 
@@ -26,7 +34,8 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// A checkpoint at `path`, flushed after every `every_n` completed
-    /// units (`0` is treated as `1`).
+    /// work items (`0` is treated as `1`; see [`Sweep::run`] for what an
+    /// item is).
     pub fn new(path: impl Into<PathBuf>, every_n: usize) -> Self {
         Checkpoint {
             path: path.into(),
@@ -39,7 +48,7 @@ impl Checkpoint {
         &self.path
     }
 
-    /// Units per flush.
+    /// Work items per flush.
     pub fn every_n(&self) -> usize {
         self.every_n
     }
@@ -149,11 +158,17 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
         &self.run
     }
 
-    /// Computes [`Sweep::units`] in batches of the checkpoint's `every_n`
-    /// (one batch without a checkpoint) through `batch`, which returns each
-    /// unit of its argument with its result. The checkpoint is flushed after
-    /// every batch and removed once the sweep is complete; the result holds
-    /// every unit in index order.
+    /// Computes [`Sweep::units`] in batches through `batch`, which returns
+    /// each unit of its argument with its result.
+    ///
+    /// `item_of` maps a unit to its work item: the units one computation
+    /// serves together. A batch holds the units of the checkpoint's
+    /// `every_n` whole items in ascending item order (every item in one
+    /// batch without a checkpoint). Only the units this call computes are
+    /// grouped, so an item the budget or an earlier run cut through passes
+    /// just its pending units. The checkpoint is flushed after every batch
+    /// and removed once the sweep is complete; the result holds every unit
+    /// in index order.
     ///
     /// # Errors
     ///
@@ -161,11 +176,17 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
     /// [`SweepError::Interrupted`] when the budget left units pending.
     pub fn run<E: From<SweepError>>(
         mut self,
+        item_of: impl Fn(usize) -> usize,
         mut batch: impl FnMut(&[usize]) -> Result<Vec<(usize, F::Unit)>, E>,
     ) -> Result<Vec<F::Unit>, E> {
-        let every_n = self.ckpt.map_or(self.run.len(), Checkpoint::every_n);
-        for units in self.run.chunks(every_n.max(1)) {
-            for (u, result) in batch(units)? {
+        let mut items: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &u in &self.run {
+            items.entry(item_of(u)).or_default().push(u);
+        }
+        let items: Vec<Vec<usize>> = items.into_values().collect();
+        let every_n = self.ckpt.map_or(items.len(), Checkpoint::every_n);
+        for chunk in items.chunks(every_n.max(1)) {
+            for (u, result) in batch(&chunk.concat())? {
                 self.slots[u] = Some(result);
             }
             if let Some(ck) = self.ckpt {
@@ -185,5 +206,73 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
             integrity::finish_checkpoint(ck.path()).map_err(SweepError::Checkpoint)?;
         }
         Ok(self.slots.into_iter().flatten().collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sweep whose unit `u` computes to `u`; its images are never read
+    /// back.
+    struct Units(usize);
+    impl CheckpointFormat for Units {
+        type Unit = usize;
+        const MAGIC: [u8; 8] = *b"TESTUNIT";
+        fn units(&self) -> usize {
+            self.0
+        }
+        fn encode(&self, _: &[Option<usize>]) -> Vec<u8> {
+            Self::MAGIC.to_vec()
+        }
+        fn parse(&self, _: &[u8]) -> Result<Vec<Option<usize>>, String> {
+            Err("never resumed".into())
+        }
+    }
+
+    /// Runs a 10-unit sweep with three units per item and returns the
+    /// batches it computed and how it ended.
+    fn batches(
+        ckpt: Option<&Checkpoint>,
+        budget: Option<usize>,
+    ) -> (Vec<Vec<usize>>, Result<Vec<usize>, SweepError>) {
+        let format = Units(10);
+        let mut seen = Vec::new();
+        let result = Sweep::start(&format, ckpt, budget).and_then(|sweep| {
+            sweep.run(
+                |u| u / 3,
+                |batch| {
+                    seen.push(batch.to_vec());
+                    Ok::<_, SweepError>(batch.iter().map(|&u| (u, u)).collect())
+                },
+            )
+        });
+        (seen, result)
+    }
+
+    #[test]
+    fn batches_hold_whole_items_and_the_budget_counts_units() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("terse_sweep_items_{}.bin", std::process::id()));
+        let ck = Checkpoint::new(&path, 2);
+        // Items {0,1,2} {3,4,5} {6,7,8} {9}: two whole items per flush.
+        let (seen, result) = batches(Some(&ck), None);
+        assert_eq!(seen, [vec![0, 1, 2, 3, 4, 5], vec![6, 7, 8, 9]]);
+        assert_eq!(result, Ok((0..10).collect()));
+        assert!(!path.exists(), "a finished sweep removes its checkpoint");
+        // A budget of 7 units cuts item {6,7,8} after unit 6.
+        let (seen, result) = batches(Some(&ck), Some(7));
+        assert_eq!(seen, [vec![0, 1, 2, 3, 4, 5], vec![6]]);
+        assert_eq!(
+            result,
+            Err(SweepError::Interrupted {
+                completed: 7,
+                total: 10
+            })
+        );
+        integrity::finish_checkpoint(&path).unwrap();
+        // Without a checkpoint every item runs in one batch.
+        let (seen, _) = batches(None, None);
+        assert_eq!(seen, [(0..10).collect::<Vec<_>>()]);
     }
 }

@@ -57,6 +57,16 @@ fn drain_cfg(workers: usize) -> ExecutorConfig {
     }
 }
 
+/// A failed submit leaves nothing behind: no job dir under `jobs/` and no
+/// stray stage under `incoming/` (`JobStore::submit` stages the job there
+/// and removes the stage on error).
+fn failed_submit_left_no_trace(store: &JobStore, root: &std::path::Path, id: &str) -> bool {
+    let staged = std::fs::read_dir(root.join("incoming"))
+        .map(|dir| dir.count())
+        .unwrap_or(0);
+    !store.job_dir(id).exists() && staged == 0
+}
+
 fn analyzer_is_clean(root: &std::path::Path) -> bool {
     let mut report = terse_analyze::AnalysisReport::new();
     terse_analyze::analyze_job_store(root, &mut report).expect("store scan");
@@ -118,12 +128,10 @@ fn store_write_faults_are_typed_and_leave_state_intact() {
     assert_eq!(store.state("fi-w").unwrap(), JobState::Queued);
     assert!(!store.job_dir("fi-w").join("transitions.log").exists());
     failpoints::remove("serve::store_write");
-    // The torn submit (job dir created, spec write failed) is exactly
-    // what the JS005 audit exists to catch.
-    let mut audit = terse_analyze::AnalysisReport::new();
-    terse_analyze::analyze_job_store(&root, &mut audit).expect("store scan");
-    assert!(audit.has_code("JS005"), "{}", audit.render_text());
-    std::fs::remove_dir_all(store.job_dir("fi-w2")).unwrap();
+    // The failed submit was staged, so it tore nothing: no job dir, no
+    // stray stage, and a clean audit.
+    assert!(failed_submit_left_no_trace(&store, &root, "fi-w2"));
+    assert!(analyzer_is_clean(&root));
     // Transient fault (`1*return`): one transition fails, the retry
     // succeeds, and the log chain stays consistent.
     failpoints::cfg("serve::store_write", "1*return").unwrap();
@@ -223,11 +231,10 @@ fn enospc_faults_are_typed_and_recoverable() {
     assert!(matches!(err, ServeError::Io { .. }), "{err}");
     failpoints::remove("serve::enospc");
     assert_eq!(store.state("fi-e").unwrap(), JobState::Queued);
-    // The torn submit of fi-e2 is JS005-visible, like any torn submit.
-    let mut audit = terse_analyze::AnalysisReport::new();
-    terse_analyze::analyze_job_store(&root, &mut audit).expect("store scan");
-    assert!(audit.has_code("JS005"), "{}", audit.render_text());
-    std::fs::remove_dir_all(store.job_dir("fi-e2")).unwrap();
+    // The failed submit of fi-e2 was staged: no job dir, no stray stage,
+    // and a clean audit.
+    assert!(failed_submit_left_no_trace(&store, &root, "fi-e2"));
+    assert!(analyzer_is_clean(&root));
     // Space restored: the same store drains clean.
     let stats = serve(&store, &drain_cfg(1), &AtomicBool::new(false), |_| {}).unwrap();
     assert_eq!((stats.completed, stats.failed), (1, 0));
