@@ -1,8 +1,6 @@
 //! Incremental-DTA benchmark: cold- vs warm-cache stage-DTS sweeps with the
 //! activation-signature memo — on loop-heavy workloads where activation
-//! sets repeat across iterations — and the static error-immunity pre-screen
-//! (plan-building time, pruned vs oracle training wall clock, λ compared
-//! bitwise).
+//! sets repeat across iterations.
 //!
 //! ```text
 //! cargo run --release -p terse-bench --bin dta_incremental
@@ -11,7 +9,7 @@
 //! Writes `results/BENCH_dta_incremental.json` (the common
 //! `{bench, config, wall_ms, speedup, checks, detail}` envelope) and prints
 //! the same JSON to stdout. Every compared variant is checked **bitwise**
-//! against the reference (uncached DTA, unpruned training) before any
+//! against the reference (uncached DTA) before any
 //! speedup is reported; the run aborts if anything diverges.
 //!
 //! Environment knobs (for the CI smoke job):
@@ -22,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use terse_bench::BenchEnvelope;
-use terse_dta::{build_plan, DtsCache, DtsEngine, EndpointFilter, PrescreenMode};
+use terse_dta::{DtsCache, DtsEngine, EndpointFilter};
 use terse_netlist::pipeline::STAGE_COUNT;
 use terse_netlist::{ActivityTrace, BitSet};
 use terse_serve::json::Value;
@@ -201,83 +199,9 @@ fn main() {
         ));
     }
 
-    // --- Static pre-screen: pruned vs oracle training, λ bitwise --------
-    //
-    // For each workload the plan is built on its own and timed, then the
-    // full pipeline runs twice: once with the pre-screen in `Prune` mode
-    // (certified-immune (instruction, stage) pairs skipped) and once in
-    // `Oracle` mode (every pruned pair still computed and checked against
-    // its certificate — the unpruned-work baseline). λ must agree
-    // bitwise; the plan must prune ≥20% of pairs.
-    let mut pre_rows = Vec::new();
-    let mut lambda_bitwise = true;
-    let mut pruned_ok = true;
-    for name in ["bitcount", "dijkstra", "stringsearch"] {
-        eprintln!("[{name}] prescreen: pruned vs oracle run (Small)...");
-        let spec = terse_workloads::by_name(name).expect("known workload");
-        let w = spec
-            .workload(DatasetSize::Small, 1, 0xDAC19)
-            .expect("workload");
-        let (plan_s, _) = time_min(REPS, || {
-            build_plan(
-                pipeline.netlist(),
-                &DelayLibrary::normalized_45nm(),
-                &VariationConfig::default(),
-                op.working_period,
-                w.program(),
-                PrescreenMode::Prune,
-            )
-            .expect("prune plan")
-        });
-        let run_with = |mode: PrescreenMode| {
-            let f = terse::Framework::builder()
-                .samples(2)
-                .prescreen(mode)
-                .build()
-                .expect("framework");
-            f.run(&w).expect("prescreened run")
-        };
-        let pruned = run_with(PrescreenMode::Prune);
-        let oracle = run_with(PrescreenMode::Oracle);
-        let (lp, lo) = (&pruned.estimate.lambda, &oracle.estimate.lambda);
-        let identical = lp.samples().len() == lo.samples().len()
-            && lp
-                .samples()
-                .iter()
-                .zip(lo.samples())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical, "{name}: pruned λ diverged from oracle λ");
-        lambda_bitwise &= identical;
-        let stats = pruned.prescreen.expect("prescreen stats");
-        let frac = stats.pairs_pruned as f64 / stats.pairs_total.max(1) as f64;
-        assert!(
-            stats.pairs_pruned * 5 >= stats.pairs_total,
-            "{name}: expected ≥20% pruning, got {stats:?}"
-        );
-        pruned_ok &= stats.pairs_pruned * 5 >= stats.pairs_total;
-        eprintln!(
-            "[{name}] prescreen: plan {:.2}ms, train {:.3}s pruned / {:.3}s oracle, {}/{} pairs pruned ({:.0}%), λ bitwise: {identical}",
-            plan_s * 1e3,
-            pruned.timings.training_s,
-            oracle.timings.training_s,
-            stats.pairs_pruned,
-            stats.pairs_total,
-            frac * 100.0
-        );
-        pre_rows.push(format!(
-            "    {{\"name\": \"{name}\", \"plan_ms\": {:.3}, \"prune_train_s\": {:.6}, \"oracle_train_s\": {:.6}, \"pairs_total\": {}, \"pairs_pruned\": {}, \"pruned_fraction\": {frac:.3}, \"lambda_bitwise\": {identical}}}",
-            plan_s * 1e3,
-            pruned.timings.training_s,
-            oracle.timings.training_s,
-            stats.pairs_total,
-            stats.pairs_pruned
-        ));
-    }
-
     let detail = format!(
-        "{{\n  \"bitwise_identical\": {all_identical},\n  \"workloads\": [\n{}\n  ],\n  \"prescreen\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-        pre_rows.join(",\n")
+        "{{\n  \"bitwise_identical\": {all_identical},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
     );
     let env = BenchEnvelope {
         bench: "dta_incremental",
@@ -292,8 +216,6 @@ fn main() {
         checks: vec![
             ("bitwise_identical".into(), all_identical),
             ("warm_not_slower_than_cold".into(), warm_not_slower),
-            ("prescreen_lambda_bitwise".into(), lambda_bitwise),
-            ("prescreen_pruned_ge_20pct".into(), pruned_ok),
         ],
         detail: Value::parse(&detail).expect("detail json"),
     };

@@ -38,11 +38,11 @@ use terse_analyze::{
     analyze_cfg, analyze_dataflow, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
 use terse_dta::cache::{DtsCache, DtsCacheStats};
-use terse_dta::control::{characterization_edges, characterize_control_with};
+use terse_dta::control::{characterize_control_with, training_inputs};
 use terse_dta::datapath::DatapathModel;
 use terse_dta::engine::DtsEngine;
 use terse_dta::instmodel::InstructionErrorModel;
-use terse_dta::prescreen::{build_plan, PrescreenMode, PrescreenStats};
+use terse_dta::prescreen::{build_plan, PrescreenStats, PrunePlan};
 use terse_errmodel::marginal::{solve_marginals_with, MarginalProblem};
 use terse_isa::{assemble, BasicBlock, BlockId, Cfg, Program};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
@@ -166,7 +166,6 @@ pub struct FrameworkBuilder {
     threads: usize,
     degradation: DegradationPolicy,
     dta_cache_entries: usize,
-    prescreen: PrescreenMode,
 }
 
 impl Default for FrameworkBuilder {
@@ -186,7 +185,6 @@ impl Default for FrameworkBuilder {
             // The stage-DTS memo is exact (bit-verified toggle sets), so it
             // is on by default; see `FrameworkBuilder::dta_cache`.
             dta_cache_entries: 1024,
-            prescreen: PrescreenMode::Off,
         }
     }
 }
@@ -257,17 +255,6 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Sets the static error-immunity pre-screening mode (see
-    /// [`terse_dta::prescreen`]). Default: [`PrescreenMode::Off`] —
-    /// every `(instruction, stage)` pair is computed. `Prune` skips
-    /// statically proven-immune pairs during control characterization;
-    /// `Oracle` computes them anyway and asserts the proof (bitwise
-    /// identical results to `Prune`).
-    pub fn prescreen(mut self, mode: PrescreenMode) -> Self {
-        self.prescreen = mode;
-        self
-    }
-
     /// Builds the framework (constructs the pipeline netlist and derives
     /// the operating point).
     ///
@@ -298,7 +285,6 @@ impl FrameworkBuilder {
             pool,
             datapath_cache: OnceLock::new(),
             cosim_stats: Mutex::new(CosimStats::default()),
-            prescreen: self.prescreen,
             prescreen_stats: Mutex::new(PrescreenStats::default()),
         })
     }
@@ -324,9 +310,7 @@ pub struct Framework {
     /// Accumulated co-simulation work counters across every training run
     /// this framework has performed.
     cosim_stats: Mutex<CosimStats>,
-    /// Static error-immunity pre-screening mode.
-    prescreen: PrescreenMode,
-    /// Pair counters accumulated across every pre-screened training run.
+    /// Pre-screening pair counters accumulated across every training run.
     prescreen_stats: Mutex<PrescreenStats>,
 }
 
@@ -477,17 +461,30 @@ impl Framework {
         self.dts_cache.as_ref().map(|c| c.stats())
     }
 
-    /// Accumulated pre-screening pair counters across every training run,
-    /// or `None` when pre-screening is off. Counters only grow while a
-    /// built plan is consulted (its certificates cover the engine clock).
-    pub fn prescreen_stats(&self) -> Option<PrescreenStats> {
-        if self.prescreen == PrescreenMode::Off {
-            return None;
-        }
-        Some(match self.prescreen_stats.lock() {
+    /// Accumulated pre-screening pair counters across every
+    /// [`Framework::train_model`] call so far.
+    pub fn prescreen_stats(&self) -> PrescreenStats {
+        match self.prescreen_stats.lock() {
             Ok(g) => *g,
             Err(p) => *p.into_inner(),
-        })
+        }
+    }
+
+    /// The static error-immunity plan [`Framework::train_model`] attaches
+    /// to its engine for `program`: certificates proven at the working
+    /// period (see [`terse_dta::prescreen`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates netlist and STA errors.
+    pub fn prune_plan(&self, program: &Program) -> Result<PrunePlan> {
+        Ok(build_plan(
+            self.pipeline.netlist(),
+            &self.lib,
+            &self.variation,
+            self.operating.working_period,
+            program,
+        )?)
     }
 
     /// Draws manufactured-chip samples (for Monte Carlo validation).
@@ -533,7 +530,9 @@ impl Framework {
 
     /// Trains the per-workload instruction error model (control table per
     /// profiled edge + the cached datapath model), on the framework's pool:
-    /// [`FrameworkBuilder::threads`] bounds its fan-out.
+    /// [`FrameworkBuilder::threads`] bounds its fan-out. The engine carries
+    /// the workload's [`Framework::prune_plan`], so `(instruction, stage)`
+    /// pairs it proves immune are skipped.
     ///
     /// # Errors
     ///
@@ -549,36 +548,9 @@ impl Framework {
         // stage; the DTA calls inside each unit then run inline.
         self.pool.install(|| {
             let mut engine = self.engine()?;
-            let plan = if self.prescreen != PrescreenMode::Off {
-                let p = Arc::new(build_plan(
-                    self.pipeline.netlist(),
-                    &self.lib,
-                    &self.variation,
-                    self.operating.working_period,
-                    w.program(),
-                    self.prescreen,
-                )?);
-                engine.set_prune_plan(Arc::clone(&p));
-                Some(p)
-            } else {
-                None
-            };
-            let mut edges: Vec<(BlockId, BlockId)> = profiles
-                .iter()
-                // terse-analyze: allow(AZ002): collected, sorted and deduped below.
-                .flat_map(|p| p.edge_counts.keys().copied())
-                .collect();
-            edges.sort();
-            edges.dedup();
-            let char_edges = characterization_edges(cfg, edges);
-            // Merge operand hints across profiles (first observation wins).
-            let n_static = w.program().len();
-            let mut hints: Vec<(u32, u32)> = vec![(0, 0); n_static];
-            for i in 0..n_static {
-                if let Some(h) = profiles.iter().find_map(|p| p.operand_reps[i]) {
-                    hints[i] = h;
-                }
-            }
+            let plan = Arc::new(self.prune_plan(w.program())?);
+            engine.set_prune_plan(Arc::clone(&plan));
+            let (char_edges, hints) = training_inputs(cfg, w.program(), profiles);
             let hint_fn = move |i: u32| hints[i as usize];
             let mut stats = CosimStats::default();
             let control = characterize_control_with(
@@ -595,15 +567,13 @@ impl Framework {
                 Ok(mut g) => g.merge(stats),
                 Err(p) => p.into_inner().merge(stats),
             }
-            if let Some(p) = &plan {
-                let s = p.stats();
-                let mut g = match self.prescreen_stats.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                g.pairs_total += s.pairs_total;
-                g.pairs_pruned += s.pairs_pruned;
-            }
+            let s = plan.stats();
+            let mut g = match self.prescreen_stats.lock() {
+                Ok(g) => g,
+                Err(p) => p.into_inner(),
+            };
+            g.pairs_total += s.pairs_total;
+            g.pairs_pruned += s.pairs_pruned;
             Ok(InstructionErrorModel::new(cfg, control, datapath))
         })
     }
@@ -909,7 +879,7 @@ impl Framework {
             perf: self.performance_model(),
             dta_cache: self.dta_cache_stats(),
             bitparallel: Some(self.bitparallel_stats(0)),
-            prescreen: self.prescreen_stats(),
+            prescreen: Some(self.prescreen_stats()),
         })
     }
 }
@@ -1064,61 +1034,6 @@ mod tests {
         let hi = report.estimate.rate_cdf(1.0).unwrap();
         assert!(lo.nominal <= hi.nominal);
         assert!((hi.nominal - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn prescreened_run_matches_oracle_and_reports_pruning() {
-        let src = r"
-            addi r1, r0, 6
-            li   r2, 0xF0F0F
-        loop:
-            add  r3, r3, r2
-            addi r1, r1, -1
-            bne  r1, r0, loop
-            halt
-        ";
-        let run_with = |mode: PrescreenMode| {
-            let f = Framework::builder()
-                .samples(2)
-                .profiler(Profiler {
-                    max_feature_samples: 8,
-                    budget: 100_000,
-                    dmem_words: 4096,
-                    seed: 1,
-                })
-                .prescreen(mode)
-                .build()
-                .unwrap();
-            f.run(&Workload::from_asm("pre", src).unwrap()).unwrap()
-        };
-        let pruned = run_with(PrescreenMode::Prune);
-        // Oracle computes every pruned pair and asserts its certificate —
-        // completing without PrescreenViolation is the soundness check —
-        // then excludes it exactly like Prune: λ must agree bitwise.
-        let oracle = run_with(PrescreenMode::Oracle);
-        let (lp, lo) = (&pruned.estimate.lambda, &oracle.estimate.lambda);
-        assert_eq!(lp.samples().len(), lo.samples().len());
-        for (a, b) in lp.samples().iter().zip(lo.samples()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let stats = pruned.prescreen.expect("prescreen stats in report");
-        assert!(stats.pairs_total > 0);
-        assert!(
-            stats.pairs_pruned * 5 >= stats.pairs_total,
-            "expected ≥20% pruning, got {stats:?}"
-        );
-        assert!(pruned.perf_summary().contains("prescreen:"));
-        // An Off run reports no prescreen section.
-        let off = run_with(PrescreenMode::Off);
-        assert!(off.prescreen.is_none());
-        assert!(off.perf_summary().contains("prescreen: off"));
-        // Oracle shares Prune's shortcut, so the check that matters is
-        // against the unpruned answer: Off computes every pair.
-        let lf = &off.estimate.lambda;
-        assert_eq!(lp.samples().len(), lf.samples().len());
-        for (a, b) in lp.samples().iter().zip(lf.samples()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "Prune λ {a} vs Off λ {b}");
-        }
     }
 
     #[test]
@@ -1447,6 +1362,14 @@ mod tests {
             summary.contains(&format!("{} gates evaluated", stats.gates_evaluated)),
             "{summary}"
         );
+        // Training always prunes; the run reports the framework's counters.
+        let pre = report.prescreen.expect("run fills prescreen counters");
+        assert_eq!(pre, f.prescreen_stats());
+        assert!(
+            pre.pairs_pruned > 0 && pre.pairs_pruned < pre.pairs_total,
+            "{pre:?}"
+        );
+        assert!(summary.contains("prescreen:"), "{summary}");
     }
 
     #[test]

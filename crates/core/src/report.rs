@@ -264,8 +264,8 @@ pub struct Report {
     /// Bit-parallel backend counters (`None` for reports assembled outside
     /// `Framework::run`, e.g. by hand in tests).
     pub bitparallel: Option<BitParallelStats>,
-    /// Static pre-screening pair counters (`None` when pre-screening was
-    /// off for the run).
+    /// Static pre-screening pair counters (`None` for reports assembled
+    /// outside `Framework::run`, e.g. by hand in tests).
     pub prescreen: Option<PrescreenStats>,
 }
 
@@ -362,7 +362,7 @@ impl Report {
                 p.pairs_total,
                 p.ratio() * 100.0,
             )),
-            None => s.push_str("\nprescreen: off"),
+            None => s.push_str("\nprescreen: n/a"),
         }
         s
     }

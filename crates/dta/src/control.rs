@@ -12,11 +12,13 @@ use crate::engine::{DtsEngine, EndpointFilter};
 use crate::Result;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 use terse_isa::{BlockId, Cfg, Instruction, Opcode, Program};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
 use terse_netlist::ActivityTrace;
 use terse_sim::cosim::{CoSim, CoSimTrace, CosimStats};
 use terse_sim::machine::Retired;
+use terse_sim::profile::ProfileResult;
 use terse_sta::CanonicalRv;
 
 /// Per-(block, incoming edge) control DTS of every instruction in the
@@ -174,9 +176,8 @@ pub fn characterize_control_with(
     Ok(table)
 }
 
-/// Characterizes one `(pred, block)` edge: co-simulates up to
-/// `STAGE_COUNT` tail instructions of the predecessor followed by the block
-/// and the drain, then records each block instruction's control DTS.
+/// Characterizes one `(pred, block)` edge: records each block
+/// instruction's control DTS on the edge's [`edge_trace`].
 fn characterize_edge(
     pipeline: &PipelineNetlist,
     program: &Program,
@@ -186,6 +187,37 @@ fn characterize_edge(
     block: BlockId,
     operand_hint: &OperandHint,
 ) -> Result<(Vec<Option<CanonicalRv>>, CosimStats)> {
+    let (trace, body, stats) = edge_trace(pipeline, program, cfg, pred, block, operand_hint)?;
+    // Algorithm 2 on control endpoints, per block instruction.
+    let slacks = body
+        .map(|k| {
+            engine.inst_dts_for(
+                &trace,
+                k,
+                EndpointFilter::Control,
+                Some(trace.retired[k].index),
+            )
+        })
+        .collect::<Result<_>>()?;
+    Ok((slacks, stats))
+}
+
+/// The characterization trace of one `(pred, block)` edge: co-simulates up
+/// to `STAGE_COUNT` tail instructions of the predecessor followed by the
+/// block and the drain. Returns the trace, the positions of the block's
+/// instructions in it, and the co-simulation counters.
+///
+/// # Errors
+///
+/// Propagates co-simulation errors.
+pub fn edge_trace(
+    pipeline: &PipelineNetlist,
+    program: &Program,
+    cfg: &Cfg,
+    pred: Option<BlockId>,
+    block: BlockId,
+    operand_hint: &OperandHint,
+) -> Result<(CoSimTrace, Range<usize>, CosimStats)> {
     let blk = cfg.blocks()[block.index()];
     // Build the instruction stream: up to STAGE_COUNT tail instructions
     // of the predecessor (pipeline sharing), then the block.
@@ -226,23 +258,44 @@ fn characterize_edge(
     }
     let mut stats = CosimStats::default();
     stats.absorb(&cosim);
+    let body = body_start..retired.len();
     let trace = CoSimTrace {
         activity,
         fed,
-        retired: retired.clone(),
+        retired,
     };
-    // Record DTS of the block's instructions (Algorithm 2 on control
-    // endpoints).
-    let mut slacks = Vec::with_capacity(blk.len());
-    for k in body_start..retired.len() {
-        slacks.push(engine.inst_dts_for(
-            &trace,
-            k,
-            EndpointFilter::Control,
-            Some(retired[k].index),
-        )?);
-    }
-    Ok((slacks, stats))
+    Ok((trace, body, stats))
+}
+
+/// A characterized control edge: `(predecessor, block)`, with `None` for
+/// the program-entry context.
+pub type ControlEdge = (Option<BlockId>, BlockId);
+
+/// The control edges and per-instruction operand hints training
+/// characterizes for `profiles`: every profiled edge plus program entry
+/// ([`characterization_edges`]), and each static instruction's first
+/// observed representative operands (`(0, 0)` when no profile saw it).
+pub fn training_inputs(
+    cfg: &Cfg,
+    program: &Program,
+    profiles: &[ProfileResult],
+) -> (Vec<ControlEdge>, Vec<(u32, u32)>) {
+    let mut profiled: Vec<(BlockId, BlockId)> = profiles
+        .iter()
+        // terse-analyze: allow(AZ002): collected, sorted and deduped below.
+        .flat_map(|p| p.edge_counts.keys().copied())
+        .collect();
+    profiled.sort();
+    profiled.dedup();
+    let hints = (0..program.len())
+        .map(|i| {
+            profiles
+                .iter()
+                .find_map(|p| p.operand_reps[i])
+                .unwrap_or((0, 0))
+        })
+        .collect();
+    (characterization_edges(cfg, profiled), hints)
 }
 
 /// The edge set to characterize: all profiled dynamic edges plus the

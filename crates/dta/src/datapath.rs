@@ -121,32 +121,29 @@ impl DatapathModel {
         engine: &DtsEngine<'_>,
         stats: &mut CosimStats,
     ) -> Result<Self> {
-        // Top carry level is 30, not 31: the 31-chain training vector
-        // (`0xFFFFFFFF + 1`) wraps to zero, so none of its sum bits toggle
-        // and the measurement misses the data-endpoint path entirely.
-        // Features above 30 clamp to the level-30 entry.
-        const LEVELS: [u8; 11] = [0, 2, 4, 6, 8, 12, 16, 20, 24, 28, 30];
-        const UNITS: [(FuncUnit, Opcode); 4] = [
-            (FuncUnit::AddSub, Opcode::Add),
-            (FuncUnit::Logic, Opcode::Xor),
-            (FuncUnit::Shift, Opcode::Srl),
-            (FuncUnit::Mul, Opcode::Mul),
-        ];
         // One unit per directed sequence, fanned out; measurements come
         // back in (unit, level) order, counters are summed in that order
         // and the lowest-index error wins, whatever the schedule.
-        let measured: Vec<(Option<CanonicalRv>, CosimStats)> = (0..UNITS.len() * LEVELS.len())
+        let measured: Vec<(Option<CanonicalRv>, CosimStats)> = (0..TRAINED_UNITS.len()
+            * TRAINING_LEVELS.len())
             .into_par_iter()
             .map(|i| {
-                let (unit, opcode) = UNITS[i / LEVELS.len()];
-                let (a, b) = training_operands(unit, LEVELS[i % LEVELS.len()]);
-                measure_data_dts(pipeline, engine, opcode, a, b)
+                let unit = TRAINED_UNITS[i / TRAINING_LEVELS.len()];
+                let level = TRAINING_LEVELS[i % TRAINING_LEVELS.len()];
+                let (trace, target, stats) = training_trace(pipeline, unit, level)?;
+                Ok((
+                    engine.inst_dts(&trace, target, EndpointFilter::Data)?,
+                    stats,
+                ))
             })
             .collect::<Result<_>>()?;
         let mut table: HashMap<FuncUnit, Vec<(u8, CanonicalRv)>> = HashMap::new();
-        for ((unit, _), row) in UNITS.iter().zip(measured.chunks(LEVELS.len())) {
+        for (unit, row) in TRAINED_UNITS
+            .iter()
+            .zip(measured.chunks(TRAINING_LEVELS.len()))
+        {
             let mut entries = Vec::new();
-            for (&level, (dts, unit_stats)) in LEVELS.iter().zip(row) {
+            for (&level, (dts, unit_stats)) in TRAINING_LEVELS.iter().zip(row) {
                 stats.merge(*unit_stats);
                 if let Some(rv) = dts {
                     entries.push((level, rv.clone()));
@@ -275,20 +272,48 @@ fn training_operands(unit: FuncUnit, level: u8) -> (u32, u32) {
     }
 }
 
-/// Runs the directed sequence `nop*; op; nop*` through co-simulation and
-/// measures the target instruction's data-endpoint DTS via Algorithm 2,
-/// along with the sequence's co-simulation counters.
-fn measure_data_dts(
+/// The functional units the model is trained for, in training order.
+pub const TRAINED_UNITS: [FuncUnit; 4] = [
+    FuncUnit::AddSub,
+    FuncUnit::Logic,
+    FuncUnit::Shift,
+    FuncUnit::Mul,
+];
+
+/// The feature levels each unit is trained at. The top carry level is 30,
+/// not 31: the 31-chain training vector (`0xFFFFFFFF + 1`) wraps to zero,
+/// so none of its sum bits toggle and the measurement misses the
+/// data-endpoint path entirely. Features above 30 clamp to the level-30
+/// entry.
+pub const TRAINING_LEVELS: [u8; 11] = [0, 2, 4, 6, 8, 12, 16, 20, 24, 28, 30];
+
+/// The directed training sequence of `unit` at feature `level`: `nop*; op;
+/// nop*` co-simulated with the level's operands. Returns the trace, the
+/// position of the target instruction in it, and the co-simulation
+/// counters.
+///
+/// # Errors
+///
+/// Propagates co-simulation errors; [`DtaError::MissingCharacterization`]
+/// for [`FuncUnit::None`], which has no training sequence.
+pub fn training_trace(
     pipeline: &PipelineNetlist,
-    engine: &DtsEngine<'_>,
-    opcode: Opcode,
-    a: u32,
-    b: u32,
-) -> Result<(Option<CanonicalRv>, CosimStats)> {
-    let target = match opcode {
-        o if o.is_rtype() => Instruction::rtype(o, 3, 1, 2),
-        o => Instruction::itype(o, 3, 1, 0),
+    unit: FuncUnit,
+    level: u8,
+) -> Result<(CoSimTrace, usize, CosimStats)> {
+    let opcode = match unit {
+        FuncUnit::AddSub => Opcode::Add,
+        FuncUnit::Logic => Opcode::Xor,
+        FuncUnit::Shift => Opcode::Srl,
+        FuncUnit::Mul => Opcode::Mul,
+        FuncUnit::None => {
+            return Err(DtaError::MissingCharacterization {
+                key: "datapath training sequence for FuncUnit::None".into(),
+            })
+        }
     };
+    let target = Instruction::rtype(opcode, 3, 1, 2);
+    let (a, b) = training_operands(unit, level);
     let mut stream: Vec<Retired> = Vec::new();
     let mk_nop = |idx: u32| Retired {
         index: idx,
@@ -337,10 +362,7 @@ fn measure_data_dts(
         fed,
         retired: stream,
     };
-    Ok((
-        engine.inst_dts(&trace, target_pos, EndpointFilter::Data)?,
-        stats,
-    ))
+    Ok((trace, target_pos, stats))
 }
 
 #[cfg(test)]

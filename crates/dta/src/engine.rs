@@ -1,7 +1,7 @@
 //! Algorithms 1 and 2: stage and instruction dynamic timing slack.
 
 use crate::cache::{CacheKey, DtsCache};
-use crate::prescreen::{PrescreenMode, PrunePlan};
+use crate::prescreen::PrunePlan;
 use crate::{DtaError, Result};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -321,19 +321,14 @@ impl<'n> DtsEngine<'n> {
 
     /// [`Self::inst_dts`] with pre-screening: when a [`PrunePlan`] is
     /// attached and its certificates cover this engine's clock period,
-    /// `(instruction, stage)` pairs the plan proves immune are excluded
-    /// from the statistical min — skipped outright in
-    /// [`PrescreenMode::Prune`], or computed and checked against the
-    /// certificate first in [`PrescreenMode::Oracle`] (both modes exclude,
-    /// so their results are bitwise identical). `program_index` tags the
+    /// `(instruction, stage)` pairs the plan proves immune are skipped and
+    /// left out of the statistical min. `program_index` tags the
     /// instruction in the plan's program; pass `None` for traces not built
     /// from that program (restricts proofs to the value-free level).
     ///
     /// # Errors
     ///
-    /// Propagates per-stage errors; in oracle mode, returns
-    /// [`DtaError::PrescreenViolation`] if a computed slack contradicts
-    /// its immunity certificate.
+    /// Propagates per-stage errors.
     pub fn inst_dts_for(
         &self,
         trace: &CoSimTrace,
@@ -341,10 +336,7 @@ impl<'n> DtsEngine<'n> {
         filter: EndpointFilter,
         program_index: Option<u32>,
     ) -> Result<Option<CanonicalRv>> {
-        let plan = self
-            .plan
-            .as_deref()
-            .filter(|p| p.mode() != PrescreenMode::Off && p.applies_at(self.t_clk));
+        let plan = self.plan.as_deref().filter(|p| p.applies_at(self.t_clk));
         let mut per_stage: Vec<CanonicalRv> = Vec::with_capacity(self.netlist.stage_count());
         for s in 0..self.netlist.stage_count() {
             let t = k + s;
@@ -355,19 +347,6 @@ impl<'n> DtsEngine<'n> {
                 let immune = p.immune(s, filter, program_index);
                 p.record(immune);
                 if immune {
-                    if p.mode() == PrescreenMode::Oracle {
-                        if let Some(dts) = self.stage_dts(s, trace.activity.cycle(t), filter)? {
-                            let sd = dts.variance().max(0.0).sqrt();
-                            if dts.mean() - (p.k_sigma() - 2.0) * sd < 0.0 {
-                                return Err(DtaError::PrescreenViolation {
-                                    stage: s,
-                                    index: program_index,
-                                    mean: dts.mean(),
-                                    sd,
-                                });
-                            }
-                        }
-                    }
                     continue;
                 }
             }
@@ -509,60 +488,6 @@ mod tests {
             }
             _ => panic!("presence mismatch {ctx}: {a:?} vs {b:?}"),
         }
-    }
-
-    #[test]
-    fn prune_and_oracle_prescreen_are_bitwise_identical() {
-        use crate::prescreen::{build_plan, PrescreenMode};
-        use terse_sta::delay::DelayLibrary;
-        let p = pipeline();
-        let src = "li r1, 5\nloop: add r2, r2, r1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n";
-        let prog = assemble(src).unwrap();
-        let t = trace(&p, src);
-        let lib = DelayLibrary::normalized_45nm();
-        let base = engine(&p);
-        let mut plans = [PrescreenMode::Prune, PrescreenMode::Oracle].map(|mode| {
-            let plan = Arc::new(
-                build_plan(
-                    p.netlist(),
-                    &lib,
-                    &VariationConfig::default(),
-                    base.clock_period(),
-                    &prog,
-                    mode,
-                )
-                .unwrap(),
-            );
-            let mut eng = engine(&p);
-            eng.set_prune_plan(Arc::clone(&plan));
-            (eng, plan)
-        });
-        let (prune, oracle) = plans.split_at_mut(1);
-        let (eng_p, plan_p) = &mut prune[0];
-        let (eng_o, _) = &mut oracle[0];
-        for k in 0..t.retired.len() {
-            let idx = Some(t.retired[k].index);
-            for filter in [EndpointFilter::All, EndpointFilter::Control] {
-                // Oracle computes every pruned pair and checks it against
-                // the certificate — an Err here is a soundness bug.
-                let a = eng_p.inst_dts_for(&t, k, filter, idx).unwrap();
-                let b = eng_o.inst_dts_for(&t, k, filter, idx).unwrap();
-                assert_rv_bitwise_eq(&a, &b, &format!("k{k} {filter:?}"));
-                // Excluding provably-loose stages leaves the estimate
-                // no looser: pruned-pair slacks sit far enough above the
-                // binding stage that Clark's min is dominated by it.
-                let free = base.inst_dts(&t, k, filter).unwrap();
-                if let (Some(a), Some(free)) = (&a, &free) {
-                    assert!(a.mean() >= free.mean() - 1e-9, "k{k} {filter:?}");
-                }
-            }
-        }
-        let stats = plan_p.stats();
-        assert!(stats.pairs_total > 0);
-        assert!(
-            stats.pairs_pruned * 5 >= stats.pairs_total,
-            "expected ≥20% pruning, got {stats:?}"
-        );
     }
 
     #[test]

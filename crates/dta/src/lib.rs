@@ -30,8 +30,9 @@
 //! * [`prescreen`] — **static error-immunity pre-screening**: abstract
 //!   interpretation over the netlist plus dataflow facts over the ISA CFG
 //!   prove `(instruction, stage)` pairs that can never violate the clock,
-//!   so Algorithm 2 skips them (with an oracle mode that computes them
-//!   anyway and asserts the proof).
+//!   so Algorithm 2 skips them. Training always attaches a plan; the
+//!   unpruned answer and the certificate check are test-only references
+//!   in the `oracle` crate.
 
 // Numeric-kernel idioms used intentionally throughout this crate:
 // `!(x >= 0.0)` rejects NaN along with negatives, and index loops run over
@@ -50,7 +51,7 @@ pub use control::{characterize_control, characterize_control_with, ControlDtsTab
 pub use datapath::{DatapathModel, FuncUnit};
 pub use engine::{DtsEngine, EndpointFilter};
 pub use instmodel::InstructionErrorModel;
-pub use prescreen::{build_plan, PrescreenMode, PrescreenStats, PrunePlan};
+pub use prescreen::{build_plan, PrescreenStats, PrunePlan};
 
 use std::fmt;
 
@@ -73,18 +74,6 @@ pub enum DtaError {
         /// Offending value.
         value: f64,
     },
-    /// Oracle-mode pre-screening found a pair whose computed slack
-    /// contradicts its static immunity certificate (a soundness bug).
-    PrescreenViolation {
-        /// Pipeline stage of the pair.
-        stage: usize,
-        /// Program instruction index, if the trace was program-tagged.
-        index: Option<u32>,
-        /// Computed slack mean.
-        mean: f64,
-        /// Computed slack standard deviation.
-        sd: f64,
-    },
 }
 
 impl fmt::Display for DtaError {
@@ -98,16 +87,6 @@ impl fmt::Display for DtaError {
             DtaError::InvalidParameter { name, value } => {
                 write!(f, "invalid parameter `{name}` = {value}")
             }
-            DtaError::PrescreenViolation {
-                stage,
-                index,
-                mean,
-                sd,
-            } => write!(
-                f,
-                "prescreen oracle violation at stage {stage} (instruction {index:?}): \
-                 slack mean {mean} sd {sd} contradicts immunity certificate"
-            ),
         }
     }
 }

@@ -51,9 +51,9 @@
 //! value-free table alone.
 //!
 //! Pruned stages are *excluded* from the instruction-DTS statistical
-//! min in both [`PrescreenMode::Prune`] and [`PrescreenMode::Oracle`],
-//! so the two modes produce bitwise-identical results while Oracle
-//! still computes every pruned pair and asserts its immunity.
+//! min. Training always runs with a plan attached; the unpruned answer
+//! and a checker that recomputes every pruned pair and asserts its
+//! certificate live in the `oracle` crate as test-only references.
 
 use crate::engine::EndpointFilter;
 use crate::{DtaError, Result};
@@ -69,27 +69,12 @@ use terse_sta::variation::VariationConfig;
 /// `10⁻¹⁵`.
 const K_SIGMA: f64 = 8.0;
 
-/// How the engine consults a [`PrunePlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrescreenMode {
-    /// No pre-screening: every pair is computed (exact current
-    /// behavior).
-    #[default]
-    Off,
-    /// Skip proven-immune pairs.
-    Prune,
-    /// Compute proven-immune pairs anyway, assert their immunity
-    /// empirically, then exclude them exactly as `Prune` does — the
-    /// soundness oracle. Bitwise-identical results to `Prune`.
-    Oracle,
-}
-
 /// Pair counters observed while a plan was consulted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrescreenStats {
     /// `(instruction, stage)` pairs the plan was consulted for.
     pub pairs_total: u64,
-    /// Pairs proven immune (skipped in `Prune`, asserted in `Oracle`).
+    /// Pairs proven immune, and so skipped.
     pub pairs_pruned: u64,
 }
 
@@ -118,7 +103,6 @@ fn slot(filter: EndpointFilter) -> usize {
 /// point) triple, consumed by the engine's Algorithm 2 loop.
 #[derive(Debug)]
 pub struct PrunePlan {
-    mode: PrescreenMode,
     t_clk: f64,
     /// Per stage × filter: immune with no value assumptions.
     value_free: Vec<[bool; 3]>,
@@ -129,11 +113,6 @@ pub struct PrunePlan {
 }
 
 impl PrunePlan {
-    /// The mode the plan was built for.
-    pub fn mode(&self) -> PrescreenMode {
-        self.mode
-    }
-
     /// The certificate margin in sigmas.
     pub fn k_sigma(&self) -> f64 {
         K_SIGMA
@@ -269,7 +248,6 @@ pub fn build_plan(
     variation: &VariationConfig,
     t_clk: f64,
     program: &Program,
-    mode: PrescreenMode,
 ) -> Result<PrunePlan> {
     if !(t_clk > 0.0) {
         return Err(DtaError::InvalidParameter {
@@ -322,7 +300,6 @@ pub fn build_plan(
     };
 
     Ok(PrunePlan {
-        mode,
         t_clk,
         value_free,
         tagged,
@@ -365,15 +342,7 @@ mod tests {
     fn plan_at(p: &PipelineNetlist, prog: &Program, overclock: f64) -> PrunePlan {
         let lib = DelayLibrary::normalized_45nm();
         let t = Sta::new(p.netlist(), &lib).min_period() / overclock;
-        build_plan(
-            p.netlist(),
-            &lib,
-            &VariationConfig::default(),
-            t,
-            prog,
-            PrescreenMode::Prune,
-        )
-        .unwrap()
+        build_plan(p.netlist(), &lib, &VariationConfig::default(), t, prog).unwrap()
     }
 
     #[test]
@@ -446,22 +415,14 @@ mod tests {
     fn counters_accumulate() {
         let (p, prog) = setup();
         let lib = DelayLibrary::normalized_45nm();
-        let plan = build_plan(
-            p.netlist(),
-            &lib,
-            &VariationConfig::default(),
-            100.0,
-            &prog,
-            PrescreenMode::Oracle,
-        )
-        .unwrap();
+        let plan =
+            build_plan(p.netlist(), &lib, &VariationConfig::default(), 100.0, &prog).unwrap();
         plan.record(true);
         plan.record(false);
         plan.record(true);
         let s = plan.stats();
         assert_eq!((s.pairs_total, s.pairs_pruned), (3, 2));
         assert!((s.ratio() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(plan.mode(), PrescreenMode::Oracle);
     }
 
     #[test]
@@ -469,6 +430,6 @@ mod tests {
         let (p, prog) = setup();
         let lib = DelayLibrary::normalized_45nm();
         let v = VariationConfig::default();
-        assert!(build_plan(p.netlist(), &lib, &v, -1.0, &prog, PrescreenMode::Off).is_err());
+        assert!(build_plan(p.netlist(), &lib, &v, -1.0, &prog).is_err());
     }
 }

@@ -29,6 +29,10 @@
 //! * [`mc`] — probability-chain oracles: exact dynamic propagation of the
 //!   Bernoulli error chain over a concrete trace, plus its Monte Carlo
 //!   counterpart, for checking `errmodel`'s marginal solver.
+//! * [`prescreen`] — the pre-screen's references: the unpruned model
+//!   (training with no `PrunePlan` attached) and the certificate check,
+//!   which recomputes every pair pruned training skips, asserts its
+//!   k-sigma bound and returns the slacks pruned training must reproduce.
 //! * [`sim`] — the full-scan gate-level simulator: every gate evaluated
 //!   every cycle — the reference the event-driven
 //!   `terse_netlist::sim::Simulator` is diffed against.
@@ -44,5 +48,6 @@ pub mod gen;
 pub mod grid;
 pub mod mc;
 pub mod paths;
+pub mod prescreen;
 pub mod sim;
 pub mod statmin;

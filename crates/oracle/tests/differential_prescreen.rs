@@ -1,46 +1,57 @@
 //! Differential suite for the static error-immunity pre-screen.
 //!
-//! The pre-screen plan marks (instruction, stage) pairs whose certified
-//! slack bound proves them immune at the working clock; `Prune` mode skips
-//! their per-stage DTS work, `Oracle` mode computes every skipped pair
-//! anyway and returns a typed error if the certificate is ever violated.
-//! Two properties, checked over seeded loop programs through the *public*
+//! Training always attaches a `PrunePlan`, which marks (instruction, stage)
+//! pairs whose certified slack bound proves them immune at the working
+//! clock, so their per-stage DTS work is skipped. Two references from
+//! `oracle::prescreen` check it: the certificate check, which computes
+//! every skipped pair with a plan-free engine and fails if a certificate is
+//! ever violated, and the unpruned model, trained with no plan attached.
+//! Properties, checked over seeded loop programs through the *public*
 //! control-characterization path:
 //!
-//! * **Immunity soundness** — the `Oracle` engine always returns `Ok`:
+//! * **Immunity soundness** — the certificate check always returns `Ok`:
 //!   no statically-certified-immune pair is ever observed critical.
-//! * **Prune ≡ Oracle** — the control DTS tables produced with pruning on
-//!   and with full oracle recomputation are bitwise identical (both drop
-//!   the certified stages from the statistical min), while the plan
-//!   actually prunes a meaningful fraction of pairs.
-//! * **Prune vs Off** — against the unpruned table, no pruned slack's mean
-//!   drops, the per-instruction shift in mean and σ stays within a
+//! * **Prune ≡ certificate check** — the control DTS table produced with
+//!   pruning and the one the check assembles from every recomputed pair
+//!   are bitwise identical (both drop the certified stages from the
+//!   statistical min), the pair counts agree, and the plan actually prunes
+//!   a meaningful fraction of pairs.
+//! * **Prune vs unpruned** — against the unpruned table, no pruned slack's
+//!   mean drops, the per-instruction shift in mean and σ stays within a
 //!   recorded bound, and where the unpruned slack sits less than `k_sigma`
 //!   standard deviations above zero, pruning leaves its mean, σ and
 //!   independent residual bitwise unchanged and moves its sensitivity
 //!   coefficients by at most 1e-90.
 //!
 //! One pipeline netlist is shared across cases (it does not depend on the
-//! seed); programs, plans, and engines are per-case. The engines run the
+//! seed); programs, plans, and engines are per case. The engines run the
 //! production configuration, the one the framework builds.
 //!
-//! A second test pins the pruning on the 12 MiBench kernels through the
-//! framework: `Oracle` training succeeds, the pair counts match the
-//! recorded ones, a digest of the `Prune`-mode λ, control table and
-//! datapath table matches a recorded value at both overclocks, and an
-//! `Off` run gives bitwise the same λ samples and control means and σs.
+//! The remaining tests run the same two references on one co-simulated
+//! program trace, on a full `Framework::run`, and on the 12 MiBench
+//! kernels through the default framework: the certificate check passes
+//! and reproduces the trained tables and pair counts, the pair counts
+//! match the recorded ones, a digest of λ, the control table and the
+//! datapath table matches a recorded value at both overclocks, and the
+//! unpruned model gives bitwise the same λ samples and control means and
+//! σs.
 
+use oracle::prescreen::{check_training, unpruned_model, CertificateCheck, CheckedTraining};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
-use terse::{ErrorRateEstimate, Framework, OperatingConfig};
+use terse::{ErrorRateEstimate, Framework, OperatingConfig, Workload};
 use terse_dta::control::characterization_edges;
+use terse_dta::datapath::{TRAINED_UNITS, TRAINING_LEVELS};
 use terse_dta::{
-    build_plan, characterize_control, ControlDtsTable, DtsEngine, FuncUnit, InstructionErrorModel,
-    PrescreenMode,
+    build_plan, characterize_control, ControlDtsTable, DtsEngine, EndpointFilter,
+    InstructionErrorModel,
 };
 use terse_isa::{assemble, BlockId, Cfg, Program};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
+use terse_sim::cosim::CoSim;
+use terse_sim::machine::Machine;
+use terse_sim::profile::Profiler;
 use terse_sta::analysis::Sta;
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
 use terse_sta::variation::VariationConfig;
@@ -118,23 +129,20 @@ fn assert_rv_bitwise_eq(a: &Option<CanonicalRv>, b: &Option<CanonicalRv>, ctx: &
     }
 }
 
-fn assert_tables_bitwise_eq(
-    a: &ControlDtsTable,
-    b: &ControlDtsTable,
+/// The pruned control table against the certificate check's rows (one per
+/// edge, in `edges` order), bitwise.
+fn assert_table_matches_check(
+    table: &ControlDtsTable,
+    checked: &[Vec<Option<CanonicalRv>>],
     edges: &[(Option<BlockId>, BlockId)],
-    seed: u64,
+    ctx: &str,
 ) {
-    assert_eq!(a.len(), b.len(), "seed {seed}: table sizes differ");
-    for &(pred, block) in edges {
-        let va = a.get(block, pred).expect("prune table entry");
-        let vb = b.get(block, pred).expect("oracle table entry");
-        assert_eq!(va.len(), vb.len(), "seed {seed}: slot count");
-        for (slot, (x, y)) in va.iter().zip(vb).enumerate() {
-            assert_rv_bitwise_eq(
-                x,
-                y,
-                &format!("seed {seed} {pred:?}->{block:?} slot {slot}"),
-            );
+    assert_eq!(table.len(), checked.len(), "{ctx}: table sizes differ");
+    for (&(pred, block), row) in edges.iter().zip(checked) {
+        let entry = table.get(block, pred).expect("pruned table entry");
+        assert_eq!(entry.len(), row.len(), "{ctx}: slot count");
+        for (slot, (x, y)) in entry.iter().zip(row).enumerate() {
+            assert_rv_bitwise_eq(x, y, &format!("{ctx} {pred:?}->{block:?} slot {slot}"));
         }
     }
 }
@@ -221,37 +229,32 @@ proptest! {
         let lib = DelayLibrary::normalized_45nm();
         let off = characterize_control(p, &prog, &cfg, &base, &edges, &|_| (0, 0))
             .expect("unpruned characterization");
-        let mut tables = Vec::new();
-        let mut prune_plan = None;
-        for mode in [PrescreenMode::Prune, PrescreenMode::Oracle] {
-            let plan = Arc::new(
-                build_plan(
-                    p.netlist(),
-                    &lib,
-                    &VariationConfig::default(),
-                    base.clock_period(),
-                    &prog,
-                    mode,
-                )
-                .expect("plan builds"),
-            );
-            let mut eng = engine(p);
-            eng.set_prune_plan(Arc::clone(&plan));
-            // In Oracle mode every pruned pair is recomputed and checked
-            // against its immunity certificate — `Err` means a
-            // statically-certified-immune pair was observed critical.
-            let table = characterize_control(p, &prog, &cfg, &eng, &edges, &|_| (0, 0));
-            prop_assert!(
-                table.is_ok(),
-                "seed {seed} {mode:?}: certificate violation: {:?}",
-                table.err()
-            );
-            tables.push(table.unwrap());
-            if mode == PrescreenMode::Prune {
-                prune_plan = Some(plan);
-            }
-        }
-        assert_tables_bitwise_eq(&tables[0], &tables[1], &edges, seed);
+        let prune_plan = Arc::new(
+            build_plan(
+                p.netlist(),
+                &lib,
+                &VariationConfig::default(),
+                base.clock_period(),
+                &prog,
+            )
+            .expect("plan builds"),
+        );
+        let mut eng = engine(p);
+        eng.set_prune_plan(Arc::clone(&prune_plan));
+        let pruned = characterize_control(p, &prog, &cfg, &eng, &edges, &|_| (0, 0))
+            .expect("pruned characterization");
+        // The check recomputes every pruned pair against its immunity
+        // certificate — `Err` means a statically-certified-immune pair was
+        // observed critical.
+        let mut check = CertificateCheck::new(&base, &prune_plan);
+        let checked = check.control(p, &prog, &cfg, &edges, &|_| (0, 0));
+        prop_assert!(
+            checked.is_ok(),
+            "seed {seed}: certificate violation: {:?}",
+            checked.err()
+        );
+        assert_table_matches_check(&pruned, &checked.unwrap(), &edges, &format!("seed {seed}"));
+        prop_assert_eq!(check.stats(), prune_plan.stats(), "seed {}: pair counts", seed);
         // Pruning moves slacks that sit far from failing by up to 114.5 in
         // mean and 5.0 in σ over these cases. Under the greedy statistical
         // min, a slack less than k_sigma σ from failing keeps its mean, σ
@@ -259,8 +262,7 @@ proptest! {
         // the Φ(−α) tails of the excluded stages (at most 2.3e-102 measured,
         // DESIGN §19.4) — so no error probability moves. Fail loudly if that
         // ever changes.
-        let prune_plan = prune_plan.unwrap();
-        let shift = prune_shift(&tables[0], &off, &edges, prune_plan.k_sigma(), seed);
+        let shift = prune_shift(&pruned, &off, &edges, prune_plan.k_sigma(), seed);
         prop_assert!(shift.mean <= 120.0, "seed {seed}: mean shift {}", shift.mean);
         prop_assert!(shift.sd <= 6.0, "seed {seed}: σ shift {}", shift.sd);
         prop_assert!(
@@ -282,8 +284,7 @@ proptest! {
     }
 }
 
-/// `(kernel, pairs_pruned, pairs_total)` of `Prune`-mode training on every
-/// MiBench kernel at `Small`, 2 input draws, seed 7, on a fresh framework
+/// `(kernel, pairs_pruned, pairs_total)` of training on every MiBench kernel at `Small`, 2 input draws, seed 7, on a fresh framework
 /// (so the datapath training pairs are counted too). The counts are the
 /// same at both overclocks.
 const KERNEL_PAIRS: [(&str, u64, u64); 12] = [
@@ -334,12 +335,7 @@ fn fnv_model(h: &mut u64, model: &InstructionErrorModel) {
         }
     }
     let datapath = model.datapath();
-    for unit in [
-        FuncUnit::AddSub,
-        FuncUnit::Logic,
-        FuncUnit::Shift,
-        FuncUnit::Mul,
-    ] {
+    for unit in TRAINED_UNITS {
         for level in datapath.levels(unit) {
             fnv(h, u64::from(level));
             fnv_rv(h, datapath.slack_at(unit, level).as_ref());
@@ -359,7 +355,11 @@ fn assert_lambda_and_control_bitwise_eq(
     let bits = |e: &ErrorRateEstimate| -> Vec<u64> {
         e.lambda.samples().iter().map(|l| l.to_bits()).collect()
     };
-    assert_eq!(bits(est), bits(off_est), "{ctx}: λ samples, Prune vs Off");
+    assert_eq!(
+        bits(est),
+        bits(off_est),
+        "{ctx}: λ samples, pruned vs unpruned"
+    );
     let (control, off_control) = (model.control(), off_model.control());
     assert_eq!(control.keys(), off_control.keys(), "{ctx}: control keys");
     for (block, edge) in control.keys() {
@@ -380,20 +380,156 @@ fn assert_lambda_and_control_bitwise_eq(
     }
 }
 
+/// The certificate check reproduces a pruned model bitwise: every control
+/// slot of every characterized edge, and every trained datapath level (a
+/// sequence with no data-endpoint activity trains no level).
+fn assert_model_matches_check(model: &InstructionErrorModel, checked: &CheckedTraining, ctx: &str) {
+    let control = model.control();
+    assert_eq!(
+        control.keys().len(),
+        checked.edges.len(),
+        "{ctx}: control keys"
+    );
+    for (&(pred, block), row) in checked.edges.iter().zip(&checked.control) {
+        let entry = control.get(block, pred).expect("characterized edge");
+        assert_eq!(entry.len(), row.len(), "{ctx}: slot count");
+        for (slot, (x, y)) in entry.iter().zip(row).enumerate() {
+            assert_rv_bitwise_eq(x, y, &format!("{ctx} {pred:?}->{block:?} slot {slot}"));
+        }
+    }
+    let datapath = model.datapath();
+    for (unit, row) in TRAINED_UNITS
+        .iter()
+        .zip(checked.datapath.chunks(TRAINING_LEVELS.len()))
+    {
+        let trained: Vec<u8> = TRAINING_LEVELS
+            .iter()
+            .zip(row)
+            .filter(|(_, rv)| rv.is_some())
+            .map(|(&level, _)| level)
+            .collect();
+        assert_eq!(datapath.levels(*unit), trained, "{ctx}: {unit:?} levels");
+        for (&level, rv) in TRAINING_LEVELS.iter().zip(row) {
+            if rv.is_some() {
+                assert_rv_bitwise_eq(
+                    &datapath.slack_at(*unit, level),
+                    rv,
+                    &format!("{ctx} {unit:?} level {level}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn prune_and_oracle_prescreen_are_bitwise_identical() {
+    let p = PipelineNetlist::build(PipelineConfig::default()).expect("pipeline");
+    let src = "li r1, 5\nloop: add r2, r2, r1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n";
+    let prog = assemble(src).expect("assembles");
+    let t = {
+        let mut m = Machine::new(&prog, 64);
+        CoSim::run_program(&p, &prog, &mut m, 1000).expect("co-simulation")
+    };
+    let base = engine(&p);
+    let plan = Arc::new(
+        build_plan(
+            p.netlist(),
+            &DelayLibrary::normalized_45nm(),
+            &VariationConfig::default(),
+            base.clock_period(),
+            &prog,
+        )
+        .expect("plan builds"),
+    );
+    let mut pruned = engine(&p);
+    pruned.set_prune_plan(Arc::clone(&plan));
+    let mut check = CertificateCheck::new(&base, &plan);
+    for k in 0..t.retired.len() {
+        let idx = Some(t.retired[k].index);
+        for filter in [EndpointFilter::All, EndpointFilter::Control] {
+            // The check computes every pruned pair and tests it against
+            // the certificate — an Err here is a soundness bug.
+            let a = pruned.inst_dts_for(&t, k, filter, idx).expect("pruned DTS");
+            let b = check
+                .inst_dts(&t, k, filter, idx)
+                .expect("certificate holds");
+            assert_rv_bitwise_eq(&a, &b, &format!("k{k} {filter:?}"));
+            // Excluding provably-loose stages leaves the estimate no
+            // looser: pruned-pair slacks sit far enough above the binding
+            // stage that Clark's min is dominated by it.
+            let free = base.inst_dts(&t, k, filter).expect("unpruned DTS");
+            if let (Some(a), Some(free)) = (&a, &free) {
+                assert!(a.mean() >= free.mean() - 1e-9, "k{k} {filter:?}");
+            }
+        }
+    }
+    let stats = plan.stats();
+    assert_eq!(check.stats(), stats, "pair counts");
+    assert!(stats.pairs_total > 0);
+    assert!(
+        stats.pairs_pruned * 5 >= stats.pairs_total,
+        "expected ≥20% pruning, got {stats:?}"
+    );
+}
+
+#[test]
+fn prescreened_run_matches_oracle_and_reports_pruning() {
+    let src = r"
+        addi r1, r0, 6
+        li   r2, 0xF0F0F
+    loop:
+        add  r3, r3, r2
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        halt
+    ";
+    let fw = || {
+        Framework::builder()
+            .samples(2)
+            .profiler(Profiler {
+                max_feature_samples: 8,
+                budget: 100_000,
+                dmem_words: 4096,
+                seed: 1,
+            })
+            .build()
+            .expect("framework")
+    };
+    let w = Workload::from_asm("pre", src).expect("workload");
+    let cfg = Cfg::from_program(w.program());
+    let report = fw().run(&w).expect("run");
+    let stats = report.prescreen.expect("prescreen stats in report");
+    assert!(stats.pairs_total > 0);
+    assert!(
+        stats.pairs_pruned * 5 >= stats.pairs_total,
+        "expected ≥20% pruning, got {stats:?}"
+    );
+    assert!(report.perf_summary().contains("prescreen:"));
+    // The certificate check recomputes every pair the run skipped, on a
+    // fresh framework, so datapath training is counted on both sides.
+    let reference = fw();
+    let profiles = reference.profile_workload(&w, &cfg).expect("profile");
+    let checked = check_training(&reference, &w, &cfg, &profiles).expect("certificates hold");
+    assert_eq!(checked.stats, stats, "pair counts");
+    // The check shares pruning's exclusion rule, so the check that matters
+    // is against the unpruned answer: every pair computed.
+    let off_model = unpruned_model(&reference, &w, &cfg, &profiles).expect("unpruned training");
+    let off = reference
+        .estimate(&w, &cfg, &profiles, &off_model)
+        .expect("unpruned estimate");
+    let (lp, lf) = (&report.estimate.lambda, &off.lambda);
+    assert_eq!(lp.samples().len(), lf.samples().len());
+    for (a, b) in lp.samples().iter().zip(lf.samples()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "pruned λ {a} vs unpruned λ {b}");
+    }
+}
+
 #[test]
 fn prescreen_pins_pruning_and_results_on_mibench_kernels() {
     for (op, expected_digest) in [
         (OperatingConfig::calibrated(), 0xa954_20bf_1569_ee94),
         (OperatingConfig::paper(), 0xbc7c_c015_7869_d432),
     ] {
-        let build = |mode: PrescreenMode| {
-            Framework::builder()
-                .operating(op)
-                .samples(2)
-                .prescreen(mode)
-                .build()
-                .expect("framework")
-        };
         let mut digest = 0xcbf2_9ce4_8422_2325_u64;
         let specs = terse_workloads::all();
         assert_eq!(specs.len(), KERNEL_PAIRS.len());
@@ -402,35 +538,37 @@ fn prescreen_pins_pruning_and_results_on_mibench_kernels() {
             let ctx = format!("{name} at {}x", op.overclock);
             let w = spec.workload(DatasetSize::Small, 2, 7).expect("workload");
             let cfg = Cfg::from_program(w.program());
-            let prune = build(PrescreenMode::Prune);
-            let profiles = prune.profile_workload(&w, &cfg).expect("profile");
-            let model = prune
-                .train_model(&w, &cfg, &profiles)
-                .expect("prune training");
-            let stats = prune.prescreen_stats().expect("prune stats");
+            // The default framework: training prunes.
+            let fw = Framework::builder()
+                .operating(op)
+                .samples(2)
+                .build()
+                .expect("framework");
+            let profiles = fw.profile_workload(&w, &cfg).expect("profile");
+            let model = fw.train_model(&w, &cfg, &profiles).expect("training");
+            let stats = fw.prescreen_stats();
             assert_eq!(
                 (stats.pairs_pruned, stats.pairs_total),
                 (pruned, total),
                 "{ctx}: (pruned, total) pairs"
             );
-            // Oracle recomputes every pruned pair and checks its certificate.
-            let oracle = build(PrescreenMode::Oracle);
-            let checked = oracle.train_model(&w, &cfg, &profiles);
+            // The certificate check recomputes every pruned pair, checks
+            // its certificate, and reproduces the trained tables.
+            let checked = check_training(&fw, &w, &cfg, &profiles);
             assert!(
                 checked.is_ok(),
                 "{ctx}: certificate violation: {:?}",
                 checked.err()
             );
-            assert_eq!(oracle.prescreen_stats(), Some(stats), "{ctx}: oracle pairs");
-            let est = prune
-                .estimate(&w, &cfg, &profiles, &model)
-                .expect("estimate");
+            let checked = checked.unwrap();
+            assert_eq!(checked.stats, stats, "{ctx}: checked pairs");
+            assert_model_matches_check(&model, &checked, &ctx);
+            let est = fw.estimate(&w, &cfg, &profiles, &model).expect("estimate");
             // Pruning moves no λ sample and no control mean or σ.
-            let off = build(PrescreenMode::Off);
-            let off_model = off.train_model(&w, &cfg, &profiles).expect("off training");
-            let off_est = off
+            let off_model = unpruned_model(&fw, &w, &cfg, &profiles).expect("unpruned training");
+            let off_est = fw
                 .estimate(&w, &cfg, &profiles, &off_model)
-                .expect("off estimate");
+                .expect("unpruned estimate");
             assert_lambda_and_control_bitwise_eq(&est, &model, &off_est, &off_model, &ctx);
             for l in est.lambda.samples() {
                 fnv(&mut digest, l.to_bits());

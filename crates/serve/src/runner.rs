@@ -317,7 +317,7 @@ fn telemetry_section(
             perf: fw.performance_model(),
             dta_cache: fw.dta_cache_stats(),
             bitparallel: Some(fw.bitparallel_stats(spec.chips)),
-            prescreen: fw.prescreen_stats(),
+            prescreen: Some(fw.prescreen_stats()),
         };
         if let Ok(v) = Value::parse(&report.to_json()) {
             fields.push(("last_point_report".into(), v));

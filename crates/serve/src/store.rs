@@ -41,6 +41,7 @@
 //! paused VM cannot produce false hangs.
 
 use crate::spec::JobSpec;
+use crate::supervise::pid_alive;
 use crate::{Result, ServeError};
 use std::fs;
 use std::io::Write as _;
@@ -584,8 +585,11 @@ impl JobStore {
     ///    by a crash between the two writes,
     /// 3. requeues every `running` job (its worker is gone — this process
     ///    owns the store) and clears stale claims — including claims whose
-    ///    recorded pid belongs to a dead process, and
-    /// 4. reports (without touching) job dirs that are beyond repair, for
+    ///    recorded pid belongs to a dead process,
+    /// 4. deletes the `<name>.tmp.<pid>` files a killed writer left in a
+    ///    job dir or its `checkpoints/` (only for dead pids: a live pid's
+    ///    write may still be in flight), and
+    /// 5. reports (without touching) job dirs that are beyond repair, for
     ///    `terse scrub` to diagnose.
     ///
     /// Zero-length or damaged checkpoint files are deliberately *not*
@@ -599,6 +603,9 @@ impl JobStore {
     pub fn recover(&self) -> Result<Recovery> {
         let mut rec = Recovery::default();
         for id in self.list()? {
+            let dir = self.job_dir(&id);
+            remove_dead_writer_tmps(&dir)?;
+            remove_dead_writer_tmps(&dir.join("checkpoints"))?;
             let state = match self.state(&id) {
                 Ok(s) => s,
                 Err(_) => {
@@ -731,6 +738,32 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     fs::write(&tmp, bytes).map_err(|e| io_err("write", &tmp, &e))?;
     fs::rename(&tmp, path).map_err(|e| io_err("rename", path, &e))
+}
+
+/// Deletes the `<name>.tmp.<pid>` files in `dir` whose writer is dead:
+/// [`atomic_write`] leaves one behind when its process is killed between
+/// the write and the rename. A live pid's file may belong to a write still
+/// in flight, so it stays. A missing `dir` has nothing to clean.
+fn remove_dead_writer_tmps(dir: &Path) -> Result<()> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Ok(());
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.rsplit_once(".tmp."))
+            .and_then(|(_, pid)| pid.parse::<u32>().ok());
+        if pid.is_some_and(|pid| !pid_alive(pid)) {
+            let path = entry.path();
+            match fs::remove_file(&path) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(io_err("remove stale tmp", &path, &e)),
+            }
+        }
+    }
+    Ok(())
 }
 
 fn append_line(path: &Path, line: &str) -> Result<()> {
@@ -944,6 +977,31 @@ mod tests {
         assert!(store.try_claim("x").unwrap());
         let log = fs::read_to_string(store.job_dir("x").join("transitions.log")).unwrap();
         assert_eq!(log, "queued -> running\nrunning -> queued\n");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn recover_removes_dead_writer_tmp_files_and_keeps_live_ones() {
+        let root = temp_store("tmps");
+        let store = JobStore::open(&root).unwrap();
+        store.submit(&spec("t")).unwrap();
+        let dir = store.job_dir("t");
+        fs::create_dir_all(dir.join("checkpoints")).unwrap();
+        // Above any kernel's pid_max, so no process can own it.
+        let dead = u32::MAX - 1;
+        let live = std::process::id();
+        let dead_state = dir.join(format!("state.tmp.{dead}"));
+        let dead_ckpt = dir.join("checkpoints").join(format!("point-0.tmp.{dead}"));
+        let live_beat = dir.join(format!("heartbeat.tmp.{live}"));
+        for f in [&dead_state, &dead_ckpt, &live_beat] {
+            fs::write(f, b"x").unwrap();
+        }
+        store.recover().unwrap();
+        assert!(!dead_state.exists(), "dead writer's tmp file survived");
+        assert!(!dead_ckpt.exists(), "dead writer's checkpoint tmp survived");
+        assert!(live_beat.exists(), "a live writer's tmp file was removed");
+        assert_eq!(store.state("t").unwrap(), JobState::Queued);
         fs::remove_dir_all(&root).unwrap();
     }
 

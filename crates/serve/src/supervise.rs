@@ -226,7 +226,7 @@ fn reclaim(
 }
 
 /// Whether a pid names a live process.
-fn pid_alive(pid: u32) -> bool {
+pub(crate) fn pid_alive(pid: u32) -> bool {
     #[cfg(target_os = "linux")]
     {
         std::path::Path::new(&format!("/proc/{pid}")).exists()

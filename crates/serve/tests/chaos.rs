@@ -196,8 +196,11 @@ fn drain_until_settled(store: &JobStore, cfg: &ExecutorConfig, max_rounds: usize
     panic!("store did not settle within {max_rounds} serve rounds");
 }
 
-/// The fault-free serial reference sections for jobs `0..n`.
+/// The fault-free serial reference sections for jobs `0..n`. The run holds
+/// the fail-point scenario lock throughout, so faults a concurrent test
+/// arms in the process-global registry cannot fire inside it.
 fn reference_sections(n: usize) -> BTreeMap<String, String> {
+    let _scenario = FailScenario::setup();
     let root = temp_store("ref");
     let store = JobStore::open(&root).unwrap();
     for i in 0..n {
@@ -380,6 +383,10 @@ fn sigkill_rounds_over_a_batch_converge_bitwise() {
 
     let n = 8;
     let reference = reference_sections(n);
+    // Hold the fail-point scenario lock for the rest of the test: the
+    // in-process submits, state reads and audit below must not see faults
+    // a concurrent test arms in the global registry.
+    let _scenario = FailScenario::setup();
 
     let root = temp_store("sigkill");
     let store = JobStore::open(&root).unwrap();
