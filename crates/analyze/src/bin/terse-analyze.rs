@@ -14,8 +14,7 @@
 //!   netlist structural passes, the slack abstract-interpretation pass
 //!   over each stage's endpoint slacks at the deterministic minimum
 //!   period (cross-checked against the arrival-certificate interval),
-//!   and the CFG + dataflow passes (DF001–DF005) over an embedded
-//!   reference program.
+//!   and the CFG passes over an embedded reference program.
 //! * `jobs` runs the job-store layout passes (JS005–JS008) over a
 //!   `terse-serve` store root (default: current directory).
 //! * `scrub` runs the layout passes plus the artifact integrity passes
@@ -34,7 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use terse_analyze::{
-    analyze_cfg, analyze_dataflow, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
+    analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
 use terse_isa::{assemble, Cfg};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
@@ -219,19 +218,16 @@ fn run_pipeline(report: &mut AnalysisReport) -> Result<(), String> {
         analyze_slacks(&rvs, &stage_cfg, &format!("stage {s}"), report);
     }
 
-    // Dataflow passes over an embedded reference program exercising every
-    // interesting CFG shape: a loop, a taken/fall-through branch, and a
-    // call/return pair.
     let prog = assemble(REFERENCE_PROGRAM).map_err(|e| format!("reference program: {e}"))?;
     let cfg = Cfg::from_program(&prog);
     analyze_cfg(&prog, &cfg, report);
-    analyze_dataflow(&prog, &cfg, report);
     Ok(())
 }
 
-/// The reference program the `pipeline` command's dataflow passes run
-/// over: all writes are read, all reads are initialized, branch operands
-/// are data-dependent — clean under DF001–DF005 by construction.
+/// The reference program the `pipeline` command's CFG passes run over.
+/// It has every CFG shape the passes distinguish: a loop, a
+/// taken/fall-through branch, and a call/return pair whose `jr` block
+/// reaches the `jal` return site.
 const REFERENCE_PROGRAM: &str = "\
         addi r1, r0, 8
         addi r2, r0, 0

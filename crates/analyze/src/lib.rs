@@ -11,11 +11,6 @@
 //!   fall-through consistency, missing terminators), [`slack_pass`]
 //!   (interval + NaN/∞ abstract interpretation over `sta::canonical`
 //!   slack RVs, bounding stage DTS and flagging degenerate forms).
-//! * **Program dataflow** — [`dataflow`], a monotone-framework fixpoint
-//!   engine over the ISA CFG (reaching definitions, liveness, constant
-//!   propagation, register value intervals) emitting the `DF0xx` family
-//!   and exporting the call/return-discipline check the DTA
-//!   error-immunity pre-screen gates its program-counter pin on.
 //! * **Codebase lints** — [`lint`], an offline scanner over the
 //!   workspace's own Rust sources (no registry dependencies, consistent
 //!   with the vendored-shim policy): panicking APIs in library crates,
@@ -31,7 +26,7 @@
 //! derived facts (e.g. static stage-DTS interval bounds) and never gate.
 //!
 //! Diagnostic codes are stable identifiers (`NL0xx` netlist, `CF0xx` CFG,
-//! `SL0xx` slack RVs, `DF0xx` program dataflow, `AZ0xx` codebase lints, `JS0xx` job specs and job-store
+//! `SL0xx` slack RVs, `AZ0xx` codebase lints, `JS0xx` job specs and job-store
 //! layouts); see DESIGN.md §14 and §19 for the full table.
 
 // Numeric-kernel idioms used intentionally throughout this crate:
@@ -41,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod cfg_pass;
-pub mod dataflow;
 pub mod integrity;
 pub mod job_pass;
 pub mod lint;
@@ -49,7 +43,6 @@ pub mod netlist_pass;
 pub mod slack_pass;
 
 pub use cfg_pass::analyze_cfg;
-pub use dataflow::{analyze_dataflow, call_return_discipline, Interval};
 pub use integrity::{crc32, crc32_hex, frame, unframe, FrameError};
 pub use job_pass::{
     analyze_job_spec, analyze_job_store, is_terminal_state, scrub_job_store, valid_transition,

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use terse_analyze::{
-    analyze_cfg, analyze_dataflow, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
+    analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
 use terse_dta::cache::{DtsCache, DtsCacheStats};
 use terse_dta::control::{characterize_control_with, training_inputs};
@@ -371,7 +371,6 @@ impl Framework {
         analyze_netlist(netlist, &mut report);
         let cfg = Cfg::from_program(w.program());
         analyze_cfg(w.program(), &cfg, &mut report);
-        analyze_dataflow(w.program(), &cfg, &mut report);
         let model = VariationModel::new(netlist, &self.lib, self.variation)?;
         let ssta = StatisticalSta::new(netlist, &self.lib, &model);
         let sta = Sta::new(netlist, &self.lib);

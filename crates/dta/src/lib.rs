@@ -28,9 +28,10 @@
 //!   exact (bit-verified) bounded LRU keyed on the per-stage masked toggle
 //!   set, exploiting the tight-loop repetition of real programs.
 //! * [`prescreen`] — **static error-immunity pre-screening**: abstract
-//!   interpretation over the netlist plus dataflow facts over the ISA CFG
-//!   prove `(instruction, stage)` pairs that can never violate the clock,
-//!   so Algorithm 2 skips them. Training always attaches a plan; the
+//!   interpretation over the netlist, plus a program-counter bound pinned
+//!   when the program keeps the call/return discipline, proves
+//!   `(instruction, stage)` pairs that can never violate the clock, so
+//!   Algorithm 2 skips them. Training always attaches a plan; the
 //!   unpruned answer and the certificate check are test-only references
 //!   in the `oracle` crate.
 

@@ -42,7 +42,7 @@
 //!   IF cycles occur only during the trailing drain, each advancing the
 //!   PC by 4 — a bound the bit-level abstraction cannot derive itself
 //!   because of abstract carry ripple. Pinning the redirect target is
-//!   sound only under [`call_return_discipline`] (a `jr` may land only
+//!   sound only under the call/return discipline (a `jr` may land only
 //!   on a `jal`-written return address); a program that breaks it gets
 //!   the value-free table for tagged traces too.
 //!
@@ -58,8 +58,7 @@
 use crate::engine::EndpointFilter;
 use crate::{DtaError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
-use terse_analyze::dataflow::call_return_discipline;
-use terse_isa::Program;
+use terse_isa::{Opcode, Program};
 use terse_netlist::{stable_values_with, EndpointClass, Netlist, Tri, ValueConstraints};
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
@@ -232,6 +231,18 @@ fn certify(
     Ok(out)
 }
 
+/// Whether every indirect jump can only be a function return: `jr`
+/// reads `r31` exclusively, and `r31` is written only by `jal`. When
+/// this fails, a computed goto could land anywhere, so the redirect
+/// target cannot be pinned.
+fn call_return_discipline(program: &Program) -> bool {
+    program.instructions().iter().all(|inst| {
+        let jr_ok = inst.opcode != Opcode::Jr || inst.rs1 == 31;
+        let link_ok = inst.opcode == Opcode::Jal || inst.destination() != Some(31);
+        jr_ok && link_ok
+    })
+}
+
 /// Builds a [`PrunePlan`] for a pipeline netlist, a program, and an
 /// operating point.
 ///
@@ -387,6 +398,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn call_return_program_obeys_discipline() {
+        let p = assemble(
+            r"
+            main:
+                addi r1, r0, 7
+                call fn
+                st   r2, r0, 0
+                halt
+            fn:
+                addi r2, r1, 1
+                ret
+            ",
+        )
+        .unwrap();
+        assert!(call_return_discipline(&p));
+    }
+
+    #[test]
+    fn jr_through_scratch_register_breaks_discipline() {
+        let p = assemble("addi r5, r0, 0\njr r5\nhalt\n").unwrap();
+        assert!(!call_return_discipline(&p));
     }
 
     #[test]

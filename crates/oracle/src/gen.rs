@@ -542,180 +542,6 @@ pub fn random_slacks_with_defect(
     rvs
 }
 
-/// A dataflow defect class for DF-pass fixtures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataflowDefect {
-    /// A register written but never read on any path (DF001).
-    DeadWrite,
-    /// A register read before any definition reaches it (DF002).
-    UseBeforeDef,
-    /// A branch whose operands are statically constant (DF003).
-    ConstBranch,
-    /// `beq rX, rX` with `rX != r0`, always taken with a dead
-    /// fall-through edge (DF004).
-    AlwaysTakenBeq,
-    /// A corrupted interval solution: an operand's interval is empty at
-    /// a reachable instruction (DF005).
-    EmptyInterval,
-}
-
-impl DataflowDefect {
-    /// All defect classes, for exhaustive fixture sweeps.
-    pub const ALL: [DataflowDefect; 5] = [
-        DataflowDefect::DeadWrite,
-        DataflowDefect::UseBeforeDef,
-        DataflowDefect::ConstBranch,
-        DataflowDefect::AlwaysTakenBeq,
-        DataflowDefect::EmptyInterval,
-    ];
-
-    /// The diagnostic code `terse-analyze` must report for this defect.
-    pub fn expected_code(self) -> &'static str {
-        match self {
-            DataflowDefect::DeadWrite => "DF001",
-            DataflowDefect::UseBeforeDef => "DF002",
-            DataflowDefect::ConstBranch => "DF003",
-            DataflowDefect::AlwaysTakenBeq => "DF004",
-            DataflowDefect::EmptyInterval => "DF005",
-        }
-    }
-}
-
-/// A seeded program (with its faithful CFG) for the dataflow passes,
-/// optionally poisoned with one [`DataflowDefect`].
-pub struct DataflowFixture {
-    /// The program under analysis.
-    pub program: Program,
-    /// Its faithful CFG (`Cfg::from_program`).
-    pub cfg: terse_isa::Cfg,
-    /// For [`DataflowDefect::EmptyInterval`] only: a corrupted interval
-    /// solution to feed `check_intervals` (the shipped transfers cannot
-    /// produce an empty interval on a reachable path, so the defect must
-    /// be injected into the solution object). `None` otherwise.
-    pub corrupt_intervals:
-        Option<terse_analyze::dataflow::Solution<terse_analyze::dataflow::IntervalFact>>,
-}
-
-/// Builds a [`DataflowFixture`]. With `defect == None` the program is
-/// silent under every DF pass by construction: an init block defines
-/// `r1` (a positive trip count), `r2` (a base address) and `r3` (an
-/// accumulator); a loop of `chain` ALU ops folds `r1`/`r2` into `r3`;
-/// `r1` counts down through a data-dependent back-branch; the exit path
-/// stores `r3` through `r2` so every write is eventually read.
-///
-/// # Panics
-///
-/// Panics on an internal program-construction error (a generator bug).
-pub fn random_dataflow_fixture(
-    seed: u64,
-    chain: usize,
-    defect: Option<DataflowDefect>,
-) -> DataflowFixture {
-    use terse_analyze::dataflow::{solve, IntervalAnalysis, WorklistOrder};
-    use terse_analyze::Interval;
-
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let c1 = 1 + rng.next_below(63) as i32;
-    let c2 = rng.next_below(64) as i32;
-    const OPS: [Opcode; 4] = [Opcode::Add, Opcode::Xor, Opcode::Or, Opcode::And];
-
-    let mut insts = vec![
-        Instruction::itype(Opcode::Addi, 1, 0, c1),
-        Instruction::itype(Opcode::Addi, 2, 0, c2),
-    ];
-    if defect != Some(DataflowDefect::UseBeforeDef) {
-        // Dropping the accumulator's initialiser makes the loop's first
-        // read of r3 reach program entry undefined.
-        insts.push(Instruction::itype(Opcode::Addi, 3, 0, 0));
-    }
-    // A statically decided branch to the halt block (target patched once
-    // the layout is final): constant operands for DF003, a non-zero
-    // same-register `beq` for DF004.
-    let static_branch_at = match defect {
-        Some(DataflowDefect::ConstBranch) => {
-            insts.push(Instruction {
-                opcode: Opcode::Bne,
-                rd: 0,
-                rs1: 2,
-                rs2: 0,
-                imm: 0,
-            });
-            Some(insts.len() - 1)
-        }
-        Some(DataflowDefect::AlwaysTakenBeq) => {
-            insts.push(Instruction {
-                opcode: Opcode::Beq,
-                rd: 0,
-                rs1: 1,
-                rs2: 1,
-                imm: 0,
-            });
-            Some(insts.len() - 1)
-        }
-        _ => None,
-    };
-    if defect == Some(DataflowDefect::DeadWrite) {
-        insts.push(Instruction::itype(Opcode::Addi, 5, 0, 7));
-    }
-    let loop_start = insts.len();
-    for _ in 0..chain.max(1) {
-        let op = OPS[rng.next_below(4) as usize];
-        let rs2 = if rng.next_below(2) == 0 { 1 } else { 2 };
-        insts.push(Instruction::rtype(op, 3, 3, rs2));
-    }
-    insts.push(Instruction::itype(Opcode::Addi, 1, 1, -1));
-    insts.push(Instruction {
-        opcode: Opcode::Bne,
-        rd: 0,
-        rs1: 1,
-        rs2: 0,
-        imm: loop_start as i32,
-    });
-    insts.push(Instruction {
-        opcode: Opcode::St,
-        rd: 0,
-        rs1: 2,
-        rs2: 3,
-        imm: 0,
-    });
-    let halt_at = insts.len();
-    insts.push(Instruction::halt());
-    if let Some(i) = static_branch_at {
-        insts[i].imm = halt_at as i32;
-    }
-
-    let program = Program::new(insts, vec![], Default::default(), Default::default())
-        .expect("dataflow fixture program is well-formed");
-    let cfg = terse_isa::Cfg::from_program(&program);
-    let corrupt_intervals = if defect == Some(DataflowDefect::EmptyInterval) {
-        let mut sol = solve(&IntervalAnalysis, &program, &cfg, WorklistOrder::Fifo);
-        // The loop block's first instruction reads r3: an empty interval
-        // there is exactly the inconsistency DF005 guards against.
-        let b = cfg.block_containing(loop_start).index();
-        sol.entry[b][3] = Interval::EMPTY;
-        Some(sol)
-    } else {
-        None
-    };
-    DataflowFixture {
-        program,
-        cfg,
-        corrupt_intervals,
-    }
-}
-
-/// Runs the DF passes over a fixture exactly as a consumer would: the
-/// full `analyze_dataflow` sweep, plus `check_intervals` over the
-/// injected corrupted solution when the fixture carries one.
-pub fn dataflow_fixture_report(fx: &DataflowFixture) -> terse_analyze::AnalysisReport {
-    let mut r = terse_analyze::AnalysisReport::new();
-    terse_analyze::analyze_dataflow(&fx.program, &fx.cfg, &mut r);
-    if let Some(sol) = &fx.corrupt_intervals {
-        terse_analyze::dataflow::check_intervals(&fx.program, &fx.cfg, sol, &mut r);
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,8 @@
 //! `oracle::prescreen` check it: the certificate check, which computes
 //! every skipped pair with a plan-free engine and fails if a certificate is
 //! ever violated, and the unpruned model, trained with no plan attached.
-//! Properties, checked over seeded loop programs through the *public*
-//! control-characterization path:
+//! Properties, checked over seeded loop programs at the overclocks in
+//! `OVERCLOCKS` through the *public* control-characterization path:
 //!
 //! * **Immunity soundness** — the certificate check always returns `Ok`:
 //!   no statically-certified-immune pair is ever observed critical.
@@ -63,10 +63,11 @@ fn pipeline() -> &'static PipelineNetlist {
     P.get_or_init(|| PipelineNetlist::build(PipelineConfig::small()).expect("small pipeline"))
 }
 
-fn engine(p: &PipelineNetlist) -> DtsEngine<'_> {
+/// An engine clocked at the sign-off period divided by `overclock`.
+fn engine(p: &PipelineNetlist, overclock: f64) -> DtsEngine<'_> {
     let lib = DelayLibrary::normalized_45nm();
     let sta = Sta::new(p.netlist(), &lib);
-    let t = sta.min_period() / 1.15; // overclocked 1.15× like the paper
+    let t = sta.min_period() / overclock;
     DtsEngine::new(
         p.netlist(),
         lib,
@@ -166,9 +167,9 @@ fn prune_shift(
     off: &ControlDtsTable,
     edges: &[(Option<BlockId>, BlockId)],
     k_sigma: f64,
-    seed: u64,
+    ctx: &str,
 ) -> PruneShift {
-    assert_eq!(prune.len(), off.len(), "seed {seed}: table sizes differ");
+    assert_eq!(prune.len(), off.len(), "{ctx}: table sizes differ");
     let mut shift = PruneShift {
         mean: 0.0,
         sd: 0.0,
@@ -178,9 +179,9 @@ fn prune_shift(
     for &(pred, block) in edges {
         let vp = prune.get(block, pred).expect("prune table entry");
         let vo = off.get(block, pred).expect("off table entry");
-        assert_eq!(vp.len(), vo.len(), "seed {seed}: slot count");
+        assert_eq!(vp.len(), vo.len(), "{ctx}: slot count");
         for (slot, (x, y)) in vp.iter().zip(vo).enumerate() {
-            let ctx = format!("seed {seed} {pred:?}->{block:?} slot {slot}");
+            let ctx = format!("{ctx} {pred:?}->{block:?} slot {slot}");
             match (x, y) {
                 (None, None) => {}
                 (Some(x), Some(y)) => {
@@ -213,6 +214,13 @@ fn prune_shift(
     shift
 }
 
+/// Overclocks the property draws from: the paper's 1.15× and two near the
+/// certificate's reach, where a plan built without the k-sigma margin
+/// skips pairs that the unpruned table shows are within k_sigma σ of
+/// failing. Past 2.0× the near-critical coefficient bound of 1e-90 no
+/// longer holds (DESIGN §19.4).
+const OVERCLOCKS: [f64; 3] = [1.15, 1.8, 2.0];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -220,12 +228,14 @@ proptest! {
     fn prescreen_oracle_sees_no_violations_and_prune_is_bitwise_identical(
         seed in 0u64..1_000_000,
         chain in 1usize..5,
+        overclock in prop::sample::select(OVERCLOCKS.to_vec()),
     ) {
+        let ctx = format!("seed {seed} at {overclock}x");
         let p = pipeline();
         let prog = loop_program(seed, chain);
         let cfg = Cfg::from_program(&prog);
         let edges = all_edges(&cfg);
-        let base = engine(p);
+        let base = engine(p, overclock);
         let lib = DelayLibrary::normalized_45nm();
         let off = characterize_control(p, &prog, &cfg, &base, &edges, &|_| (0, 0))
             .expect("unpruned characterization");
@@ -239,7 +249,7 @@ proptest! {
             )
             .expect("plan builds"),
         );
-        let mut eng = engine(p);
+        let mut eng = engine(p, overclock);
         eng.set_prune_plan(Arc::clone(&prune_plan));
         let pruned = characterize_control(p, &prog, &cfg, &eng, &edges, &|_| (0, 0))
             .expect("pruned characterization");
@@ -250,36 +260,36 @@ proptest! {
         let checked = check.control(p, &prog, &cfg, &edges, &|_| (0, 0));
         prop_assert!(
             checked.is_ok(),
-            "seed {seed}: certificate violation: {:?}",
+            "{ctx}: certificate violation: {:?}",
             checked.err()
         );
-        assert_table_matches_check(&pruned, &checked.unwrap(), &edges, &format!("seed {seed}"));
-        prop_assert_eq!(check.stats(), prune_plan.stats(), "seed {}: pair counts", seed);
+        assert_table_matches_check(&pruned, &checked.unwrap(), &edges, &ctx);
+        prop_assert_eq!(check.stats(), prune_plan.stats(), "{}: pair counts", ctx);
         // Pruning moves slacks that sit far from failing by up to 114.5 in
-        // mean and 5.0 in σ over these cases. Under the greedy statistical
-        // min, a slack less than k_sigma σ from failing keeps its mean, σ
-        // and residual bitwise; only its sensitivity coefficients move, by
-        // the Φ(−α) tails of the excluded stages (at most 2.3e-102 measured,
-        // DESIGN §19.4) — so no error probability moves. Fail loudly if that
-        // ever changes.
-        let shift = prune_shift(&pruned, &off, &edges, prune_plan.k_sigma(), seed);
-        prop_assert!(shift.mean <= 120.0, "seed {seed}: mean shift {}", shift.mean);
-        prop_assert!(shift.sd <= 6.0, "seed {seed}: σ shift {}", shift.sd);
+        // mean and 5.0 in σ over these cases (at 1.15x; none moves at 1.8x
+        // or 2.0x). Under the greedy statistical min, a slack less than
+        // k_sigma σ from failing keeps its mean, σ and residual bitwise;
+        // only its sensitivity coefficients move, by the Φ(−α) tails of the
+        // excluded stages (at most 2.3e-102 measured, DESIGN §19.4) — so no
+        // error probability moves. Fail loudly if that ever changes.
+        let shift = prune_shift(&pruned, &off, &edges, prune_plan.k_sigma(), &ctx);
+        prop_assert!(shift.mean <= 120.0, "{ctx}: mean shift {}", shift.mean);
+        prop_assert!(shift.sd <= 6.0, "{ctx}: σ shift {}", shift.sd);
         prop_assert!(
             shift.moved_min_z == f64::INFINITY,
-            "seed {seed}: a slack only {}σ from failing moved its mean, σ or residual",
+            "{ctx}: a slack only {}σ from failing moved its mean, σ or residual",
             shift.moved_min_z
         );
         prop_assert!(
             shift.near_coeff <= 1e-90,
-            "seed {seed}: a coefficient within k_sigma σ of failing moved by {:e}",
+            "{ctx}: a coefficient within k_sigma σ of failing moved by {:e}",
             shift.near_coeff
         );
         let stats = prune_plan.stats();
-        prop_assert!(stats.pairs_total > 0, "seed {seed}: empty plan");
+        prop_assert!(stats.pairs_total > 0, "{ctx}: empty plan");
         prop_assert!(
             stats.pairs_pruned * 5 >= stats.pairs_total,
-            "seed {seed}: expected ≥20% pruning, got {stats:?}"
+            "{ctx}: expected ≥20% pruning, got {stats:?}"
         );
     }
 }
@@ -430,7 +440,7 @@ fn prune_and_oracle_prescreen_are_bitwise_identical() {
         let mut m = Machine::new(&prog, 64);
         CoSim::run_program(&p, &prog, &mut m, 1000).expect("co-simulation")
     };
-    let base = engine(&p);
+    let base = engine(&p, 1.15);
     let plan = Arc::new(
         build_plan(
             p.netlist(),
@@ -441,7 +451,7 @@ fn prune_and_oracle_prescreen_are_bitwise_identical() {
         )
         .expect("plan builds"),
     );
-    let mut pruned = engine(&p);
+    let mut pruned = engine(&p, 1.15);
     pruned.set_prune_plan(Arc::clone(&plan));
     let mut check = CertificateCheck::new(&base, &plan);
     for k in 0..t.retired.len() {

@@ -95,27 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn valid_dataflow_fixtures_are_clean(seed in 0u64..1_000_000, chain in 1usize..6) {
-        let fx = gen::random_dataflow_fixture(seed, chain, None);
-        let r = gen::dataflow_fixture_report(&fx);
-        prop_assert!(r.is_clean(), "seed {seed}:\n{}", r.render_text());
-    }
-
-    #[test]
-    fn dataflow_defects_are_detected(seed in 0u64..1_000_000, chain in 1usize..6) {
-        for defect in gen::DataflowDefect::ALL {
-            let fx = gen::random_dataflow_fixture(seed, chain, Some(defect));
-            let r = gen::dataflow_fixture_report(&fx);
-            prop_assert!(
-                r.has_code(defect.expected_code()),
-                "seed {seed}, {defect:?} must raise {}:\n{}",
-                defect.expected_code(),
-                r.render_text()
-            );
-        }
-    }
-
-    #[test]
     fn strict_preflight_refuses_cyclic_netlists_with_typed_error(
         seed in 0u64..1_000_000,
         gates in 1usize..24,
