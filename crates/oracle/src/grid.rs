@@ -1,14 +1,19 @@
-//! The one-cell-per-chip Monte Carlo reference grid.
+//! The one-cell-per-chip Monte Carlo reference grids.
 //!
-//! `terse_sim::monte_carlo::error_counts` packs 64 chips into one program
-//! execution, resolves each distinct slack once per call and reads chip
-//! probabilities from per-group tables. [`error_counts_scalar`] does none
-//! of that: every `(chip, input)` cell executes the program on its own and
-//! asks the model for [`InstErrorModel::error_probability`] at every
-//! retired instruction. It shares only the documented RNG stream contract
-//! (`seed_stream(cfg.seed, cell_stream(chip, input))`) with the packed
-//! grid, so the two agree bit for bit exactly when the packing, the class
-//! interning and the tables are exact.
+//! `terse_sim::monte_carlo::error_counts` runs each input once, records
+//! its trajectory as a trace of slack classes, and replays that trace for
+//! 64 chips at a time against per-group tables of integer thresholds.
+//! [`error_counts_scalar`] does none of that: every `(chip, input)` cell
+//! executes the program on its own, asks the model for
+//! [`InstErrorModel::error_probability`] at every retired instruction and
+//! draws with `next_f64() < p`. It shares only the documented RNG stream
+//! contract (`seed_stream(cfg.seed, cell_stream(chip, input))`) with the
+//! packed grid, so the two agree bit for bit exactly when the traces, the
+//! class interning, the thresholds and the lanes are exact.
+//! [`error_counts_marginalized_scalar`] is the same per-cell loop for
+//! `error_counts_marginalized`, with
+//! [`InstErrorModel::marginal_probability`] and the marginalized master
+//! seed.
 
 use rayon::prelude::*;
 use terse_isa::Program;
@@ -93,4 +98,40 @@ where
         })
         .collect::<Result<_, _>>()?;
     Ok(flat.chunks(inputs).map(<[u64]>::to_vec).collect())
+}
+
+/// The marginalized count vector (`reps × inputs`, rep-major), one program
+/// execution per `(rep, input)` cell drawing from
+/// `seed_stream(cfg.seed ^ 0x4D41_5247, cell_stream(rep, input))`.
+///
+/// # Errors
+///
+/// Propagates machine errors (the lowest-indexed failing cell wins).
+pub fn error_counts_marginalized_scalar<M, F>(
+    program: &Program,
+    model: &M,
+    reps: usize,
+    inputs: usize,
+    scheme: CorrectionScheme,
+    init: F,
+    cfg: MonteCarloConfig,
+) -> Result<Vec<u64>, SimError>
+where
+    M: InstErrorModel + Sync,
+    F: Fn(usize, &mut Machine) + Sync,
+{
+    if inputs == 0 {
+        return Ok(Vec::new());
+    }
+    let master = cfg.seed ^ 0x4D41_5247;
+    (0..reps * inputs)
+        .into_par_iter()
+        .map(|cell| {
+            let (r, i) = (cell / inputs, cell % inputs);
+            let mut rng = Xoshiro256::seed_stream(master, cell_stream(r, i));
+            run_cell(program, i, scheme, &init, cfg, &mut rng, |prev, idx, f| {
+                model.marginal_probability(prev, idx, f)
+            })
+        })
+        .collect()
 }

@@ -22,10 +22,10 @@
 //!   critical activated path of every endpoint in one pass — the reference
 //!   for the restricted search's first path on netlists too deep for the
 //!   DFS (the pipeline).
-//! * [`grid`] — the one-cell-per-chip Monte Carlo grid: every chip runs
-//!   the program alone and queries the model per retired instruction — the
-//!   reference the packed, slack-class grid of `terse_sim::monte_carlo` is
-//!   diffed against.
+//! * [`grid`] — the one-cell-per-chip Monte Carlo grids, per chip and
+//!   marginalized: every cell runs the program alone, queries the model per
+//!   retired instruction and draws with `next_f64() < p` — the references
+//!   the trace-replay grids of `terse_sim::monte_carlo` are diffed against.
 //! * [`mc`] — probability-chain oracles: exact dynamic propagation of the
 //!   Bernoulli error chain over a concrete trace, plus its Monte Carlo
 //!   counterpart, for checking `errmodel`'s marginal solver.

@@ -1,10 +1,12 @@
 //! The packed Monte Carlo grid on the *trained* instruction error model
 //! against the one-cell-per-chip reference.
 //!
-//! `terse_sim::monte_carlo` resolves each call's queries to a few shared
-//! slack classes and reads chip probabilities from per-lane-group tables;
+//! `terse_sim::monte_carlo` runs each input once, records its trajectory as
+//! a trace of a few shared slack classes, and replays the trace for 64
+//! chips at a time against per-lane-group tables of integer thresholds;
 //! `oracle::grid::error_counts_scalar` executes every `(chip, input)` cell
-//! alone and asks the model for every retired instruction's probability.
+//! alone, asks the model for every retired instruction's probability and
+//! draws with `next_f64() < p`.
 //! On real MiBench kernels — many blocks, every datapath unit, loop bodies
 //! that re-query the same slacks — the count matrices must agree bit for
 //! bit, for the plain grid and for a checkpointed grid whose resumes cut
@@ -17,6 +19,11 @@
 //! chip-major through a lane group, as cell-sized batches left it, must
 //! resume to the same counts.
 //!
+//! The marginalized grid runs the same traces and lane kernel with reps
+//! in place of chips; it must equal `error_counts_marginalized_scalar`, the
+//! per-cell loop with `marginal_probability`, on the MiBench kernels and
+//! on the toy model.
+//!
 //! The post-error bus changes these kernels' slack keys (logic-unit toggle
 //! levels) but not their slacks: a logic instruction's datapath slack lies
 //! so far above its control slack that the statistical min returns the
@@ -27,14 +34,15 @@
 //! check classes, tables and lane alignment on the real model.
 
 use oracle::gen;
-use oracle::grid::error_counts_scalar;
+use oracle::grid::{error_counts_marginalized_scalar, error_counts_scalar};
 use proptest::prelude::*;
 use terse::Framework;
 use terse_isa::{assemble, Cfg};
 use terse_sim::correction::CorrectionScheme;
 use terse_sim::features::InstFeatures;
 use terse_sim::monte_carlo::{
-    error_counts, error_counts_with, slack_class_stats, InstErrorModel, MonteCarloConfig,
+    error_counts, error_counts_marginalized, error_counts_with, slack_class_stats, InstErrorModel,
+    MonteCarloConfig,
 };
 use terse_sim::{Checkpoint, SimError};
 use terse_sta::delay::DelayLibrary;
@@ -75,6 +83,16 @@ fn check_kernel(name: &str) {
     assert!(
         packed.iter().flatten().any(|&c| c > 0),
         "{name}: the kernel must err at the default operating point"
+    );
+    let marginalized_reference =
+        error_counts_marginalized_scalar(w.program(), &model, CHIPS, INPUTS, scheme, init, mc)
+            .expect("marginalized scalar");
+    let marginalized =
+        error_counts_marginalized(w.program(), &model, CHIPS, INPUTS, scheme, init, mc)
+            .expect("marginalized");
+    assert_eq!(
+        marginalized_reference, marginalized,
+        "{name}: marginalized grid vs reference"
     );
     let stats = slack_class_stats(w.program(), &model, INPUTS, scheme, init, mc).expect("stats");
     assert!(
@@ -290,6 +308,38 @@ fn checkpointed_grid_matches_reference_for_every_batch_shape() {
                 );
             }
         }
+    }
+}
+
+/// The marginalized grid against its per-cell reference on the toy loop,
+/// for rep counts on both sides of the 64-lane boundary.
+#[test]
+fn marginalized_grid_matches_reference() {
+    let p = assemble(LOOP).expect("assembles");
+    let cs = sample_chips(1, 0x3A5);
+    let model = ToggleModel {
+        vars: cs[0].shared_draw().len(),
+    };
+    let scheme = CorrectionScheme::paper_default();
+    for (reps, inputs, seed) in [
+        (1, 1, 1u64),
+        (63, 2, 2),
+        (64, 3, 3),
+        (70, 2, 4),
+        (130, 1, 5),
+    ] {
+        let cfg = MonteCarloConfig {
+            seed,
+            ..MonteCarloConfig::default()
+        };
+        let reference =
+            error_counts_marginalized_scalar(&p, &model, reps, inputs, scheme, loop_init, cfg)
+                .expect("scalar");
+        let packed = error_counts_marginalized(&p, &model, reps, inputs, scheme, loop_init, cfg)
+            .expect("packed");
+        assert_eq!(reference, packed, "{reps} reps x {inputs} inputs");
+        assert_eq!(packed.len(), reps * inputs);
+        assert!(packed.iter().any(|&c| c > 0), "the toy grid must err");
     }
 }
 

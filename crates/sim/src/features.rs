@@ -82,24 +82,18 @@ pub fn operand_values(r: &Retired) -> (u32, u32) {
 
 /// Longest run of consecutive carry-propagate positions actually traversed
 /// by a carry in `a + b + cin`.
+///
+/// Word-level: the carry into every bit is `(a + b + cin) ^ a ^ b`, a carry
+/// is propagated where it meets a propagate position (`a ^ b`), and each
+/// `m &= m >> 1` shortens every run of ones by one, so the step count to
+/// zero is the longest run.
 pub fn carry_chain_length(a: u32, b: u32, cin: bool) -> u8 {
-    // Carry into bit i+1: c_{i+1} = g_i | (p_i & c_i).
-    let mut c = cin;
-    let mut run = 0u8;
+    let carries = a.wrapping_add(b).wrapping_add(u32::from(cin)) ^ a ^ b;
+    let mut m = (a ^ b) & carries;
     let mut best = 0u8;
-    for i in 0..32 {
-        let ai = a >> i & 1 == 1;
-        let bi = b >> i & 1 == 1;
-        let g = ai && bi;
-        let p = ai ^ bi;
-        let propagated = p && c;
-        if propagated {
-            run += 1;
-            best = best.max(run);
-        } else {
-            run = 0;
-        }
-        c = g || (p && c);
+    while m != 0 {
+        m &= m >> 1;
+        best += 1;
     }
     best
 }

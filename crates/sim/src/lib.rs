@@ -93,13 +93,9 @@ pub enum SimError {
         /// Total cells in the grid.
         total: usize,
     },
-    /// A packed Monte Carlo cell met a model query its input's collection
-    /// run never made: the dataset writer or the model is not a pure
-    /// function of its arguments.
-    ReplayDiverged {
-        /// The input whose executions disagreed.
-        input: usize,
-    },
+    /// A Monte Carlo call's traces query more distinct slack keys, or
+    /// resolve to more slack classes, than a `u32` trace entry can number.
+    SlackClassOverflow,
 }
 
 impl fmt::Display for SimError {
@@ -119,11 +115,9 @@ impl fmt::Display for SimError {
                 "monte carlo grid interrupted after {completed}/{total} cells \
                  (checkpointed; re-run to resume)"
             ),
-            SimError::ReplayDiverged { input } => write!(
-                f,
-                "monte carlo replay of input {input} diverged from its collection run \
-                 (non-deterministic dataset writer or model)"
-            ),
+            SimError::SlackClassOverflow => {
+                write!(f, "monte carlo traces need more than 2^32 slack class ids")
+            }
         }
     }
 }

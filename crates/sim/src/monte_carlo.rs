@@ -21,37 +21,42 @@
 //! the caller (`FrameworkBuilder::threads` upstream, or the machine
 //! default).
 //!
-//! # Slack classes and lane groups
+//! # Slack-class traces and lane groups
 //!
 //! [`error_counts`] is [`error_counts_with`] without a checkpoint or a
-//! budget; both run one packed grid that works in three steps per call:
+//! budget; both, and [`error_counts_marginalized`], run one packed grid
+//! that works in three steps per call:
 //!
-//! 1. **Collect.** Each input runs once (in parallel across inputs) and
-//!    records the distinct [`InstErrorModel::SlackKey`]s its trajectory
-//!    queries, for both bus states a lane can be in: the normal bus and the
-//!    scheme's post-error bus. A timing-error draw never feeds back into
-//!    architectural state, so the trajectory — and hence this key set — is
-//!    the same on every chip.
+//! 1. **Record.** Each input the call touches runs once (in parallel across
+//!    inputs). At every retired instruction it records the
+//!    [`InstErrorModel::SlackKey`] queried under each of the two bus states
+//!    a lane can be in: the normal bus and the scheme's post-error bus. A
+//!    timing-error draw never feeds back into architectural state, so this
+//!    trajectory is the same on every chip.
 //! 2. **Resolve.** Each distinct key is resolved to its chip-independent
 //!    slack once per call, and bitwise-equal slacks are interned into dense
-//!    *slack classes*. A loop body re-queries the same few classes on every
-//!    iteration.
+//!    *slack classes*. Each input's trajectory becomes a *trace* of
+//!    `[normal class, post-error class]` pairs, 8 bytes per retired
+//!    instruction.
 //! 3. **Tabulate and replay.** Per lane group of [`LANE_GROUP`] = 64 chips,
-//!    a `class × lane` table of chip-conditional error probabilities is
-//!    filled once and shared by every input. Each `(group, input)` cell then
-//!    re-executes the machine, looks up each retired instruction's class,
-//!    and draws once per live lane from that lane's own `(cfg.seed, chip,
-//!    input)` stream.
+//!    a `class × lane` table of Bernoulli thresholds is filled once and
+//!    shared by every input. Each `(group, input)` task then replays its
+//!    input's trace, with no machine, no feature extraction and no
+//!    hashing. It steps a 64-lane [`Xoshiro256x64`] whose lane `l` is chip
+//!    `64·g + l`'s own `(cfg.seed, chip, input)` stream.
 //!
-//! Only two per-instruction states can differ between lanes — whether the
+//! Only two per-instruction states can differ between lanes: whether the
 //! *previous* instruction erred (bus flushed by the correction scheme) or
-//! not (bus advanced normally) — so one machine step serves all 64 lanes
-//! with at most two class lookups. The table entries are the very `f64`s
-//! [`InstErrorModel::error_probability`] returns, and lane `l` of group `g`
-//! draws exactly the sequence chip `64·g + l` would draw alone, so the count
-//! matrix equals the one-cell-per-chip reference bit for bit at any thread
-//! count, any lane occupancy (ragged final group included), and across
-//! checkpoint resumes that cut through a lane group.
+//! not (bus advanced normally). So a step reads at most two table rows,
+//! and each lane picks its threshold with an all-ones/zero error flag,
+//! adds its hit to its count and sets its next flag from the hit, all
+//! without a branch. A table entry is [`bernoulli_threshold`] of the very
+//! `f64` [`InstErrorModel::error_probability`] returns, and `u >> 11 < T`
+//! holds exactly when `next_f64() < p` does. Lane `l` of group `g` draws
+//! the sequence chip `64·g + l` would draw alone, so the count matrix equals
+//! the one-cell-per-chip reference bit for bit at any thread count, any
+//! lane occupancy (ragged final group included), and across checkpoint
+//! resumes that cut through a lane group.
 //!
 //! # Checkpoint and resume
 //!
@@ -60,8 +65,8 @@
 //! cells is computed, and the checkpoint is removed once the grid is
 //! complete. The budget and every count are in cells, but a batch is cut in
 //! whole `(lane group, input)` tasks: the checkpoint's `every_n` counts
-//! tasks — program executions — per flush, and each task runs every pending
-//! lane of its group in one execution. This module keeps only the
+//! tasks (trace replays) per flush, and each task replays every pending
+//! lane of its group at once. This module keeps only the
 //! `TERSEMC1` payload codec and its context hash; the file protocol (the
 //! `TERSEFR1` envelope, `.bak`/`.corrupt` generations, the durable writer)
 //! is `terse_analyze::integrity`'s, shared with the estimate's `TERSECP1`.
@@ -72,16 +77,17 @@ use crate::machine::Machine;
 use crate::sweep::{Checkpoint, CheckpointFormat, Sweep};
 use crate::Result;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
 use terse_isa::Program;
 use terse_sta::variation::ChipSample;
 use terse_sta::CanonicalRv;
-use terse_stats::rng::Xoshiro256;
+use terse_stats::rng::{bernoulli_threshold, Xoshiro256, Xoshiro256x64};
 
-/// Chips evaluated per packed lane group (one program execution serves one
+/// Chips evaluated per packed lane group (one trace replay serves one
 /// group; see the module docs).
-pub const LANE_GROUP: usize = 64;
+pub const LANE_GROUP: usize = Xoshiro256x64::LANES;
 
 /// An instruction error model queried by the Monte Carlo engine.
 ///
@@ -92,7 +98,8 @@ pub const LANE_GROUP: usize = 64;
 /// the chip's shared process-variation draw. The model exposes the slack
 /// through a small [`InstErrorModel::SlackKey`] so the grid can resolve
 /// each distinct slack once per call and share it across chips, inputs and
-/// loop iterations.
+/// loop iterations. The grid reads only the slack, so the two provided
+/// probability methods are the contract it reproduces.
 pub trait InstErrorModel {
     /// The chip-independent part of a query that determines its slack.
     /// Two queries with equal keys must resolve to bitwise-equal slacks.
@@ -140,16 +147,25 @@ pub trait InstErrorModel {
         index: u32,
         features: &InstFeatures,
     ) -> f64 {
-        self.slack(self.slack_key(prev_index, index, features))
-            .map_or(0.0, |s| s.prob_negative())
+        unconditional_probability(
+            self.slack(self.slack_key(prev_index, index, features))
+                .as_ref(),
+        )
     }
 }
 
 /// `Pr(slack < 0 | chip)`: the one formula behind both
-/// [`InstErrorModel::error_probability`] and the grid's class tables, so
+/// [`InstErrorModel::error_probability`] and the grid's chip tables, so
 /// the two agree bit for bit.
 fn chip_probability(slack: Option<&CanonicalRv>, chip: &ChipSample) -> f64 {
     slack.map_or(0.0, |s| s.prob_negative_given(chip.shared_draw()))
+}
+
+/// `Pr(slack < 0)`: the one formula behind both
+/// [`InstErrorModel::marginal_probability`] and the marginalized grid's
+/// table.
+fn unconditional_probability(slack: Option<&CanonicalRv>) -> f64 {
+    slack.map_or(0.0, CanonicalRv::prob_negative)
 }
 
 /// Configuration of a Monte Carlo run.
@@ -182,62 +198,36 @@ pub fn cell_stream(chip: usize, input: usize) -> u64 {
     ((chip as u64) << 32) | input as u64
 }
 
-/// Executes the program once, drawing per-instruction error indicators from
-/// `prob` with `rng` — the per-cell loop of the marginalized grid.
-fn run_cell<F, P>(
-    program: &Program,
-    cfg: MonteCarloConfig,
-    scheme: CorrectionScheme,
-    input: usize,
-    init: &F,
-    rng: &mut Xoshiro256,
-    prob: P,
-) -> Result<u64>
-where
-    F: Fn(usize, &mut Machine),
-    P: Fn(Option<u32>, u32, &InstFeatures) -> f64,
-{
-    failpoints::fail_point!("sim::mc_cell", |_| Err(
-        crate::SimError::InstructionBudgetExhausted { budget: 0 }
-    ));
-    let mut machine = Machine::new(program, cfg.dmem_words);
-    init(input, &mut machine);
-    let mut errors = 0u64;
-    // Program starts from a flushed processor state (the paper's
-    // `p^in = 1` convention).
-    let mut bus = BusState::flushed();
-    let mut executed = 0u64;
-    let mut prev_index: Option<u32> = None;
-    while !machine.halted() {
-        if executed >= cfg.budget {
-            return Err(crate::SimError::InstructionBudgetExhausted { budget: cfg.budget });
-        }
-        let r = machine.step(program)?;
-        executed += 1;
-        let f = extract(&r, bus);
-        let p = prob(prev_index, r.index, &f);
-        prev_index = Some(r.index);
-        if rng.next_f64() < p {
-            errors += 1;
-            bus = scheme.post_error_bus_state();
-        } else {
-            bus.advance(&r);
-        }
-    }
-    Ok(errors)
+/// A trace: per retired instruction, the `[normal bus, post-error bus]`
+/// slack classes it queries.
+type Trace = Vec<[u32; 2]>;
+
+/// A `u32` trace entry for the `n`-th distinct key or class.
+fn trace_id(n: usize) -> Result<u32> {
+    u32::try_from(n).map_err(|_| crate::SimError::SlackClassOverflow)
 }
 
-/// Step 1 of the runner: executes input `input` once and returns the
+/// The id of `value` in `seen` (first-seen order), assigning the next one
+/// to a new value.
+fn intern<T: Eq + Hash>(seen: &mut HashMap<T, u32>, value: T) -> Result<(u32, bool)> {
+    let n = seen.len();
+    match seen.entry(value) {
+        Entry::Occupied(e) => Ok((*e.get(), false)),
+        Entry::Vacant(e) => Ok((*e.insert(trace_id(n)?), true)),
+    }
+}
+
+/// Step 1 of the grid for one input: executes it once and returns the
 /// distinct slack keys its trajectory queries under either bus state, in
-/// first-query order.
-fn collect_keys<M, F>(
+/// first-query order, and its trace over indices into those keys.
+fn record<M, F>(
     program: &Program,
     model: &M,
     cfg: MonteCarloConfig,
     scheme: CorrectionScheme,
     input: usize,
     init: &F,
-) -> Result<Vec<M::SlackKey>>
+) -> Result<(Vec<M::SlackKey>, Trace)>
 where
     M: InstErrorModel,
     F: Fn(usize, &mut Machine),
@@ -245,27 +235,36 @@ where
     let mut machine = Machine::new(program, cfg.dmem_words);
     init(input, &mut machine);
     let err_bus = scheme.post_error_bus_state();
+    // The program starts from a flushed processor state (the paper's
+    // `p^in = 1` convention).
     let mut bus = BusState::flushed();
-    let mut seen = HashSet::new();
+    let mut key_ids = HashMap::new();
     let mut keys = Vec::new();
+    let mut trace = Vec::new();
     let mut executed = 0u64;
     let mut prev_index: Option<u32> = None;
+    let mut id_of = |k: M::SlackKey| -> Result<u32> {
+        let (id, new) = intern(&mut key_ids, k)?;
+        if new {
+            keys.push(k);
+        }
+        Ok(id)
+    };
     while !machine.halted() {
         if executed >= cfg.budget {
             return Err(crate::SimError::InstructionBudgetExhausted { budget: cfg.budget });
         }
         let r = machine.step(program)?;
         executed += 1;
-        for b in [bus, err_bus] {
-            let k = model.slack_key(prev_index, r.index, &extract(&r, b));
-            if seen.insert(k) {
-                keys.push(k);
-            }
-        }
+        let k_n = model.slack_key(prev_index, r.index, &extract(&r, bus));
+        let k_e = model.slack_key(prev_index, r.index, &extract(&r, err_bus));
+        let n = id_of(k_n)?;
+        let e = if k_e == k_n { n } else { id_of(k_e)? };
+        trace.push([n, e]);
         prev_index = Some(r.index);
         bus.advance(&r);
     }
-    Ok(keys)
+    Ok((keys, trace))
 }
 
 /// The bit pattern of a slack: bitwise-equal slacks share a class.
@@ -279,79 +278,123 @@ fn slack_bits(s: Option<&CanonicalRv>) -> Option<(u64, u64, Vec<u64>)> {
     })
 }
 
-/// The slack classes of one grid call (steps 1–2 of the runner).
-struct SlackClasses<K> {
-    /// Slack key → dense class id.
-    class_of: HashMap<K, usize>,
+/// A `class × lane` table of [`bernoulli_threshold`]s: lane `l` of a
+/// class's row errs when its draw's top 53 bits fall below entry `l`.
+type Table = Vec<[u64; LANE_GROUP]>;
+
+/// Steps 1–2 of one grid call: the trace of every input the call touches,
+/// over dense slack classes.
+struct SlackTraces {
+    /// The inputs the call touches, ascending.
+    inputs: Vec<usize>,
+    /// `traces[k]` is the trace of input `inputs[k]`.
+    traces: Vec<Trace>,
     /// One slack per class.
     slacks: Vec<Option<CanonicalRv>>,
+    /// Distinct slack keys the traces query.
+    queries: usize,
 }
 
-impl<K: Copy + Eq + Hash + Send + Sync> SlackClasses<K> {
-    /// Collects the keys of `inputs` (in parallel), resolves each distinct
-    /// key once and interns equal slacks. Class ids follow first-query
-    /// order over ascending inputs, so they do not depend on the thread
-    /// count.
-    fn build<M, F>(
+impl SlackTraces {
+    /// Records `inputs` (ascending; in parallel), resolves each distinct key
+    /// once and interns equal slacks. Class ids follow first-query order
+    /// over ascending inputs, so they do not depend on the thread count.
+    fn record<M, F>(
         program: &Program,
         model: &M,
-        inputs: &[usize],
+        inputs: Vec<usize>,
         scheme: CorrectionScheme,
         init: &F,
         cfg: MonteCarloConfig,
     ) -> Result<Self>
     where
-        M: InstErrorModel<SlackKey = K> + Sync,
+        M: InstErrorModel + Sync,
         F: Fn(usize, &mut Machine) + Sync,
     {
-        let per_input: Vec<Vec<K>> = inputs
+        let recorded: Vec<(Vec<M::SlackKey>, Trace)> = inputs
             .par_iter()
-            .map(|&i| collect_keys(program, model, cfg, scheme, i, init))
+            .map(|&i| record(program, model, cfg, scheme, i, init))
             .collect::<Result<_>>()?;
-        let mut seen = HashSet::new();
-        let call_keys: Vec<K> = per_input
-            .into_iter()
-            .flatten()
-            .filter(|&k| seen.insert(k))
-            .collect();
+        // Per input, its local key ids → call-wide key ids.
+        let mut call_ids = HashMap::new();
+        let mut call_keys = Vec::new();
+        let mut to_call = Vec::with_capacity(recorded.len());
+        for (input_keys, _) in &recorded {
+            let mut ids = Vec::with_capacity(input_keys.len());
+            for &k in input_keys {
+                let (id, new) = intern(&mut call_ids, k)?;
+                if new {
+                    call_keys.push(k);
+                }
+                ids.push(id);
+            }
+            to_call.push(ids);
+        }
         let resolved: Vec<Option<CanonicalRv>> =
             call_keys.par_iter().map(|&k| model.slack(k)).collect();
-        let mut interned: HashMap<Option<(u64, u64, Vec<u64>)>, usize> = HashMap::new();
+        let mut interned = HashMap::new();
         let mut slacks = Vec::new();
-        let mut class_of = HashMap::with_capacity(call_keys.len());
-        for (k, s) in call_keys.into_iter().zip(resolved) {
-            let class = *interned.entry(slack_bits(s.as_ref())).or_insert_with(|| {
+        let mut class_of_key = Vec::with_capacity(resolved.len());
+        for s in resolved {
+            let (class, new) = intern(&mut interned, slack_bits(s.as_ref()))?;
+            if new {
                 slacks.push(s);
-                slacks.len() - 1
-            });
-            class_of.insert(k, class);
-        }
-        Ok(SlackClasses { class_of, slacks })
-    }
-
-    /// The class of a key the collection step saw.
-    ///
-    /// A miss means a cell's trajectory left the one its input's collection
-    /// run took — a dataset writer or model that is not a pure function of
-    /// its arguments.
-    fn class(&self, key: K, input: usize) -> Result<usize> {
-        self.class_of
-            .get(&key)
-            .copied()
-            .ok_or(crate::SimError::ReplayDiverged { input })
-    }
-
-    /// Step 3's table for one lane group: entry `class · 64 + lane` is the
-    /// chip-conditional error probability of that class on chip `lane`
-    /// (lanes past a ragged group's end stay 0).
-    fn table(&self, group_chips: &[ChipSample]) -> Vec<f64> {
-        let mut table = vec![0.0; self.slacks.len() * LANE_GROUP];
-        for (row, slack) in table.chunks_mut(LANE_GROUP).zip(&self.slacks) {
-            for (p, chip) in row.iter_mut().zip(group_chips) {
-                *p = chip_probability(slack.as_ref(), chip);
             }
+            class_of_key.push(class);
         }
-        table
+        // Key ids are dense, so each index below is in range.
+        let traces = recorded
+            .into_iter()
+            .zip(to_call)
+            .map(|((_, mut trace), input_to_call)| {
+                let class: Vec<u32> = input_to_call
+                    .iter()
+                    .map(|&id| class_of_key[id as usize])
+                    .collect();
+                for id in trace.iter_mut().flatten() {
+                    *id = class[*id as usize];
+                }
+                trace
+            })
+            .collect();
+        Ok(SlackTraces {
+            inputs,
+            traces,
+            slacks,
+            queries: call_keys.len(),
+        })
+    }
+
+    /// The trace of input `input`, which must be one the call touches.
+    fn trace(&self, input: usize) -> &[[u32; 2]] {
+        &self.traces[self.inputs.partition_point(|&i| i < input)]
+    }
+
+    /// Step 3's table for one lane group: lane `l` of a class's row holds
+    /// the threshold of the class's error probability on chip `l` (lanes
+    /// past a ragged group's end stay 0).
+    fn chip_table(&self, group_chips: &[ChipSample]) -> Table {
+        self.slacks
+            .iter()
+            .map(|slack| {
+                let mut row = [0; LANE_GROUP];
+                for (t, chip) in row.iter_mut().zip(group_chips) {
+                    *t = bernoulli_threshold(chip_probability(slack.as_ref(), chip));
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// The marginalized grid's table: every lane of a class's row holds the
+    /// threshold of the class's unconditional error probability.
+    fn marginal_table(&self) -> Table {
+        self.slacks
+            .iter()
+            .map(|slack| {
+                [bernoulli_threshold(unconditional_probability(slack.as_ref())); LANE_GROUP]
+            })
+            .collect()
     }
 }
 
@@ -362,7 +405,7 @@ pub struct SlackClassStats {
     /// states).
     pub queries: usize,
     /// Distinct slack distributions those keys resolve to — the rows of
-    /// each lane group's probability table.
+    /// each lane group's threshold table.
     pub classes: usize,
 }
 
@@ -385,11 +428,10 @@ where
     M: InstErrorModel + Sync,
     F: Fn(usize, &mut Machine) + Sync,
 {
-    let all: Vec<usize> = (0..inputs).collect();
-    let c = SlackClasses::build(program, model, &all, scheme, &init, cfg)?;
+    let t = SlackTraces::record(program, model, (0..inputs).collect(), scheme, &init, cfg)?;
     Ok(SlackClassStats {
-        queries: c.class_of.len(),
-        classes: c.slacks.len(),
+        queries: t.queries,
+        classes: t.slacks.len(),
     })
 }
 
@@ -401,18 +443,29 @@ type Task = ((usize, usize), u64);
 /// ascending `(group, input)` order. A resumed checkpoint may cut through a
 /// group, leaving a partial live mask — exactness is unaffected because
 /// every lane draws from its own absolute `(chip, input)` stream.
-fn pack_tasks(cells: &[usize], inputs: usize) -> Vec<Task> {
+fn pack_tasks(cells: impl IntoIterator<Item = usize>, inputs: usize) -> Vec<Task> {
     let mut groups: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    for &cell in cells {
+    for cell in cells {
         let (c, i) = (cell / inputs, cell % inputs);
         *groups.entry((c / LANE_GROUP, i)).or_insert(0) |= 1u64 << (c % LANE_GROUP);
     }
     groups.into_iter().collect()
 }
 
+/// The distinct lane groups and the distinct inputs of `tasks`, ascending.
+fn groups_and_inputs(tasks: &[Task]) -> (Vec<usize>, Vec<usize>) {
+    let groups: BTreeSet<usize> = tasks.iter().map(|&((g, _), _)| g).collect();
+    let inputs: BTreeSet<usize> = tasks.iter().map(|&((_, i), _)| i).collect();
+    (groups.into_iter().collect(), inputs.into_iter().collect())
+}
+
 /// Hands each live lane's count of `results` (one entry per task, as
 /// [`PackedGrid::run`] returns them) to `f(chip, input, count)`.
-fn for_each_count(tasks: &[Task], results: &[Vec<u64>], mut f: impl FnMut(usize, usize, u64)) {
+fn for_each_count(
+    tasks: &[Task],
+    results: &[[u64; LANE_GROUP]],
+    mut f: impl FnMut(usize, usize, u64),
+) {
     for (&((g, i), live), lane_counts) in tasks.iter().zip(results) {
         for (lane, &e) in lane_counts.iter().enumerate() {
             if live >> lane & 1 == 1 {
@@ -422,146 +475,114 @@ fn for_each_count(tasks: &[Task], results: &[Vec<u64>], mut f: impl FnMut(usize,
     }
 }
 
-/// The grid runner behind [`error_counts_with`]: slack classes and
-/// per-group tables are built once per call for every task the call may run
-/// (see the module docs), then [`PackedGrid::run`] executes any subset of
-/// those tasks.
-struct PackedGrid<'a, M: InstErrorModel, F> {
-    program: &'a Program,
-    model: &'a M,
-    scheme: CorrectionScheme,
-    init: &'a F,
-    cfg: MonteCarloConfig,
-    classes: SlackClasses<M::SlackKey>,
-    /// Per lane group touched by the call: its `class × lane` table.
-    tables: BTreeMap<usize, Vec<f64>>,
+/// The 64-lane generator of task `(group, input)` under master seed `seed`:
+/// live lane `l` continues `seed_stream(seed, cell_stream(64·group + l,
+/// input))`, and dead lanes are parked.
+fn lane_streams(seed: u64, group: usize, input: usize, live: u64) -> Xoshiro256x64 {
+    Xoshiro256x64::from_lanes(|l| {
+        (live >> l & 1 == 1)
+            .then(|| Xoshiro256::seed_stream(seed, cell_stream(group * LANE_GROUP + l, input)))
+    })
 }
 
-impl<'a, M, F> PackedGrid<'a, M, F>
-where
-    M: InstErrorModel + Sync,
-    F: Fn(usize, &mut Machine) + Sync,
-{
-    fn new(
-        program: &'a Program,
-        model: &'a M,
+/// Replays one trace against one table: at every step each lane draws
+/// once and errs when its draw's top 53 bits fall below its threshold —
+/// the normal-bus class's, or the post-error class's if the lane's
+/// previous instruction erred. Returns every lane's error count.
+///
+/// The hit is the borrow of `(u >> 11) − T`: both operands are at most
+/// `2^53`, so the difference's sign bit is set exactly when `u >> 11 < T`,
+/// and a shift reads it without the 64-bit compare the baseline x86-64
+/// vector unit lacks.
+fn replay(
+    trace: &[[u32; 2]],
+    table: &[[u64; LANE_GROUP]],
+    lanes: &mut Xoshiro256x64,
+) -> [u64; LANE_GROUP] {
+    let mut counts = [0u64; LANE_GROUP];
+    // All ones on lanes whose previous instruction erred. Every lane starts
+    // from the flushed processor state, which the trace's first normal-bus
+    // class already describes.
+    let mut erred = [0u64; LANE_GROUP];
+    for &[normal, post_error] in trace {
+        // Trace entries are class ids, and a table has one row per class.
+        let (normal, post_error) = (&table[normal as usize], &table[post_error as usize]);
+        lanes.step(|l, draw| {
+            let threshold = (normal[l] & !erred[l]) | (post_error[l] & erred[l]);
+            let hit = (draw >> 11).wrapping_sub(threshold) >> 63;
+            counts[l] += hit;
+            erred[l] = hit.wrapping_neg();
+        });
+    }
+    counts
+}
+
+/// The grid runner behind [`error_counts_with`] and
+/// [`error_counts_marginalized`]: traces and per-group tables are built
+/// once per call for every task the call may run (see the module docs),
+/// then [`PackedGrid::run`] replays any subset of those tasks.
+struct PackedGrid {
+    /// Master seed of every lane's stream.
+    seed: u64,
+    traces: SlackTraces,
+    /// Per lane group the call touches: its table.
+    tables: BTreeMap<usize, Table>,
+}
+
+impl PackedGrid {
+    /// The per-chip grid over `tasks`: lane `l` of group `g` is chip
+    /// `64·g + l`, its table row the class's probability on that chip.
+    fn per_chip<M, F>(
+        program: &Program,
+        model: &M,
         chips: &[ChipSample],
         scheme: CorrectionScheme,
-        init: &'a F,
+        init: &F,
         cfg: MonteCarloConfig,
         tasks: &[Task],
-    ) -> Result<Self> {
-        let inputs: Vec<usize> = tasks
-            .iter()
-            .map(|&((_, i), _)| i)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let groups: Vec<usize> = tasks
-            .iter()
-            .map(|&((g, _), _)| g)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let classes = SlackClasses::build(program, model, &inputs, scheme, init, cfg)?;
-        let filled: Vec<Vec<f64>> = groups
+    ) -> Result<Self>
+    where
+        M: InstErrorModel + Sync,
+        F: Fn(usize, &mut Machine) + Sync,
+    {
+        let (groups, inputs) = groups_and_inputs(tasks);
+        let traces = SlackTraces::record(program, model, inputs, scheme, init, cfg)?;
+        let filled: Vec<Table> = groups
             .par_iter()
-            .map(|&g| classes.table(group_of(chips, g)))
+            .map(|&g| traces.chip_table(group_of(chips, g)))
             .collect();
         Ok(PackedGrid {
-            program,
-            model,
-            scheme,
-            init,
-            cfg,
-            classes,
+            seed: cfg.seed,
+            traces,
             tables: groups.into_iter().zip(filled).collect(),
         })
     }
 
     /// Runs `tasks` in parallel; returns per-task, per-lane error counts
     /// (dead lanes read 0). The lowest-indexed failing task's error wins.
-    fn run(&self, tasks: &[Task]) -> Result<Vec<Vec<u64>>> {
+    fn run(&self, tasks: &[Task]) -> Result<Vec<[u64; LANE_GROUP]>> {
         tasks
             .par_iter()
             .map(|&((g, i), live)| self.run_task(g, i, live))
             .collect()
     }
 
-    /// Executes the program once for one `(group, input)` cell, replaying
-    /// every live lane's draws against the group's table.
-    fn run_task(&self, group: usize, input: usize, live: u64) -> Result<Vec<u64>> {
+    /// Replays input `input`'s trace for the live lanes of lane group
+    /// `group`.
+    fn run_task(&self, group: usize, input: usize, live: u64) -> Result<[u64; LANE_GROUP]> {
         failpoints::fail_point!("sim::mc_cell", |_| Err(
             crate::SimError::InstructionBudgetExhausted { budget: 0 }
         ));
-        // `new` tabulated every group its task list names, and `run` only
-        // takes tasks from that list.
-        let table = &self.tables[&group];
-        let mut machine = Machine::new(self.program, self.cfg.dmem_words);
-        (self.init)(input, &mut machine);
-        let chip_base = group * LANE_GROUP;
-        let mut rngs: Vec<(usize, Xoshiro256)> = (0..LANE_GROUP)
-            .filter(|&l| live >> l & 1 == 1)
-            .map(|l| {
-                let stream = cell_stream(chip_base + l, input);
-                (l, Xoshiro256::seed_stream(self.cfg.seed, stream))
-            })
-            .collect();
-        let mut errors = vec![0u64; LANE_GROUP];
-        // Every lane starts from the flushed processor state (`p^in = 1`).
-        let mut bus = BusState::flushed();
-        // The bus state a correction event leaves behind — per-scheme constant,
-        // so the lanes' bus states form a two-point set at every instruction:
-        // `bus.advance` is memoryless in the prior state, hence non-erred lanes
-        // all share `advance(r_prev)` and erred lanes all share this one.
-        let err_bus = self.scheme.post_error_bus_state();
-        // Lanes whose previous instruction erred: their feature toggles are
-        // measured against the post-correction bus instead.
-        let mut err_mask = 0u64;
-        let mut executed = 0u64;
-        let mut prev_index: Option<u32> = None;
-        // Class ids index `classes.slacks`, and every table holds one row
-        // per slack.
-        let row = |class: usize| &table[class * LANE_GROUP..(class + 1) * LANE_GROUP];
-        while !machine.halted() {
-            if executed >= self.cfg.budget {
-                return Err(crate::SimError::InstructionBudgetExhausted {
-                    budget: self.cfg.budget,
-                });
+        let mut lanes = lane_streams(self.seed, group, input, live);
+        // The constructors tabulate every group their task list names, and
+        // `run` only takes tasks from that list.
+        let mut counts = replay(self.traces.trace(input), &self.tables[&group], &mut lanes);
+        for (l, count) in counts.iter_mut().enumerate() {
+            if live >> l & 1 == 0 {
+                *count = 0;
             }
-            let r = machine.step(self.program)?;
-            executed += 1;
-            let k_n = self.model.slack_key(prev_index, r.index, &extract(&r, bus));
-            let p_n = row(self.classes.class(k_n, input)?);
-            let p_e = if err_mask != 0 {
-                let k_e = self
-                    .model
-                    .slack_key(prev_index, r.index, &extract(&r, err_bus));
-                if k_e == k_n {
-                    p_n
-                } else {
-                    row(self.classes.class(k_e, input)?)
-                }
-            } else {
-                p_n
-            };
-            let mut new_mask = 0u64;
-            for (l, rng) in &mut rngs {
-                let p = if err_mask >> *l & 1 == 1 {
-                    p_e[*l]
-                } else {
-                    p_n[*l]
-                };
-                if rng.next_f64() < p {
-                    new_mask |= 1 << *l;
-                    errors[*l] += 1;
-                }
-            }
-            err_mask = new_mask;
-            prev_index = Some(r.index);
-            bus.advance(&r);
         }
-        Ok(errors)
+        Ok(counts)
     }
 }
 
@@ -583,12 +604,12 @@ pub fn lane_occupancy(chips: usize) -> f64 {
 }
 
 /// Runs the `chips × inputs` grid and returns the error count matrix
-/// `counts[chip][input]`: slack classes are resolved once, each lane group
-/// tabulates its chip probabilities once, and one execution per
-/// `(lane group, input)` serves 64 chips (see the module docs for why this
-/// is exact). Cell `(c, i)` is bitwise identical to executing chip `c`
-/// alone on input `i` with [`InstErrorModel::error_probability`] and the
-/// RNG stream `(cfg.seed, c, i)`, at any thread count.
+/// `counts[chip][input]`: each input runs once, slack classes are resolved
+/// once, each lane group tabulates its chip thresholds once, and one trace
+/// replay per `(lane group, input)` serves 64 chips (see the module docs
+/// for why this is exact). Cell `(c, i)` is bitwise identical to executing
+/// chip `c` alone on input `i` with [`InstErrorModel::error_probability`]
+/// and the RNG stream `(cfg.seed, c, i)`, at any thread count.
 ///
 /// `init(input_index, machine)` prepares the input dataset; it must be a
 /// pure function of its arguments and callable concurrently (`Fn + Sync`),
@@ -621,7 +642,11 @@ where
 /// isolates the effect of chip-shared variation, which the paper's
 /// dependency-neighborhood bounds do not cover.
 ///
-/// Returns `reps × inputs` error counts.
+/// Returns `reps × inputs` error counts, rep-major. It runs the per-chip
+/// grid's traces and lane kernel with reps in place of chips: every lane
+/// of a class's table row holds the class's unconditional threshold, and
+/// rep `r` on input `i` draws from `seed_stream(cfg.seed ^ 0x4D41_5247,
+/// cell_stream(r, i))`.
 ///
 /// # Errors
 ///
@@ -639,22 +664,22 @@ where
     M: InstErrorModel + Sync,
     F: Fn(usize, &mut Machine) + Sync,
 {
-    if inputs == 0 {
-        return Ok(Vec::new());
-    }
-    // A distinct master seed keeps the marginalized streams disjoint from
-    // the per-chip grid's even when rep/input indices coincide.
-    let master = cfg.seed ^ 0x4D41_5247;
-    (0..reps * inputs)
-        .into_par_iter()
-        .map(|cell| {
-            let (r, i) = (cell / inputs, cell % inputs);
-            let mut rng = Xoshiro256::seed_stream(master, cell_stream(r, i));
-            run_cell(program, cfg, scheme, i, &init, &mut rng, |prev, idx, f| {
-                model.marginal_probability(prev, idx, f)
-            })
-        })
-        .collect()
+    let tasks = pack_tasks(0..reps * inputs, inputs);
+    let (groups, inputs_run) = groups_and_inputs(&tasks);
+    let traces = SlackTraces::record(program, model, inputs_run, scheme, &init, cfg)?;
+    let table = traces.marginal_table();
+    let grid = PackedGrid {
+        // A distinct master seed keeps the marginalized streams disjoint
+        // from the per-chip grid's even when rep/input indices coincide.
+        seed: cfg.seed ^ 0x4D41_5247,
+        traces,
+        tables: groups.into_iter().map(|g| (g, table.clone())).collect(),
+    };
+    let mut counts = vec![0; reps * inputs];
+    for_each_count(&tasks, &grid.run(&tasks)?, |r, i, e| {
+        counts[r * inputs + i] = e;
+    });
+    Ok(counts)
 }
 
 /// Summarizes a count matrix into the empirical error-count distribution
@@ -769,11 +794,12 @@ impl CheckpointFormat for McImage {
 /// pending cells are computed (`0` is treated as 1), and the file is removed
 /// once the grid is complete (see [`crate::sweep`]). The sweep's work item
 /// is one `(lane group, input)` task with all of its pending cells, so a
-/// flush follows every `every_n` tasks (program executions), not cells.
+/// flush follows every `every_n` tasks (trace replays), not cells.
 /// Without a checkpoint or a budget this is [`error_counts`].
 ///
-/// One [`PackedGrid`] is built over the cells this call computes, so its
-/// slack classes and lane-group tables are shared by every batch. Each
+/// One [`PackedGrid`] is built over the cells this call computes, so each
+/// touched input runs once per call, and its trace and the lane-group
+/// tables are shared by every batch. Each
 /// cell's count depends only on `(cfg.seed, chip, input)`, so the returned
 /// matrix is bitwise identical to an uninterrupted [`error_counts`] call
 /// however the grid was sliced.
@@ -808,14 +834,14 @@ where
         cells: chips.len() * inputs,
     };
     let sweep = Sweep::start(&format, ckpt, cell_budget)?;
-    let tasks = pack_tasks(sweep.units(), inputs);
-    let grid = PackedGrid::new(program, model, chips, scheme, &init, cfg, &tasks)?;
+    let tasks = pack_tasks(sweep.units().iter().copied(), inputs);
+    let grid = PackedGrid::per_chip(program, model, chips, scheme, &init, cfg, &tasks)?;
     // One work item per `(group, input)` task, numbered in `pack_tasks`'
-    // order: a batch runs whole tasks, each one execution for every
+    // order: a batch runs whole tasks, each one trace replay for every
     // pending lane of its group.
     let task_of = |cell: usize| cell / inputs / LANE_GROUP * inputs + cell % inputs;
     let done = sweep.run(task_of, |batch| {
-        let tasks = pack_tasks(batch, inputs);
+        let tasks = pack_tasks(batch.iter().copied(), inputs);
         let mut counts = Vec::with_capacity(batch.len());
         for_each_count(&tasks, &grid.run(&tasks)?, |c, i, e| {
             counts.push((c * inputs + i, e));
@@ -1113,7 +1139,8 @@ mod tests {
     }
 
     /// One execution per `(chip, input)` cell with per-instance
-    /// [`InstErrorModel::error_probability`] calls — no classes, no tables.
+    /// [`InstErrorModel::error_probability`] calls and scalar `f64` draws —
+    /// no traces, no classes, no tables, no lanes.
     fn per_chip_counts<M: InstErrorModel>(
         p: &Program,
         model: &M,
@@ -1122,15 +1149,31 @@ mod tests {
         scheme: CorrectionScheme,
         cfg: MonteCarloConfig,
     ) -> Vec<Vec<u64>> {
+        let cell = |chip: &ChipSample, rng: &mut Xoshiro256| {
+            let mut machine = Machine::new(p, cfg.dmem_words);
+            let mut bus = BusState::flushed();
+            let (mut prev, mut errors) = (None, 0u64);
+            while !machine.halted() {
+                let r = machine.step(p).unwrap();
+                let prob = model.error_probability(prev, r.index, &extract(&r, bus), chip);
+                prev = Some(r.index);
+                if rng.next_f64() < prob {
+                    errors += 1;
+                    bus = scheme.post_error_bus_state();
+                } else {
+                    bus.advance(&r);
+                }
+            }
+            errors
+        };
         (0..cs.len())
             .map(|c| {
                 (0..inputs)
                     .map(|i| {
-                        let mut rng = Xoshiro256::seed_stream(cfg.seed, cell_stream(c, i));
-                        run_cell(p, cfg, scheme, i, &|_, _| {}, &mut rng, |prev, idx, f| {
-                            model.error_probability(prev, idx, f, &cs[c])
-                        })
-                        .unwrap()
+                        cell(
+                            &cs[c],
+                            &mut Xoshiro256::seed_stream(cfg.seed, cell_stream(c, i)),
+                        )
                     })
                     .collect()
             })
@@ -1163,11 +1206,10 @@ mod tests {
     }
 
     /// Program executions per checkpointed grid, counted through `init`
-    /// (each execution calls it once): one key-collection run per input,
-    /// then one replay per `(lane group, input)` task, whatever the flush
-    /// interval.
+    /// (each execution calls it once): one recording run per input per
+    /// call, whatever the flush interval — tasks replay traces.
     #[test]
-    fn checkpointed_grid_runs_one_execution_per_lane_group_task() {
+    fn checkpointed_grid_runs_each_input_once_per_call() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let p = assemble("li r1, 0xFFFF\nadd r2, r1, r1\nadd r3, r2, r2\nhalt\n").unwrap();
         let (scheme, cfg) = (
@@ -1201,35 +1243,62 @@ mod tests {
             assert!(!ck.path().exists());
             runs.into_inner()
         };
-        assert_eq!(executions(64, 2, 4), 2 + 2);
-        assert_eq!(executions(70, 3, 1), 3 + 6);
+        for every_n in [1, 2, 4, 1000] {
+            assert_eq!(executions(64, 2, every_n), 2, "64 x 2, every_n {every_n}");
+            assert_eq!(executions(70, 3, every_n), 3, "70 x 3, every_n {every_n}");
+        }
     }
 
+    /// Every live lane of a task's generator draws its cell's own stream,
+    /// for full and ragged live masks alike.
     #[test]
-    fn impure_dataset_writer_is_a_typed_replay_error() {
-        // The first execution (the key collection run) sees a zero operand;
-        // every replay sees 0xFFFF, whose carry chain is a slack key the
-        // collection never met.
-        let p = assemble("ld r1, r0, 0\naddi r2, r1, 1\nhalt\n").unwrap();
-        let runs = std::sync::atomic::AtomicUsize::new(0);
-        let init = |_: usize, m: &mut Machine| {
-            let first = runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0;
-            m.store(0, if first { 0 } else { 0xFFFF }).unwrap();
-        };
-        let err = error_counts(
+    fn lane_streams_reproduce_cell_streams() {
+        let ragged = (1u64 << 6) - 1;
+        let scattered = 0xA5A5_0F0F_0000_8001;
+        for (group, input, live) in [(0, 0, u64::MAX), (1, 2, ragged), (3, 1, scattered)] {
+            let mut lanes = lane_streams(0x5EED, group, input, live);
+            let mut scalar: Vec<Xoshiro256> = (0..LANE_GROUP)
+                .map(|l| {
+                    Xoshiro256::seed_stream(0x5EED, cell_stream(group * LANE_GROUP + l, input))
+                })
+                .collect();
+            for step in 0..100 {
+                lanes.step(|l, draw| {
+                    let want = scalar[l].next_u64();
+                    if live >> l & 1 == 1 {
+                        assert_eq!(draw, want, "group {group}, lane {l}, step {step}");
+                    }
+                });
+            }
+        }
+    }
+
+    /// Dead lanes run with the live ones but report 0, even on a class that
+    /// errs on every draw.
+    #[test]
+    fn dead_lanes_report_zero() {
+        let p = assemble("li r1, 0xFFFF\nadd r2, r1, r1\nadd r3, r2, r1\nhalt\n").unwrap();
+        let live = 0x0000_0000_F0F0_0001;
+        let tasks = [((0, 0), live)];
+        let mut grid = PackedGrid::per_chip(
             &p,
             &ToyModel,
-            &chips(2),
-            1,
+            &chips(LANE_GROUP),
             CorrectionScheme::paper_default(),
-            init,
+            &|_, _: &mut Machine| {},
             MonteCarloConfig::default(),
+            &tasks,
         )
-        .unwrap_err();
-        assert!(
-            matches!(err, crate::SimError::ReplayDiverged { input: 0 }),
-            "{err}"
-        );
+        .unwrap();
+        for row in grid.tables.values_mut().flatten() {
+            *row = [bernoulli_threshold(1.0); LANE_GROUP];
+        }
+        let steps = grid.traces.trace(0).len() as u64;
+        let counts = grid.run(&tasks).unwrap();
+        for (l, &c) in counts[0].iter().enumerate() {
+            let want = if live >> l & 1 == 1 { steps } else { 0 };
+            assert_eq!(c, want, "lane {l}");
+        }
     }
 
     #[test]

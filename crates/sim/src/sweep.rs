@@ -14,8 +14,8 @@
 //! items*: the caller maps each unit to the item that computes it, and a
 //! batch holds `every_n` whole items. For the estimate an item is one block,
 //! i.e. one unit. For the Monte Carlo grid an item is one `(lane group,
-//! input)` task — one program execution for up to 64 chips — so a flush
-//! never splits a task's lanes across executions.
+//! input)` task — one trace replay for up to 64 chips — so a flush never
+//! splits a task's lanes across replays.
 //!
 //! A format supplies only its payload codec ([`CheckpointFormat`]); the file
 //! protocol — framing, the `.bak` and `.corrupt` generations, the durable

@@ -131,12 +131,45 @@ proptest! {
     }
 
     #[test]
-    fn carry_chain_feature_within_bounds(a in any::<u32>(), b in any::<u32>(), cin in any::<bool>()) {
-        let c = terse_sim::features::carry_chain_length(a, b, cin);
-        prop_assert!(c <= 32);
-        // A chain requires at least one propagate position.
-        if c > 0 {
-            prop_assert!((a ^ b) != 0 || cin);
+    fn carry_chain_feature_within_bounds(
+        a in any::<u32>(),
+        b in any::<u32>(),
+        cin in any::<bool>(),
+        k in 0u32..32,
+    ) {
+        // Besides random operands, `b = !a ^ (1 << k)` propagates at every
+        // bit but `k`, where both operands agree: the longest runs there are.
+        for (a, b) in [(a, b), (a, !a ^ (1 << k)), (a, !a)] {
+            let c = terse_sim::features::carry_chain_length(a, b, cin);
+            prop_assert_eq!(c, carry_chain_reference(a, b, cin), "a = {:#x}, b = {:#x}", a, b);
+            prop_assert!(c <= 32);
+            // A chain requires at least one propagate position.
+            if c > 0 {
+                prop_assert!((a ^ b) != 0 || cin);
+            }
         }
     }
+}
+
+/// The bit-serial carry chain: ripple `a + b + cin` one position at a time
+/// and track the longest run of positions a carry propagates through.
+fn carry_chain_reference(a: u32, b: u32, cin: bool) -> u8 {
+    // Carry into bit i+1: c_{i+1} = g_i | (p_i & c_i).
+    let mut c = cin;
+    let mut run = 0u8;
+    let mut best = 0u8;
+    for i in 0..32 {
+        let ai = a >> i & 1 == 1;
+        let bi = b >> i & 1 == 1;
+        let g = ai && bi;
+        let p = ai ^ bi;
+        if p && c {
+            run += 1;
+            best = best.max(run);
+        } else {
+            run = 0;
+        }
+        c = g || (p && c);
+    }
+    best
 }

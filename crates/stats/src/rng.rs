@@ -147,6 +147,79 @@ impl Xoshiro256 {
     }
 }
 
+/// The integer form of the Bernoulli draw `next_f64() < p`: with
+/// `T = bernoulli_threshold(p)`, `next_u64() >> 11 < T` holds for exactly
+/// the outputs for which `next_f64() < p` does.
+///
+/// `T = ⌈p · 2^53⌉`, clamped to `[0, 2^53]`. Why this is exact: for
+/// `u = next_u64() >> 11 < 2^53`, `next_f64()` is `u · 2^-53`, and both
+/// the conversion of `u` and the scaling are exact, so the draw compares
+/// the real numbers `u · 2^-53 < p`, that is `u < p · 2^53`. Scaling `p` by
+/// `2^53` is exact too (a power-of-two scale of a finite `p ≤ 1` neither
+/// overflows nor rounds, subnormals included), and for an integer `u`,
+/// `u < q ⇔ u < ⌈q⌉`. The edges agree as well: `p ≤ 0` (`−0.0` included)
+/// gives 0, as nothing is below it; `p ≥ 1` gives `2^53`, as every `u`
+/// is; and NaN gives 0, matching `x < NaN` being false.
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    const ALL: u64 = 1 << 53;
+    let q = (p * ALL as f64).ceil();
+    if q >= ALL as f64 {
+        ALL
+    } else {
+        // A saturating cast: NaN and negatives become 0.
+        q as u64
+    }
+}
+
+/// [`Xoshiro256x64::LANES`] xoshiro256** generators stepped together, their
+/// states kept in structure-of-arrays form so one step over every lane is a
+/// straight-line loop the compiler can vectorise.
+///
+/// Lane `l` yields exactly the `next_u64` sequence of the generator it was
+/// built from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Xoshiro256x64 {
+    s: [[u64; Xoshiro256x64::LANES]; 4],
+}
+
+impl Xoshiro256x64 {
+    /// Lanes per generator.
+    pub const LANES: usize = 64;
+
+    /// Lane `l` continues the stream of `lane(l)`. A `None` lane is parked at
+    /// the all-zero state, which xoshiro256** never leaves: it outputs 0
+    /// forever and costs no seeding.
+    pub fn from_lanes(mut lane: impl FnMut(usize) -> Option<Xoshiro256>) -> Self {
+        let mut s = [[0u64; Self::LANES]; 4];
+        for l in 0..Self::LANES {
+            if let Some(g) = lane(l) {
+                for (word, v) in s.iter_mut().zip(g.s) {
+                    word[l] = v;
+                }
+            }
+        }
+        Xoshiro256x64 { s }
+    }
+
+    /// Advances every lane once and hands lane `l`'s output to `f(l, u)`, in
+    /// lane order. With `f` inlined, the step and the caller's use of the
+    /// outputs are one straight-line loop over the lanes.
+    #[inline]
+    pub fn step(&mut self, mut f: impl FnMut(usize, u64)) {
+        let [s0, s1, s2, s3] = &mut self.s;
+        for l in 0..Self::LANES {
+            f(l, s1[l].wrapping_mul(5).rotate_left(7).wrapping_mul(9));
+            let t = s1[l] << 17;
+            s2[l] ^= s0[l];
+            s3[l] ^= s1[l];
+            s1[l] ^= s2[l];
+            s0[l] ^= s3[l];
+            s2[l] ^= t;
+            s3[l] = s3[l].rotate_left(45);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +315,66 @@ mod tests {
         let mut a = Xoshiro256::seed_stream(42, 7);
         let same_d = (0..64).filter(|_| a.next_u64() == d.next_u64()).count();
         assert_eq!(same_c + same_d, 0);
+    }
+
+    /// `u < bernoulli_threshold(p)` ⇔ `u · 2^-53 < p`, the comparison
+    /// `next_f64() < p` makes, for `u` on both sides of every boundary.
+    #[test]
+    fn bernoulli_threshold_matches_the_f64_draw() {
+        const ALL: u64 = 1 << 53;
+        let ps = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            1.0 / ALL as f64,
+            0.5,
+            1.0 - 1.0 / ALL as f64,
+            1.0,
+            f64::NAN,
+            -1.0,
+            2.0,
+            f64::INFINITY,
+            0.1,
+            1e-300,
+        ];
+        let as_f64 = |u: u64| u as f64 * (1.0 / ALL as f64);
+        for p in ps {
+            let t = bernoulli_threshold(p);
+            assert!(t <= ALL, "p = {p:e}: T = {t}");
+            let around_t = (t.saturating_sub(2)..=t + 2).filter(|&u| u < ALL);
+            for u in around_t.chain([0, 1, ALL / 2 - 1, ALL / 2, ALL / 2 + 1, ALL - 1]) {
+                assert_eq!(u < t, as_f64(u) < p, "p = {p:e}, u = {u}, T = {t}");
+            }
+        }
+        assert_eq!(bernoulli_threshold(f64::NAN), 0);
+        assert_eq!(bernoulli_threshold(-0.0), 0);
+        assert_eq!(bernoulli_threshold(f64::from_bits(1)), 1);
+        assert_eq!(bernoulli_threshold(0.5), ALL / 2);
+        assert_eq!(bernoulli_threshold(1.0), ALL);
+        // On random draws and random probabilities the two forms agree too.
+        let mut r = Xoshiro256::seed_from_u64(0x7E57);
+        for _ in 0..100_000 {
+            let p = r.next_f64();
+            let mut a = r.clone();
+            let t = bernoulli_threshold(p);
+            assert_eq!(a.next_u64() >> 11 < t, r.next_f64() < p);
+        }
+    }
+
+    #[test]
+    fn lanes_reproduce_their_scalar_generators() {
+        let scalar = |l: usize| Xoshiro256::seed_stream(9, l as u64);
+        let mut lanes = Xoshiro256x64::from_lanes(|l| (l % 3 != 1).then(|| scalar(l)));
+        let mut refs: Vec<Xoshiro256> = (0..Xoshiro256x64::LANES).map(scalar).collect();
+        for _ in 0..200 {
+            let mut seen = 0;
+            lanes.step(|l, got| {
+                let want = if l % 3 == 1 { 0 } else { refs[l].next_u64() };
+                assert_eq!((l, got), (seen, want), "lane {l}");
+                seen += 1;
+            });
+            assert_eq!(seen, Xoshiro256x64::LANES);
+        }
     }
 
     #[test]
