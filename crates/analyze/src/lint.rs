@@ -249,11 +249,22 @@ fn char_literal_end(b: &[u8], i: usize) -> Option<usize> {
     None
 }
 
+/// The identifiers one source file binds to a `HashMap`/`HashSet`, split by
+/// how far the name reaches.
+#[derive(Debug, Default)]
+pub struct HashNames {
+    /// Fields and parameters. A field is read through its struct from any
+    /// file, so the union over the workspace forms the shared AZ002 table.
+    pub shared: BTreeSet<String>,
+    /// `let` bindings, which AZ002 applies only within their own file.
+    pub local: BTreeSet<String>,
+}
+
 /// Collects identifiers declared with a `HashMap`/`HashSet` type in one
-/// masked source file (fields, lets, params). The union across the
-/// workspace forms the AZ002 identifier table.
-pub fn collect_hash_names(masked: &str) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
+/// masked source file: fields and params into [`HashNames::shared`], lets
+/// into [`HashNames::local`].
+pub fn collect_hash_names(masked: &str) -> HashNames {
+    let mut names = HashNames::default();
     for line in masked.lines() {
         // `name: HashMap<…>` / `name: &HashSet<…>` (field, param, let).
         for ty in ["HashMap<", "HashSet<"] {
@@ -261,7 +272,11 @@ pub fn collect_hash_names(masked: &str) -> BTreeSet<String> {
             while let Some(p) = line[from..].find(ty) {
                 let abs = from + p;
                 if let Some(name) = ident_before_decl(line, abs) {
-                    names.insert(name);
+                    if let_binding_name(&line[..abs]).as_ref() == Some(&name) {
+                        names.local.insert(name);
+                    } else {
+                        names.shared.insert(name);
+                    }
                 }
                 from = abs + ty.len();
             }
@@ -278,7 +293,7 @@ pub fn collect_hash_names(masked: &str) -> BTreeSet<String> {
         .any(|p| line.contains(p));
         if ctor {
             if let Some(name) = let_binding_name(line) {
-                names.insert(name);
+                names.local.insert(name);
             }
         }
     }
@@ -388,16 +403,20 @@ const BOUNDED_CAST_EVIDENCE: [&str; 9] = [
 ];
 
 /// Lints one file's source, appending findings to `report`. `label` is
-/// the path shown in diagnostics; `hash_names` is the workspace-wide
-/// AZ002 identifier table (from [`collect_hash_names`]).
+/// the path shown in diagnostics; `shared_hash_names` is the workspace-wide
+/// AZ002 identifier table (the union of [`HashNames::shared`]), to which
+/// this file's own `let`-bound names are added.
 pub fn lint_file(
     label: &str,
     source: &str,
     rules: RuleSet,
-    hash_names: &BTreeSet<String>,
+    shared_hash_names: &BTreeSet<String>,
     report: &mut AnalysisReport,
 ) {
     let masked = mask_source(source);
+    let local_hash_names = collect_hash_names(&masked).local;
+    let is_hash_name =
+        |name: &str| shared_hash_names.contains(name) || local_hash_names.contains(name);
     let raw_lines: Vec<&str> = source.lines().collect();
     let masked_lines: Vec<&str> = masked.lines().collect();
 
@@ -533,7 +552,7 @@ pub fn lint_file(
                 while let Some(p) = mline[from..].find(m) {
                     let abs = from + p;
                     if let Some(name) = receiver_ident(mline, abs) {
-                        if hash_names.contains(&name) {
+                        if is_hash_name(&name) {
                             flagged.insert(format!("{name}{m}"));
                         }
                     }
@@ -556,7 +575,7 @@ pub fn lint_file(
                     // hash-table iteration over the named binding.
                     if !expr.contains('(') && !expr.contains("..") {
                         let last = expr.rsplit('.').next().unwrap_or(expr).trim();
-                        if hash_names.contains(last) {
+                        if is_hash_name(last) {
                             flagged.insert(format!("for … in {expr}"));
                         }
                     }
@@ -796,7 +815,8 @@ pub fn lint_workspace(root: &Path, report: &mut AnalysisReport) -> io::Result<us
         .collect();
     crate_dirs.sort();
 
-    // Phase 1: the workspace-wide hash-identifier table.
+    // Phase 1: the workspace-wide hash-identifier table (fields and params;
+    // `lint_file` adds each file's own `let` bindings).
     let mut files: Vec<(PathBuf, String, RuleSet)> = Vec::new();
     let mut hash_names = BTreeSet::new();
     for dir in &crate_dirs {
@@ -813,7 +833,7 @@ pub fn lint_workspace(root: &Path, report: &mut AnalysisReport) -> io::Result<us
         let rules = RuleSet::for_crate(&crate_name);
         for p in paths {
             let text = fs::read_to_string(&p)?;
-            hash_names.extend(collect_hash_names(&mask_source(&text)));
+            hash_names.extend(collect_hash_names(&mask_source(&text)).shared);
             files.push((p, text, rules));
         }
     }
@@ -840,7 +860,7 @@ mod tests {
 
     fn lint_src(src: &str, rules: RuleSet) -> AnalysisReport {
         let mut r = AnalysisReport::new();
-        let names = collect_hash_names(&mask_source(src));
+        let names = collect_hash_names(&mask_source(src)).shared;
         lint_file("test.rs", src, rules, &names, &mut r);
         r
     }
@@ -1053,7 +1073,85 @@ fn f(s: &S) {
              fn f() { let mut seen = HashSet::new(); let v: Vec<u32> = vec![]; }",
         );
         let names = collect_hash_names(&m);
-        assert!(names.contains("table") && names.contains("names") && names.contains("seen"));
-        assert!(!names.contains("v"));
+        assert!(names.shared.contains("table") && names.shared.contains("names"));
+        assert!(names.local.contains("seen") && !names.shared.contains("seen"));
+        assert!(!names.shared.contains("v") && !names.local.contains("v"));
+        let m = mask_source(
+            "fn f(by_id: &HashMap<u32, u64>) { let seen: HashSet<u32> = HashSet::new(); }",
+        );
+        let names = collect_hash_names(&m);
+        assert!(names.shared.contains("by_id") && !names.local.contains("by_id"));
+        assert!(names.local.contains("seen") && !names.shared.contains("seen"));
+    }
+
+    /// AZ002 findings per file of a throwaway workspace with the given
+    /// `crates/demo/src` files.
+    fn az002_by_file(files: &[(&str, &str)]) -> BTreeMap<String, usize> {
+        let mut root = std::env::temp_dir();
+        root.push(format!("terse_az002_{}_{}", std::process::id(), files[0].0));
+        let _ = fs::remove_dir_all(&root);
+        let src = root.join("crates/demo/src");
+        fs::create_dir_all(&src).unwrap();
+        for (name, text) in files {
+            fs::write(src.join(name), text).unwrap();
+        }
+        let mut r = AnalysisReport::new();
+        lint_workspace(&root, &mut r).unwrap();
+        let _ = fs::remove_dir_all(&root);
+        let mut hits = BTreeMap::new();
+        for d in r.diagnostics().iter().filter(|d| d.code == "AZ002") {
+            let file = d.entity.rsplit_once(':').map_or(&*d.entity, |(f, _)| f);
+            *hits.entry(file.to_owned()).or_insert(0) += 1;
+        }
+        hits
+    }
+
+    /// A `let`-bound map names nothing outside its file: a `Vec` of the
+    /// same name elsewhere iterates freely.
+    #[test]
+    fn let_bound_hash_names_stay_in_their_file() {
+        let hits = az002_by_file(&[
+            (
+                "local_a.rs",
+                "fn f() { let mut ids = HashMap::new(); ids.insert(1, 2); }\n",
+            ),
+            (
+                "local_b.rs",
+                "fn g(xs: &[u32]) { let ids: Vec<u32> = xs.to_vec();\n    for i in ids {}\n}\n",
+            ),
+        ]);
+        assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    /// In its own file a `let`-bound map is still one.
+    #[test]
+    fn let_bound_hash_map_iteration_fires_in_its_file() {
+        let hits = az002_by_file(&[(
+            "same_file.rs",
+            "fn f() {\n    let mut ids = HashMap::new();\n    for (k, v) in &ids {}\n}\n",
+        )]);
+        assert_eq!(
+            hits.get("crates/demo/src/same_file.rs"),
+            Some(&1),
+            "{hits:?}"
+        );
+    }
+
+    /// A field's name is shared across files: iterating it through its
+    /// struct elsewhere still fires.
+    #[test]
+    fn field_hash_map_iteration_fires_in_another_file() {
+        let hits = az002_by_file(&[
+            (
+                "field_a.rs",
+                "pub struct Profile { pub edge_counts: HashMap<u32, u64> }\n",
+            ),
+            (
+                "field_b.rs",
+                "fn g(p: &Profile) {\n    for (e, n) in &p.edge_counts {}\n}\n",
+            ),
+        ]);
+        assert_eq!(hits.get("crates/demo/src/field_b.rs"), Some(&1), "{hits:?}");
+        assert_eq!(hits.len(), 1, "{hits:?}");
     }
 }

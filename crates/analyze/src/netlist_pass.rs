@@ -410,14 +410,17 @@ mod tests {
 
     #[test]
     fn reference_pipeline_has_no_errors() {
-        // The 6-stage pipeline must pass with zero *errors*. It carries
-        // exactly one known floating net (the unused carry-out of the PC+4
-        // incrementer), which the pass reports as a warning.
+        // The 6-stage pipeline must pass with zero *errors*. Its only
+        // problems are 257 floating nets, spread over all six stages: two-
+        // input gates of the generated logic whose outputs nothing reads.
+        // The pass reports each as a warning. The count is pinned so that a
+        // generator change that adds or removes dead logic shows up here.
         let p = PipelineNetlist::build(PipelineConfig::default()).unwrap();
         let r = check(p.netlist());
         assert!(!r.has_errors(), "{}", r.render_text());
         for d in r.problems() {
             assert_eq!(d.code, "NL004", "unexpected problem: {d}");
         }
+        assert_eq!(r.problems().count(), 257, "NL004 floating nets");
     }
 }

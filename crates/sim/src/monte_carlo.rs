@@ -40,23 +40,28 @@
 //!    instruction.
 //! 3. **Tabulate and replay.** Per lane group of [`LANE_GROUP`] = 64 chips,
 //!    a `class × lane` table of Bernoulli thresholds is filled once and
-//!    shared by every input. Each `(group, input)` task then replays its
-//!    input's trace, with no machine, no feature extraction and no
-//!    hashing. It steps a 64-lane [`Xoshiro256x64`] whose lane `l` is chip
-//!    `64·g + l`'s own `(cfg.seed, chip, input)` stream.
+//!    shared by every input. The fill is lane-major: a class's
+//!    conditional means for all 64 chips accumulate at once over the
+//!    group's transposed shared draws. [`std_normal_cdf_threshold`] then
+//!    skips the `erfc` wherever the mean lies deep enough in a Normal tail
+//!    to fix the threshold (about 98 % of the entries on `typeset`). Each
+//!    `(group, input)` task then replays its input's trace, with no
+//!    machine, no feature extraction and no hashing. It steps a 64-lane
+//!    [`Xoshiro256x64`] whose lane `l` is chip `64·g + l`'s own
+//!    `(cfg.seed, chip, input)` stream.
 //!
 //! Only two per-instruction states can differ between lanes: whether the
 //! *previous* instruction erred (bus flushed by the correction scheme) or
 //! not (bus advanced normally). So a step reads at most two table rows,
 //! and each lane picks its threshold with an all-ones/zero error flag,
 //! adds its hit to its count and sets its next flag from the hit, all
-//! without a branch. A table entry is [`bernoulli_threshold`] of the very
-//! `f64` [`InstErrorModel::error_probability`] returns, and `u >> 11 < T`
-//! holds exactly when `next_f64() < p` does. Lane `l` of group `g` draws
-//! the sequence chip `64·g + l` would draw alone, so the count matrix equals
-//! the one-cell-per-chip reference bit for bit at any thread count, any
-//! lane occupancy (ragged final group included), and across checkpoint
-//! resumes that cut through a lane group.
+//! without a branch. A table entry equals [`bernoulli_threshold`] of the
+//! very `f64` [`InstErrorModel::error_probability`] returns, and
+//! `u >> 11 < T` holds exactly when `next_f64() < p` does. Lane `l` of
+//! group `g` draws the sequence chip `64·g + l` would draw alone, so the
+//! count matrix equals the one-cell-per-chip reference bit for bit at any
+//! thread count, any lane occupancy (ragged final group included), and
+//! across checkpoint resumes that cut through a lane group.
 //!
 //! # Checkpoint and resume
 //!
@@ -83,7 +88,7 @@ use std::hash::Hash;
 use terse_isa::Program;
 use terse_sta::variation::ChipSample;
 use terse_sta::CanonicalRv;
-use terse_stats::rng::{bernoulli_threshold, Xoshiro256, Xoshiro256x64};
+use terse_stats::rng::{bernoulli_threshold, std_normal_cdf_threshold, Xoshiro256, Xoshiro256x64};
 
 /// Chips evaluated per packed lane group (one trace replay serves one
 /// group; see the module docs).
@@ -154,11 +159,25 @@ pub trait InstErrorModel {
     }
 }
 
-/// `Pr(slack < 0 | chip)`: the one formula behind both
-/// [`InstErrorModel::error_probability`] and the grid's chip tables, so
-/// the two agree bit for bit.
+/// `Pr(slack < 0 | chip)`: the formula behind
+/// [`InstErrorModel::error_probability`], and the reference the grid's chip
+/// tables reproduce bit for bit after [`bernoulli_threshold`] (see
+/// [`SlackTraces::chip_table`]).
 fn chip_probability(slack: Option<&CanonicalRv>, chip: &ChipSample) -> f64 {
     slack.map_or(0.0, |s| s.prob_negative_given(chip.shared_draw()))
+}
+
+/// The [`bernoulli_threshold`] of [`chip_probability`] from the slack's
+/// conditional mean `m` on the chip and its independent residual `indep`,
+/// as [`CanonicalRv::prob_negative_given`] goes on from `m`: a step at 0
+/// when `indep` is 0, else the Normal tail at `−m / indep` through
+/// [`std_normal_cdf_threshold`].
+fn conditional_threshold(m: f64, indep: f64) -> u64 {
+    if indep == 0.0 {
+        bernoulli_threshold(if m < 0.0 { 1.0 } else { 0.0 })
+    } else {
+        std_normal_cdf_threshold(-m / indep)
+    }
 }
 
 /// `Pr(slack < 0)`: the one formula behind both
@@ -371,15 +390,43 @@ impl SlackTraces {
     }
 
     /// Step 3's table for one lane group: lane `l` of a class's row holds
-    /// the threshold of the class's error probability on chip `l` (lanes
-    /// past a ragged group's end stay 0).
+    /// `bernoulli_threshold(chip_probability(slack, chip l))` (lanes past a
+    /// ragged group's end stay 0).
+    ///
+    /// The fill is lane-major. The group's shared draws are transposed once
+    /// to variable-major, and each class's conditional means for all 64
+    /// lanes accumulate together, variables outside and lanes inside, so
+    /// the loop vectorises. Per lane the additions run in
+    /// [`CanonicalRv::prob_negative_given`]'s order, from its `f64` sum's
+    /// start value, then add the mean: each conditional mean is bitwise the
+    /// reference's. [`conditional_threshold`] then skips the `erfc` on the
+    /// Normal-tail bands.
     fn chip_table(&self, group_chips: &[ChipSample]) -> Table {
+        let vars = group_chips.first().map_or(0, |c| c.shared_draw().len());
+        // `draws[v][l]` is chip `l`'s draw of shared variable `v`.
+        let mut draws = vec![[0.0; LANE_GROUP]; vars];
+        for (l, chip) in group_chips.iter().enumerate() {
+            assert_eq!(chip.shared_draw().len(), vars, "chips of one population");
+            for (v, &x) in chip.shared_draw().iter().enumerate() {
+                draws[v][l] = x;
+            }
+        }
+        // The start value of the fold behind `Sum for f64`.
+        let fold_start: f64 = std::iter::empty::<f64>().sum();
         self.slacks
             .iter()
             .map(|slack| {
                 let mut row = [0; LANE_GROUP];
-                for (t, chip) in row.iter_mut().zip(group_chips) {
-                    *t = bernoulli_threshold(chip_probability(slack.as_ref(), chip));
+                let Some(s) = slack else { return row };
+                assert_eq!(s.coeffs().len(), vars, "slack over the chips' variables");
+                let mut dot = [fold_start; LANE_GROUP];
+                for (&a, xs) in s.coeffs().iter().zip(&draws) {
+                    for (d, &x) in dot.iter_mut().zip(xs) {
+                        *d += a * x;
+                    }
+                }
+                for (t, &d) in row.iter_mut().zip(&dot).take(group_chips.len()) {
+                    *t = conditional_threshold(s.mean() + d, s.indep());
                 }
                 row
             })
@@ -1270,6 +1317,87 @@ mod tests {
                     }
                 });
             }
+        }
+    }
+
+    /// `chip_table` equals a per-entry `bernoulli_threshold(chip_probability)`
+    /// loop bit for bit, for a full lane group and a ragged one. The classes
+    /// put entries in every band of `std_normal_cdf_threshold` and in every
+    /// gap between them, and include the `indep == 0` step.
+    #[test]
+    fn chip_table_matches_per_entry_reference() {
+        let vars = shared_vars();
+        let sqrt2 = std::f64::consts::SQRT_2;
+        // A class whose conditional mean sits near `w · indep · √2` (the
+        // `erfc` argument `w`), spread over the chips by `spread` in `w`.
+        let class = |w: f64, indep: f64, spread: f64| {
+            let a = spread * indep * sqrt2 / (vars as f64).sqrt();
+            Some(CanonicalRv::with_sensitivities(
+                w * indep * sqrt2,
+                (0..vars).map(|v| if v % 2 == 0 { a } else { -a }).collect(),
+                indep,
+            ))
+        };
+        let mut slacks = vec![None];
+        for w in [
+            -40.0, -6.0, -3.0, 0.0, 4.0, 6.0, 15.0, 27.0, 27.25, 27.5, 40.0,
+        ] {
+            for (indep, spread) in [(1.0, 1e-3), (0.3, 1e-12), (2.5, 0.5)] {
+                slacks.push(class(w, indep, spread));
+            }
+        }
+        for mean in [-1.0, -0.0, 0.0, 1.0, f64::NAN, f64::INFINITY] {
+            slacks.push(Some(CanonicalRv::with_sensitivities(
+                mean,
+                vec![0.0; vars],
+                0.0,
+            )));
+            slacks.push(Some(CanonicalRv::with_sensitivities(
+                mean,
+                vec![0.0; vars],
+                1.0,
+            )));
+        }
+        let traces = SlackTraces {
+            inputs: Vec::new(),
+            traces: Vec::new(),
+            slacks,
+            queries: 0,
+        };
+        let cs = chips(LANE_GROUP + 6);
+        for g in [0, 1] {
+            let group = group_of(&cs, g);
+            let table = traces.chip_table(group);
+            // Entries per region of `w`: the three bands and the two gaps.
+            let mut regions = [0usize; 5];
+            for (row, slack) in table.iter().zip(&traces.slacks) {
+                for (l, &t) in row.iter().enumerate() {
+                    let Some(chip) = group.get(l) else {
+                        assert_eq!(t, 0, "group {g}: lane {l} is past the group's end");
+                        continue;
+                    };
+                    let want = bernoulli_threshold(chip_probability(slack.as_ref(), chip));
+                    assert_eq!(t, want, "group {g}, lane {l}, slack {slack:?}");
+                    if let Some(s) = slack
+                        .as_ref()
+                        .filter(|s| s.indep() > 0.0 && s.mean().is_finite())
+                    {
+                        let m = s.mean()
+                            + s.coeffs()
+                                .iter()
+                                .zip(chip.shared_draw())
+                                .map(|(a, x)| a * x)
+                                .sum::<f64>();
+                        let w = m / s.indep() * std::f64::consts::FRAC_1_SQRT_2;
+                        let region = [w > -6.0, w >= 6.0, w > 27.0, w >= 27.5]
+                            .iter()
+                            .filter(|&&above| above)
+                            .count();
+                        regions[region] += 1;
+                    }
+                }
+            }
+            assert!(regions.iter().all(|&n| n > 0), "group {g}: {regions:?}");
         }
     }
 

@@ -5,6 +5,8 @@
 //! SplitMix64) rather than an OS entropy source. The API is deliberately
 //! minimal: uniforms, ranges, Gaussians and shuffles.
 
+use crate::special::std_normal_cdf;
+
 /// SplitMix64 step — used to expand a single `u64` seed into a full
 /// xoshiro256** state, as recommended by the xoshiro authors.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -169,6 +171,57 @@ pub fn bernoulli_threshold(p: f64) -> u64 {
         // A saturating cast: NaN and negatives become 0.
         q as u64
     }
+}
+
+/// `bernoulli_threshold(std_normal_cdf(x))` for every `f64` `x`, without
+/// the `erfc` wherever the Normal tail alone fixes the threshold.
+///
+/// [`std_normal_cdf`] returns `p = 0.5 · erfc(w)` with `w = −x · (1/√2)`,
+/// and `w` below is that same `f64` product. Finite `w` in three bands gets
+/// a constant; everything else (`−6 < w < 6`, `27 < w < 27.5`, NaN, ±∞)
+/// takes the exact path.
+///
+/// The proofs read [`crate::special::erfc`]'s branch for arguments
+/// `z ≥ 0.5`: `erfc(z) = t · exp(A)` with `t = 2/(2 + z)` and
+/// `A = −z·z + C`, where `C = ½c₀ + Σₖ cₖ·Tₖ(y)` is a Chebyshev series in
+/// `y = 2t − 1`. For `z ≥ 6`, `y ∈ [−1, −½]`; there the first three
+/// terms lie in `[−1.2739, −0.9820]` and the other 25 have `Σ|cₖ| < 0.011`,
+/// so `−1.285 ≤ C ≤ −0.971`. Its 27 Clenshaw steps round by less than
+/// `10^-14`, which no margin below comes near. Rounding is monotone, so
+/// `z ≥ 6` gives `t ≤ ¼` and `z·z ≥ 36`, and likewise at the other edges.
+///
+/// - `w ≥ 27.5` gives 0. Here `A ≤ −756.25 − 0.971 < −757`, more than 11
+///   below `ln 2^-1075 = −745.13`. So `exp(A)` is below half the smallest
+///   subnormal and underflows to 0. Then `erfc(w) = t · 0 = 0`, `p = 0`
+///   and the threshold is 0.
+/// - `6 ≤ w ≤ 27` gives 1, because `0 < p ≤ 2^-53`:
+///   - From above, `erfc(w) ≤ ¼ · e^(−36 − 0.971) < 2.2·10^-17`. So
+///     `p < 1.1·10^-17`, a tenth of `2^-53`.
+///   - From below, `t ≥ 2/29` and `A ≥ −729 − 1.285`. So
+///     `p ≥ ½ · (2/29) · e^(−730.285) > 2.3·10^-319`. That is more than
+///     40,000 times the smallest subnormal, so no rounding step reaches 0.
+///
+///   The scaling `p · 2^53` is exact, subnormal `p` included. It lies in
+///   `(0, 1]`, so its ceiling is 1.
+/// - `w ≤ −6` gives `2^53`. [`crate::special::erfc`] returns
+///   `2 − erfc(−w)` there, and `erfc(−w) < 2.2·10^-17` by the bound above.
+///   That is below `2^-53`, half the spacing of the doubles just under 2,
+///   so the difference rounds to 2. Then `p = 1`.
+///
+/// A band edge may move only with a new proof. `rng::tests` checks the
+/// edges, their neighbours and a dense sweep against the exact path.
+pub fn std_normal_cdf_threshold(x: f64) -> u64 {
+    let w = -x * std::f64::consts::FRAC_1_SQRT_2;
+    if w.is_finite() {
+        if w >= 27.5 {
+            return 0;
+        } else if (6.0..=27.0).contains(&w) {
+            return 1;
+        } else if w <= -6.0 {
+            return 1 << 53;
+        }
+    }
+    bernoulli_threshold(std_normal_cdf(x))
 }
 
 /// [`Xoshiro256x64::LANES`] xoshiro256** generators stepped together, their
@@ -359,6 +412,90 @@ mod tests {
             let t = bernoulli_threshold(p);
             assert_eq!(a.next_u64() >> 11 < t, r.next_f64() < p);
         }
+    }
+
+    /// `std_normal_cdf_threshold(x)` against the exact path it stands in
+    /// for.
+    fn check_normal_cdf_threshold(x: f64) {
+        assert_eq!(
+            std_normal_cdf_threshold(x),
+            bernoulli_threshold(std_normal_cdf(x)),
+            "x = {x:e} ({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    /// The `w = −x/√2` that `std_normal_cdf` hands to `erfc`.
+    fn erfc_arg(x: f64) -> f64 {
+        -x * std::f64::consts::FRAC_1_SQRT_2
+    }
+
+    /// At each band edge, every `x` whose `w` lies within a few ulps of
+    /// the edge: `x ↦ w` is monotone, so a window of `x` whose `w` runs
+    /// past both neighbours of the edge holds all of them.
+    #[test]
+    fn normal_cdf_threshold_is_exact_at_the_band_edges() {
+        for edge in [-6.0f64, 6.0, 27.0, 27.5] {
+            let mut x = -edge * std::f64::consts::SQRT_2;
+            for _ in 0..16 {
+                x = x.next_down();
+            }
+            let (mut w_min, mut w_max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for _ in 0..=32 {
+                check_normal_cdf_threshold(x);
+                w_min = w_min.min(erfc_arg(x));
+                w_max = w_max.max(erfc_arg(x));
+                x = x.next_up();
+            }
+            assert!(
+                w_min < edge.next_down() && w_max > edge.next_up(),
+                "edge {edge}: w in [{w_min}, {w_max}]"
+            );
+        }
+    }
+
+    /// Signed zeros, infinities, NaN, subnormals and the extremes.
+    #[test]
+    fn normal_cdf_threshold_is_exact_at_special_values() {
+        let specials = [
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            1.0,
+            f64::MAX,
+        ];
+        for x in specials {
+            check_normal_cdf_threshold(x);
+            check_normal_cdf_threshold(-x);
+        }
+        assert_eq!(std_normal_cdf_threshold(f64::NEG_INFINITY), 0);
+        assert_eq!(std_normal_cdf_threshold(f64::INFINITY), 1 << 53);
+        assert_eq!(std_normal_cdf_threshold(f64::NAN), 0);
+        assert_eq!(std_normal_cdf_threshold(-0.0), 1 << 52);
+    }
+
+    /// 10^7 + 1 evenly spaced `w` over `[−40, 40]`, which crosses every
+    /// band and every gap between them.
+    #[test]
+    fn normal_cdf_threshold_is_exact_on_a_dense_sweep() {
+        const N: u32 = 10_000_000;
+        let mut bands = [0usize; 3];
+        for i in 0..=N {
+            let w = -40.0 + 80.0 * f64::from(i) / f64::from(N);
+            let x = -w * std::f64::consts::SQRT_2;
+            check_normal_cdf_threshold(x);
+            match std_normal_cdf_threshold(x) {
+                0 => bands[0] += 1,
+                1 => bands[1] += 1,
+                t if t == 1 << 53 => bands[2] += 1,
+                _ => {}
+            }
+        }
+        assert!(bands.iter().all(|&n| n > N as usize / 10), "{bands:?}");
     }
 
     #[test]

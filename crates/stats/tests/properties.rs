@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use terse_stats::metrics::{kolmogorov_distance_discrete, tv_distance_discrete};
+use terse_stats::rng::{bernoulli_threshold, std_normal_cdf_threshold};
 use terse_stats::special::{reg_gamma_p, reg_gamma_q, std_normal_cdf};
 use terse_stats::{DiscreteRv, Matrix, Normal, Poisson, PoissonBinomial, SampleRv};
 
@@ -14,6 +15,13 @@ proptest! {
     fn normal_cdf_monotone(a in -30.0f64..30.0, b in -30.0f64..30.0) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(std_normal_cdf(lo) <= std_normal_cdf(hi) + 1e-15);
+    }
+
+    #[test]
+    fn normal_cdf_threshold_is_the_exact_path(x in -60.0f64..60.0, bits in any::<u64>()) {
+        for x in [x, f64::from_bits(bits)] {
+            prop_assert_eq!(std_normal_cdf_threshold(x), bernoulli_threshold(std_normal_cdf(x)));
+        }
     }
 
     #[test]
