@@ -31,12 +31,12 @@ use terse_workloads::{BenchmarkSpec, DatasetSize};
 /// * `config` — the knobs this run used (dataset, caps, thread counts).
 /// * `wall_ms` — total wall-clock of the benchmark binary's measured work.
 /// * `speedup` — the headline ratio the benchmark exists to demonstrate.
-/// * `checks` — named pass/fail gates (bitwise equality, speedup floors);
-///   CI greps these instead of re-deriving thresholds from `detail`.
+/// * `checks` — named pass/fail gates (bitwise equality), so a reader
+///   need not re-derive thresholds from `detail`.
 /// * `detail` — the benchmark-specific payload (the pre-envelope body).
 #[derive(Debug, Clone)]
 pub struct BenchEnvelope {
-    /// Short benchmark id (`dta_incremental`, `parallel`, `bitparallel`, ...).
+    /// Short benchmark id (`jobserver`).
     pub bench: &'static str,
     /// Run configuration knobs.
     pub config: Value,

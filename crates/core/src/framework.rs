@@ -28,7 +28,7 @@
 use crate::checkpoint::{self, BlockProbs, EstimateImage};
 use crate::operating::{OperatingConfig, OperatingPoint};
 use crate::perf::TsPerformanceModel;
-use crate::report::{BitParallelStats, ErrorRateEstimate, Report, RunTimings};
+use crate::report::{ErrorRateEstimate, Report, RunTimings};
 use crate::{Result, TerseError};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -596,20 +596,6 @@ impl Framework {
         }
     }
 
-    /// Bit-parallel statistics: the Monte Carlo lane-group width and the
-    /// accumulated training co-simulation work counters. `mc_chips` sizes
-    /// the occupancy figure (0 = no MC grid).
-    pub fn bitparallel_stats(&self, mc_chips: usize) -> BitParallelStats {
-        let c = self.cosim_stats();
-        BitParallelStats {
-            lane_width: terse_sim::monte_carlo::LANE_GROUP,
-            cosim_cycles: c.cycles,
-            gates_evaluated: c.gates_evaluated,
-            mc_chips,
-            mc_lane_occupancy: terse_sim::monte_carlo::lane_occupancy(mc_chips),
-        }
-    }
-
     /// Computes the error-rate estimate from profiles and a trained model
     /// (the Section 5 statistical pipeline) in one uncheckpointed sweep.
     ///
@@ -877,7 +863,6 @@ impl Framework {
             basic_blocks: cfg.len(),
             perf: self.performance_model(),
             dta_cache: self.dta_cache_stats(),
-            bitparallel: Some(self.bitparallel_stats(0)),
             prescreen: Some(self.prescreen_stats()),
         })
     }
@@ -1352,15 +1337,6 @@ mod tests {
         let stats = f.cosim_stats();
         assert!(stats.cycles > 0, "stats = {stats:?}");
         assert!(stats.gates_evaluated > 0, "stats = {stats:?}");
-        let bp = report.bitparallel.as_ref().expect("run fills counters");
-        assert_eq!(bp.lane_width, terse_sim::monte_carlo::LANE_GROUP);
-        assert_eq!(bp.cosim_cycles, stats.cycles);
-        assert_eq!(bp.gates_evaluated, stats.gates_evaluated);
-        let summary = report.perf_summary();
-        assert!(
-            summary.contains(&format!("{} gates evaluated", stats.gates_evaluated)),
-            "{summary}"
-        );
         // Training always prunes; the run reports the framework's counters.
         let pre = report.prescreen.expect("run fills prescreen counters");
         assert_eq!(pre, f.prescreen_stats());
@@ -1368,6 +1344,7 @@ mod tests {
             pre.pairs_pruned > 0 && pre.pairs_pruned < pre.pairs_total,
             "{pre:?}"
         );
+        let summary = report.perf_summary();
         assert!(summary.contains("prescreen:"), "{summary}");
     }
 

@@ -57,7 +57,7 @@ pub mod report;
 pub use framework::{Framework, FrameworkBuilder, Workload};
 pub use operating::{OperatingConfig, OperatingPoint};
 pub use perf::TsPerformanceModel;
-pub use report::{BitParallelStats, ErrorRateEstimate, RateCdfPoint, Report, RunTimings};
+pub use report::{ErrorRateEstimate, RateCdfPoint, Report, RunTimings};
 
 // Re-export the substrate types a downstream user needs for configuration.
 pub use terse_netlist::pipeline::PipelineConfig;

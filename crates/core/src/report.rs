@@ -225,22 +225,6 @@ impl RunTimings {
     }
 }
 
-/// Bit-parallel statistics: the Monte Carlo lane-group width and the
-/// accumulated training co-simulation work counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BitParallelStats {
-    /// Chips per Monte Carlo lane group — one chip per bit of a packed word.
-    pub lane_width: usize,
-    /// Netlist clock cycles co-simulated during model training.
-    pub cosim_cycles: u64,
-    /// Combinational gate evaluations performed during model training.
-    pub gates_evaluated: u64,
-    /// Chip population of the associated Monte Carlo grid (0 = none run).
-    pub mc_chips: usize,
-    /// Mean live-lane occupancy of that grid's lane groups.
-    pub mc_lane_occupancy: f64,
-}
-
 /// A full per-workload report — one row of the paper's Table 2.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -261,9 +245,6 @@ pub struct Report {
     /// Stage-DTS memo-cache counters at the end of the run (`None` when
     /// caching was disabled via `FrameworkBuilder::dta_cache(0)`).
     pub dta_cache: Option<DtsCacheStats>,
-    /// Bit-parallel backend counters (`None` for reports assembled outside
-    /// `Framework::run`, e.g. by hand in tests).
-    pub bitparallel: Option<BitParallelStats>,
     /// Static pre-screening pair counters (`None` for reports assembled
     /// outside `Framework::run`, e.g. by hand in tests).
     pub prescreen: Option<PrescreenStats>,
@@ -333,28 +314,6 @@ impl Report {
             }
             None => s.push_str("\ndta-cache: disabled"),
         }
-        match &self.bitparallel {
-            Some(bp) => {
-                s.push_str(&format!(
-                    "\nbit-parallel: {} lanes/word, cosim {} cycles, \
-                     {} gates evaluated",
-                    bp.lane_width, bp.cosim_cycles, bp.gates_evaluated,
-                ));
-                // The lane-occupancy segment is always present so that line-
-                // oriented consumers see a fixed field set: runs without an
-                // MC grid attached report an explicit "n/a".
-                if bp.mc_chips > 0 {
-                    s.push_str(&format!(
-                        ", mc {} chips at {:.1}% lane occupancy",
-                        bp.mc_chips,
-                        bp.mc_lane_occupancy * 100.0,
-                    ));
-                } else {
-                    s.push_str(", mc n/a (0 chips)");
-                }
-            }
-            None => s.push_str("\nbit-parallel: n/a"),
-        }
         match &self.prescreen {
             Some(p) => s.push_str(&format!(
                 "\nprescreen: {}/{} pairs pruned ({:.1}%)",
@@ -369,7 +328,7 @@ impl Report {
 
     /// The report as one self-contained JSON object — the job server's
     /// streaming format. Every key is always present (telemetry sections
-    /// that did not run are zeroed / `null`, never missing), so downstream
+    /// that did not run are `null`, never missing), so downstream
     /// consumers can index unconditionally. `f64`s are rendered in Rust's
     /// shortest round-trip form, so equal bit patterns produce equal bytes.
     pub fn to_json(&self) -> String {
@@ -411,31 +370,6 @@ impl Report {
             }
             None => o.raw("dta_cache", "null"),
         }
-        // The bit-parallel section always carries the full key set: a
-        // hand-assembled report gets zeroed counters and a 0.0 lane
-        // occupancy instead of missing keys.
-        let zero = BitParallelStats {
-            lane_width: 0,
-            cosim_cycles: 0,
-            gates_evaluated: 0,
-            mc_chips: 0,
-            mc_lane_occupancy: 0.0,
-        };
-        let bp = self.bitparallel.as_ref().unwrap_or(&zero);
-        let mut b = JsonObj::new();
-        b.raw("lane_width", &bp.lane_width.to_string());
-        b.raw("cosim_cycles", &bp.cosim_cycles.to_string());
-        b.raw("gates_evaluated", &bp.gates_evaluated.to_string());
-        b.raw("mc_chips", &bp.mc_chips.to_string());
-        b.f64(
-            "mc_lane_occupancy",
-            if bp.mc_chips > 0 {
-                bp.mc_lane_occupancy
-            } else {
-                0.0
-            },
-        );
-        o.raw("bitparallel", &b.finish());
         match &self.prescreen {
             Some(p) => {
                 let mut pr = JsonObj::new();
@@ -534,7 +468,6 @@ mod tests {
             basic_blocks: 7,
             perf: TsPerformanceModel::paper_default(),
             dta_cache: None,
-            bitparallel: None,
             prescreen: None,
         };
         let header = Report::table2_header();
@@ -543,43 +476,42 @@ mod tests {
         assert!(row.contains("demo"));
         assert!(row.contains("500.000M"));
         assert!((r.timings.total_s() - 3.5).abs() < 1e-12);
-        // Without a cache, the perf summary says so — and the bit-parallel
-        // section is explicit about being absent, not silently missing.
+        // Without a cache, the perf summary says so.
         let summary = r.perf_summary();
         assert!(summary.contains("phases:"));
         assert!(summary.contains("dta-cache: disabled"));
-        assert!(summary.contains("bit-parallel: n/a"), "{summary}");
     }
 
-    #[test]
-    fn perf_summary_reports_lane_occupancy_na_without_mc_grid() {
-        let e = estimate(1000.0, 0.05, 5e8);
-        let r = Report {
-            name: "scalar".into(),
-            estimate: e,
-            timings: RunTimings::default(),
-            static_instructions: 1,
-            dynamic_instructions: 1.0,
-            basic_blocks: 1,
-            perf: TsPerformanceModel::paper_default(),
-            dta_cache: None,
-            bitparallel: Some(BitParallelStats {
-                lane_width: 64,
-                cosim_cycles: 120,
-                gates_evaluated: 40_000,
-                mc_chips: 0,
-                mc_lane_occupancy: 1.0,
-            }),
-            prescreen: None,
-        };
-        // No MC grid ran: the occupancy segment must still be there, as an
-        // explicit n/a rather than a missing field.
-        let summary = r.perf_summary();
-        assert!(summary.contains("mc n/a (0 chips)"), "{summary}");
-        // And the JSON keys exist with zeroed values.
-        let json = r.to_json();
-        assert!(json.contains("\"mc_chips\":0"), "{json}");
-        assert!(json.contains("\"mc_lane_occupancy\":0.0"), "{json}");
+    /// The keys of a JSON object's outermost level, in order: each string
+    /// that a depth-1 `:` follows.
+    fn top_level_keys(json: &str) -> Vec<String> {
+        let (mut keys, mut depth) = (Vec::new(), 0);
+        let (mut in_str, mut escaped, mut last) = (false, false, String::new());
+        for c in json.chars() {
+            if in_str {
+                match c {
+                    _ if escaped => escaped = false,
+                    '\\' => escaped = true,
+                    '"' => in_str = false,
+                    _ => {}
+                }
+                if in_str {
+                    last.push(c);
+                }
+                continue;
+            }
+            match c {
+                '"' => {
+                    in_str = true;
+                    last.clear();
+                }
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ':' if depth == 1 => keys.push(last.clone()),
+                _ => {}
+            }
+        }
+        keys
     }
 
     #[test]
@@ -598,21 +530,29 @@ mod tests {
             basic_blocks: 7,
             perf: TsPerformanceModel::paper_default(),
             dta_cache: None,
-            bitparallel: None,
             prescreen: None,
         };
         let json = r.to_json();
+        assert_eq!(
+            top_level_keys(&json),
+            [
+                "name",
+                "static_instructions",
+                "dynamic_instructions",
+                "basic_blocks",
+                "estimate",
+                "perf",
+                "timings",
+                "dta_cache",
+                "prescreen",
+            ],
+            "{json}"
+        );
         for key in [
-            "\"name\"",
-            "\"estimate\"",
             "\"lambda_samples\"",
             "\"dk_lambda\"",
-            "\"timings\"",
             "\"dta_cache\":null",
-            "\"bitparallel\"",
-            "\"lane_width\":0",
-            "\"mc_chips\":0",
-            "\"mc_lane_occupancy\":0.0",
+            "\"prescreen\":null",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -656,13 +596,6 @@ mod tests {
                 interned_vectors: 4,
                 interner_hits: 12,
             }),
-            bitparallel: Some(BitParallelStats {
-                lane_width: 64,
-                cosim_cycles: 120,
-                gates_evaluated: 40_000,
-                mc_chips: 70,
-                mc_lane_occupancy: 70.0 / 128.0,
-            }),
             prescreen: Some(PrescreenStats {
                 pairs_total: 40,
                 pairs_pruned: 10,
@@ -674,9 +607,6 @@ mod tests {
         assert!(summary.contains("2 evictions"));
         assert!(summary.contains("1 collisions"));
         assert!(summary.contains("75.0% hit rate"));
-        assert!(summary.contains("bit-parallel: 64 lanes/word"));
-        assert!(summary.contains("cosim 120 cycles, 40000 gates evaluated"));
-        assert!(summary.contains("mc 70 chips at 54.7% lane occupancy"));
         assert!(summary.contains("prescreen: 10/40 pairs pruned (25.0%)"));
     }
 

@@ -86,11 +86,8 @@ pub fn primary_feature(f: &InstFeatures) -> u8 {
 #[derive(Debug, Clone)]
 pub struct DatapathModel {
     table: HashMap<FuncUnit, Vec<(u8, CanonicalRv)>>,
-    /// The clock period the table was trained at (slacks shift linearly
-    /// with the period).
+    /// The clock period the table was trained at.
     trained_period: f64,
-    /// Period offset applied at inference.
-    period_shift: f64,
 }
 
 impl DatapathModel {
@@ -159,23 +156,12 @@ impl DatapathModel {
         Ok(DatapathModel {
             table,
             trained_period: engine.clock_period(),
-            period_shift: 0.0,
         })
     }
 
-    /// The clock period the model currently evaluates at.
+    /// The clock period the model was trained at.
     pub fn period(&self) -> f64 {
-        self.trained_period + self.period_shift
-    }
-
-    /// Re-targets the model to a different clock period (slack is linear in
-    /// the period, so the table shifts instead of retraining).
-    pub fn at_period(&self, t_clk: f64) -> DatapathModel {
-        DatapathModel {
-            table: self.table.clone(),
-            trained_period: self.trained_period,
-            period_shift: t_clk - self.trained_period,
-        }
+        self.trained_period
     }
 
     /// The statistical datapath slack of an instruction with the given
@@ -191,9 +177,7 @@ impl DatapathModel {
         if unit == FuncUnit::None {
             return None;
         }
-        let entries = self.table.get(&unit)?;
-        let rv = interpolate(entries, level);
-        Some(rv.add_scalar(self.period_shift))
+        Some(interpolate(self.table.get(&unit)?, level))
     }
 
     /// Trained feature levels of a unit (for reporting/tests).
@@ -488,20 +472,5 @@ mod tests {
         assert!(mid.mean() <= lo.mean() + 1e-9);
         assert!(mid.mean() >= hi.mean() - 1e-9);
         assert_eq!(model.levels(FuncUnit::AddSub).first(), Some(&0));
-    }
-
-    #[test]
-    fn period_retargeting_shifts_slack() {
-        let (p, t) = setup();
-        let eng = engine(&p, t);
-        let model = DatapathModel::train(&p, &eng).unwrap();
-        let f = features(Opcode::Add, 16, 0, 0, 16);
-        let base = model.slack(&f).unwrap();
-        let faster = model.at_period(t - 50.0);
-        let shifted = faster.slack(&f).unwrap();
-        assert!((base.mean() - shifted.mean() - 50.0).abs() < 1e-9);
-        assert!((faster.period() - (t - 50.0)).abs() < 1e-9);
-        // Variance unchanged by a period shift.
-        assert!((base.sd() - shifted.sd()).abs() < 1e-12);
     }
 }

@@ -123,11 +123,6 @@ impl<'n> DtsEngine<'n> {
         self.cache = Some(CacheBinding { cache, cones });
     }
 
-    /// Detaches the memo cache.
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
-    }
-
     /// The attached memo cache, if any.
     pub fn cache(&self) -> Option<&Arc<DtsCache>> {
         self.cache.as_ref().map(|b| &b.cache)

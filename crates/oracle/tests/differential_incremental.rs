@@ -16,13 +16,17 @@ use oracle::gen;
 use oracle::sim::FullScan;
 use proptest::prelude::*;
 use terse_dta::{DtsCache, DtsEngine, EndpointFilter};
-use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
+use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist, STAGE_COUNT};
 use terse_netlist::sim::Simulator;
 use terse_netlist::{BitSet, GateId, GateKind, Netlist};
+use terse_sim::cosim::CoSim;
+use terse_sim::Machine;
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
+use terse_sta::variation::VariationConfig;
 use terse_sta::TimingConstraints;
 use terse_stats::rng::Xoshiro256;
+use terse_workloads::DatasetSize;
 
 /// The speculative clock period used throughout: 15% past the STA limit.
 fn speculative_period(sta: &Sta<'_>) -> f64 {
@@ -222,6 +226,63 @@ proptest! {
             full.gates_evaluated()
         );
     }
+}
+
+/// The framework's pipeline at its working period, over the first 96 cycles
+/// of a co-simulated dijkstra trace: every stage's DTS from a cold-cache and
+/// a warm-cache sweep matches the uncached engine bit for bit. The
+/// proptests above query only stage 0 of random netlists, so they never see
+/// the real pipeline's per-stage cones or a realizable instruction stream.
+#[test]
+fn cached_stage_dts_matches_uncached_on_a_cosimulated_trace() {
+    const CYCLES: usize = 96;
+    let fw = terse::Framework::builder().build().expect("framework");
+    let pipeline = fw.pipeline();
+    let w = terse_workloads::by_name("dijkstra")
+        .expect("known workload")
+        .workload(DatasetSize::Small, 1, 0xDAC19)
+        .expect("workload");
+    let mut machine = Machine::new(w.program(), 1 << 16);
+    w.init_input(0, &mut machine);
+    let activity = CoSim::run_program(pipeline, w.program(), &mut machine, 5_000_000)
+        .expect("co-simulation")
+        .activity;
+    let cycles: Vec<&BitSet> = activity.iter().take(CYCLES).collect();
+    assert_eq!(cycles.len(), CYCLES, "the trace covers the sweep");
+    let engine = || {
+        DtsEngine::new(
+            pipeline.netlist(),
+            DelayLibrary::normalized_45nm(),
+            VariationConfig::default(),
+            TimingConstraints::with_period(fw.operating_point().working_period),
+        )
+        .expect("engine")
+    };
+    let sweep = |eng: &DtsEngine<'_>| -> Vec<Vec<u64>> {
+        let mut out = Vec::with_capacity(CYCLES * STAGE_COUNT);
+        for vcd in &cycles {
+            for stage in 0..STAGE_COUNT {
+                let dts = eng
+                    .stage_dts(stage, vcd, EndpointFilter::All)
+                    .expect("stage_dts");
+                out.push(rv_bits(&dts));
+            }
+        }
+        out
+    };
+    let want = sweep(&engine());
+    assert!(
+        want.iter().any(|bits| bits.len() > 1),
+        "the trace must activate timed paths"
+    );
+    let mut cached = engine();
+    let cache = Arc::new(DtsCache::new(4096));
+    cached.set_cache(Arc::clone(&cache));
+    assert_eq!(want, sweep(&cached), "cold-cache sweep diverged");
+    assert_eq!(want, sweep(&cached), "warm-cache sweep diverged");
+    let stats = cache.stats();
+    assert!(stats.hits >= want.len() as u64, "{stats:?}");
+    assert_eq!(stats.collisions, 0, "{stats:?}");
 }
 
 /// Steps both simulators, checks the activation sets and every gate value,

@@ -265,7 +265,7 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
         })?;
         points.push(Value::parse(&text).map_err(ServeError::Json)?);
     }
-    let telemetry = telemetry_section(&spec, &workload, &cfg, last_point, timings, mc_s);
+    let telemetry = telemetry_section(&workload, &cfg, last_point, timings, mc_s);
     let report = Value::Obj(vec![
         ("id".into(), Value::Str(spec.id.clone())),
         ("name".into(), Value::Str(workload.name().to_owned())),
@@ -293,7 +293,6 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
 /// point this attempt computed. Resumed attempts that computed no point
 /// (all were already on disk) emit a minimal section.
 fn telemetry_section(
-    spec: &JobSpec,
     workload: &Workload,
     cfg: &Cfg,
     last_point: Option<(Rc<Framework>, terse::ErrorRateEstimate)>,
@@ -316,7 +315,6 @@ fn telemetry_section(
             basic_blocks: cfg.len(),
             perf: fw.performance_model(),
             dta_cache: fw.dta_cache_stats(),
-            bitparallel: Some(fw.bitparallel_stats(spec.chips)),
             prescreen: Some(fw.prescreen_stats()),
         };
         if let Ok(v) = Value::parse(&report.to_json()) {

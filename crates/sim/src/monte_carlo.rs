@@ -310,8 +310,6 @@ struct SlackTraces {
     traces: Vec<Trace>,
     /// One slack per class.
     slacks: Vec<Option<CanonicalRv>>,
-    /// Distinct slack keys the traces query.
-    queries: usize,
 }
 
 impl SlackTraces {
@@ -380,7 +378,6 @@ impl SlackTraces {
             inputs,
             traces,
             slacks,
-            queries: call_keys.len(),
         })
     }
 
@@ -443,43 +440,6 @@ impl SlackTraces {
             })
             .collect()
     }
-}
-
-/// Distinct-query statistics of one grid call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlackClassStats {
-    /// Distinct slack keys the inputs' trajectories query (both bus
-    /// states).
-    pub queries: usize,
-    /// Distinct slack distributions those keys resolve to — the rows of
-    /// each lane group's threshold table.
-    pub classes: usize,
-}
-
-/// Runs steps 1–2 of the grid for `inputs` inputs and reports how many
-/// distinct queries and slack classes an [`error_counts`] call with the
-/// same arguments tabulates.
-///
-/// # Errors
-///
-/// Propagates machine errors (the lowest-indexed failing input wins).
-pub fn slack_class_stats<M, F>(
-    program: &Program,
-    model: &M,
-    inputs: usize,
-    scheme: CorrectionScheme,
-    init: F,
-    cfg: MonteCarloConfig,
-) -> Result<SlackClassStats>
-where
-    M: InstErrorModel + Sync,
-    F: Fn(usize, &mut Machine) + Sync,
-{
-    let t = SlackTraces::record(program, model, (0..inputs).collect(), scheme, &init, cfg)?;
-    Ok(SlackClassStats {
-        queries: t.queries,
-        classes: t.slacks.len(),
-    })
 }
 
 /// One `(lane group, input)` cell of the packed grid: `live` selects the
@@ -1362,7 +1322,6 @@ mod tests {
             inputs: Vec::new(),
             traces: Vec::new(),
             slacks,
-            queries: 0,
         };
         let cs = chips(LANE_GROUP + 6);
         for g in [0, 1] {
