@@ -1,9 +1,8 @@
 //! # terse-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper plus
-//! ablation studies, and Criterion micro-benchmarks for the analysis
-//! kernels. See DESIGN.md §6 for the experiment index and EXPERIMENTS.md
-//! for recorded paper-vs-measured results.
+//! ablation studies. See DESIGN.md §6 for the experiment index and
+//! EXPERIMENTS.md for recorded paper-vs-measured results.
 //!
 //! Report binaries (all print to stdout):
 //!

@@ -43,6 +43,7 @@
 // several parallel arrays at once.
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 pub mod correction;
 pub mod cosim;
 pub mod features;

@@ -256,8 +256,10 @@ impl Xoshiro256x64 {
 
     /// Advances every lane once and hands lane `l`'s output to `f(l, u)`, in
     /// lane order. With `f` inlined, the step and the caller's use of the
-    /// outputs are one straight-line loop over the lanes.
-    #[inline]
+    /// outputs are one straight-line loop over the lanes. Always inlined,
+    /// so a caller compiled with wider target features steps the lanes at
+    /// that width.
+    #[inline(always)]
     pub fn step(&mut self, mut f: impl FnMut(usize, u64)) {
         let [s0, s1, s2, s3] = &mut self.s;
         for l in 0..Self::LANES {
