@@ -66,8 +66,8 @@ pub enum Severity {
     /// (e.g. a floating net — dead logic). Fails the CLI under `--deny`.
     Warning,
     /// A structural defect that invalidates downstream analyses (e.g. a
-    /// combinational cycle). Always fails the CLI; `Framework::preflight`
-    /// refuses to run under `DegradationPolicy::Strict`.
+    /// combinational cycle). Always fails the CLI, and `Framework::run`
+    /// refuses to start.
     Error,
 }
 

@@ -43,7 +43,7 @@ use terse_dta::datapath::DatapathModel;
 use terse_dta::engine::DtsEngine;
 use terse_dta::instmodel::InstructionErrorModel;
 use terse_dta::prescreen::{build_plan, PrescreenStats, PrunePlan};
-use terse_errmodel::marginal::{solve_marginals_with, MarginalProblem};
+use terse_errmodel::marginal::{solve_marginals, MarginalProblem};
 use terse_isa::{assemble, BasicBlock, BlockId, Cfg, Program};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
 use terse_sim::correction::CorrectionScheme;
@@ -59,7 +59,7 @@ use terse_stats::kahan::KahanSum;
 use terse_stats::stein::{
     chen_stein_program_bound, stein_normal_bound, BlockChain, CentralMoments,
 };
-use terse_stats::{DegradationPolicy, Normal, PoissonNormalMixture, SampleRv};
+use terse_stats::{Normal, PoissonNormalMixture, SampleRv};
 
 /// A program plus its input datasets (the data-variation dimension).
 /// An input-dataset initializer (runs before execution, typically writing
@@ -164,7 +164,6 @@ pub struct FrameworkBuilder {
     samples: usize,
     profiler: Profiler,
     threads: usize,
-    degradation: DegradationPolicy,
     dta_cache_entries: usize,
 }
 
@@ -181,7 +180,6 @@ impl Default for FrameworkBuilder {
             samples: 8,
             profiler: Profiler::default(),
             threads: 0,
-            degradation: DegradationPolicy::Strict,
             // The stage-DTS memo is exact (bit-verified toggle sets), so it
             // is on by default; see `FrameworkBuilder::dta_cache`.
             dta_cache_entries: 1024,
@@ -246,15 +244,6 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Selects the numerical-degradation policy threaded through the
-    /// statistical pipeline ([`DegradationPolicy::Strict`] fails fast and
-    /// is the default; [`DegradationPolicy::Repair`] applies bounded,
-    /// deterministic fallbacks — see `terse_stats::guard`).
-    pub fn degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = policy;
-        self
-    }
-
     /// Builds the framework (constructs the pipeline netlist and derives
     /// the operating point).
     ///
@@ -279,7 +268,6 @@ impl FrameworkBuilder {
             samples: self.samples,
             profiler: self.profiler,
             threads: self.threads,
-            degradation: self.degradation,
             dts_cache: (self.dta_cache_entries > 0)
                 .then(|| Arc::new(DtsCache::new(self.dta_cache_entries))),
             pool,
@@ -301,7 +289,6 @@ pub struct Framework {
     samples: usize,
     profiler: Profiler,
     threads: usize,
-    degradation: DegradationPolicy,
     /// Shared stage-DTS memo, attached to every engine this framework
     /// hands out (`None` = caching disabled).
     dts_cache: Option<Arc<DtsCache>>,
@@ -345,18 +332,12 @@ impl Framework {
         self.threads
     }
 
-    /// The numerical-degradation policy in effect.
-    pub fn degradation(&self) -> DegradationPolicy {
-        self.degradation
-    }
-
     /// Static analysis of every input IR this run would consume: the
     /// pipeline netlist (structure), the workload's CFG (partition,
     /// leaders, edges, reachability), and the per-stage endpoint slack
     /// RVs at the working period (finiteness, basis, variance, and the
     /// static DTS interval bound). Returns the full report; [`run`]
-    /// consults it and, under [`DegradationPolicy::Strict`], refuses to
-    /// start when the report contains errors.
+    /// consults it and refuses to start when the report contains errors.
     ///
     /// [`run`]: Framework::run
     ///
@@ -405,21 +386,15 @@ impl Framework {
     }
 
     /// Runs the netlist structural passes over an arbitrary netlist and
-    /// applies `policy`: under [`DegradationPolicy::Strict`] a report with
-    /// errors becomes [`TerseError::Preflight`]; under
-    /// [`DegradationPolicy::Repair`] the report is returned for the caller
-    /// to act on.
+    /// returns the report if it holds no errors.
     ///
     /// # Errors
     ///
-    /// [`TerseError::Preflight`] as described above.
-    pub fn preflight_netlist(
-        netlist: &terse_netlist::Netlist,
-        policy: DegradationPolicy,
-    ) -> Result<AnalysisReport> {
+    /// [`TerseError::Preflight`] if the report contains errors.
+    pub fn preflight_netlist(netlist: &terse_netlist::Netlist) -> Result<AnalysisReport> {
         let mut report = AnalysisReport::new();
         analyze_netlist(netlist, &mut report);
-        if policy == DegradationPolicy::Strict && report.has_errors() {
+        if report.has_errors() {
             return Err(TerseError::Preflight(preflight_message(&report)));
         }
         Ok(report)
@@ -728,7 +703,7 @@ impl Framework {
             edge_counts,
             block_counts,
         };
-        let sol = solve_marginals_with(&problem, self.degradation)?;
+        let sol = solve_marginals(&problem)?;
         let (cond_error, block_counts) = (&problem.cond_error, &problem.block_counts);
         // --- λ (Eq. 10) and the Stein moments ----------------------------
         let scale: Vec<f64> = profiles
@@ -831,10 +806,12 @@ impl Framework {
     ///
     /// # Errors
     ///
-    /// Propagates every phase's errors.
+    /// [`TerseError::Preflight`] if [`Framework::preflight`] reports errors
+    /// (nothing is profiled or trained then); otherwise propagates every
+    /// phase's errors.
     pub fn run(&self, w: &Workload) -> Result<Report> {
         let pre = self.preflight(w)?;
-        if self.degradation == DegradationPolicy::Strict && pre.has_errors() {
+        if pre.has_errors() {
             return Err(TerseError::Preflight(preflight_message(&pre)));
         }
         let cfg = Cfg::from_program(w.program());
@@ -964,12 +941,12 @@ mod tests {
         b.rewire_fanin(g1, &[g2]).unwrap();
         b.connect_ff_input(src, g2).unwrap();
         let n = b.finish_unchecked();
-        // Strict: the combinational loop is a typed error, not a panic.
-        let err = Framework::preflight_netlist(&n, DegradationPolicy::Strict).unwrap_err();
+        // The combinational loop is a typed error, not a panic.
+        let err = Framework::preflight_netlist(&n).unwrap_err();
         assert!(matches!(err, TerseError::Preflight(_)), "{err}");
         assert!(err.to_string().contains("NL001"), "{err}");
-        // Repair: the report comes back for the caller to act on.
-        let rep = Framework::preflight_netlist(&n, DegradationPolicy::Repair).unwrap();
+        let mut rep = AnalysisReport::new();
+        analyze_netlist(&n, &mut rep);
         assert!(rep.has_code("NL001"));
     }
 
@@ -979,6 +956,17 @@ mod tests {
         let w = Workload::from_asm("p", "addi r1, r0, 1\nadd r2, r1, r1\nhalt\n").unwrap();
         let rep = f.preflight(&w).unwrap();
         assert!(!rep.has_errors(), "{}", rep.render_text());
+    }
+
+    #[test]
+    fn run_refuses_preflight_errors_before_profiling() {
+        // No `halt`: the last block falls off the end of the program.
+        let f = small_framework();
+        let w = Workload::from_asm("nohalt", "addi r1, r0, 1\nadd r2, r1, r1\n").unwrap();
+        let err = f.run(&w).unwrap_err();
+        assert!(matches!(err, TerseError::Preflight(_)), "{err}");
+        assert!(err.to_string().contains("CF003"), "{err}");
+        assert_eq!(f.cosim_stats(), CosimStats::default());
     }
 
     #[test]
@@ -1346,25 +1334,6 @@ mod tests {
         );
         let summary = report.perf_summary();
         assert!(summary.contains("prescreen:"), "{summary}");
-    }
-
-    #[test]
-    fn repair_policy_matches_strict_on_well_posed_runs() {
-        let w = loop_workload();
-        let strict = small_framework().run(&w).unwrap();
-        let f = Framework::builder()
-            .samples(2)
-            .profiler(Profiler {
-                max_feature_samples: 8,
-                budget: 100_000,
-                dmem_words: 4096,
-                seed: 1,
-            })
-            .degradation(DegradationPolicy::Repair)
-            .build()
-            .unwrap();
-        let repair = f.run(&w).unwrap();
-        assert_estimates_bitwise_equal(&strict.estimate, &repair.estimate);
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub use terse_netlist::pipeline::PipelineConfig;
 pub use terse_sim::correction::CorrectionScheme;
 pub use terse_sim::sweep::Checkpoint;
 pub use terse_sta::variation::VariationConfig;
-pub use terse_stats::DegradationPolicy;
 // Re-export the static-analysis report so `Framework::preflight` callers
 // can inspect diagnostics without naming the analyzer crate.
 pub use terse_analyze::{AnalysisReport, Diagnostic, Severity};
@@ -96,8 +95,7 @@ pub enum TerseError {
     /// An estimate checkpoint could not be read, written, or did not match
     /// the run it was resumed into.
     Checkpoint(String),
-    /// Static analysis found errors in an input IR and the degradation
-    /// policy is [`DegradationPolicy::Strict`], so the run was refused
+    /// Static analysis found errors in an input IR, so the run was refused
     /// before any phase started.
     Preflight(String),
     /// An estimate sweep ran out of its configured unit budget; the

@@ -86,8 +86,6 @@ pub fn primary_feature(f: &InstFeatures) -> u8 {
 #[derive(Debug, Clone)]
 pub struct DatapathModel {
     table: HashMap<FuncUnit, Vec<(u8, CanonicalRv)>>,
-    /// The clock period the table was trained at.
-    trained_period: f64,
 }
 
 impl DatapathModel {
@@ -153,15 +151,7 @@ impl DatapathModel {
             }
             table.insert(*unit, entries);
         }
-        Ok(DatapathModel {
-            table,
-            trained_period: engine.clock_period(),
-        })
-    }
-
-    /// The clock period the model was trained at.
-    pub fn period(&self) -> f64 {
-        self.trained_period
+        Ok(DatapathModel { table })
     }
 
     /// The statistical datapath slack of an instruction with the given

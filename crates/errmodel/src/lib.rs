@@ -31,7 +31,7 @@
 pub mod marginal;
 pub mod tarjan;
 
-pub use marginal::{solve_marginals, solve_marginals_with, MarginalProblem, MarginalSolution};
+pub use marginal::{solve_marginals, MarginalProblem, MarginalSolution};
 pub use tarjan::{condensation_order, strongly_connected_components};
 
 use std::fmt;
@@ -57,15 +57,6 @@ pub enum ErrModelError {
     SingularSystem {
         /// Which component failed (smallest block index inside it).
         component: usize,
-    },
-    /// The damped fixed-point fallback hit its iteration cap without
-    /// contracting (only reachable under
-    /// [`terse_stats::DegradationPolicy::Repair`]).
-    NonConvergence {
-        /// Which component failed (smallest block index inside it).
-        component: usize,
-        /// Iterations performed before giving up.
-        iterations: usize,
     },
     /// A NaN or ±∞ entered the solver inputs.
     NonFinite {
@@ -98,13 +89,6 @@ impl fmt::Display for ErrModelError {
                     "singular linear system in SCC containing block {component}"
                 )
             }
-            ErrModelError::NonConvergence {
-                component,
-                iterations,
-            } => write!(
-                f,
-                "fixed-point fallback for SCC containing block {component} did not converge in {iterations} iterations"
-            ),
             ErrModelError::NonFinite { context, value } => {
                 write!(f, "non-finite value {value} in {context}")
             }

@@ -16,7 +16,7 @@ use crate::tarjan::condensation_order;
 use crate::{ErrModelError, Result};
 use std::collections::HashMap;
 use terse_isa::BlockId;
-use terse_stats::{DegradationPolicy, Matrix, SampleRv};
+use terse_stats::{Matrix, SampleRv};
 
 /// The inputs to the marginal solver.
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ pub struct MarginalSolution {
 }
 
 impl MarginalProblem {
-    fn validate(&self, policy: DegradationPolicy) -> Result<usize> {
+    fn validate(&self) -> Result<usize> {
         let m = self.cond_correct.len();
         if self.cond_error.len() != m {
             return Err(ErrModelError::DimensionMismatch {
@@ -79,8 +79,7 @@ impl MarginalProblem {
                     });
                 }
                 // NaN compares false everywhere, so the range test below
-                // would let it through — reject non-finite values explicitly
-                // (under both policies: NaN carries nothing to repair from).
+                // would let it through — reject non-finite values explicitly.
                 for &x in rv.samples() {
                     if !x.is_finite() {
                         return Err(ErrModelError::NonFinite {
@@ -89,9 +88,7 @@ impl MarginalProblem {
                         });
                     }
                 }
-                // Under Repair, gross out-of-range values are clamped to
-                // [0, 1] at evaluation time instead of rejected here.
-                if !policy.is_repair() && (rv.min() < -1e-12 || rv.max() > 1.0 + 1e-12) {
+                if rv.min() < -1e-12 || rv.max() > 1.0 + 1e-12 {
                     return Err(ErrModelError::InvalidProbability {
                         value: if rv.min() < 0.0 { rv.min() } else { rv.max() },
                     });
@@ -138,69 +135,18 @@ impl MarginalProblem {
 /// Solves Eqs. 1 and 2 for the whole CFG, per sample, using Tarjan's SCCs
 /// and one LU solve per cyclic component.
 ///
-/// Equivalent to [`solve_marginals_with`] under
-/// [`DegradationPolicy::Strict`] (the historical fail-fast behavior).
-///
 /// # Errors
 ///
-/// Returns dimension/probability validation errors, and
+/// Returns dimension/probability validation errors,
+/// [`ErrModelError::NonFinite`] for a NaN/±∞ conditional or count, and
 /// [`ErrModelError::SingularSystem`] if a component's system is singular
 /// (requires `|Π(p^e − p^c)| = 1` around a cycle — degenerate inputs).
 pub fn solve_marginals(problem: &MarginalProblem) -> Result<MarginalSolution> {
-    solve_marginals_with(problem, DegradationPolicy::Strict)
-}
-
-/// Iteration cap for the damped fixed-point fallback used when a per-SCC
-/// system is singular under [`DegradationPolicy::Repair`].
-const FALLBACK_MAX_ITERS: usize = 10_000;
-/// Damping factor of the fallback iteration (`x ← (1−θ)x + θ·f(x)`).
-const FALLBACK_DAMPING: f64 = 0.5;
-/// Sup-norm convergence tolerance of the fallback iteration.
-const FALLBACK_TOL: f64 = 1e-13;
-
-/// [`solve_marginals`] with an explicit [`DegradationPolicy`].
-///
-/// Under [`DegradationPolicy::Repair`] two bounded fallbacks activate:
-///
-/// * finite conditional probabilities outside `[0, 1]` are clamped at
-///   evaluation time instead of rejected (NaN/±∞ are still rejected — there
-///   is nothing to repair from);
-/// * a singular per-SCC system falls back to a damped, clamped fixed-point
-///   iteration of Eqs. 1–2 (damping ½, `[0, 1]` projection each step,
-///   capped at [`FALLBACK_MAX_ITERS`] iterations). Singularity requires
-///   `|Π(p^e − p^c)| = 1` around a cycle, where the solution set is a
-///   continuum; the iteration deterministically selects the fixed point
-///   reached from `x = 0`, which is the one continuous in the problem data.
-///
-/// # Errors
-///
-/// As [`solve_marginals`], plus [`ErrModelError::NonConvergence`] if the
-/// Repair fallback hits its iteration cap and [`ErrModelError::NonFinite`]
-/// if a NaN/±∞ is detected in inputs or intermediate iterates.
-pub fn solve_marginals_with(
-    problem: &MarginalProblem,
-    policy: DegradationPolicy,
-) -> Result<MarginalSolution> {
-    failpoints::fail_point!("errmodel::solve", |payload: String| Err(
-        if payload == "nonconvergence" {
-            ErrModelError::NonConvergence {
-                component: 0,
-                iterations: FALLBACK_MAX_ITERS,
-            }
-        } else {
-            ErrModelError::SingularSystem { component: 0 }
-        }
-    ));
-    let samples = problem.validate(policy)?;
+    failpoints::fail_point!("errmodel::solve", |_| Err(ErrModelError::SingularSystem {
+        component: 0
+    }));
+    let samples = problem.validate()?;
     let m = problem.cond_correct.len();
-    // Under Repair, out-of-range (finite) conditionals are clamped here.
-    let read = |x: f64| {
-        if policy.is_repair() {
-            x.clamp(0.0, 1.0)
-        } else {
-            x
-        }
-    };
     // Union adjacency for the condensation (an edge exists if any sample
     // traversed it).
     let succs = |v: usize| -> Vec<usize> {
@@ -247,8 +193,8 @@ pub fn solve_marginals_with(
         for i in 0..m {
             let (mut a, mut c) = (1.0, 0.0);
             for k in 0..problem.cond_correct[i].len() {
-                let pc = read(problem.cond_correct[i][k].samples()[s]);
-                let pe = read(problem.cond_error[i][k].samples()[s]);
+                let pc = problem.cond_correct[i][k].samples()[s];
+                let pe = problem.cond_error[i][k].samples()[s];
                 let d = pe - pc;
                 a *= d;
                 c = d * c + pc;
@@ -314,18 +260,13 @@ pub fn solve_marginals_with(
                 members.iter().enumerate().map(|(k, &i)| (i, k)).collect();
             let mut mat = Matrix::identity(n)?;
             let mut rhs = vec![0.0f64; n];
-            // Intra-component coefficients (`slope_i · a_ij`), kept alongside
-            // the matrix so the Repair fallback can iterate the same system.
-            let mut inner: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
             for (row, &i) in members.iter().enumerate() {
                 let (virt, ws) = weight(i);
                 let mut known_term = virt;
                 for (j, w) in ws {
                     match pos.get(&j) {
                         Some(&col) if comp_of[j] == comp_of[i] => {
-                            let coeff = slope[i] * w;
-                            mat[(row, col)] -= coeff;
-                            inner[row].push((col, coeff));
+                            mat[(row, col)] -= slope[i] * w;
                         }
                         _ => {
                             known_term += w * out_prob[j];
@@ -334,13 +275,10 @@ pub fn solve_marginals_with(
                 }
                 rhs[row] = slope[i] * known_term + inter[i];
             }
-            // `members` is non-empty (checked above), so `min` exists.
-            let component = members.iter().copied().min().unwrap_or(0);
-            let x = match mat.solve(&rhs) {
-                Ok(x) => x,
-                Err(_) if policy.is_repair() => fixed_point_fallback(&rhs, &inner, component)?,
-                Err(_) => return Err(ErrModelError::SingularSystem { component }),
-            };
+            let x = mat.solve(&rhs).map_err(|_| ErrModelError::SingularSystem {
+                // `members` is non-empty (checked above), so `min` exists.
+                component: members.iter().copied().min().unwrap_or(0),
+            })?;
             for (row, &i) in members.iter().enumerate() {
                 out_prob[i] = x[row].clamp(0.0, 1.0);
                 solved[i] = true;
@@ -386,47 +324,6 @@ pub fn solve_marginals_with(
             .into_iter()
             .map(to_rv)
             .collect::<Result<Vec<_>>>()?,
-    })
-}
-
-/// Damped, clamped Jacobi iteration of `x = rhs + W·x` — the bounded
-/// fallback for singular per-SCC systems under
-/// [`DegradationPolicy::Repair`]. Every iterate is projected onto `[0, 1]`
-/// (probabilities), so the iteration cannot diverge to ±∞; it can only fail
-/// to contract, which the iteration cap converts into a typed error.
-fn fixed_point_fallback(
-    rhs: &[f64],
-    inner: &[Vec<(usize, f64)>],
-    component: usize,
-) -> Result<Vec<f64>> {
-    let n = rhs.len();
-    let mut x = vec![0.0f64; n];
-    for _ in 0..FALLBACK_MAX_ITERS {
-        let mut delta = 0.0f64;
-        let mut next = vec![0.0f64; n];
-        for row in 0..n {
-            let mut v = rhs[row];
-            for &(col, coeff) in &inner[row] {
-                v += coeff * x[col];
-            }
-            if !v.is_finite() {
-                return Err(ErrModelError::NonFinite {
-                    context: "fixed-point fallback iterate",
-                    value: v,
-                });
-            }
-            let v = ((1.0 - FALLBACK_DAMPING) * x[row] + FALLBACK_DAMPING * v).clamp(0.0, 1.0);
-            delta = delta.max((v - x[row]).abs());
-            next[row] = v;
-        }
-        x = next;
-        if delta < FALLBACK_TOL {
-            return Ok(x);
-        }
-    }
-    Err(ErrModelError::NonConvergence {
-        component,
-        iterations: FALLBACK_MAX_ITERS,
     })
 }
 
@@ -635,21 +532,8 @@ mod tests {
         ));
     }
 
-    /// A block looping on itself with `p^e = 1`, `p^c = 0` yields the 1×1
-    /// system `(1 − 1)·x = 0` — singular, with a continuum of solutions.
-    fn singular_self_loop() -> MarginalProblem {
-        let mut edge_counts = HashMap::new();
-        edge_counts.insert((BlockId(0), BlockId(0)), vec![10.0]);
-        MarginalProblem {
-            cond_correct: vec![vec![rv1(0.0)]],
-            cond_error: vec![vec![rv1(1.0)]],
-            edge_counts,
-            block_counts: vec![vec![10.0]],
-        }
-    }
-
     #[test]
-    fn nan_and_inf_are_rejected_under_both_policies() {
+    fn nan_and_inf_are_rejected() {
         for poison in [f64::NAN, f64::INFINITY] {
             let bad = MarginalProblem {
                 cond_correct: vec![vec![SampleRv::constant(poison, 1)]],
@@ -657,12 +541,10 @@ mod tests {
                 edge_counts: HashMap::new(),
                 block_counts: vec![vec![1.0]],
             };
-            for policy in [DegradationPolicy::Strict, DegradationPolicy::Repair] {
-                assert!(matches!(
-                    solve_marginals_with(&bad, policy),
-                    Err(ErrModelError::NonFinite { .. })
-                ));
-            }
+            assert!(matches!(
+                solve_marginals(&bad),
+                Err(ErrModelError::NonFinite { .. })
+            ));
         }
         // Non-finite counts are rejected too.
         let mut edge_counts = HashMap::new();
@@ -680,56 +562,39 @@ mod tests {
     }
 
     #[test]
-    fn repair_clamps_out_of_range_conditionals() {
-        // p^c = 1.5 is rejected under Strict but clamped to 1.0 under
-        // Repair, where it behaves exactly like p^c = 1.
-        let bad = MarginalProblem {
-            cond_correct: vec![vec![rv1(1.5)]],
-            cond_error: vec![vec![rv1(0.1)]],
-            edge_counts: HashMap::new(),
-            block_counts: vec![vec![1.0]],
-        };
-        assert!(matches!(
-            solve_marginals_with(&bad, DegradationPolicy::Strict),
-            Err(ErrModelError::InvalidProbability { .. })
-        ));
-        let sol = solve_marginals_with(&bad, DegradationPolicy::Repair).unwrap();
-        // Flushed entry ⇒ marginal = p^e = 0.1 regardless of p^c.
-        assert!((sol.marginal[0][0].samples()[0] - 0.1).abs() < 1e-15);
+    fn out_of_range_conditionals_are_rejected() {
+        // Either conditional outside [0, 1] (beyond rounding slack) is an
+        // input error, not something the solver clamps.
+        for (pc, pe) in [(1.5, 0.1), (0.1, -0.5)] {
+            let bad = MarginalProblem {
+                cond_correct: vec![vec![rv1(pc)]],
+                cond_error: vec![vec![rv1(pe)]],
+                edge_counts: HashMap::new(),
+                block_counts: vec![vec![1.0]],
+            };
+            assert!(matches!(
+                solve_marginals(&bad),
+                Err(ErrModelError::InvalidProbability { .. })
+            ));
+        }
     }
 
     #[test]
-    fn singular_system_strict_errors_repair_recovers() {
-        let problem = singular_self_loop();
+    fn singular_system_is_a_typed_error() {
+        // A block looping on itself with `p^e = 1`, `p^c = 0` yields the 1×1
+        // system `(1 − 1)·x = 0` — singular, with a continuum of solutions.
+        let mut edge_counts = HashMap::new();
+        edge_counts.insert((BlockId(0), BlockId(0)), vec![10.0]);
+        let problem = MarginalProblem {
+            cond_correct: vec![vec![rv1(0.0)]],
+            cond_error: vec![vec![rv1(1.0)]],
+            edge_counts,
+            block_counts: vec![vec![10.0]],
+        };
         assert!(matches!(
             solve_marginals(&problem),
             Err(ErrModelError::SingularSystem { component: 0 })
         ));
-        let sol = solve_marginals_with(&problem, DegradationPolicy::Repair).unwrap();
-        // The damped iteration from x = 0 settles on the fixed point 0 —
-        // bounded, deterministic, and within [0, 1].
-        let out = sol.output[0].samples()[0];
-        assert!((0.0..=1.0).contains(&out));
-        assert!(out.abs() < 1e-9, "fallback picked {out}");
-    }
-
-    #[test]
-    fn repair_matches_strict_on_well_posed_problems() {
-        // On a healthy problem the Repair policy must change nothing.
-        let mut edge_counts = HashMap::new();
-        edge_counts.insert((BlockId(0), BlockId(1)), vec![1.0]);
-        edge_counts.insert((BlockId(1), BlockId(1)), vec![9.0]);
-        let problem = MarginalProblem {
-            cond_correct: vec![vec![rv1(0.02)], vec![rv1(0.01)]],
-            cond_error: vec![vec![rv1(0.10)], vec![rv1(0.20)]],
-            edge_counts,
-            block_counts: vec![vec![1.0], vec![10.0]],
-        };
-        let strict = solve_marginals_with(&problem, DegradationPolicy::Strict).unwrap();
-        let repair = solve_marginals_with(&problem, DegradationPolicy::Repair).unwrap();
-        for (a, b) in strict.output.iter().zip(&repair.output) {
-            assert_eq!(a.samples(), b.samples(), "policies must agree bitwise");
-        }
     }
 
     #[test]

@@ -33,22 +33,6 @@ pub fn full_adder(
     Ok((sum, cout))
 }
 
-/// A half adder; returns `(sum, carry_out)`.
-///
-/// # Errors
-///
-/// Propagates builder errors.
-pub fn half_adder(
-    b: &mut NetlistBuilder,
-    stage: usize,
-    a: GateId,
-    bb: GateId,
-) -> Result<(GateId, GateId)> {
-    let sum = b.gate(GateKind::Xor, &[a, bb], stage)?;
-    let cout = b.gate(GateKind::And, &[a, bb], stage)?;
-    Ok((sum, cout))
-}
-
 /// Ripple-carry adder over equal-width buses; returns `(sum, carry_out)`.
 ///
 /// The carry chain is the canonical data-dependent long path: adding values

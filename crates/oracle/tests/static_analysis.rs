@@ -5,13 +5,12 @@
 //!   diagnostics.
 //! * **Defect detection** — every injected defect class produces at least
 //!   one diagnostic of its expected code.
-//! * **Typed refusal** — `Framework::preflight_netlist` under
-//!   `DegradationPolicy::Strict` turns a cyclic netlist into a typed
-//!   error (never a panic); `Repair` hands the report back.
+//! * **Typed refusal** — `Framework::preflight_netlist` turns a cyclic
+//!   netlist into a typed error (never a panic).
 
 use oracle::gen;
 use proptest::prelude::*;
-use terse::{DegradationPolicy, Framework, TerseError};
+use terse::{Framework, TerseError};
 use terse_analyze::{
     analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
@@ -100,12 +99,10 @@ proptest! {
         gates in 1usize..24,
     ) {
         let n = gen::random_netlist_with_defect(seed, gates, gen::NetlistDefect::CombinationalLoop);
-        match Framework::preflight_netlist(&n, DegradationPolicy::Strict) {
+        match Framework::preflight_netlist(&n) {
             Err(TerseError::Preflight(msg)) => prop_assert!(msg.contains("NL001"), "{msg}"),
             other => prop_assert!(false, "expected Preflight error, got {other:?}"),
         }
-        // Repair never refuses: the report is returned for the caller.
-        let rep = Framework::preflight_netlist(&n, DegradationPolicy::Repair);
-        prop_assert!(rep.is_ok_and(|r| r.has_code("NL001")));
+        prop_assert!(netlist_report(&n).has_code("NL001"));
     }
 }

@@ -873,7 +873,7 @@ impl CheckpointFormat for McImage {
 /// flush follows every `every_n` tasks (trace replays), not cells.
 /// Without a checkpoint or a budget this is [`error_counts`].
 ///
-/// One [`PackedGrid`] is built over the cells this call computes, so each
+/// One packed grid is built over the cells this call computes, so each
 /// touched input runs once per call, and its trace and the lane-group
 /// tables are shared by every batch. Each
 /// cell's count depends only on `(cfg.seed, chip, input)`, so the returned

@@ -49,11 +49,6 @@ impl Path {
         sta.clk_to_q() + self.gates.iter().map(|&g| sta.delay(g)).sum::<f64>() + sta.setup()
     }
 
-    /// Nominal slack under clock period `t_clk` (the paper's `SL`).
-    pub fn slack_nominal(&self, sta: &Sta<'_>, t_clk: f64) -> f64 {
-        t_clk - self.delay_nominal(sta)
-    }
-
     /// Statistical path delay in canonical form: the *exact* sum of the
     /// gate-delay canonical forms (no max approximation on a single path),
     /// plus the deterministic clock-to-Q and setup.

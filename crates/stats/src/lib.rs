@@ -31,9 +31,6 @@
 //! * [`metrics`] — Kolmogorov and total-variation distances.
 //! * [`linalg`] — dense LU/Cholesky linear algebra for the per-SCC marginal
 //!   probability systems of Section 4.2.
-//! * [`guard`] — numerical-degradation guards: NaN/Inf detection, nearest-PSD
-//!   repair of correlation matrices, and the [`DegradationPolicy`] selector
-//!   threaded through the estimation pipeline.
 //! * [`quadrature`] — Gauss–Hermite and Gauss–Legendre rules for the Eq. 14
 //!   integrals.
 //! * [`rng`] — a small deterministic RNG (SplitMix64 / xoshiro256**) so every
@@ -67,7 +64,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 #![warn(missing_docs)]
 pub mod discrete;
-pub mod guard;
 pub mod kahan;
 pub mod linalg;
 pub mod metrics;
@@ -82,7 +78,6 @@ pub mod special;
 pub mod stein;
 
 pub use discrete::DiscreteRv;
-pub use guard::DegradationPolicy;
 pub use linalg::Matrix;
 pub use mixture::PoissonNormalMixture;
 pub use normal::Normal;

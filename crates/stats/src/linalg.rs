@@ -206,8 +206,7 @@ impl Matrix {
     ///
     /// Only the lower triangle of `self` is read, so a symmetric matrix may
     /// be supplied with an arbitrary (even non-finite-free) upper triangle.
-    /// This is the feasibility test behind [`crate::guard`]'s nearest-PSD
-    /// repair: a correlation matrix is usable iff its Cholesky succeeds.
+    /// A correlation matrix is positive definite iff its Cholesky succeeds.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 //! λ (the paper's `λ̄`, Section 5) and throughout the SSTA machinery where
 //! dynamic timing slack is Gaussian under the canonical first-order model.
 
-use crate::special::{std_normal_cdf, std_normal_pdf, std_normal_quantile};
+use crate::special::{std_normal_cdf, std_normal_quantile};
 use crate::{Result, StatsError};
 
 /// A normal distribution `N(μ, σ²)`.
@@ -69,15 +69,6 @@ impl Normal {
     /// The variance σ².
     pub fn variance(&self) -> f64 {
         self.sd * self.sd
-    }
-
-    /// Probability density at `x`. Zero-σ point masses return `f64::INFINITY`
-    /// at the mean and `0` elsewhere.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.sd == 0.0 {
-            return if x == self.mean { f64::INFINITY } else { 0.0 };
-        }
-        std_normal_pdf((x - self.mean) / self.sd) / self.sd
     }
 
     /// Cumulative distribution function `Pr(X ≤ x)`.

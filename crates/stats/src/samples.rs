@@ -10,7 +10,7 @@
 //! linear systems be solved *per sample* and re-aggregated afterwards.
 
 use crate::kahan::KahanSum;
-use crate::{DiscreteRv, Result, StatsError};
+use crate::{Result, StatsError};
 use std::ops::{Add, Div, Mul, Sub};
 
 /// A random variable represented by `n` equally weighted, jointly indexed
@@ -96,11 +96,6 @@ impl SampleRv {
     /// Borrow the raw samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// Consumes `self`, returning the raw sample vector.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.samples
     }
 
     /// Elementwise map (e.g. clamping probabilities to `[0, 1]`).
@@ -217,20 +212,6 @@ impl SampleRv {
     /// mean + `k`·SD (Section 5 uses `k = 6` for b₁ and b₂).
     pub fn worst_case(&self, k_sigma: f64) -> f64 {
         self.mean() + k_sigma * self.sd()
-    }
-
-    /// Collapses the samples to a [`DiscreteRv`] (exact empirical law).
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the internal `DiscreteRv` construction fails, which is
-    /// impossible for a non-empty finite sample set.
-    // Invariant: `SampleRv` construction guarantees non-empty finite
-    // samples, for which `DiscreteRv::from_samples` cannot fail.
-    #[allow(clippy::expect_used)]
-    pub fn to_discrete(&self) -> DiscreteRv {
-        DiscreteRv::from_samples(&self.samples)
-            .expect("non-empty finite samples always form a valid discrete rv")
     }
 
     /// Jointly indexed sum of many variables: `Σᵢ wᵢ·Xᵢ`.

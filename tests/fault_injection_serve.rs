@@ -18,11 +18,11 @@
 //! | `serve::deadline_expire` | supervisor scan        | forced deadline reclaim |
 //! | `integrity::frame_corrupt` | `TERSEFR1` framing   | corrupted checkpoint images |
 //!
-//! The degradation contract mirrors the core pipeline's `Strict` policy:
-//! a fault inside one job fails *that job* (typed error recorded in
-//! `error.txt`, legal `running → failed` transition); a fault in the
-//! store or the pool surfaces as a typed error from [`serve`] with the
-//! on-disk state machine left consistent, so a later run recovers.
+//! Like the core pipeline, the server fails fast: a fault inside one job
+//! fails *that job* (typed error recorded in `error.txt`, legal
+//! `running → failed` transition); a fault in the store or the pool
+//! surfaces as a typed error from [`serve`] with the on-disk state machine
+//! left consistent, so a later run recovers.
 //!
 //! Tests hold a [`FailScenario`] for their whole body: it serializes
 //! scenarios across test threads and clears the registry on entry and
