@@ -521,16 +521,8 @@ pub fn lint_file(
                     hit = Some(m.to_string());
                 }
             }
-            let mut from = 0usize;
-            while let Some(p) = mline[from..].find(".expect(") {
-                let abs = from + p;
-                let after = mline[abs + ".expect(".len()..].trim_start();
-                // `.expect(|x| …)` is `DiscreteRv::expect` (an expectation
-                // functional), not `Option::expect`.
-                if !after.starts_with('|') {
-                    hit = Some(".expect(…)".to_string());
-                }
-                from = abs + ".expect(".len();
+            if mline.contains(".expect(") {
+                hit = Some(".expect(…)".to_string());
             }
             if let Some(what) = hit {
                 report.push(
@@ -953,9 +945,9 @@ mod tests {
     }
 
     #[test]
-    fn expectation_functional_is_not_flagged() {
+    fn expect_with_closure_is_flagged() {
         let r = lint_src("fn f() { let m = d.expect(|x| x * x); }", RuleSet::all());
-        assert!(!r.has_code("AZ001"), "{}", r.render_text());
+        assert!(r.has_code("AZ001"), "{}", r.render_text());
     }
 
     #[test]

@@ -50,11 +50,6 @@ pub struct BenchEnvelope {
 }
 
 impl BenchEnvelope {
-    /// True when every named check passed.
-    pub fn all_checks_pass(&self) -> bool {
-        self.checks.iter().all(|(_, ok)| *ok)
-    }
-
     /// The envelope as a JSON value with the fixed key order
     /// `bench, config, wall_ms, speedup, checks, detail`.
     pub fn to_value(&self) -> Value {
@@ -172,7 +167,6 @@ mod tests {
             ],
             detail: Value::Null,
         };
-        assert!(!env.all_checks_pass());
         let v = Value::parse(&env.to_value().render()).unwrap();
         assert_eq!(v.get("bench").and_then(Value::as_str), Some("smoke"));
         assert_eq!(

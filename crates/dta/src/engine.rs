@@ -153,20 +153,6 @@ impl<'n> DtsEngine<'n> {
         self.t_clk
     }
 
-    /// Changes the operating point (slacks shift by the period delta; the
-    /// memo cache keys on the period, so entries for other periods are
-    /// neither reused nor invalidated).
-    pub fn set_clock_period(&mut self, t_clk: f64) -> Result<()> {
-        if !(t_clk > 0.0) {
-            return Err(DtaError::InvalidParameter {
-                name: "t_clk",
-                value: t_clk,
-            });
-        }
-        self.t_clk = t_clk;
-        Ok(())
-    }
-
     /// The Section 3 two-pass percentile ranking for one endpoint: take the
     /// [`CANDIDATES`] most critical activated paths capturing at `e` under
     /// activation set `vcd`, evaluate their slacks in parallel, then keep
@@ -369,9 +355,15 @@ mod tests {
     }
 
     fn engine(p: &PipelineNetlist) -> DtsEngine<'_> {
+        engine_scaled(p, 1.0)
+    }
+
+    /// An engine overclocked 1.15× like the paper, with the period further
+    /// scaled by `scale`.
+    fn engine_scaled(p: &PipelineNetlist, scale: f64) -> DtsEngine<'_> {
         let lib = DelayLibrary::normalized_45nm();
         let sta = Sta::new(p.netlist(), &lib);
-        let t = sta.min_period() / 1.15; // overclocked 1.15× like the paper
+        let t = sta.min_period() / 1.15 * scale;
         DtsEngine::new(
             p.netlist(),
             lib,
@@ -534,21 +526,22 @@ mod tests {
     fn cache_keys_on_clock_period() {
         let p = pipeline();
         let t = trace(&p, "li r1, 0xFFFF\nadd r2, r1, r1\nhalt\n");
+        // Two engines at different periods share one cache.
+        let cache = Arc::new(crate::cache::DtsCache::new(16));
         let mut eng = engine(&p);
-        eng.set_cache(Arc::new(crate::cache::DtsCache::new(16)));
+        eng.set_cache(Arc::clone(&cache));
+        let mut fast = engine_scaled(&p, 0.9);
+        fast.set_cache(Arc::clone(&cache));
         let vcd = t.activity.cycle(3);
         let base = eng.stage_dts(2, vcd, EndpointFilter::All).unwrap();
-        let period = eng.clock_period();
-        eng.set_clock_period(period * 0.9).unwrap();
-        let faster = eng.stage_dts(2, vcd, EndpointFilter::All).unwrap();
+        let faster = fast.stage_dts(2, vcd, EndpointFilter::All).unwrap();
         if let (Some(b), Some(f)) = (&base, &faster) {
             assert!(
                 f.mean() < b.mean(),
                 "stale cache entry served across periods"
             );
         }
-        // Returning to the original period must hit the original entry.
-        eng.set_clock_period(period).unwrap();
+        // The original period must hit the original entry.
         let again = eng.stage_dts(2, vcd, EndpointFilter::All).unwrap();
         assert_rv_bitwise_eq(&base, &again, "period round-trip");
         assert!(eng.cache().unwrap().stats().hits >= 1);
@@ -558,20 +551,16 @@ mod tests {
     fn dts_tightens_with_overclocking() {
         let p = pipeline();
         let t = trace(&p, "li r1, 0xFFFFFF\nadd r2, r1, r1\nhalt\n");
-        let mut eng = engine(&p);
-        let base = eng
+        let base = engine(&p)
             .inst_dts(&t, 2, EndpointFilter::All)
             .unwrap()
             .unwrap()
             .mean();
-        let faster = eng.clock_period() * 0.9;
-        eng.set_clock_period(faster).unwrap();
-        let tighter = eng
+        let tighter = engine_scaled(&p, 0.9)
             .inst_dts(&t, 2, EndpointFilter::All)
             .unwrap()
             .unwrap()
             .mean();
         assert!(tighter < base);
-        assert!(eng.set_clock_period(-1.0).is_err());
     }
 }

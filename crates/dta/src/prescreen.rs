@@ -33,8 +33,8 @@
 //! tables:
 //!
 //! * **Value-free** — no value assumptions beyond the netlist's own
-//!   `Tie` constants; every bank `terse_sim::cosim::CoSim::force_banks`
-//!   forces may hold any value. Sound for every trace, including the
+//!   `Tie` constants; every bank in [`terse_sim::cosim::FORCED_BANKS`]
+//!   may hold any value. Sound for every trace, including the
 //!   synthetic datapath-training streams.
 //! * **Program-tagged** — the same constraints plus the program-counter
 //!   pin: PC banks and the redirect target stay below
@@ -60,6 +60,7 @@ use crate::{DtaError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use terse_isa::{Opcode, Program};
 use terse_netlist::{stable_values_with, EndpointClass, Netlist, Tri, ValueConstraints};
+use terse_sim::cosim::FORCED_BANKS;
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
 use terse_sta::variation::VariationConfig;
@@ -159,32 +160,6 @@ impl PrunePlan {
     }
 }
 
-/// The flip-flop banks `CoSim::force_banks` forces from architectural
-/// state. These must never default to "never forced" in the abstraction
-/// — an absent entry would let the fixpoint claim reset-zero stability
-/// for a bank the testbench actually drives.
-const FORCED_FF_BANKS: &[&str] = &[
-    "b0.pc",
-    "b1.instr",
-    "b1.pc",
-    "b2.rs1",
-    "b2.rs2",
-    "b2.rd",
-    "b2.imm",
-    "b2.op_ctl",
-    "b2.pc",
-    "b3.op_a",
-    "b3.op_b",
-    "b3.store",
-    "b3.ex_ctl",
-    "b4.alu",
-    "b4.addr",
-    "b4.store",
-    "b4.mctl",
-    "b5.wb",
-    "b5.wctl",
-];
-
 /// Pins a named bus to "value < 2^bits": low bits vary, high bits are
 /// asserted constant zero on every cycle (caller-proven invariant).
 fn pin_upper_zero(c: &mut ValueConstraints, netlist: &Netlist, name: &str, bits: usize) {
@@ -273,7 +248,7 @@ pub fn build_plan(
     // defaults (inputs unknown, unforced flip-flops iterate reset +
     // capture).
     let mut c = ValueConstraints::new(netlist.gate_count());
-    for name in FORCED_FF_BANKS {
+    for name in FORCED_BANKS {
         if let Ok(bus) = netlist.bus(name) {
             for g in bus {
                 c.cover[g.index()] = Some(Tri::Unknown);

@@ -320,16 +320,6 @@ impl Cfg {
         &self.indirect
     }
 
-    /// The instructions of a block, borrowed from the program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of range for `program`.
-    pub fn block_instructions<'p>(&self, program: &'p Program, b: BlockId) -> &'p [Instruction] {
-        let blk = &self.blocks[b.index()];
-        &program.instructions()[blk.range()]
-    }
-
     /// Number of blocks (`m` in the paper).
     pub fn len(&self) -> usize {
         self.blocks.len()
@@ -450,14 +440,5 @@ mod tests {
         let first = cfg.block_containing(0);
         assert_eq!(cfg.successors(first).len(), 1);
         assert_eq!(cfg.successors(first)[0], cfg.block_containing(2));
-    }
-
-    #[test]
-    fn block_instructions_accessor() {
-        let p = assemble("addi r1, r0, 1\nhalt\n").unwrap();
-        let cfg = Cfg::from_program(&p);
-        let insts = cfg.block_instructions(&p, BlockId(0));
-        assert_eq!(insts.len(), 2);
-        assert_eq!(insts[1].opcode, Opcode::Halt);
     }
 }

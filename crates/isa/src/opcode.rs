@@ -198,11 +198,6 @@ impl Opcode {
         matches!(self, Opcode::Beq | Opcode::Bne | Opcode::Blt | Opcode::Bge)
     }
 
-    /// Instructions that may redirect the PC (branches, jumps, halt).
-    pub fn is_control_flow(self) -> bool {
-        self.is_branch() || matches!(self, Opcode::Jal | Opcode::Jr | Opcode::Halt)
-    }
-
     /// Memory accesses.
     pub fn is_memory(self) -> bool {
         matches!(self, Opcode::Ld | Opcode::St)
@@ -245,14 +240,6 @@ mod tests {
         for op in Opcode::ALL.iter().copied().chain([Opcode::Halt]) {
             // R-type and I-type are disjoint.
             assert!(!(op.is_rtype() && op.is_itype()), "{op}");
-            // Branches are control flow.
-            if op.is_branch() {
-                assert!(op.is_control_flow());
-            }
-            // Memory ops are not control flow.
-            if op.is_memory() {
-                assert!(!op.is_control_flow());
-            }
         }
         assert!(Opcode::Ld.writes_rd());
         assert!(!Opcode::St.writes_rd());

@@ -77,33 +77,6 @@ impl ActivityTrace {
         self.cycles.iter()
     }
 
-    /// Union of activations over a cycle window `[from, to)` — used when an
-    /// instruction occupies a stage for several cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is out of range or empty.
-    pub fn window_union(&self, from: usize, to: usize) -> BitSet {
-        assert!(from < to && to <= self.cycles.len(), "bad window");
-        let mut acc = self.cycles[from].clone();
-        for t in from + 1..to {
-            acc.union_with(&self.cycles[t]);
-        }
-        acc
-    }
-
-    /// Per-gate activation counts over the whole trace (switching activity
-    /// profile — the input a power model would consume).
-    pub fn activation_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.gate_count];
-        for c in &self.cycles {
-            for g in c.iter() {
-                counts[g] += 1;
-            }
-        }
-        counts
-    }
-
     /// Mean fraction of gates activated per cycle.
     pub fn mean_activity_factor(&self) -> f64 {
         if self.cycles.is_empty() || self.gate_count == 0 {
@@ -153,23 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn window_union_accumulates() {
-        let mut t = ActivityTrace::new(4);
-        t.push(set(4, &[0]));
-        t.push(set(4, &[1]));
-        t.push(set(4, &[2]));
-        let u = t.window_union(0, 3);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        let u2 = t.window_union(1, 2);
-        assert_eq!(u2.iter().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn counts_and_activity_factor() {
+    fn mean_activity_factor_over_cycles() {
         let mut t = ActivityTrace::new(4);
         t.push(set(4, &[0, 1]));
         t.push(set(4, &[1]));
-        assert_eq!(t.activation_counts(), vec![1, 2, 0, 0]);
         assert!((t.mean_activity_factor() - 3.0 / 8.0).abs() < 1e-15);
     }
 

@@ -113,18 +113,6 @@ impl BitSet {
         }
     }
 
-    /// In-place union.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// In-place intersection.
     ///
     /// # Panics
@@ -268,16 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn intersection_keeps_common_members() {
         let mut a = BitSet::new(70);
         let mut b = BitSet::new(70);
         a.insert(1);
         a.insert(65);
         b.insert(65);
         b.insert(2);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 65]);
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![65]);

@@ -178,14 +178,6 @@ impl Netlist {
             })
     }
 
-    /// All registered bus names (sorted for determinism).
-    pub fn bus_names(&self) -> Vec<&str> {
-        // terse-analyze: allow(AZ002): collected then sorted immediately.
-        let mut v: Vec<&str> = self.names.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Combinational gates in topological (fanin-before-fanout) order.
     pub fn topo_order(&self) -> &[GateId] {
         &self.topo
@@ -195,15 +187,6 @@ impl Netlist {
     pub fn gate_ids(&self) -> impl Iterator<Item = GateId> {
         // terse-analyze: allow(AZ005): gate count fits u32 (ids are u32 indices).
         (0..self.gates.len() as u32).map(GateId)
-    }
-
-    /// Counts gates by kind — useful for reporting netlist statistics.
-    pub fn kind_histogram(&self) -> HashMap<&'static str, usize> {
-        let mut h = HashMap::new();
-        for g in &self.gates {
-            *h.entry(g.kind.cell_name()).or_insert(0) += 1;
-        }
-        h
     }
 
     /// For each stage `s`, the *fan-in cone* of its endpoints: the D-input
@@ -318,7 +301,6 @@ mod tests {
     fn unknown_bus_is_error() {
         let n = tiny();
         assert!(n.bus("nope").is_err());
-        assert_eq!(n.bus_names(), vec!["in", "state"]);
     }
 
     #[test]
@@ -344,11 +326,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_depth() {
+    fn logic_depth_per_stage() {
         let n = tiny();
-        let h = n.kind_histogram();
-        assert_eq!(h["AN2"], 1);
-        assert_eq!(h["DFF"], 1);
         assert_eq!(n.logic_depth_by_stage(), vec![1]);
     }
 }

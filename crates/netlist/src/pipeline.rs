@@ -399,50 +399,6 @@ impl PipelineNetlist {
     pub fn config(&self) -> PipelineConfig {
         self.config
     }
-
-    /// Names of the flip-flop banks that co-simulation forces each cycle,
-    /// stage by stage (stage input banks).
-    pub fn forced_banks() -> &'static [&'static str] {
-        &[
-            "b0.pc",
-            "b1.pc",
-            "b1.instr",
-            "b1.fctl",
-            "b2.op_ctl",
-            "b2.imm",
-            "b2.rs1",
-            "b2.rs2",
-            "b2.rd",
-            "b2.pc",
-            "b3.op_a",
-            "b3.op_b",
-            "b3.store",
-            "b3.ex_ctl",
-            "b4.alu",
-            "b4.addr",
-            "b4.store",
-            "b4.br",
-            "b4.mctl",
-            "b5.wb",
-            "b5.wctl",
-        ]
-    }
-
-    /// Names of the primary-input ports co-simulation drives.
-    pub fn input_ports() -> &'static [&'static str] {
-        &[
-            "imem.instr",
-            "redirect.taken",
-            "redirect.target",
-            "rf.rs1_data",
-            "rf.rs2_data",
-            "bypass.ex",
-            "bypass.me",
-            "fwd.ex_rd",
-            "fwd.me_rd",
-            "dmem.rdata",
-        ]
-    }
 }
 
 /// Creates a flip-flop bank named `name` capturing `bus` in `stage`.
@@ -525,17 +481,6 @@ mod tests {
             .map(|(s, _)| s)
             .unwrap();
         assert_eq!(max_stage, 3, "depths = {depth:?}");
-    }
-
-    #[test]
-    fn forced_banks_and_ports_exist() {
-        let p = PipelineNetlist::build(PipelineConfig::small()).unwrap();
-        for name in PipelineNetlist::forced_banks() {
-            assert!(p.netlist().bus(name).is_ok(), "missing bank {name}");
-        }
-        for name in PipelineNetlist::input_ports() {
-            assert!(p.netlist().bus(name).is_ok(), "missing port {name}");
-        }
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl<'n> ExhaustiveOracle<'n> {
 
     /// The assembled `AP` slack set of a stage — the exact operand list the
     /// statistical min runs on (exposed so tests can also diff it against
-    /// `monte_carlo_min`).
+    /// [`crate::statmin::monte_carlo_min`]).
     pub fn stage_ap_slacks(
         &self,
         s: usize,

@@ -15,6 +15,9 @@
 //! * [`gen`] — seeded random generators (small netlists, activation sets,
 //!   canonical slack sets, variation configurations, programs) used by the
 //!   property suites of every layer.
+//! * [`exact`] — the exact law of the error count (the Poisson-binomial
+//!   DP) and the Kolmogorov distance: the ground truth the Chen–Stein and
+//!   Stein bounds of `terse_stats::stein` are checked against.
 //! * [`exhaustive`] — the gate-level oracle: enumerate *all* paths of an
 //!   endpoint by DFS, filter by activation, and reproduce Algorithm 1's
 //!   candidate ranking from the full path set.
@@ -38,11 +41,13 @@
 //!   `terse_netlist::sim::Simulator` is diffed against.
 //! * [`statmin`] — the greedy most-correlated-pair-first statistical min
 //!   that rescans every pair on every round: the reference the
-//!   incremental-matrix greedy of `terse_sta::statmin` is diffed against.
+//!   incremental-matrix greedy of `terse_sta::statmin` is diffed against,
+//!   and the dense Monte Carlo min that measures the fold's Clark error.
 //!
 //! The slow exhaustive suites are `#[ignore]`d; run them with
 //! `cargo test -p oracle -- --ignored` (CI runs them on a schedule).
 
+pub mod exact;
 pub mod exhaustive;
 pub mod gen;
 pub mod grid;

@@ -7,6 +7,9 @@
 //! the first most correlated pair of the row-major scan. The two agree bit
 //! for bit exactly when the incremental matrix holds the values the rescan
 //! would compute and is scanned in the same order.
+//!
+//! [`monte_carlo_min`] samples the minimum directly, with no Clark
+//! moment matching at all: the measure of the fold's approximation error.
 
 use terse_sta::{CanonicalRv, StaError};
 
@@ -59,4 +62,38 @@ pub fn max_correlation_first(slacks: &[CanonicalRv]) -> Result<CanonicalRv, StaE
     pool.pop().ok_or(StaError::MalformedPath {
         reason: "statistical min pool emptied",
     })
+}
+
+/// Monte Carlo reference for the minimum of canonical forms (shared draw per
+/// scenario, independent residual per operand) — used by tests to measure
+/// the fold's approximation error. Returns the sample mean and variance.
+///
+/// # Errors
+///
+/// Returns [`StaError::MalformedPath`] for an empty input.
+pub fn monte_carlo_min(
+    slacks: &[CanonicalRv],
+    samples: usize,
+    seed: u64,
+) -> Result<(f64, f64), StaError> {
+    if slacks.is_empty() {
+        return Err(StaError::MalformedPath {
+            reason: "monte carlo min of an empty slack set",
+        });
+    }
+    let k = slacks[0].var_count();
+    let mut rng = terse_stats::rng::Xoshiro256::seed_from_u64(seed);
+    let mut sum = 0.0;
+    let mut sum2 = 0.0;
+    for _ in 0..samples {
+        let draw: Vec<f64> = (0..k).map(|_| rng.next_gaussian()).collect();
+        let m = slacks
+            .iter()
+            .map(|s| s.sample_at(&draw, rng.next_gaussian()))
+            .fold(f64::INFINITY, f64::min);
+        sum += m;
+        sum2 += m * m;
+    }
+    let mean = sum / samples as f64;
+    Ok((mean, sum2 / samples as f64 - mean * mean))
 }

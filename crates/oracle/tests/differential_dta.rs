@@ -23,6 +23,7 @@ use oracle::exhaustive::{
 };
 use oracle::gen;
 use oracle::paths::{longest_activated_path, ActivatedDp};
+use oracle::statmin::monte_carlo_min;
 use proptest::prelude::*;
 use terse_dta::engine::CANDIDATES;
 use terse_dta::{DtsEngine, EndpointFilter};
@@ -33,7 +34,6 @@ use terse_sim::machine::Machine;
 use terse_sta::analysis::Sta;
 use terse_sta::delay::DelayLibrary;
 use terse_sta::paths::PathEnumerator;
-use terse_sta::statmin::monte_carlo_min;
 use terse_sta::TimingConstraints;
 
 /// The speculative clock period used throughout: 15% past the STA limit.

@@ -15,7 +15,7 @@
 //! take the ascending-mean fold on both sides.
 
 use oracle::gen;
-use oracle::statmin::max_correlation_first;
+use oracle::statmin::{max_correlation_first, monte_carlo_min};
 use proptest::prelude::*;
 use terse_sta::statmin::statistical_min;
 use terse_sta::CanonicalRv;
@@ -138,6 +138,7 @@ fn all_equal_operands_match() {
 #[test]
 fn reference_edge_inputs() {
     assert!(max_correlation_first(&[]).is_err());
+    assert!(monte_carlo_min(&[], 10, 0).is_err());
     let one = gen::random_slacks(3, 1, 4);
     assert_eq!(max_correlation_first(&one).unwrap(), one[0]);
 }

@@ -5,8 +5,8 @@
 //! minimum must satisfy — shift equivariance, permutation invariance,
 //! monotonicity, and the two correlation limits (ρ → 1 and ρ → 0) where the
 //! exact answer *is* known in closed form (Sinha et al.'s correlation-limit
-//! analysis). A final differential property diffs the fold against the
-//! crate's own dense Monte Carlo estimator.
+//! analysis). The differential properties at the end diff the fold against
+//! the oracle's dense Monte Carlo estimator.
 //!
 //! `statistical_min` is one fold with a size cutoff: most-correlated pair
 //! first up to 64 operands, ascending mean above. Properties on small sets
@@ -14,8 +14,9 @@
 //! 65–100 operands to check the large-set fold.
 
 use oracle::gen;
+use oracle::statmin::monte_carlo_min;
 use proptest::prelude::*;
-use terse_sta::statmin::{monte_carlo_min, statistical_min};
+use terse_sta::statmin::statistical_min;
 use terse_sta::CanonicalRv;
 use terse_stats::rng::Xoshiro256;
 
@@ -219,4 +220,62 @@ fn orderings_track_monte_carlo_exhaustive() {
             );
         }
     }
+}
+
+/// A fixed five-operand set: two correlated clusters plus a spread of means.
+fn slack_set() -> Vec<CanonicalRv> {
+    vec![
+        CanonicalRv::with_sensitivities(10.0, vec![1.0, 0.3], 0.4),
+        CanonicalRv::with_sensitivities(10.5, vec![0.9, 0.4], 0.5),
+        CanonicalRv::with_sensitivities(11.0, vec![0.1, 1.2], 0.3),
+        CanonicalRv::with_sensitivities(12.0, vec![0.2, 1.0], 0.6),
+        CanonicalRv::with_sensitivities(10.2, vec![1.1, 0.2], 0.2),
+    ]
+}
+
+/// Both folds — greedy for the five-operand set, ascending mean for the
+/// same set repeated past the 64-operand cutoff — match Monte Carlo.
+#[test]
+fn orderings_agree_with_monte_carlo() {
+    let small = slack_set();
+    let large: Vec<CanonicalRv> = (0..70)
+        .map(|i| {
+            let s = &small[i % small.len()];
+            let shift = (i / small.len()) as f64 * 0.5;
+            CanonicalRv::with_sensitivities(s.mean() + shift, s.coeffs().to_vec(), s.indep())
+        })
+        .collect();
+    for slacks in [small, large] {
+        let (mc_mean, _) = monte_carlo_min(&slacks, 200_000, 3).unwrap();
+        let m = statistical_min(&slacks).unwrap();
+        assert!(
+            (m.mean() - mc_mean).abs() < 0.05,
+            "{} operands: {} vs MC {mc_mean}",
+            slacks.len(),
+            m.mean()
+        );
+    }
+}
+
+#[test]
+fn correlation_first_beats_or_matches_naive_on_adversarial_order() {
+    // Adversarial input order: alternating between two correlated
+    // clusters. The greedy ordering should be at least as accurate as
+    // the naive fold in input order.
+    let a = CanonicalRv::with_sensitivities(10.0, vec![2.0, 0.0], 0.1);
+    let a2 = CanonicalRv::with_sensitivities(10.1, vec![2.0, 0.0], 0.1);
+    let b = CanonicalRv::with_sensitivities(10.0, vec![0.0, 2.0], 0.1);
+    let b2 = CanonicalRv::with_sensitivities(10.1, vec![0.0, 2.0], 0.1);
+    let slacks = vec![a, b, a2, b2];
+    let (mc_mean, _) = monte_carlo_min(&slacks, 400_000, 11).unwrap();
+    let greedy = statistical_min(&slacks).unwrap();
+    let naive = slacks[1..]
+        .iter()
+        .fold(slacks[0].clone(), |acc, s| acc.stat_min(s).0);
+    let err_greedy = (greedy.mean() - mc_mean).abs();
+    let err_naive = (naive.mean() - mc_mean).abs();
+    assert!(
+        err_greedy <= err_naive + 0.01,
+        "greedy {err_greedy} vs naive {err_naive}"
+    );
 }

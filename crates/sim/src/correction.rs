@@ -10,7 +10,6 @@
 //! ([`crate::features::BusState::flushed`]).
 
 use crate::features::BusState;
-use terse_isa::Instruction;
 
 /// An error-correction mechanism of a timing-speculative processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +57,6 @@ impl CorrectionScheme {
     /// before the replayed/next instruction issues.
     pub fn post_error_bus_state(&self) -> BusState {
         BusState::flushed()
-    }
-
-    /// The instrumentation prefix the paper inserts to *measure* the
-    /// post-correction conditional probabilities: a `nop` executed before
-    /// the instruction mimics the corrected machine state.
-    pub fn emulation_prefix(&self) -> Vec<Instruction> {
-        vec![Instruction::nop()]
     }
 }
 
@@ -117,7 +109,6 @@ mod tests {
     fn post_error_state_is_flushed() {
         let s = CorrectionScheme::paper_default();
         assert_eq!(s.post_error_bus_state(), BusState::flushed());
-        assert_eq!(s.emulation_prefix().len(), 1);
     }
 
     #[test]
@@ -199,20 +190,6 @@ mod tests {
             let text = s.to_string();
             assert!(text.contains(name), "{text}");
             assert!(text.contains(cycles), "{text}");
-        }
-    }
-
-    /// The instrumentation prefix is exactly one `nop` for every scheme —
-    /// the paper's emulation trick is scheme-independent.
-    #[test]
-    fn emulation_prefix_is_single_nop_for_all_schemes() {
-        for s in [
-            CorrectionScheme::ReplayAtHalfFrequency { penalty: 24 },
-            CorrectionScheme::PipelineFlush { depth: 6 },
-            CorrectionScheme::BubbleInsertion { bubbles: 1 },
-        ] {
-            let prefix = s.emulation_prefix();
-            assert_eq!(prefix, vec![Instruction::nop()], "{s}");
         }
     }
 }

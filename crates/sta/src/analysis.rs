@@ -239,11 +239,6 @@ impl<'n> Sta<'n> {
             .map(|s| self.stage_critical_delay(s))
             .fold(0.0f64, f64::max)
     }
-
-    /// Maximum STA-safe frequency in GHz-like units.
-    pub fn max_frequency_ghz(&self) -> f64 {
-        1000.0 / self.min_period()
-    }
 }
 
 /// Statistical (SSTA) block-based analysis: arrivals in canonical form,
@@ -488,7 +483,6 @@ mod tests {
         let sta = Sta::new(p.netlist(), &lib);
         assert!(matches!(sta.critical_stage(), 1 | 3));
         assert!(sta.min_period() > 0.0);
-        assert!(sta.max_frequency_ghz() > 0.0);
         // The default-width pipeline is EX-critical.
         let full = PipelineNetlist::build(PipelineConfig::default()).unwrap();
         let sta_full = Sta::new(full.netlist(), &lib);

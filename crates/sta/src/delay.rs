@@ -119,24 +119,6 @@ impl TimingConstraints {
         TimingConstraints { clock_period }
     }
 
-    /// Creates constraints from a frequency in GHz-like units (reciprocal of
-    /// the period in the library's time unit ×1000).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is not positive.
-    pub fn with_frequency_ghz(f: f64) -> Self {
-        assert!(f > 0.0, "frequency must be positive");
-        TimingConstraints {
-            clock_period: 1000.0 / f,
-        }
-    }
-
-    /// The frequency implied by the period, in GHz-like units.
-    pub fn frequency_ghz(&self) -> f64 {
-        1000.0 / self.clock_period
-    }
-
     /// A new constraint with the period scaled by `1/factor` (i.e. the
     /// frequency scaled by `factor`) — how the paper overclocks from the
     /// baseline to 1.13× and 1.15×.
@@ -188,10 +170,9 @@ mod tests {
 
     #[test]
     fn constraints_conversions() {
-        let c = TimingConstraints::with_frequency_ghz(0.718);
-        assert!((c.frequency_ghz() - 0.718).abs() < 1e-12);
+        let c = TimingConstraints::with_period(1000.0 / 0.718);
         let oc = c.overclocked(1.15);
-        assert!((oc.frequency_ghz() - 0.718 * 1.15).abs() < 1e-12);
+        assert!((1000.0 / oc.clock_period - 0.718 * 1.15).abs() < 1e-12);
         assert!(oc.clock_period < c.clock_period);
     }
 

@@ -134,32 +134,6 @@ fn greedy_max_correlation(slacks: &[CanonicalRv]) -> Result<CanonicalRv> {
     })
 }
 
-/// Monte Carlo reference for the minimum of canonical forms (shared draw per
-/// scenario, independent residual per operand) — used by tests to measure
-/// the fold's approximation error.
-pub fn monte_carlo_min(slacks: &[CanonicalRv], samples: usize, seed: u64) -> Result<(f64, f64)> {
-    if slacks.is_empty() {
-        return Err(StaError::MalformedPath {
-            reason: "monte carlo min of an empty slack set",
-        });
-    }
-    let k = slacks[0].var_count();
-    let mut rng = terse_stats::rng::Xoshiro256::seed_from_u64(seed);
-    let mut sum = 0.0;
-    let mut sum2 = 0.0;
-    for _ in 0..samples {
-        let draw: Vec<f64> = (0..k).map(|_| rng.next_gaussian()).collect();
-        let m = slacks
-            .iter()
-            .map(|s| s.sample_at(&draw, rng.next_gaussian()))
-            .fold(f64::INFINITY, f64::min);
-        sum += m;
-        sum2 += m * m;
-    }
-    let mean = sum / samples as f64;
-    Ok((mean, sum2 / samples as f64 - mean * mean))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,53 +157,6 @@ mod tests {
         }
     }
 
-    /// Both folds — greedy for the five-operand set, ascending mean for the
-    /// same set repeated past the 64-operand cutoff — match Monte Carlo.
-    #[test]
-    fn orderings_agree_with_monte_carlo() {
-        let small = slack_set();
-        let large: Vec<CanonicalRv> = (0..70)
-            .map(|i| {
-                let s = &small[i % small.len()];
-                let shift = (i / small.len()) as f64 * 0.5;
-                CanonicalRv::with_sensitivities(s.mean() + shift, s.coeffs().to_vec(), s.indep())
-            })
-            .collect();
-        for slacks in [small, large] {
-            let (mc_mean, _) = monte_carlo_min(&slacks, 200_000, 3).unwrap();
-            let m = statistical_min(&slacks).unwrap();
-            assert!(
-                (m.mean() - mc_mean).abs() < 0.05,
-                "{} operands: {} vs MC {mc_mean}",
-                slacks.len(),
-                m.mean()
-            );
-        }
-    }
-
-    #[test]
-    fn correlation_first_beats_or_matches_naive_on_adversarial_order() {
-        // Adversarial input order: alternating between two correlated
-        // clusters. The greedy ordering should be at least as accurate as
-        // the naive fold in input order.
-        let a = CanonicalRv::with_sensitivities(10.0, vec![2.0, 0.0], 0.1);
-        let a2 = CanonicalRv::with_sensitivities(10.1, vec![2.0, 0.0], 0.1);
-        let b = CanonicalRv::with_sensitivities(10.0, vec![0.0, 2.0], 0.1);
-        let b2 = CanonicalRv::with_sensitivities(10.1, vec![0.0, 2.0], 0.1);
-        let slacks = vec![a, b, a2, b2];
-        let (mc_mean, _) = monte_carlo_min(&slacks, 400_000, 11).unwrap();
-        let greedy = statistical_min(&slacks).unwrap();
-        let naive = slacks[1..]
-            .iter()
-            .fold(slacks[0].clone(), |acc, s| acc.stat_min(s).0);
-        let err_greedy = (greedy.mean() - mc_mean).abs();
-        let err_naive = (naive.mean() - mc_mean).abs();
-        assert!(
-            err_greedy <= err_naive + 0.01,
-            "greedy {err_greedy} vs naive {err_naive}"
-        );
-    }
-
     #[test]
     fn single_operand_is_identity() {
         let s = slack_set();
@@ -240,7 +167,6 @@ mod tests {
     #[test]
     fn empty_set_rejected() {
         assert!(statistical_min(&[]).is_err());
-        assert!(monte_carlo_min(&[], 10, 0).is_err());
     }
 
     #[test]

@@ -11,12 +11,8 @@
 //! * [`special`] — special functions: `erf`/`erfc`, the normal CDF and
 //!   quantile, `ln Γ`, and the regularized incomplete gamma functions used to
 //!   evaluate Poisson CDFs with very large means.
-//! * [`normal`], [`poisson`], [`pbd`] — the Normal, Poisson and
-//!   Poisson-binomial distributions. The Poisson-binomial distribution is the
-//!   *exact* law of a program's error count (a sum of non-identical Bernoulli
-//!   indicators) and serves as ground truth in tests and ablations.
-//! * [`discrete`] — discrete random variables with exact moment computation,
-//!   used to represent data-variation distributions of error probabilities.
+//! * [`normal`], [`poisson`] — the Normal and Poisson distributions the
+//!   paper's estimator approximates the program error count with.
 //! * [`samples`] — fixed-length sample-vector random variables: the
 //!   data-variation propagation format used throughout the pipeline
 //!   (Section 4.2 of the paper manipulates probabilities that are themselves
@@ -28,8 +24,7 @@
 //! * [`mixture`] — the Eq. 14 estimator: the CDF of a Poisson whose mean is
 //!   itself normally distributed, with Kolmogorov-shifted lower/upper bound
 //!   variants.
-//! * [`metrics`] — Kolmogorov and total-variation distances.
-//! * [`linalg`] — dense LU/Cholesky linear algebra for the per-SCC marginal
+//! * [`linalg`] — dense LU linear algebra for the per-SCC marginal
 //!   probability systems of Section 4.2.
 //! * [`quadrature`] — Gauss–Hermite and Gauss–Legendre rules for the Eq. 14
 //!   integrals.
@@ -38,22 +33,21 @@
 //!
 //! # Example
 //!
-//! Approximate a Poisson-binomial error count with a Poisson distribution and
-//! bound the approximation error exactly as the paper does:
+//! Approximate an error count of independent rare-error indicators with a
+//! Poisson distribution and bound the approximation error with the
+//! Chen–Stein method, as the paper does:
 //!
 //! ```
-//! use terse_stats::pbd::PoissonBinomial;
 //! use terse_stats::poisson::Poisson;
-//! use terse_stats::metrics::kolmogorov_distance_fns;
+//! use terse_stats::stein::chen_stein_bound;
 //!
 //! # fn main() -> Result<(), terse_stats::StatsError> {
 //! let probs = vec![0.01, 0.02, 0.005, 0.03, 0.015];
-//! let exact = PoissonBinomial::new(probs.clone())?;
-//! let approx = Poisson::new(probs.iter().sum())?;
-//! let dk = kolmogorov_distance_fns(0..=5, |k| exact.cdf(k as u64), |k| {
-//!     approx.cdf(k as f64)
-//! });
-//! assert!(dk < 0.01);
+//! // Independent indicators: each one's dependency neighborhood is itself.
+//! let bound = chen_stein_bound(&probs, |a| vec![a], |_, _| 0.0)?;
+//! let approx = Poisson::new(bound.lambda)?;
+//! assert!(bound.tv_bound < 0.002);
+//! assert!(approx.cdf(0.0) > 0.9);
 //! # Ok(())
 //! # }
 //! ```
@@ -63,13 +57,10 @@
 // several parallel arrays at once.
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 #![warn(missing_docs)]
-pub mod discrete;
 pub mod kahan;
 pub mod linalg;
-pub mod metrics;
 pub mod mixture;
 pub mod normal;
-pub mod pbd;
 pub mod poisson;
 pub mod quadrature;
 pub mod rng;
@@ -77,11 +68,9 @@ pub mod samples;
 pub mod special;
 pub mod stein;
 
-pub use discrete::DiscreteRv;
 pub use linalg::Matrix;
 pub use mixture::PoissonNormalMixture;
 pub use normal::Normal;
-pub use pbd::PoissonBinomial;
 pub use poisson::Poisson;
 pub use samples::SampleRv;
 
@@ -124,19 +113,6 @@ pub enum StatsError {
         /// What was empty.
         what: &'static str,
     },
-    /// A value that must be finite was NaN or ±∞.
-    NonFinite {
-        /// Where the non-finite value was observed.
-        context: &'static str,
-        /// The offending value (NaN or ±∞).
-        value: f64,
-    },
-    /// A symmetric matrix expected to be positive definite was not (Cholesky
-    /// found a non-positive pivot).
-    NotPositiveDefinite {
-        /// Index of the failing pivot.
-        pivot: usize,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -157,12 +133,6 @@ impl fmt::Display for StatsError {
             }
             StatsError::SingularMatrix => write!(f, "matrix is singular to working precision"),
             StatsError::Empty { what } => write!(f, "{what} must not be empty"),
-            StatsError::NonFinite { context, value } => {
-                write!(f, "non-finite value {value} in {context}")
-            }
-            StatsError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix is not positive definite (pivot {pivot})")
-            }
         }
     }
 }

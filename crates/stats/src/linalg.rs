@@ -199,60 +199,6 @@ impl Matrix {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.lu()?.solve(b)
     }
-
-    /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
-    /// matrix; returns the lower-triangular factor `L` (entries above the
-    /// diagonal are zero).
-    ///
-    /// Only the lower triangle of `self` is read, so a symmetric matrix may
-    /// be supplied with an arbitrary (even non-finite-free) upper triangle.
-    /// A correlation matrix is positive definite iff its Cholesky succeeds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] for non-square input,
-    /// [`StatsError::NonFinite`] if a non-finite value enters the
-    /// factorization, and [`StatsError::NotPositiveDefinite`] if a pivot is
-    /// not strictly positive.
-    pub fn cholesky(&self) -> Result<Matrix> {
-        failpoints::fail_point!("stats::cholesky", |_| Err(
-            StatsError::NotPositiveDefinite { pivot: 0 }
-        ));
-        if self.rows != self.cols {
-            return Err(StatsError::DimensionMismatch {
-                context: "Matrix::cholesky",
-                left: self.rows,
-                right: self.cols,
-            });
-        }
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n)?;
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = crate::kahan::KahanSum::new();
-                s.add(self[(i, j)]);
-                for k in 0..j {
-                    s.add(-l[(i, k)] * l[(j, k)]);
-                }
-                let v = s.value();
-                if !v.is_finite() {
-                    return Err(StatsError::NonFinite {
-                        context: "Matrix::cholesky",
-                        value: v,
-                    });
-                }
-                if i == j {
-                    if v <= 0.0 {
-                        return Err(StatsError::NotPositiveDefinite { pivot: i });
-                    }
-                    l[(i, j)] = v.sqrt();
-                } else {
-                    l[(i, j)] = v / l[(j, j)];
-                }
-            }
-        }
-        Ok(l)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -432,41 +378,6 @@ mod tests {
         assert!(a.lu().is_err()); // non-square
         let sq = Matrix::identity(2).unwrap();
         assert!(sq.solve(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn cholesky_reconstructs_spd_matrix() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 2.0, 0.5], &[0.6, 0.5, 1.0]]).unwrap();
-        let l = a.cholesky().unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                let mut s = 0.0;
-                for k in 0..3 {
-                    s += l[(i, k)] * l[(j, k)];
-                }
-                assert!((s - a[(i, j)]).abs() < 1e-12, "({i},{j})");
-                if j > i {
-                    assert_eq!(l[(i, j)], 0.0, "upper triangle must be zero");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite_and_nonfinite() {
-        // ρ = 1.2 is outside the PSD cone for a 2×2 correlation matrix.
-        let a = Matrix::from_rows(&[&[1.0, 1.2], &[1.2, 1.0]]).unwrap();
-        assert!(matches!(
-            a.cholesky().unwrap_err(),
-            StatsError::NotPositiveDefinite { pivot: 1 }
-        ));
-        let b = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]).unwrap();
-        assert!(matches!(
-            b.cholesky().unwrap_err(),
-            StatsError::NonFinite { .. }
-        ));
-        let c = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        assert!(c.cholesky().is_err()); // non-square
     }
 
     #[test]

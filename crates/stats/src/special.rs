@@ -403,19 +403,6 @@ fn gamma_cf(a: f64, x: f64) -> Result<f64> {
     })
 }
 
-/// `ln(n!)` computed through [`ln_gamma`]; exact for the small factorials.
-pub fn ln_factorial(n: u64) -> f64 {
-    // Table the first values: exact and fast, and the common case in tests.
-    const TABLE: [f64; 11] = [
-        0.0, 0.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0, 40320.0, 362880.0, 3628800.0,
-    ];
-    if n <= 10 {
-        TABLE[n as usize].max(1.0).ln()
-    } else {
-        ln_gamma(n as f64 + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,15 +552,6 @@ mod tests {
         assert!(reg_gamma_p(0.0, 1.0).is_err());
         assert!(reg_gamma_p(-1.0, 1.0).is_err());
         assert!(reg_gamma_p(1.0, -0.5).is_err());
-    }
-
-    #[test]
-    fn ln_factorial_matches_direct() {
-        let mut f = 1.0f64;
-        for n in 1..=20u64 {
-            f *= n as f64;
-            assert!((ln_factorial(n) - f.ln()).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -1,14 +1,9 @@
 //! Property-based tests for the statistical substrate.
 
 use proptest::prelude::*;
-use terse_stats::metrics::{kolmogorov_distance_discrete, tv_distance_discrete};
 use terse_stats::rng::{bernoulli_threshold, std_normal_cdf_threshold};
 use terse_stats::special::{reg_gamma_p, reg_gamma_q, std_normal_cdf};
-use terse_stats::{DiscreteRv, Matrix, Normal, Poisson, PoissonBinomial, SampleRv};
-
-fn prob_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0.0f64..=1.0, 1..max_len)
-}
+use terse_stats::{Matrix, Normal, Poisson, SampleRv};
 
 proptest! {
     #[test]
@@ -50,57 +45,6 @@ proptest! {
     fn poisson_cdf_monotone(lambda in 0.0f64..1e4, k in 0u64..20_000) {
         let p = Poisson::new(lambda).unwrap();
         prop_assert!(p.cdf(k as f64) <= p.cdf(k as f64 + 1.0) + 1e-12);
-    }
-
-    #[test]
-    fn pbd_mean_equals_sum(ps in prob_vec(40)) {
-        let d = PoissonBinomial::new(ps.clone()).unwrap();
-        let want: f64 = ps.iter().sum();
-        prop_assert!((d.mean() - want).abs() < 1e-9);
-        // pmf sums to one.
-        let total: f64 = d.pmf_vec().iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pbd_le_cam_bound(ps in prop::collection::vec(0.0f64..=0.2, 1..60)) {
-        // Le Cam's theorem: d_TV(PBD, Poisson(Σp)) ≤ Σ p².
-        let d = PoissonBinomial::new(ps.clone()).unwrap();
-        let lecam: f64 = ps.iter().map(|p| p * p).sum();
-        prop_assert!(d.tv_distance_to_poisson() <= lecam + 1e-9);
-    }
-
-    #[test]
-    fn discrete_rv_moments_consistent(xs in prop::collection::vec(-10.0f64..10.0, 1..30)) {
-        let d = DiscreteRv::from_samples(&xs).unwrap();
-        // Var = E[X²] − E[X]².
-        let var_via_raw = d.raw_moment(2) - d.mean() * d.mean();
-        prop_assert!((d.variance() - var_via_raw).abs() < 1e-9);
-        // |E[(X−μ)³]| ≤ E[|X−μ|³].
-        prop_assert!(d.central_moment(3).abs() <= d.abs_central_moment(3) + 1e-12);
-    }
-
-    #[test]
-    fn discrete_cdf_monotone(xs in prop::collection::vec(-5.0f64..5.0, 1..20), probe in -6.0f64..6.0) {
-        let d = DiscreteRv::from_samples(&xs).unwrap();
-        prop_assert!(d.cdf(probe) <= d.cdf(probe + 0.5) + 1e-12);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&d.cdf(probe)));
-    }
-
-    #[test]
-    fn metric_properties(
-        xs in prop::collection::vec(0.0f64..4.0, 1..10),
-        ys in prop::collection::vec(0.0f64..4.0, 1..10),
-    ) {
-        let a = DiscreteRv::from_samples(&xs).unwrap();
-        let b = DiscreteRv::from_samples(&ys).unwrap();
-        let dk = kolmogorov_distance_discrete(&a, &b);
-        let tv = tv_distance_discrete(&a, &b);
-        // Symmetry, identity, domination d_K ≤ d_TV, range.
-        prop_assert!((dk - kolmogorov_distance_discrete(&b, &a)).abs() < 1e-12);
-        prop_assert!(kolmogorov_distance_discrete(&a, &a) == 0.0);
-        prop_assert!(dk <= tv + 1e-9);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&tv));
     }
 
     #[test]

@@ -86,30 +86,6 @@ done:
     halt
 ";
 
-/// Reference BMH hit count (non-overlap-aware, like the kernel: advances by
-/// the bad-character shift even after a match).
-pub fn reference_hits(text: &[u32], pattern: &[u32]) -> u32 {
-    let n = text.len() as i64;
-    let m = pattern.len() as i64;
-    let mut shift = vec![m; SIGMA as usize];
-    for i in 0..m - 1 {
-        shift[pattern[i as usize] as usize] = m - 1 - i;
-    }
-    let mut i = m - 1;
-    let mut hits = 0;
-    while i < n {
-        let mut j = 0;
-        while j < m && text[(i - j) as usize] == pattern[(m - 1 - j) as usize] {
-            j += 1;
-        }
-        if j == m {
-            hits += 1;
-        }
-        i += shift[text[i as usize] as usize];
-    }
-    hits
-}
-
 fn fill(m: &mut Machine, p: &Program, seed: u64, size: DatasetSize) {
     let mut rng = rng_for(seed ^ 0x5EA2);
     let (n, plant) = match size {
@@ -153,6 +129,30 @@ pub static SPEC: BenchmarkSpec = BenchmarkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference BMH hit count (non-overlap-aware, like the kernel: advances by
+    /// the bad-character shift even after a match).
+    fn reference_hits(text: &[u32], pattern: &[u32]) -> u32 {
+        let n = text.len() as i64;
+        let m = pattern.len() as i64;
+        let mut shift = vec![m; SIGMA as usize];
+        for i in 0..m - 1 {
+            shift[pattern[i as usize] as usize] = m - 1 - i;
+        }
+        let mut i = m - 1;
+        let mut hits = 0;
+        while i < n {
+            let mut j = 0;
+            while j < m && text[(i - j) as usize] == pattern[(m - 1 - j) as usize] {
+                j += 1;
+            }
+            if j == m {
+                hits += 1;
+            }
+            i += shift[text[i as usize] as usize];
+        }
+        hits
+    }
 
     #[test]
     fn hits_match_reference() {

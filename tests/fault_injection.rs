@@ -14,7 +14,6 @@
 //! | `sim::mc_cell`    | Monte Carlo grid cell              | `SimError::InstructionBudgetExhausted` |
 //! | `sta::statmin`    | statistical-min reduction          | `StaError::MalformedPath` |
 //! | `stats::lu`       | LU factorization                   | `StatsError::SingularMatrix` |
-//! | `stats::cholesky` | Cholesky factorization             | `StatsError::NotPositiveDefinite` |
 //! | `errmodel::solve` | marginal-probability solver        | `ErrModelError::SingularSystem` |
 //! | `terse::estimate` | estimation pipeline entry          | `TerseError::Config` |
 //!
@@ -158,19 +157,10 @@ fn monte_carlo_cell_faults_are_typed_errors() {
 fn linear_algebra_faults_are_typed_errors() {
     let _scenario = FailScenario::setup();
     let spd = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]).unwrap();
-    // LU factorization.
     failpoints::cfg("stats::lu", "return").unwrap();
     assert!(matches!(spd.lu(), Err(StatsError::SingularMatrix)));
     failpoints::remove("stats::lu");
     assert!(spd.lu().is_ok());
-    // Cholesky factorization.
-    failpoints::cfg("stats::cholesky", "return").unwrap();
-    assert!(matches!(
-        spd.cholesky(),
-        Err(StatsError::NotPositiveDefinite { .. })
-    ));
-    failpoints::remove("stats::cholesky");
-    assert!(spd.cholesky().is_ok());
 }
 
 #[test]
