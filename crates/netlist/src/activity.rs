@@ -76,15 +76,6 @@ impl ActivityTrace {
     pub fn iter(&self) -> std::slice::Iter<'_, BitSet> {
         self.cycles.iter()
     }
-
-    /// Mean fraction of gates activated per cycle.
-    pub fn mean_activity_factor(&self) -> f64 {
-        if self.cycles.is_empty() || self.gate_count == 0 {
-            return 0.0;
-        }
-        let total: usize = self.cycles.iter().map(BitSet::count).sum();
-        total as f64 / (self.cycles.len() * self.gate_count) as f64
-    }
 }
 
 impl<'a> IntoIterator for &'a ActivityTrace {
@@ -126,17 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_activity_factor_over_cycles() {
-        let mut t = ActivityTrace::new(4);
-        t.push(set(4, &[0, 1]));
-        t.push(set(4, &[1]));
-        assert!((t.mean_activity_factor() - 3.0 / 8.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn empty_trace() {
         let t = ActivityTrace::new(4);
         assert!(t.is_empty());
-        assert_eq!(t.mean_activity_factor(), 0.0);
     }
 }

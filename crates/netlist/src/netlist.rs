@@ -231,8 +231,10 @@ impl Netlist {
     }
 
     /// Logic depth (maximum number of combinational gates on any
-    /// source-to-endpoint path), per stage.
-    pub fn logic_depth_by_stage(&self) -> Vec<usize> {
+    /// source-to-endpoint path), per stage. Tests use it to check the
+    /// pipeline builder's stage structure.
+    #[cfg(test)]
+    pub(crate) fn logic_depth_by_stage(&self) -> Vec<usize> {
         let mut depth = vec![0usize; self.gates.len()];
         let mut per_stage = vec![0usize; self.stage_count.max(1)];
         for &g in &self.topo {

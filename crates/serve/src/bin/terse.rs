@@ -29,7 +29,11 @@ use std::sync::atomic::AtomicBool;
 use terse_serve::json::Value;
 use terse_serve::{deterministic_section, serve, ExecutorConfig, JobSpec, JobState, JobStore};
 
-const USAGE: &str = "\
+/// The usage text, with the [`ExecutorConfig`] defaults filled in.
+fn usage() -> String {
+    let defaults = ExecutorConfig::default();
+    format!(
+        "\
 usage: terse <command> [options]
 
 commands:
@@ -43,17 +47,20 @@ commands:
 
 options:
   --store DIR     store root (required)
-  --workers N     worker threads (default 4)
+  --workers N     worker threads (default {})
   --drain         exit once the queue is drained
-  --poll-ms MS    idle poll interval (default 200)
+  --poll-ms MS    longest idle sleep between scans (default {})
   --json          machine-readable status output
   --result-only   print only the deterministic report section
-";
+",
+        defaults.workers, defaults.poll_ms
+    )
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         return ExitCode::from(2);
     };
     let rest = &args[1..];
@@ -66,7 +73,7 @@ fn main() -> ExitCode {
         "verify" => cmd_verify(rest),
         "scrub" => cmd_scrub(rest),
         _ => {
-            eprint!("unknown command `{command}`\n\n{USAGE}");
+            eprint!("unknown command `{command}`\n\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -147,14 +154,15 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let (store, mut rest) = parse_store(args)?;
+    let defaults = ExecutorConfig::default();
     let workers = flag_value(&mut rest, "--workers")?
         .map(|v| v.parse::<usize>().map_err(|_| "--workers: bad number"))
         .transpose()?
-        .unwrap_or(4);
+        .unwrap_or(defaults.workers);
     let poll_ms = flag_value(&mut rest, "--poll-ms")?
         .map(|v| v.parse::<u64>().map_err(|_| "--poll-ms: bad number"))
         .transpose()?
-        .unwrap_or(200);
+        .unwrap_or(defaults.poll_ms);
     let drain = flag(&mut rest, "--drain");
     if let Some(extra) = rest.first() {
         return Err(format!("unexpected argument `{extra}`"));
@@ -163,7 +171,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         workers,
         drain,
         poll_ms,
-        ..ExecutorConfig::default()
+        ..defaults
     };
     eprintln!(
         "terse serve: store `{}`, {workers} worker(s){}",

@@ -12,6 +12,17 @@
 //! workers (the framework's rayon pool is per-instance, and jobs default
 //! to one thread each — parallelism comes from the pool of workers).
 //!
+//! A worker whose scan processed a job scans again at once. Each scan that
+//! finds nothing to process sleeps before the next one: first
+//! `IDLE_FLOOR_MS` (1 ms), then twice as long after each further empty
+//! scan, up to [`ExecutorConfig::poll_ms`]. So a job submitted just after
+//! a completion is picked up within about a millisecond, while a long idle
+//! stretch costs at most ⌈log2(`poll_ms`)⌉ scans more than a flat
+//! `poll_ms` sleep would (5 at the 20 ms default). Workers poll the store
+//! rather than wait on an in-process signal, because jobs arrive from
+//! other processes (`terse submit`) and by directory renames into `jobs/`,
+//! which only a directory listing sees.
+//!
 //! In drain mode a worker exits when a full scan finds no queued job and
 //! no worker is busy (a busy worker may still requeue a time-sliced job,
 //! so the queue is only provably empty when both hold). Queued jobs inside
@@ -39,7 +50,11 @@ pub struct ExecutorConfig {
     pub workers: usize,
     /// Exit once the queue is fully drained (otherwise poll forever).
     pub drain: bool,
-    /// Idle poll interval in milliseconds.
+    /// The longest idle sleep between two scans of a worker, in
+    /// milliseconds. After a processed job the sleep starts at 1 ms and
+    /// doubles with each empty scan up to this cap, so an idle stretch
+    /// costs at most ⌈log2(`poll_ms`)⌉ scans more than a flat `poll_ms`
+    /// sleep. `0` never sleeps.
     pub poll_ms: u64,
     /// Supervisor tuning (scan interval, hang threshold, retry backoff).
     pub supervisor: SupervisorConfig,
@@ -93,6 +108,24 @@ impl ExecutorStats {
         self.reclaimed += other.reclaimed;
         self.preempted += other.preempted;
     }
+}
+
+/// The first idle sleep after a scan that processed a job, in
+/// milliseconds.
+const IDLE_FLOOR_MS: u64 = 1;
+
+/// The sleep before a worker's next scan, in milliseconds. A scan that
+/// processed a job rescans at once and resets `idle_ms` to the floor; an
+/// empty scan sleeps `idle_ms` capped at `poll_ms`, and doubles `idle_ms`
+/// for the next one.
+fn idle_sleep_ms(idle_ms: &mut u64, processed: bool, poll_ms: u64) -> u64 {
+    if processed {
+        *idle_ms = IDLE_FLOOR_MS;
+        return 0;
+    }
+    let sleep_ms = (*idle_ms).min(poll_ms);
+    *idle_ms = idle_ms.saturating_mul(2);
+    sleep_ms
 }
 
 /// FNV-1a shard hash (stable across runs and platforms).
@@ -216,6 +249,7 @@ fn worker_loop(
 ) -> Result<ExecutorStats> {
     let mut cache = FrameworkCache::new();
     let mut stats = ExecutorStats::default();
+    let mut idle_ms = IDLE_FLOOR_MS;
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(stats);
@@ -256,12 +290,11 @@ fn worker_loop(
             outcome?;
             processed = true;
         }
-        if !processed {
-            if cfg.drain && !had_queued && busy.load(Ordering::SeqCst) == 0 {
-                return Ok(stats);
-            }
-            std::thread::sleep(Duration::from_millis(cfg.poll_ms));
+        if !processed && cfg.drain && !had_queued && busy.load(Ordering::SeqCst) == 0 {
+            return Ok(stats);
         }
+        let sleep_ms = idle_sleep_ms(&mut idle_ms, processed, cfg.poll_ms);
+        std::thread::sleep(Duration::from_millis(sleep_ms));
     }
 }
 
@@ -567,6 +600,74 @@ mod tests {
         let log = store.read_transitions("rq").unwrap();
         assert_eq!(log.matches("running -> queued").count(), 2, "{log}");
         assert!(log.ends_with("running -> quarantined\n"), "{log}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn idle_sleep_doubles_to_the_cap_and_resets_after_a_job() {
+        let mut idle_ms = IDLE_FLOOR_MS;
+        // Past 64 empty scans the doubling saturates rather than overflows.
+        let sleeps: Vec<u64> = (0..80)
+            .map(|_| idle_sleep_ms(&mut idle_ms, false, 20))
+            .collect();
+        assert_eq!(sleeps[..6], [1, 2, 4, 8, 16, 20]);
+        assert!(sleeps[6..].iter().all(|&ms| ms == 20));
+        assert_eq!(idle_sleep_ms(&mut idle_ms, true, 20), 0);
+        assert_eq!(idle_sleep_ms(&mut idle_ms, false, 20), 1);
+        assert_eq!(idle_sleep_ms(&mut idle_ms, false, 20), 2);
+        // A cap below the floor wins, and 0 never sleeps.
+        for poll_ms in [0, 1] {
+            let mut idle_ms = IDLE_FLOOR_MS;
+            for _ in 0..4 {
+                assert_eq!(idle_sleep_ms(&mut idle_ms, false, poll_ms), poll_ms);
+            }
+        }
+    }
+
+    /// A daemon whose cap is a minute still picks up a job submitted right
+    /// after a completion: the worker re-polls within milliseconds rather
+    /// than sleeping out `poll_ms`.
+    #[test]
+    fn daemon_picks_up_a_job_submitted_after_a_completion() {
+        let root = temp_store("repoll");
+        let store = JobStore::open(&root).unwrap();
+        store.submit(&tiny("a", "")).unwrap();
+        let stop = AtomicBool::new(false);
+        let (tx, rx) = std::sync::mpsc::channel::<String>();
+        let cfg = ExecutorConfig {
+            workers: 1,
+            drain: false,
+            poll_ms: 60_000,
+            ..ExecutorConfig::default()
+        };
+        let (stats, b_done) = std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                serve(&store, &cfg, &stop, |e| {
+                    let _ = tx.send(e.to_owned());
+                })
+            });
+            // Whether `id` reaches `done` within `timeout`.
+            let done_within = |id: &str, timeout: Duration| {
+                let deadline = std::time::Instant::now() + timeout;
+                let want = format!(" {id} done");
+                while let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) {
+                    match rx.recv_timeout(left) {
+                        Ok(event) if event.ends_with(&want) => return true,
+                        Ok(_) => {}
+                        Err(_) => return false,
+                    }
+                }
+                false
+            };
+            let b_done = done_within("a", Duration::from_secs(60))
+                && store.submit(&tiny("b", "")).is_ok()
+                && done_within("b", Duration::from_secs(5));
+            // Raised on every path, so the scope can join the daemon.
+            stop.store(true, Ordering::SeqCst);
+            (server.join().unwrap().unwrap(), b_done)
+        });
+        assert!(b_done, "job b was not done within 5 s of its submit");
+        assert_eq!(stats.completed, 2);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -371,7 +371,7 @@ mod tests {
         assert_eq!(trace.retired.len(), 5);
         assert_eq!(trace.cycles(), 5 + STAGE_COUNT);
         // Activity exists: some gates toggle in EX cycles.
-        assert!(trace.activity.mean_activity_factor() > 0.0);
+        assert!(trace.activity.iter().any(|cycle| cycle.count() > 0));
     }
 
     #[test]

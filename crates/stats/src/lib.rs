@@ -8,7 +8,7 @@
 //! small set of applied-statistics tools that have no offline-ecosystem
 //! equivalent, so this crate implements them from first principles:
 //!
-//! * [`special`] — special functions: `erf`/`erfc`, the normal CDF and
+//! * [`special`] — special functions: `erfc`, the normal CDF and
 //!   quantile, `ln Γ`, and the regularized incomplete gamma functions used to
 //!   evaluate Poisson CDFs with very large means.
 //! * [`normal`], [`poisson`] — the Normal and Poisson distributions the

@@ -3,7 +3,7 @@
 //! Every experiment in the repository must be exactly reproducible, so the
 //! workspace uses a small, fully specified generator (xoshiro256** seeded via
 //! SplitMix64) rather than an OS entropy source. The API is deliberately
-//! minimal: uniforms, ranges, Gaussians and shuffles.
+//! minimal: uniforms, ranges and Gaussians.
 
 use crate::special::std_normal_cdf;
 
@@ -118,24 +118,11 @@ impl Xoshiro256 {
         r * theta.cos()
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
-    /// Derives an independent child generator (for per-subsystem streams).
-    pub fn fork(&mut self) -> Xoshiro256 {
-        Xoshiro256::seed_from_u64(self.next_u64())
-    }
-
     /// Counter-based stream derivation: an independent generator for
     /// sub-stream `stream` of master seed `seed`.
     ///
-    /// Unlike [`fork`](Self::fork), the result depends only on
-    /// `(seed, stream)` — not on how many draws any other stream has made —
+    /// The result depends only on `(seed, stream)` — not on how many draws
+    /// any other stream has made —
     /// which is what makes parallel fan-out deterministic: worker `(i, j)`
     /// seeds `seed_stream(seed, encode(i, j))` and gets the same variates no
     /// matter how many threads run or in which order cells are scheduled.
@@ -346,17 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Xoshiro256::seed_from_u64(5);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn seed_stream_depends_only_on_seed_and_stream() {
         let mut a = Xoshiro256::seed_stream(42, 7);
         let mut b = Xoshiro256::seed_stream(42, 7);
@@ -514,14 +490,5 @@ mod tests {
             });
             assert_eq!(seen, Xoshiro256x64::LANES);
         }
-    }
-
-    #[test]
-    fn fork_streams_are_uncorrelated_enough() {
-        let mut parent = Xoshiro256::seed_from_u64(0);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

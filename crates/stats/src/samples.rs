@@ -170,12 +170,6 @@ impl SampleRv {
         s.value() / self.len() as f64
     }
 
-    /// Raw moment `E[X^k]`.
-    pub fn raw_moment(&self, k: u32) -> f64 {
-        let s: KahanSum = self.samples.iter().map(|&x| x.powi(k as i32)).collect();
-        s.value() / self.len() as f64
-    }
-
     /// Minimum sample.
     pub fn min(&self) -> f64 {
         self.samples.iter().copied().fold(f64::INFINITY, f64::min)
@@ -356,7 +350,6 @@ mod tests {
             .sum::<f64>()
             / 4.0;
         assert!((a.abs_central_moment(3) - want_abs3).abs() < 1e-15);
-        assert!((a.raw_moment(2) - 6.0 / 4.0).abs() < 1e-15);
     }
 
     #[test]

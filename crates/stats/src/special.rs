@@ -1,4 +1,4 @@
-//! Special functions: `erf`, `erfc`, normal CDF/quantile, `ln Γ`, and the
+//! Special functions: `erfc`, normal CDF/quantile, `ln Γ`, and the
 //! regularized incomplete gamma functions.
 //!
 //! The Eq. 14 estimator needs Poisson CDFs at means up to ~10⁷ (a billion
@@ -11,24 +11,6 @@ use crate::{Result, StatsError};
 
 /// `1/√(2π)`, the normalization constant of the standard normal density.
 pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-
-/// The error function `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
-///
-/// Accurate to ~1 ulp of `f64` over the whole real line (computed through
-/// [`erfc`] for |x| where cancellation would matter).
-///
-/// # Example
-/// ```
-/// let e = terse_stats::special::erf(1.0);
-/// assert!((e - 0.8427007929497149).abs() < 1e-14);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 - erfc(x)
-    } else {
-        erfc(-x) - 1.0
-    }
-}
 
 /// The complementary error function `erfc(x) = 1 − erf(x)`.
 ///
@@ -407,7 +389,8 @@ fn gamma_cf(a: f64, x: f64) -> Result<f64> {
 mod tests {
     use super::*;
 
-    /// Reference values from standard tables (Abramowitz & Stegun / mpmath).
+    /// Reference values of `erf` from standard tables (Abramowitz & Stegun /
+    /// mpmath), checked through `erf(x) = 1 − erfc(x)`.
     #[test]
     fn erf_reference_values() {
         let cases = [
@@ -420,11 +403,8 @@ mod tests {
             (-1.0, -0.8427007929497149),
         ];
         for (x, want) in cases {
-            assert!(
-                (erf(x) - want).abs() < 1e-13,
-                "erf({x}) = {} want {want}",
-                erf(x)
-            );
+            let erf = 1.0 - erfc(x);
+            assert!((erf - want).abs() < 1e-13, "erf({x}) = {erf} want {want}");
         }
     }
 
