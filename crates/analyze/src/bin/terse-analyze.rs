@@ -3,8 +3,6 @@
 //! ```text
 //! terse-analyze lint       [--deny] [--json] [ROOT]
 //! terse-analyze pipeline   [--deny] [--json]
-//! terse-analyze jobs       [--deny] [--json] [STORE]
-//! terse-analyze scrub      [--deny] [--json] [STORE]
 //! terse-analyze failpoints [ROOT]
 //! ```
 //!
@@ -15,14 +13,12 @@
 //!   over each stage's endpoint slacks at the deterministic minimum
 //!   period (cross-checked against the arrival-certificate interval),
 //!   and the CFG passes over an embedded reference program.
-//! * `jobs` runs the job-store layout passes (JS005–JS008) over a
-//!   `terse-serve` store root (default: current directory).
-//! * `scrub` runs the layout passes plus the artifact integrity passes
-//!   (JS009–JS012): every checkpoint frame is CRC-verified, every report
-//!   digest re-checked, quarantine bundles audited for completeness.
 //! * `failpoints` lists every fail point registered in the workspace
 //!   sources with its fault-injection-test reference count (the data
 //!   behind the AZ004 coverage lint).
+//!
+//! Job stores are audited by `terse verify` and `terse scrub`
+//! (`terse-serve`), which run this crate's JS005–JS012 passes.
 //!
 //! Exit status: `0` clean, `1` findings at the gating severity
 //! (errors by default; warnings too with `--deny`), `2` usage or
@@ -32,13 +28,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use terse_analyze::{
-    analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
-};
+use terse_analyze::{analyze_cfg, analyze_netlist, analyze_stage_slacks, AnalysisReport};
 use terse_isa::{assemble, Cfg};
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
-use terse_sta::analysis::{Sta, StatisticalSta};
-use terse_sta::{DelayLibrary, VariationConfig, VariationModel};
+use terse_sta::{DelayLibrary, Sta, VariationConfig};
 
 const USAGE: &str = "\
 usage: terse-analyze <command> [options]
@@ -46,8 +39,6 @@ usage: terse-analyze <command> [options]
 commands:
   lint [--deny] [--json] [ROOT]    lint workspace Rust sources (AZ001-AZ005)
   pipeline [--deny] [--json]       analyze the reference pipeline IRs
-  jobs [--deny] [--json] [STORE]   analyze a terse-serve job store (JS005-JS008)
-  scrub [--deny] [--json] [STORE]  jobs passes + artifact integrity (JS009-JS012)
   failpoints [ROOT]                list registered fail points + test coverage
 
 options:
@@ -73,8 +64,6 @@ fn main() -> ExitCode {
     let outcome = match command.as_str() {
         "lint" => run_lint(&positional, &mut report),
         "pipeline" => run_pipeline(&mut report),
-        "jobs" => run_jobs(&positional, &mut report),
-        "scrub" => run_scrub(&positional, &mut report),
         "failpoints" => return run_failpoints(&positional),
         _ => {
             eprint!("unknown command `{command}`\n\n{USAGE}");
@@ -120,26 +109,6 @@ fn run_lint(positional: &[&String], report: &mut AnalysisReport) -> Result<(), S
     Ok(())
 }
 
-fn run_jobs(positional: &[&String], report: &mut AnalysisReport) -> Result<(), String> {
-    let root: PathBuf = positional
-        .first()
-        .map_or_else(|| PathBuf::from("."), PathBuf::from);
-    let n = terse_analyze::analyze_job_store(&root, report)
-        .map_err(|e| format!("store scan failed: {e}"))?;
-    eprintln!("terse-analyze: inspected {n} job(s)");
-    Ok(())
-}
-
-fn run_scrub(positional: &[&String], report: &mut AnalysisReport) -> Result<(), String> {
-    let root: PathBuf = positional
-        .first()
-        .map_or_else(|| PathBuf::from("."), PathBuf::from);
-    let n = terse_analyze::scrub_job_store(&root, report)
-        .map_err(|e| format!("store scrub failed: {e}"))?;
-    eprintln!("terse-analyze: scrubbed {n} job(s)");
-    Ok(())
-}
-
 /// Prints the fail-point inventory as a table and exits directly: unlike
 /// the pass commands this is a listing, not a gate, so an uncovered
 /// point is reported by `lint` (AZ004), not here.
@@ -176,47 +145,9 @@ fn run_pipeline(report: &mut AnalysisReport) -> Result<(), String> {
     analyze_netlist(netlist, report);
 
     let lib = DelayLibrary::normalized_45nm();
-    let var_cfg = VariationConfig::default();
-    let expect_variance = var_cfg.sigma_rel > 0.0;
-    let model = VariationModel::new(netlist, &lib, var_cfg)
-        .map_err(|e| format!("variation model failed: {e}"))?;
-    let ssta = StatisticalSta::new(netlist, &lib, &model);
     let t_clk = Sta::new(netlist, &lib).min_period();
-    let slack_cfg = SlackPassConfig {
-        expected_var_count: Some(model.var_count()),
-        expect_variance,
-        ..Default::default()
-    };
-    let sta = Sta::new(netlist, &lib);
-    for s in 0..netlist.stage_count() {
-        let endpoints = netlist
-            .endpoints(s)
-            .map_err(|e| format!("stage {s} endpoints failed: {e}"))?;
-        let mut rvs = Vec::with_capacity(endpoints.len());
-        // Independent SL004 cross-check input: deterministic arrivals
-        // plus the `sd ≤ σ_rel · arrival` certificate inequality.
-        let (mut ilo, mut ihi) = (f64::INFINITY, f64::INFINITY);
-        for &e in endpoints {
-            let rv = ssta
-                .endpoint_slack(e, t_clk)
-                .map_err(|err| format!("slack of {e} failed: {err}"))?;
-            rvs.push(rv);
-            let slack = sta
-                .endpoint_slack(e, t_clk)
-                .map_err(|err| format!("det slack of {e} failed: {err}"))?;
-            let arr = sta
-                .endpoint_arrival(e)
-                .map_err(|err| format!("arrival of {e} failed: {err}"))?;
-            let w = slack_cfg.sigma_bound * VariationConfig::default().sigma_rel * arr.max(0.0);
-            ilo = ilo.min(slack - w);
-            ihi = ihi.min(slack + w);
-        }
-        let stage_cfg = SlackPassConfig {
-            interval_bound: ilo.is_finite().then_some((ilo, ihi)),
-            ..slack_cfg.clone()
-        };
-        analyze_slacks(&rvs, &stage_cfg, &format!("stage {s}"), report);
-    }
+    analyze_stage_slacks(netlist, &lib, VariationConfig::default(), t_clk, report)
+        .map_err(|e| format!("stage slack analysis failed: {e}"))?;
 
     let prog = assemble(REFERENCE_PROGRAM).map_err(|e| format!("reference program: {e}"))?;
     let cfg = Cfg::from_program(&prog);

@@ -20,7 +20,9 @@
 //!
 //! Every pass appends structured [`Diagnostic`]s (severity, stable code,
 //! entity, message, fix hint) to an [`AnalysisReport`], renderable as human
-//! text or JSON. The analyzer's contract, relied on by `Framework::
+//! text or JSON. [`json`] is the workspace's one JSON model: every report,
+//! job spec and bench artifact is built as a [`json::Value`] and rendered
+//! once. The analyzer's contract, relied on by `Framework::
 //! preflight` and the differential fixtures: a **valid** artifact produces
 //! *no diagnostics of severity `Warning` or above*; `Info` entries carry
 //! derived facts (e.g. static stage-DTS interval bounds) and never gate.
@@ -38,6 +40,7 @@
 pub mod cfg_pass;
 pub mod integrity;
 pub mod job_pass;
+pub mod json;
 pub mod lint;
 pub mod netlist_pass;
 pub mod slack_pass;
@@ -50,8 +53,9 @@ pub use job_pass::{
 };
 pub use lint::{fail_point_inventory, lint_fail_point_coverage, lint_workspace};
 pub use netlist_pass::analyze_netlist;
-pub use slack_pass::{analyze_slacks, SlackPassConfig};
+pub use slack_pass::{analyze_slacks, analyze_stage_slacks, SlackPassConfig};
 
+use json::Value;
 use std::fmt;
 
 /// Severity of a diagnostic.
@@ -239,61 +243,37 @@ impl AnalysisReport {
         out
     }
 
-    /// JSON rendering (hand-rolled — the workspace is offline and carries
-    /// no serde): an object with a `diagnostics` array and summary counts.
+    /// JSON rendering: an object with a `diagnostics` array and summary
+    /// counts.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"entity\":{},\"message\":{},\"hint\":{}",
-                json_str(d.code),
-                json_str(d.severity.label()),
-                json_str(&d.entity),
-                json_str(&d.message),
-                json_str(&d.hint)
-            ));
-            if !d.data.is_empty() {
-                out.push_str(",\"data\":{");
-                for (j, (k, v)) in d.data.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{}:{}", json_str(k), json_str(v)));
+        let s = |v: &str| Value::Str(v.to_owned());
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                let mut fields = vec![
+                    ("code".into(), s(d.code)),
+                    ("severity".into(), s(d.severity.label())),
+                    ("entity".into(), s(&d.entity)),
+                    ("message".into(), s(&d.message)),
+                    ("hint".into(), s(&d.hint)),
+                ];
+                if !d.data.is_empty() {
+                    let data = d.data.iter().map(|(k, v)| (k.clone(), s(v)));
+                    fields.push(("data".into(), Value::Obj(data.collect())));
                 }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{},\"total\":{}}}",
-            self.error_count(),
-            self.warning_count(),
-            self.diagnostics.len()
-        ));
-        out
+                Value::Obj(fields)
+            })
+            .collect();
+        let count = |n: usize| Value::Num(n as f64);
+        Value::Obj(vec![
+            ("diagnostics".into(), Value::Arr(diagnostics)),
+            ("errors".into(), count(self.error_count())),
+            ("warnings".into(), count(self.warning_count())),
+            ("total".into(), count(self.diagnostics.len())),
+        ])
+        .render()
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -323,12 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
     fn json_rendering_is_wellformed_enough() {
         let mut r = AnalysisReport::new();
         r.push("NL001", Severity::Error, "g1", "combinational cycle", "fix");
@@ -338,5 +312,28 @@ mod tests {
         assert!(j.contains("\"errors\":1"));
         let text = r.render_text();
         assert!(text.contains("error [NL001] g1"));
+        // Escapes and a `data` map survive a parse of the rendering.
+        r.push_with_data(
+            "SL004",
+            Severity::Info,
+            "stage \"0\"\\\n\u{1}",
+            "bound",
+            "none",
+            vec![
+                ("lo".into(), "-1.5".into()),
+                ("binding".into(), "ssta".into()),
+            ],
+        );
+        let v = Value::parse(&r.render_json()).unwrap();
+        let d = &v.get("diagnostics").and_then(Value::as_arr).unwrap()[1];
+        assert_eq!(
+            d.get("entity").and_then(Value::as_str),
+            Some("stage \"0\"\\\n\u{1}")
+        );
+        let data = d.get("data").unwrap();
+        assert_eq!(data.get("lo").and_then(Value::as_str), Some("-1.5"));
+        assert_eq!(data.get("binding").and_then(Value::as_str), Some("ssta"));
+        assert_eq!(v.get("total").and_then(Value::as_usize), Some(2));
+        assert!(r.render_json().contains("\\u0001"));
     }
 }

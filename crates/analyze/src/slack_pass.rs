@@ -31,7 +31,9 @@
 //! | SL004 | info     | derived static DTS interval bound for the set |
 
 use crate::{AnalysisReport, Severity};
-use terse_sta::CanonicalRv;
+use terse_netlist::Netlist;
+use terse_sta::analysis::{Sta, StatisticalSta};
+use terse_sta::{CanonicalRv, DelayLibrary, StaError, VariationConfig, VariationModel};
 
 /// Configuration of the slack pass.
 #[derive(Debug, Clone)]
@@ -205,6 +207,52 @@ pub fn analyze_slacks(
             );
         }
     }
+}
+
+/// Runs [`analyze_slacks`] over every pipeline stage's endpoint slacks at
+/// clock period `t_clk`, anchored as `stage <s>`. Each stage is
+/// cross-checked against its deterministic-arrival certificate interval
+/// (`sd(slack) ≤ σ_rel · arrival`, the inequality the DTA pre-screen is
+/// built on), which needs no SSTA sensitivities.
+///
+/// # Errors
+///
+/// Propagates variation-model and timing-engine failures (findings go
+/// into `report`).
+pub fn analyze_stage_slacks(
+    netlist: &Netlist,
+    lib: &DelayLibrary,
+    variation: VariationConfig,
+    t_clk: f64,
+    report: &mut AnalysisReport,
+) -> Result<(), StaError> {
+    let model = VariationModel::new(netlist, lib, variation)?;
+    let ssta = StatisticalSta::new(netlist, lib, &model);
+    let sta = Sta::new(netlist, lib);
+    let cfg = SlackPassConfig {
+        expected_var_count: Some(model.var_count()),
+        expect_variance: variation.sigma_rel > 0.0,
+        ..Default::default()
+    };
+    for s in 0..netlist.stage_count() {
+        // Every stage below `stage_count` has an endpoint list.
+        let endpoints = netlist.endpoints(s).unwrap_or_default();
+        let mut rvs = Vec::with_capacity(endpoints.len());
+        let (mut ilo, mut ihi) = (f64::INFINITY, f64::INFINITY);
+        for &e in endpoints {
+            rvs.push(ssta.endpoint_slack(e, t_clk)?);
+            let slack = sta.endpoint_slack(e, t_clk)?;
+            let w = cfg.sigma_bound * variation.sigma_rel * sta.endpoint_arrival(e)?.max(0.0);
+            ilo = ilo.min(slack - w);
+            ihi = ihi.min(slack + w);
+        }
+        let stage_cfg = SlackPassConfig {
+            interval_bound: ilo.is_finite().then_some((ilo, ihi)),
+            ..cfg.clone()
+        };
+        analyze_slacks(&rvs, &stage_cfg, &format!("stage {s}"), report);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //! gates on.
 
 use oracle::gen;
+use terse_analyze::json::Value;
 use terse_analyze::{
     analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
 };
@@ -134,29 +135,30 @@ fn main() {
     let pass = false_positives.is_empty() && missed.is_empty();
 
     // --- Report ---------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"host_threads\": {host},\n  \"valid_count\": {valid_count},\n  \"defect_seeds\": {defect_seeds},\n"
-    ));
-    json.push_str(&format!(
-        "  \"false_positives\": {},\n  \"defects\": [\n",
-        false_positives.len()
-    ));
-    for (i, o) in outcomes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"family\": \"{}\", \"kind\": \"{}\", \"expected_code\": \"{}\", \"seeds\": {}, \"detected\": {}}}{}\n",
-            o.family,
-            o.kind,
-            o.expected_code,
-            o.seeds,
-            o.detected,
-            if i + 1 < outcomes.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!("  ],\n  \"pass\": {pass}\n}}\n"));
+    let count = |n: usize| Value::Num(n as f64);
+    let defects = outcomes
+        .iter()
+        .map(|o| {
+            Value::Obj(vec![
+                ("family".into(), Value::Str(o.family.into())),
+                ("kind".into(), Value::Str(o.kind.clone())),
+                ("expected_code".into(), Value::Str(o.expected_code.into())),
+                ("seeds".into(), count(o.seeds)),
+                ("detected".into(), count(o.detected)),
+            ])
+        })
+        .collect();
+    let json = Value::Obj(vec![
+        ("host_threads".into(), count(host)),
+        ("valid_count".into(), count(valid_count)),
+        ("defect_seeds".into(), count(defect_seeds)),
+        ("false_positives".into(), count(false_positives.len())),
+        ("defects".into(), Value::Arr(defects)),
+        ("pass".into(), Value::Bool(pass)),
+    ]);
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/ANALYZE_fixtures.json", &json).expect("write fixture report");
+    std::fs::write("results/ANALYZE_fixtures.json", format!("{json}\n"))
+        .expect("write fixture report");
 
     for fp in &false_positives {
         eprintln!("FALSE POSITIVE on valid artifact — {fp}");

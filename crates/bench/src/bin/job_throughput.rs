@@ -25,34 +25,54 @@
 
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
+use terse_analyze::json::Value;
 use terse_bench::BenchEnvelope;
-use terse_serve::json::Value;
 use terse_serve::{deterministic_section, serve, ExecutorConfig, JobSpec, JobStore};
 
 const KERNELS: [&str; 3] = [
-    r"li r1, 3\nli r2, 0xF0F0\nloop: add r3, r3, r2\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n",
-    r"li r1, 4\nli r2, 0x0F0F\nloop: xor r3, r3, r2\nadd r4, r4, r3\naddi r1, r1, -1\nbne r1, r0, loop\nadd r5, r4, r2\nhalt\n",
-    r"li r1, 2\nli r2, 0x00FF\nloop: slli r3, r2, 1\nor r4, r4, r3\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n",
+    "li r1, 3\nli r2, 0xF0F0\nloop: add r3, r3, r2\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n",
+    "li r1, 4\nli r2, 0x0F0F\nloop: xor r3, r3, r2\nadd r4, r4, r3\naddi r1, r1, -1\nbne r1, r0, loop\nadd r5, r4, r2\nhalt\n",
+    "li r1, 2\nli r2, 0x00FF\nloop: slli r3, r2, 1\nor r4, r4, r3\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n",
 ];
 
 fn batch_spec(i: usize) -> JobSpec {
-    let kernel = KERNELS[i % KERNELS.len()];
-    let grid = if i.is_multiple_of(2) {
-        "[1.4]"
+    let grid: &[f64] = if i.is_multiple_of(2) {
+        &[1.4]
     } else {
-        "[1.3,1.5]"
+        &[1.3, 1.5]
     };
-    let extra = match i % 4 {
-        0 => String::new(),
-        1 => r#","block_budget":1"#.to_owned(),
-        2 => format!(r#","chips":2,"mc_inputs":2,"seed":{i}"#),
-        _ => format!(r#","chips":2,"mc_inputs":2,"mc_cell_budget":3,"seed":{i}"#),
-    };
-    JobSpec::from_json(&format!(
-        r#"{{"id":"job-{i:04}","workload":{{"asm":"{kernel}","name":"bench-k{}"}},"samples":1,"grid":{grid},"checkpoint_every":2{extra}}}"#,
-        i % KERNELS.len()
-    ))
-    .expect("batch spec parses")
+    let mut fields = vec![
+        ("id".into(), Value::Str(format!("job-{i:04}"))),
+        (
+            "workload".into(),
+            Value::Obj(vec![
+                ("asm".into(), Value::Str(KERNELS[i % KERNELS.len()].into())),
+                (
+                    "name".into(),
+                    Value::Str(format!("bench-k{}", i % KERNELS.len())),
+                ),
+            ]),
+        ),
+        ("samples".into(), Value::Num(1.0)),
+        (
+            "grid".into(),
+            Value::Arr(grid.iter().map(|&f| Value::Num(f)).collect()),
+        ),
+        ("checkpoint_every".into(), Value::Num(2.0)),
+    ];
+    match i % 4 {
+        0 => {}
+        1 => fields.push(("block_budget".into(), Value::Num(1.0))),
+        k => {
+            fields.push(("chips".into(), Value::Num(2.0)));
+            fields.push(("mc_inputs".into(), Value::Num(2.0)));
+            if k == 3 {
+                fields.push(("mc_cell_budget".into(), Value::Num(3.0)));
+            }
+            fields.push(("seed".into(), Value::Num(i as f64)));
+        }
+    }
+    JobSpec::from_value(&Value::Obj(fields)).expect("batch spec is valid")
 }
 
 struct PoolResult {
@@ -151,24 +171,23 @@ fn main() {
     }
 
     let serial_s = results[0].wall_s;
-    let rows: Vec<String> = results
+    let pools = results
         .iter()
         .map(|r| {
-            format!(
-                "    {{\n      \"workers\": {},\n      \"wall_s\": {:.6},\n      \"jobs_per_s\": {:.3},\n      \"speedup_vs_serial\": {:.3},\n      \"requeued\": {},\n      \"attempts\": {}\n    }}",
-                r.workers,
-                r.wall_s,
-                r.jobs_per_s,
-                serial_s / r.wall_s,
-                r.requeued,
-                r.attempts
-            )
+            Value::Obj(vec![
+                ("workers".into(), Value::Num(r.workers as f64)),
+                ("wall_s".into(), Value::Num(r.wall_s)),
+                ("jobs_per_s".into(), Value::Num(r.jobs_per_s)),
+                ("speedup_vs_serial".into(), Value::Num(serial_s / r.wall_s)),
+                ("requeued".into(), Value::Num(r.requeued as f64)),
+                ("attempts".into(), Value::Num(r.attempts as f64)),
+            ])
         })
         .collect();
-    let detail = format!(
-        "{{\n  \"bitwise_identical\": {bitwise_identical},\n  \"pools\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
+    let detail = Value::Obj(vec![
+        ("bitwise_identical".into(), Value::Bool(bitwise_identical)),
+        ("pools".into(), Value::Arr(pools)),
+    ]);
     let widest = results.last().expect("at least one pool");
     let env = BenchEnvelope {
         bench: "jobserver",
@@ -184,7 +203,7 @@ fn main() {
         // Headline: the widest pool vs the single-worker drain.
         speedup: serial_s / widest.wall_s,
         checks: vec![("bitwise_identical".into(), bitwise_identical)],
-        detail: Value::parse(&detail).expect("detail json"),
+        detail,
     };
     match env.write() {
         Ok(path) => eprintln!("wrote {}", path.display()),

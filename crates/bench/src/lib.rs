@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 use terse::{Framework, Report, Result, Workload};
-use terse_serve::json::Value;
+use terse_analyze::json::Value;
 use terse_workloads::{BenchmarkSpec, DatasetSize};
 
 /// The common envelope every `results/BENCH_*.json` artifact shares, so CI

@@ -34,9 +34,7 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use terse_analyze::{
-    analyze_cfg, analyze_netlist, analyze_slacks, AnalysisReport, SlackPassConfig,
-};
+use terse_analyze::{analyze_cfg, analyze_netlist, analyze_stage_slacks, AnalysisReport};
 use terse_dta::cache::{DtsCache, DtsCacheStats};
 use terse_dta::control::{characterize_control_with, training_inputs};
 use terse_dta::datapath::DatapathModel;
@@ -52,7 +50,6 @@ use terse_sim::features::InstFeatures;
 use terse_sim::machine::Machine;
 use terse_sim::profile::{ProfileResult, Profiler};
 use terse_sim::sweep::{Checkpoint, Sweep};
-use terse_sta::analysis::{Sta, StatisticalSta};
 use terse_sta::delay::{DelayLibrary, TimingConstraints};
 use terse_sta::variation::{ChipSample, VariationConfig, VariationModel};
 use terse_stats::kahan::KahanSum;
@@ -159,7 +156,6 @@ impl Workload {
 pub struct FrameworkBuilder {
     pipeline: PipelineConfig,
     variation: VariationConfig,
-    correction: CorrectionScheme,
     operating: OperatingConfig,
     samples: usize,
     profiler: Profiler,
@@ -172,7 +168,6 @@ impl Default for FrameworkBuilder {
         FrameworkBuilder {
             pipeline: PipelineConfig::default(),
             variation: VariationConfig::default(),
-            correction: CorrectionScheme::paper_default(),
             // The calibrated overclock puts error rates in the paper's
             // 0.1–1 % band on the synthetic pipeline (see
             // `OperatingConfig::calibrated`).
@@ -197,12 +192,6 @@ impl FrameworkBuilder {
     /// Sets the process-variation configuration.
     pub fn variation(mut self, cfg: VariationConfig) -> Self {
         self.variation = cfg;
-        self
-    }
-
-    /// Sets the error-correction scheme.
-    pub fn correction(mut self, scheme: CorrectionScheme) -> Self {
-        self.correction = scheme;
         self
     }
 
@@ -263,7 +252,6 @@ impl FrameworkBuilder {
             pipeline,
             lib,
             variation: self.variation,
-            correction: self.correction,
             operating,
             samples: self.samples,
             profiler: self.profiler,
@@ -284,7 +272,6 @@ pub struct Framework {
     pipeline: PipelineNetlist,
     lib: DelayLibrary,
     variation: VariationConfig,
-    correction: CorrectionScheme,
     operating: OperatingPoint,
     samples: usize,
     profiler: Profiler,
@@ -317,9 +304,9 @@ impl Framework {
         &self.operating
     }
 
-    /// The correction scheme.
+    /// The correction scheme: the paper's replay at half frequency.
     pub fn correction(&self) -> CorrectionScheme {
-        self.correction
+        CorrectionScheme::paper_default()
     }
 
     /// Number of data-variation samples per run.
@@ -352,36 +339,13 @@ impl Framework {
         analyze_netlist(netlist, &mut report);
         let cfg = Cfg::from_program(w.program());
         analyze_cfg(w.program(), &cfg, &mut report);
-        let model = VariationModel::new(netlist, &self.lib, self.variation)?;
-        let ssta = StatisticalSta::new(netlist, &self.lib, &model);
-        let sta = Sta::new(netlist, &self.lib);
-        let slack_cfg = SlackPassConfig {
-            expected_var_count: Some(model.var_count()),
-            expect_variance: self.variation.sigma_rel > 0.0,
-            ..Default::default()
-        };
-        for s in 0..netlist.stage_count() {
-            let endpoints = netlist.endpoints(s)?;
-            let mut rvs = Vec::with_capacity(endpoints.len());
-            // Cross-check input for SL004: the deterministic-arrival
-            // certificate interval (`sd(slack) ≤ σ_rel · arrival`, the same
-            // inequality the DTA pre-screen is built on), derived without
-            // the SSTA sensitivity machinery.
-            let (mut ilo, mut ihi) = (f64::INFINITY, f64::INFINITY);
-            for &e in endpoints {
-                rvs.push(ssta.endpoint_slack(e, self.operating.working_period)?);
-                let slack = sta.endpoint_slack(e, self.operating.working_period)?;
-                let arr = sta.endpoint_arrival(e)?;
-                let w = slack_cfg.sigma_bound * self.variation.sigma_rel * arr.max(0.0);
-                ilo = ilo.min(slack - w);
-                ihi = ihi.min(slack + w);
-            }
-            let stage_cfg = SlackPassConfig {
-                interval_bound: ilo.is_finite().then_some((ilo, ihi)),
-                ..slack_cfg.clone()
-            };
-            analyze_slacks(&rvs, &stage_cfg, &format!("stage {s}"), &mut report);
-        }
+        analyze_stage_slacks(
+            netlist,
+            &self.lib,
+            self.variation,
+            self.operating.working_period,
+            &mut report,
+        )?;
         Ok(report)
     }
 
@@ -404,7 +368,7 @@ impl Framework {
     pub fn performance_model(&self) -> TsPerformanceModel {
         TsPerformanceModel {
             overclock: self.operating.config.overclock,
-            penalty_cycles: self.correction.penalty_cycles() as f64,
+            penalty_cycles: self.correction().penalty_cycles() as f64,
         }
     }
 
@@ -827,21 +791,34 @@ impl Framework {
         let t2 = Instant::now();
         let estimate = self.estimate(w, &cfg, &profiles, &model)?;
         let estimation_s = t2.elapsed().as_secs_f64();
-        Ok(Report {
+        let timings = RunTimings {
+            training_s,
+            simulation_s,
+            estimation_s,
+        };
+        Ok(self.report(w, &cfg, estimate, timings))
+    }
+
+    /// Assembles the Table 2 report of one run of `w`: its estimate and
+    /// phase timings, plus this framework's performance model and counters.
+    pub fn report(
+        &self,
+        w: &Workload,
+        cfg: &Cfg,
+        estimate: ErrorRateEstimate,
+        timings: RunTimings,
+    ) -> Report {
+        Report {
             name: w.name().to_owned(),
             dynamic_instructions: estimate.total_instructions,
             estimate,
-            timings: RunTimings {
-                training_s,
-                simulation_s,
-                estimation_s,
-            },
+            timings,
             static_instructions: w.program().len(),
             basic_blocks: cfg.len(),
             perf: self.performance_model(),
             dta_cache: self.dta_cache_stats(),
             prescreen: Some(self.prescreen_stats()),
-        })
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 
 use crate::perf::TsPerformanceModel;
 use crate::Result;
+use terse_analyze::json::Value;
 use terse_dta::cache::DtsCacheStats;
 use terse_dta::prescreen::PrescreenStats;
 use terse_stats::mixture::CdfBounds;
@@ -109,84 +110,34 @@ impl ErrorRateEstimate {
     /// The estimate as a JSON object. Contains only values that are a pure
     /// function of the run's inputs (no wall clock, no cache counters), so
     /// two bitwise-identical estimates render to identical bytes — the
-    /// job server's crash-resume differential tests compare these strings
-    /// directly.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        let samples: Vec<String> = self.lambda.samples().iter().map(|&v| json_f64(v)).collect();
-        o.raw("lambda_samples", &format!("[{}]", samples.join(",")));
-        o.f64("lambda_mean", self.lambda.mean());
-        o.f64("lambda_sd", self.lambda.sd());
-        o.f64("total_instructions", self.total_instructions);
-        o.f64("mean_error_rate", self.mean_error_rate());
-        o.f64("sd_error_rate", self.sd_error_rate());
-        o.f64("dk_lambda", self.dk_lambda);
-        o.f64("dk_count", self.dk_count);
-        o.f64("chen_stein_b12_worst", self.chen_stein_b12_worst);
-        o.finish()
+    /// job server's crash-resume differential tests compare the rendered
+    /// bytes directly.
+    pub fn to_value(&self) -> Value {
+        let samples = self.lambda.samples().iter().map(|&v| num(v)).collect();
+        Value::Obj(vec![
+            ("lambda_samples".into(), Value::Arr(samples)),
+            ("lambda_mean".into(), num(self.lambda.mean())),
+            ("lambda_sd".into(), num(self.lambda.sd())),
+            ("total_instructions".into(), num(self.total_instructions)),
+            ("mean_error_rate".into(), num(self.mean_error_rate())),
+            ("sd_error_rate".into(), num(self.sd_error_rate())),
+            ("dk_lambda".into(), num(self.dk_lambda)),
+            ("dk_count".into(), num(self.dk_count)),
+            (
+                "chen_stein_b12_worst".into(),
+                num(self.chen_stein_b12_worst),
+            ),
+        ])
     }
 }
 
-/// Renders an `f64` as a JSON value: Rust's shortest round-trip decimal for
-/// finite values (equal bit patterns ⇒ equal bytes), `null` for non-finite
-/// ones (JSON has no NaN/∞ literal).
-fn json_f64(v: f64) -> String {
+/// An `f64` as a JSON value: a number when finite, `null` otherwise (JSON
+/// has no NaN/∞ literal).
+fn num(v: f64) -> Value {
     if v.is_finite() {
-        let s = format!("{v}");
-        // Bare integers like `3` are valid JSON numbers, but keeping a
-        // decimal point marks the field as floating-point for typed readers.
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
+        Value::Num(v)
     } else {
-        "null".into()
-    }
-}
-
-/// Minimal ordered JSON-object builder (the workspace is offline — no
-/// serde); `raw` values must already be valid JSON.
-struct JsonObj {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObj {
-    fn new() -> Self {
-        JsonObj { fields: Vec::new() }
-    }
-
-    fn raw(&mut self, key: &str, json: &str) {
-        self.fields.push((key.to_owned(), json.to_owned()));
-    }
-
-    fn str(&mut self, key: &str, value: &str) {
-        let escaped: String = value
-            .chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                '\n' => "\\n".chars().collect(),
-                '\t' => "\\t".chars().collect(),
-                '\r' => "\\r".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect();
-        self.fields.push((key.to_owned(), format!("\"{escaped}\"")));
-    }
-
-    fn f64(&mut self, key: &str, value: f64) {
-        self.fields.push((key.to_owned(), json_f64(value)));
-    }
-
-    fn finish(self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        Value::Null
     }
 }
 
@@ -331,56 +282,57 @@ impl Report {
     /// that did not run are `null`, never missing), so downstream
     /// consumers can index unconditionally. `f64`s are rendered in Rust's
     /// shortest round-trip form, so equal bit patterns produce equal bytes.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("name", &self.name);
-        o.raw("static_instructions", &self.static_instructions.to_string());
-        o.f64("dynamic_instructions", self.dynamic_instructions);
-        o.raw("basic_blocks", &self.basic_blocks.to_string());
-        o.raw("estimate", &self.estimate.to_json());
-        o.raw(
-            "perf",
-            &format!(
-                "{{\"overclock\":{},\"penalty_cycles\":{}}}",
-                json_f64(self.perf.overclock),
-                json_f64(self.perf.penalty_cycles)
+    pub fn to_value(&self) -> Value {
+        let count = |n: u64| Value::Num(n as f64);
+        let dta_cache = self.dta_cache.as_ref().map_or(Value::Null, |c| {
+            Value::Obj(vec![
+                ("hits".into(), count(c.hits)),
+                ("misses".into(), count(c.misses)),
+                ("evictions".into(), count(c.evictions)),
+                ("collisions".into(), count(c.collisions)),
+                ("entries".into(), count(c.entries as u64)),
+                ("capacity".into(), count(c.capacity as u64)),
+                ("hit_rate".into(), num(c.hit_rate())),
+            ])
+        });
+        let prescreen = self.prescreen.as_ref().map_or(Value::Null, |p| {
+            Value::Obj(vec![
+                ("pairs_total".into(), count(p.pairs_total)),
+                ("pairs_pruned".into(), count(p.pairs_pruned)),
+                ("ratio".into(), num(p.ratio())),
+            ])
+        });
+        Value::Obj(vec![
+            ("name".into(), Value::Str(self.name.clone())),
+            (
+                "static_instructions".into(),
+                count(self.static_instructions as u64),
             ),
-        );
-        let mut t = JsonObj::new();
-        t.f64("simulation_s", self.timings.simulation_s);
-        t.f64("training_s", self.timings.training_s);
-        t.f64("estimation_s", self.timings.estimation_s);
-        t.f64("total_s", self.timings.total_s());
-        o.raw("timings", &t.finish());
-        match &self.dta_cache {
-            Some(c) => {
-                let mut d = JsonObj::new();
-                for (k, v) in [
-                    ("hits", c.hits),
-                    ("misses", c.misses),
-                    ("evictions", c.evictions),
-                    ("collisions", c.collisions),
-                    ("entries", c.entries as u64),
-                    ("capacity", c.capacity as u64),
-                ] {
-                    d.raw(k, &v.to_string());
-                }
-                d.f64("hit_rate", c.hit_rate());
-                o.raw("dta_cache", &d.finish());
-            }
-            None => o.raw("dta_cache", "null"),
-        }
-        match &self.prescreen {
-            Some(p) => {
-                let mut pr = JsonObj::new();
-                pr.raw("pairs_total", &p.pairs_total.to_string());
-                pr.raw("pairs_pruned", &p.pairs_pruned.to_string());
-                pr.f64("ratio", p.ratio());
-                o.raw("prescreen", &pr.finish());
-            }
-            None => o.raw("prescreen", "null"),
-        }
-        o.finish()
+            (
+                "dynamic_instructions".into(),
+                num(self.dynamic_instructions),
+            ),
+            ("basic_blocks".into(), count(self.basic_blocks as u64)),
+            ("estimate".into(), self.estimate.to_value()),
+            (
+                "perf".into(),
+                Value::Obj(vec![
+                    ("overclock".into(), num(self.perf.overclock)),
+                    ("penalty_cycles".into(), num(self.perf.penalty_cycles)),
+                ]),
+            ),
+            (
+                "timings".into(),
+                Value::Obj(vec![
+                    ("simulation_s".into(), num(self.timings.simulation_s)),
+                    ("training_s".into(), num(self.timings.training_s)),
+                    ("estimation_s".into(), num(self.timings.estimation_s)),
+                    ("total_s".into(), num(self.timings.total_s())),
+                ]),
+            ),
+            ("dta_cache".into(), dta_cache),
+            ("prescreen".into(), prescreen),
+        ])
     }
 }
 
@@ -482,38 +434,6 @@ mod tests {
         assert!(summary.contains("dta-cache: disabled"));
     }
 
-    /// The keys of a JSON object's outermost level, in order: each string
-    /// that a depth-1 `:` follows.
-    fn top_level_keys(json: &str) -> Vec<String> {
-        let (mut keys, mut depth) = (Vec::new(), 0);
-        let (mut in_str, mut escaped, mut last) = (false, false, String::new());
-        for c in json.chars() {
-            if in_str {
-                match c {
-                    _ if escaped => escaped = false,
-                    '\\' => escaped = true,
-                    '"' => in_str = false,
-                    _ => {}
-                }
-                if in_str {
-                    last.push(c);
-                }
-                continue;
-            }
-            match c {
-                '"' => {
-                    in_str = true;
-                    last.clear();
-                }
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                ':' if depth == 1 => keys.push(last.clone()),
-                _ => {}
-            }
-        }
-        keys
-    }
-
     #[test]
     fn report_json_has_a_complete_key_set() {
         let e = estimate(1000.0, 0.05, 5e8);
@@ -532,9 +452,16 @@ mod tests {
             dta_cache: None,
             prescreen: None,
         };
-        let json = r.to_json();
+        let v = r.to_value();
+        let json = v.render();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(
-            top_level_keys(&json),
+            keys,
             [
                 "name",
                 "static_instructions",
@@ -548,31 +475,32 @@ mod tests {
             ],
             "{json}"
         );
-        for key in [
-            "\"lambda_samples\"",
-            "\"dk_lambda\"",
-            "\"dta_cache\":null",
-            "\"prescreen\":null",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let est = v.get("estimate").unwrap();
+        for key in ["lambda_samples", "dk_lambda"] {
+            assert!(est.get(key).is_some(), "missing {key} in {json}");
         }
+        assert_eq!(v.get("dta_cache"), Some(&Value::Null));
+        assert_eq!(v.get("prescreen"), Some(&Value::Null));
         assert!(!json.contains("\"sampling\""), "{json}");
         // Quotes in names are escaped.
         assert!(json.contains("demo \\\"quoted\\\""), "{json}");
         // Deterministic payloads render identically.
-        assert_eq!(r.estimate.to_json(), r.estimate.clone().to_json());
+        assert_eq!(
+            r.estimate.to_value().render(),
+            r.estimate.clone().to_value().render()
+        );
     }
 
     #[test]
-    fn json_f64_round_trips_and_handles_non_finite() {
+    fn numbers_round_trip_and_non_finite_become_null() {
         for v in [0.25, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -0.0, 42.0] {
-            let s = json_f64(v);
+            let s = num(v).render();
             let back: f64 = s.parse().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s}");
         }
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(42.0), "42.0");
+        assert_eq!(num(f64::NAN), Value::Null);
+        assert_eq!(num(f64::INFINITY), Value::Null);
+        assert_eq!(num(42.0).render(), "42.0");
     }
 
     #[test]

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod executor;
-pub mod json;
 pub mod runner;
 pub mod spec;
 pub mod store;
@@ -46,6 +45,8 @@ pub use runner::{deterministic_section, run_job, FrameworkCache, RunOutcome};
 pub use spec::{JobSpec, PipelinePreset, WorkloadSpec};
 pub use store::{ClaimToken, JobState, JobStore, Recovery};
 pub use supervise::{SupervisorConfig, SupervisorStats};
+/// The JSON value model every job spec and report is built in.
+pub use terse_analyze::json;
 
 use std::fmt;
 

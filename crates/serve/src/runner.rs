@@ -28,7 +28,7 @@ use crate::{json::Value, Result, ServeError};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
-use terse::{Checkpoint, Framework, OperatingConfig, Report, RunTimings, TerseError, Workload};
+use terse::{Checkpoint, Framework, OperatingConfig, RunTimings, TerseError, Workload};
 use terse_isa::Cfg;
 use terse_sim::monte_carlo::{self, MonteCarloConfig};
 use terse_sim::SimError;
@@ -244,10 +244,9 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
             path: point_path.display().to_string(),
             message: "injected checkpoint-flush fault".into(),
         }));
-        let result = Value::parse(&est.to_json()).map_err(ServeError::Json)?;
         let point = Value::Obj(vec![
             ("overclock".into(), Value::Num(overclock)),
-            ("result".into(), result),
+            ("result".into(), est.to_value()),
             ("mc".into(), mc.unwrap_or(Value::Null)),
         ]);
         crate::store::atomic_write(&point_path, point.render().as_bytes())?;
@@ -289,7 +288,7 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
 }
 
 /// The non-deterministic tail of a report: wall-clock timings and perf
-/// counters, plus a rendered `Report` (with `perf_summary`) for the last
+/// counters, plus the `Report` (with `perf_summary`) for the last
 /// point this attempt computed. Resumed attempts that computed no point
 /// (all were already on disk) emit a minimal section.
 fn telemetry_section(
@@ -306,20 +305,8 @@ fn telemetry_section(
         ("mc_s".into(), Value::Num(mc_s)),
     ];
     if let Some((fw, est)) = last_point {
-        let report = Report {
-            name: workload.name().to_owned(),
-            dynamic_instructions: est.total_instructions,
-            estimate: est,
-            timings,
-            static_instructions: workload.program().len(),
-            basic_blocks: cfg.len(),
-            perf: fw.performance_model(),
-            dta_cache: fw.dta_cache_stats(),
-            prescreen: Some(fw.prescreen_stats()),
-        };
-        if let Ok(v) = Value::parse(&report.to_json()) {
-            fields.push(("last_point_report".into(), v));
-        }
+        let report = fw.report(workload, cfg, est, timings);
+        fields.push(("last_point_report".into(), report.to_value()));
         fields.push(("perf_summary".into(), Value::Str(report.perf_summary())));
     }
     Value::Obj(fields)
@@ -365,6 +352,43 @@ mod tests {
             r#"{{"id":"{id}","workload":{{"asm":"li r1, 3\nli r2, 0xF0F0\nloop: add r3, r3, r2\naddi r1, r1, -1\nbne r1, r0, loop\nadd r4, r3, r2\nhalt\n","name":"tiny"}},"samples":2,"grid":[1.4],"checkpoint_every":2{extra}}}"#
         ))
         .expect("spec")
+    }
+
+    /// The bytes of a `point-<g>.json` are pinned: a resumed job keeps the
+    /// points an earlier attempt stored, so the estimate's key order, the
+    /// `.0` on integral numbers and `null` for non-finite values must
+    /// never drift.
+    #[test]
+    fn point_json_bytes_are_pinned() {
+        let lambda_normal = terse_stats::Normal::new(2.5, 0.5).unwrap();
+        let est = terse::ErrorRateEstimate {
+            lambda: terse_stats::SampleRv::from_fn(3, |i| [1.5, f64::NAN, 42.0][i]),
+            lambda_normal,
+            mixture: terse_stats::PoissonNormalMixture::new(lambda_normal).unwrap(),
+            total_instructions: 1000.0,
+            dk_lambda: 0.015625,
+            dk_count: 1.0 / 3.0,
+            chen_stein_b12_worst: -0.0,
+        };
+        let point = Value::Obj(vec![
+            ("overclock".into(), Value::Num(1.4)),
+            ("result".into(), est.to_value()),
+            (
+                "mc".into(),
+                Value::Obj(vec![
+                    ("chips".into(), Value::Num(2.0)),
+                    ("inputs".into(), Value::Num(2.0)),
+                    (
+                        "pooled".into(),
+                        Value::Arr(vec![Value::Num(0.0), Value::Num(3.0)]),
+                    ),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            point.render(),
+            r#"{"overclock":1.4,"result":{"lambda_samples":[1.5,null,42.0],"lambda_mean":null,"lambda_sd":0.0,"total_instructions":1000.0,"mean_error_rate":null,"sd_error_rate":0.0,"dk_lambda":0.015625,"dk_count":0.3333333333333333,"chen_stein_b12_worst":-0.0},"mc":{"chips":2.0,"inputs":2.0,"pooled":[0.0,3.0]}}"#
+        );
     }
 
     #[test]

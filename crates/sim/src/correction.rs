@@ -1,7 +1,8 @@
 //! Error detection/correction schemes and their dynamic effects.
 //!
 //! Section 4.1 of the paper: when a timing error is detected, the processor
-//! corrects it (replay, flush, or bubbles), and the *next* instruction then
+//! corrects it (replay, flush, or bubbles; only replay, the scheme the
+//! paper evaluates, is modelled here), and the *next* instruction then
 //! transitions the datapath from the corrected state instead of from the
 //! errant instruction's state — which activates different timing paths and
 //! makes the post-error conditional probability `p^e` differ from `p^c`.
@@ -22,18 +23,6 @@ pub enum CorrectionScheme {
         /// Total penalty cycles per error (24 in the paper's setup).
         penalty: u32,
     },
-    /// Pipeline flush on error (\[4]-style, resolving bypass-register
-    /// complications); penalty ≈ pipeline refill.
-    PipelineFlush {
-        /// Pipeline depth to refill.
-        depth: u32,
-    },
-    /// Razor-II-style bubble insertion \[9]: bubbles keep the errant
-    /// instruction from committing; penalty is the bubble count.
-    BubbleInsertion {
-        /// Bubbles inserted per error.
-        bubbles: u32,
-    },
 }
 
 impl CorrectionScheme {
@@ -47,14 +36,12 @@ impl CorrectionScheme {
     pub fn penalty_cycles(&self) -> u32 {
         match *self {
             CorrectionScheme::ReplayAtHalfFrequency { penalty } => penalty,
-            CorrectionScheme::PipelineFlush { depth } => depth,
-            CorrectionScheme::BubbleInsertion { bubbles } => bubbles,
         }
     }
 
-    /// The datapath bus state the correction mechanism leaves behind: all
-    /// three schemes park the operand buses at the `nop` values (zeros)
-    /// before the replayed/next instruction issues.
+    /// The datapath bus state the correction mechanism leaves behind: the
+    /// operand buses parked at the `nop` values (zeros) before the
+    /// replayed instruction issues.
     pub fn post_error_bus_state(&self) -> BusState {
         BusState::flushed()
     }
@@ -72,12 +59,6 @@ impl std::fmt::Display for CorrectionScheme {
             CorrectionScheme::ReplayAtHalfFrequency { penalty } => {
                 write!(f, "replay-at-half-frequency ({penalty} cycles)")
             }
-            CorrectionScheme::PipelineFlush { depth } => {
-                write!(f, "pipeline-flush ({depth} cycles)")
-            }
-            CorrectionScheme::BubbleInsertion { bubbles } => {
-                write!(f, "bubble-insertion ({bubbles} cycles)")
-            }
         }
     }
 }
@@ -94,18 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn penalties() {
-        assert_eq!(
-            CorrectionScheme::PipelineFlush { depth: 6 }.penalty_cycles(),
-            6
-        );
-        assert_eq!(
-            CorrectionScheme::BubbleInsertion { bubbles: 1 }.penalty_cycles(),
-            1
-        );
-    }
-
-    #[test]
     fn post_error_state_is_flushed() {
         let s = CorrectionScheme::paper_default();
         assert_eq!(s.post_error_bus_state(), BusState::flushed());
@@ -116,80 +85,38 @@ mod tests {
         assert!(!CorrectionScheme::paper_default().to_string().is_empty());
     }
 
-    /// Every scheme variant reports exactly its configured penalty — the
-    /// accounting `TsPerformanceModel` builds on (`1 + penalty · rate`
-    /// cycles per instruction).
+    /// The scheme reports exactly its configured penalty — the accounting
+    /// `TsPerformanceModel` builds on (`1 + penalty · rate` cycles per
+    /// instruction).
     #[test]
     fn penalty_accounting_per_scheme() {
-        let schemes = [
-            CorrectionScheme::ReplayAtHalfFrequency { penalty: 24 },
-            CorrectionScheme::PipelineFlush { depth: 6 },
-            CorrectionScheme::BubbleInsertion { bubbles: 2 },
-        ];
-        for s in schemes {
-            let per_error = s.penalty_cycles() as u64;
-            // Accounting over a synthetic run: `n` instructions, `e` errors,
-            // one issue cycle each plus the correction penalty per error.
-            for (n, e) in [(100u64, 0u64), (100, 7), (1, 1), (1_000_000, 999)] {
-                let total = n + e * per_error;
-                assert_eq!(total, n + e * s.penalty_cycles() as u64, "{s}");
-                assert!(total >= n, "{s}: penalties cannot reduce cycles");
-            }
+        let s = CorrectionScheme::ReplayAtHalfFrequency { penalty: 24 };
+        let per_error = s.penalty_cycles() as u64;
+        // Accounting over a synthetic run: `n` instructions, `e` errors,
+        // one issue cycle each plus the correction penalty per error.
+        for (n, e) in [(100u64, 0u64), (100, 7), (1, 1), (1_000_000, 999)] {
+            let total = n + e * per_error;
+            assert_eq!(total, n + e * 24, "{s}");
+            assert!(total >= n, "{s}: penalties cannot reduce cycles");
         }
     }
 
-    /// Degenerate zero-penalty configurations are representable (an ideal
-    /// correction mechanism) and cost nothing per error.
+    /// A degenerate zero-penalty configuration is representable (an ideal
+    /// correction mechanism) and costs nothing per error.
     #[test]
     fn zero_penalty_schemes_are_free() {
-        for s in [
-            CorrectionScheme::ReplayAtHalfFrequency { penalty: 0 },
-            CorrectionScheme::PipelineFlush { depth: 0 },
-            CorrectionScheme::BubbleInsertion { bubbles: 0 },
-        ] {
-            assert_eq!(s.penalty_cycles(), 0);
-            // Even a free correction still leaves the flushed bus state —
-            // the p^e/p^c distinction is about state, not cycles.
-            assert_eq!(s.post_error_bus_state(), BusState::flushed());
-        }
+        let s = CorrectionScheme::ReplayAtHalfFrequency { penalty: 0 };
+        assert_eq!(s.penalty_cycles(), 0);
+        // Even a free correction still leaves the flushed bus state — the
+        // p^e/p^c distinction is about state, not cycles.
+        assert_eq!(s.post_error_bus_state(), BusState::flushed());
     }
 
-    /// The penalty scales are ordered as the paper describes: replay at
-    /// half frequency (full flush + reissue at half clock) costs more than
-    /// a plain pipeline flush, which costs more than Razor-II bubbles, for
-    /// a 6-stage pipeline.
-    #[test]
-    fn paper_scheme_ordering_for_six_stage_pipeline() {
-        let replay = CorrectionScheme::paper_default().penalty_cycles();
-        let flush = CorrectionScheme::PipelineFlush { depth: 6 }.penalty_cycles();
-        let bubble = CorrectionScheme::BubbleInsertion { bubbles: 1 }.penalty_cycles();
-        assert!(replay > flush && flush > bubble);
-    }
-
-    /// Every variant's Display names the mechanism and its cycle count.
+    /// Display names the mechanism and its cycle count.
     #[test]
     fn display_reports_cycle_count_per_variant() {
-        let cases = [
-            (
-                CorrectionScheme::ReplayAtHalfFrequency { penalty: 24 },
-                "replay-at-half-frequency",
-                "24",
-            ),
-            (
-                CorrectionScheme::PipelineFlush { depth: 6 },
-                "pipeline-flush",
-                "6",
-            ),
-            (
-                CorrectionScheme::BubbleInsertion { bubbles: 2 },
-                "bubble-insertion",
-                "2",
-            ),
-        ];
-        for (s, name, cycles) in cases {
-            let text = s.to_string();
-            assert!(text.contains(name), "{text}");
-            assert!(text.contains(cycles), "{text}");
-        }
+        let text = CorrectionScheme::ReplayAtHalfFrequency { penalty: 24 }.to_string();
+        assert!(text.contains("replay-at-half-frequency"), "{text}");
+        assert!(text.contains("24"), "{text}");
     }
 }

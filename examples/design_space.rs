@@ -39,10 +39,11 @@ fn main() -> Result<(), terse::TerseError> {
             overclock: oc,
             penalty_cycles: CorrectionScheme::paper_default().penalty_cycles() as f64,
         };
+        // A Razor-II-style bubble scheme: only its per-error penalty enters
+        // the performance model.
         let bubbles = TsPerformanceModel {
             overclock: oc,
-            penalty_cycles: CorrectionScheme::BubbleInsertion { bubbles: 6 }.penalty_cycles()
-                as f64,
+            penalty_cycles: 6.0,
         };
         println!(
             "{:>9.2} {:>10.4} {:>10.4} | {:>26.4} {:>26.4}",
