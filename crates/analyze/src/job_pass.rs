@@ -1,4 +1,5 @@
-//! Structural verification of job-server specs and store directories.
+//! Structural verification of job-server stores, and the job state
+//! machine.
 //!
 //! `terse-serve` (ROADMAP item 2) turns estimation runs into queued batch
 //! jobs: a JSON spec per job, a directory-backed store
@@ -7,23 +8,17 @@
 //! plus the recovery edge `running → queued` for crashed, hung, or
 //! time-sliced workers; `quarantined` is the terminal state for jobs that
 //! exhausted their retry budget and carry a diagnostic bundle).
-//! This pass is the single source of truth for what a *valid* spec and a
-//! *valid* store look like; the serve crate delegates its own guards to
-//! [`valid_transition`] and runs [`analyze_job_spec`] before admitting a
-//! job, so the executor and the analyzer can never disagree.
-//!
-//! The pass operates on [`JobSpecView`] — a borrowed, crate-neutral
-//! projection of the serve crate's `JobSpec` — because `terse-serve`
-//! depends on `terse-analyze`, not the other way around.
+//! [`JobState`] and [`valid_transition`] are the one definition of the
+//! states and their edges: the serve crate re-exports the type and guards
+//! every state write with the predicate, and this pass audits stores
+//! against the same table, so the executor and the audit can never
+//! disagree.
 //!
 //! Diagnostic codes:
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
-//! | JS001 | error    | workload unresolved: unknown benchmark name, or neither/both of benchmark and inline asm given |
-//! | JS002 | error    | invalid operating-point grid: empty, or a non-finite / non-positive overclock factor (duplicates are a warning) |
-//! | JS003 | error    | invalid parameters: empty or unsafe job id, zero samples, zero threads, zero checkpoint interval |
-//! | JS004 | error    | Monte Carlo population mismatch: exactly one of `chips` / `mc_inputs` is zero |
+//! | JS001–JS004 | error | spec checks (workload, grid, parameters, Monte Carlo population); they live with the spec in `terse_serve::spec` |
 //! | JS013 | —        | retired with phase sampling; the `sampling` key is now rejected as unknown by the spec parser. Not to be reused |
 //! | JS005 | error    | store layout violation: missing `spec.json` or `state`, or a non-directory under `jobs/` |
 //! | JS006 | error    | invalid state file: contents are not one of the six states |
@@ -43,21 +38,67 @@
 
 use crate::integrity::{unframe, FrameError, BAK_SUFFIX, CORRUPT_SUFFIX, TMP_SUFFIX};
 use crate::{AnalysisReport, Severity};
+use std::fmt;
 use std::path::Path;
 
-/// The six job states, in canonical string form.
-pub const JOB_STATES: [&str; 6] = [
-    "queued",
-    "running",
-    "done",
-    "failed",
-    "cancelled",
-    "quarantined",
-];
+/// A job's lifecycle state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum JobState {
+    /// Submitted, waiting for a worker.
+    Queued,
+    /// Claimed by a worker.
+    Running,
+    /// Completed; `report.json` is in place.
+    Done,
+    /// Terminated with a job error (recorded in `error.txt`).
+    Failed,
+    /// Cancelled before completion.
+    Cancelled,
+    /// Exhausted its retry budget; parked with a diagnostic bundle.
+    Quarantined,
+}
 
-/// Whether `state` is one of the four terminal states.
-pub fn is_terminal_state(state: &str) -> bool {
-    matches!(state, "done" | "failed" | "cancelled" | "quarantined")
+impl JobState {
+    /// The six states, in canonical order.
+    pub const ALL: [JobState; 6] = [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Done,
+        JobState::Failed,
+        JobState::Cancelled,
+        JobState::Quarantined,
+    ];
+
+    /// The canonical string (what the `state` file holds).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Done => "done",
+            JobState::Failed => "failed",
+            JobState::Cancelled => "cancelled",
+            JobState::Quarantined => "quarantined",
+        }
+    }
+
+    /// Parses a canonical state string; `None` for anything else.
+    pub fn parse(s: &str) -> Option<JobState> {
+        JobState::ALL.into_iter().find(|state| state.as_str() == s)
+    }
+
+    /// Whether this state is one of the four terminal states.
+    pub fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            JobState::Done | JobState::Failed | JobState::Cancelled | JobState::Quarantined
+        )
+    }
+}
+
+impl fmt::Display for JobState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 /// The job state machine, as a pure edge predicate. This is the only
@@ -76,164 +117,13 @@ pub fn is_terminal_state(state: &str) -> bool {
 ///   parked terminally with a diagnostic bundle instead of retrying
 ///   forever)
 ///
-/// Terminal states have no outgoing edges. Unknown state strings have no
-/// edges at all.
-pub fn valid_transition(from: &str, to: &str) -> bool {
+/// Terminal states have no outgoing edges.
+pub fn valid_transition(from: JobState, to: JobState) -> bool {
+    use JobState::*;
     matches!(
         (from, to),
-        ("queued", "running" | "cancelled")
-            | (
-                "running",
-                "done" | "failed" | "cancelled" | "queued" | "quarantined"
-            )
+        (Queued, Running | Cancelled) | (Running, Done | Failed | Cancelled | Queued | Quarantined)
     )
-}
-
-/// A borrowed projection of a job spec, decoupled from the serve crate's
-/// concrete `JobSpec` type.
-#[derive(Debug, Clone, Copy)]
-pub struct JobSpecView<'a> {
-    /// Job identifier (directory name under `jobs/`).
-    pub id: &'a str,
-    /// Named benchmark workload, if the spec references one.
-    pub benchmark: Option<&'a str>,
-    /// Whether the spec carries an inline assembly workload.
-    pub has_asm: bool,
-    /// Estimation sample count (lambda replicas).
-    pub samples: u64,
-    /// Operating-point grid: overclock factors relative to the rated
-    /// period.
-    pub grid: &'a [f64],
-    /// Monte Carlo chip population size (0 = Monte Carlo disabled).
-    pub chips: usize,
-    /// Monte Carlo inputs per chip (0 = Monte Carlo disabled).
-    pub mc_inputs: usize,
-    /// Worker-local rayon threads.
-    pub threads: usize,
-    /// Checkpoint flush interval (blocks / MC lane-group tasks).
-    pub checkpoint_every: usize,
-}
-
-/// Whether `id` is safe to use verbatim as a store directory name.
-pub fn safe_job_id(id: &str) -> bool {
-    !id.is_empty()
-        && id.len() <= 64
-        && id
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-        && !id.starts_with('.')
-}
-
-/// Runs every spec pass (JS001–JS004), appending findings to `report`.
-///
-/// `known_workloads` is the benchmark namespace to resolve against
-/// (callers pass the `terse-workloads` registry). Emission order is
-/// deterministic: checks run in code order.
-pub fn analyze_job_spec(
-    spec: &JobSpecView<'_>,
-    known_workloads: &[&str],
-    report: &mut AnalysisReport,
-) {
-    let entity = if spec.id.is_empty() { "<job>" } else { spec.id };
-    // JS001 — the workload must resolve to exactly one source.
-    match (spec.benchmark, spec.has_asm) {
-        (None, false) => report.push(
-            "JS001",
-            Severity::Error,
-            entity,
-            "spec names no workload: neither `benchmark` nor `asm` is present",
-            "set `workload.benchmark` to a known name or provide `workload.asm`",
-        ),
-        (Some(_), true) => report.push(
-            "JS001",
-            Severity::Error,
-            entity,
-            "spec names two workloads: both `benchmark` and `asm` are present",
-            "keep exactly one of `workload.benchmark` and `workload.asm`",
-        ),
-        (Some(name), false) if !known_workloads.contains(&name) => report.push(
-            "JS001",
-            Severity::Error,
-            entity,
-            format!("unknown benchmark `{name}`"),
-            format!("known benchmarks: {}", known_workloads.join(", ")),
-        ),
-        _ => {}
-    }
-    // JS002 — the operating-point grid must be non-empty, finite, positive.
-    if spec.grid.is_empty() {
-        report.push(
-            "JS002",
-            Severity::Error,
-            entity,
-            "operating-point grid is empty",
-            "list at least one overclock factor in `grid`",
-        );
-    }
-    for (i, &f) in spec.grid.iter().enumerate() {
-        if !(f > 0.0) || !f.is_finite() {
-            report.push(
-                "JS002",
-                Severity::Error,
-                format!("{entity} grid[{i}]"),
-                format!("overclock factor {f} is not a finite positive number"),
-                "overclock factors scale the rated period and must be finite and > 0",
-            );
-        }
-    }
-    for (i, &f) in spec.grid.iter().enumerate() {
-        if spec.grid[..i].iter().any(|&g| g.to_bits() == f.to_bits()) {
-            report.push(
-                "JS002",
-                Severity::Warning,
-                format!("{entity} grid[{i}]"),
-                format!("duplicate overclock factor {f}"),
-                "duplicate grid points repeat identical work",
-            );
-        }
-    }
-    // JS003 — scalar parameters must be usable as-is (no silent clamping).
-    if !safe_job_id(spec.id) {
-        report.push(
-            "JS003",
-            Severity::Error,
-            entity,
-            format!("job id `{}` is not a safe store directory name", spec.id),
-            "ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`",
-        );
-    }
-    for (value, what, hint) in [
-        (spec.samples as usize, "samples", "lambda replicas"),
-        (spec.threads, "threads", "worker-local rayon threads"),
-        (
-            spec.checkpoint_every,
-            "checkpoint_every",
-            "blocks or MC lane-group tasks per checkpoint flush",
-        ),
-    ] {
-        if value == 0 {
-            report.push(
-                "JS003",
-                Severity::Error,
-                entity,
-                format!("`{what}` is 0"),
-                format!("`{what}` ({hint}) must be >= 1"),
-            );
-        }
-    }
-    // JS004 — the Monte Carlo grid is (chips × inputs): both or neither.
-    if (spec.chips == 0) != (spec.mc_inputs == 0) {
-        report.push(
-            "JS004",
-            Severity::Error,
-            entity,
-            format!(
-                "Monte Carlo population mismatch: chips = {}, mc_inputs = {}",
-                spec.chips, spec.mc_inputs
-            ),
-            "set both `chips` and `mc_inputs` to >= 1 (enable) or both to 0 (disable)",
-        );
-    }
 }
 
 /// Runs the store-layout passes (JS005–JS008) over every entry of a job
@@ -296,7 +186,7 @@ fn analyze_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
             "a job directory is created by writing spec.json first",
         );
     }
-    let state = match std::fs::read_to_string(dir.join("state")) {
+    let text = match std::fs::read_to_string(dir.join("state")) {
         Ok(s) => s.trim().to_string(),
         Err(_) => {
             report.push(
@@ -310,16 +200,16 @@ fn analyze_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
         }
     };
     // JS006 — the state must be one of the six canonical strings.
-    if !JOB_STATES.contains(&state.as_str()) {
+    let Some(state) = JobState::parse(&text) else {
         report.push(
             "JS006",
             Severity::Error,
             id,
-            format!("state file contains unknown state `{state}`"),
-            format!("states: {}", JOB_STATES.join(", ")),
+            format!("state file contains unknown state `{text}`"),
+            format!("states: {}", JobState::ALL.map(JobState::as_str).join(", ")),
         );
         return;
-    }
+    };
     // JS007 — the transition log must be a valid chain from `queued`
     // ending at the current state.
     if let Ok(log) = std::fs::read_to_string(dir.join("transitions.log")) {
@@ -344,7 +234,8 @@ fn analyze_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
                     "each logged transition must start where the previous one ended",
                 );
             }
-            if !valid_transition(from, to) {
+            let edge = JobState::parse(from).zip(JobState::parse(to));
+            if !edge.is_some_and(|(from, to)| valid_transition(from, to)) {
                 report.push(
                     "JS007",
                     Severity::Error,
@@ -355,7 +246,7 @@ fn analyze_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
             }
             prev = to.to_string();
         }
-        if prev != state {
+        if prev != state.as_str() {
             report.push(
                 "JS007",
                 Severity::Error,
@@ -367,7 +258,7 @@ fn analyze_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
     }
     // JS008 — terminal-state artifact consistency.
     let has_report = dir.join("report.json").is_file();
-    if state == "done" && !has_report {
+    if state == JobState::Done && !has_report {
         report.push(
             "JS008",
             Severity::Error,
@@ -376,7 +267,7 @@ fn analyze_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
             "report.json is renamed into place before the done transition",
         );
     }
-    if state != "done" && has_report {
+    if state != JobState::Done && has_report {
         report.push(
             "JS008",
             Severity::Error,
@@ -569,7 +460,7 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
 
     // JS012 — quarantine bundle completeness.
     let bundle = dir.join("quarantine");
-    if state == "quarantined" {
+    if state == JobState::Quarantined.as_str() {
         if !dir.join("error.txt").is_file() {
             report.push(
                 "JS012",
@@ -605,133 +496,42 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
 mod tests {
     use super::*;
 
-    fn spec<'a>(grid: &'a [f64]) -> JobSpecView<'a> {
-        JobSpecView {
-            id: "job-1",
-            benchmark: Some("matmul"),
-            has_asm: false,
-            samples: 8,
-            grid,
-            chips: 4,
-            mc_inputs: 2,
-            threads: 1,
-            checkpoint_every: 4,
-        }
-    }
-
-    const KNOWN: [&str; 2] = ["matmul", "fir"];
-
-    #[test]
-    fn clean_spec_produces_no_diagnostics() {
-        let mut r = AnalysisReport::new();
-        analyze_job_spec(&spec(&[1.0, 1.15]), &KNOWN, &mut r);
-        assert!(r.is_clean(), "{}", r.render_text());
-    }
-
-    #[test]
-    fn unknown_benchmark_is_js001() {
-        let mut r = AnalysisReport::new();
-        let mut s = spec(&[1.0]);
-        s.benchmark = Some("nope");
-        analyze_job_spec(&s, &KNOWN, &mut r);
-        assert!(r.has_code("JS001"));
-    }
-
-    #[test]
-    fn zero_and_double_workloads_are_js001() {
-        for (benchmark, has_asm) in [(None, false), (Some("matmul"), true)] {
-            let mut r = AnalysisReport::new();
-            let mut s = spec(&[1.0]);
-            s.benchmark = benchmark;
-            s.has_asm = has_asm;
-            analyze_job_spec(&s, &KNOWN, &mut r);
-            assert!(r.has_code("JS001"), "{benchmark:?} asm={has_asm}");
-        }
-    }
-
-    #[test]
-    fn bad_grids_are_js002() {
-        for grid in [&[][..], &[0.0][..], &[-1.0][..], &[f64::NAN][..]] {
-            let mut r = AnalysisReport::new();
-            analyze_job_spec(&spec(grid), &KNOWN, &mut r);
-            assert!(r.has_code("JS002"), "grid {grid:?}");
-            assert!(r.has_errors());
-        }
-        // Duplicates warn but do not error.
-        let mut r = AnalysisReport::new();
-        analyze_job_spec(&spec(&[1.15, 1.15]), &KNOWN, &mut r);
-        assert!(r.has_code("JS002"));
-        assert!(!r.has_errors());
-    }
-
-    #[test]
-    fn zero_params_and_unsafe_ids_are_js003() {
-        for mutate in [
-            (|s: &mut JobSpecView| s.samples = 0) as fn(&mut JobSpecView),
-            |s| s.threads = 0,
-            |s| s.checkpoint_every = 0,
-            |s| s.id = "",
-            |s| s.id = "../escape",
-            |s| s.id = ".hidden",
-        ] {
-            let mut r = AnalysisReport::new();
-            let grid = [1.0];
-            let mut s = spec(&grid);
-            mutate(&mut s);
-            analyze_job_spec(&s, &KNOWN, &mut r);
-            assert!(r.has_code("JS003"));
-        }
-    }
-
-    #[test]
-    fn mc_population_mismatch_is_js004() {
-        for (chips, inputs, bad) in [(0, 2, true), (4, 0, true), (0, 0, false), (4, 2, false)] {
-            let mut r = AnalysisReport::new();
-            let grid = [1.0];
-            let mut s = spec(&grid);
-            s.chips = chips;
-            s.mc_inputs = inputs;
-            analyze_job_spec(&s, &KNOWN, &mut r);
-            assert_eq!(r.has_code("JS004"), bad, "chips={chips} inputs={inputs}");
-        }
-    }
-
     #[test]
     fn transition_table_matches_the_design() {
+        use JobState::*;
         // Positive edges.
-        for (from, to) in [
-            ("queued", "running"),
-            ("queued", "cancelled"),
-            ("running", "done"),
-            ("running", "failed"),
-            ("running", "cancelled"),
-            ("running", "queued"),
-            ("running", "quarantined"),
-        ] {
-            assert!(valid_transition(from, to), "{from} -> {to}");
-        }
+        let edges = [
+            (Queued, Running),
+            (Queued, Cancelled),
+            (Running, Done),
+            (Running, Failed),
+            (Running, Cancelled),
+            (Running, Queued),
+            (Running, Quarantined),
+        ];
         // Everything else is invalid, including self-loops and edges out
         // of terminal states.
-        for from in JOB_STATES {
-            for to in JOB_STATES {
-                let expected = matches!(
-                    (from, to),
-                    ("queued", "running" | "cancelled")
-                        | (
-                            "running",
-                            "done" | "failed" | "cancelled" | "queued" | "quarantined"
-                        )
-                );
+        for from in JobState::ALL {
+            for to in JobState::ALL {
+                let expected = edges.contains(&(from, to));
                 assert_eq!(valid_transition(from, to), expected, "{from} -> {to}");
             }
         }
-        assert!(!valid_transition("queued", "bogus"));
-        assert!(!valid_transition("bogus", "running"));
         // Terminal states are exactly the states with no outgoing edges.
-        for s in JOB_STATES {
-            let has_exit = JOB_STATES.iter().any(|t| valid_transition(s, t));
-            assert_eq!(is_terminal_state(s), !has_exit, "{s}");
+        for s in JobState::ALL {
+            let has_exit = JobState::ALL.iter().any(|&t| valid_transition(s, t));
+            assert_eq!(s.is_terminal(), !has_exit, "{s}");
         }
+    }
+
+    #[test]
+    fn state_strings_round_trip() {
+        for s in JobState::ALL {
+            assert_eq!(JobState::parse(s.as_str()), Some(s));
+            assert_eq!(s.to_string(), s.as_str());
+        }
+        assert_eq!(JobState::parse("paused"), None);
+        assert_eq!(JobState::parse("bogus"), None);
     }
 
     fn temp_store(tag: &str) -> std::path::PathBuf {

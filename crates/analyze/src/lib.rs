@@ -47,10 +47,7 @@ pub mod slack_pass;
 
 pub use cfg_pass::analyze_cfg;
 pub use integrity::{crc32, crc32_hex, frame, unframe, FrameError};
-pub use job_pass::{
-    analyze_job_spec, analyze_job_store, is_terminal_state, scrub_job_store, valid_transition,
-    JobSpecView, JOB_STATES,
-};
+pub use job_pass::{analyze_job_store, scrub_job_store, valid_transition, JobState};
 pub use lint::{fail_point_inventory, lint_fail_point_coverage, lint_workspace};
 pub use netlist_pass::analyze_netlist;
 pub use slack_pass::{analyze_slacks, analyze_stage_slacks, SlackPassConfig};

@@ -1,12 +1,12 @@
-//! The sharded worker pool.
+//! The worker pool.
 //!
-//! Jobs are sharded by an FNV-1a hash of their id: worker `w` of `n`
-//! prefers jobs with `fnv(id) % n == w`, falling back to **work stealing**
-//! from other shards so a skewed hash cannot idle a worker. Mutual
-//! exclusion is the store's `O_EXCL` claim file, so sharding is purely a
-//! locality/fairness heuristic — correctness (no lost, no duplicated job)
-//! never depends on it, and multiple `terse serve` processes can share a
-//! store.
+//! Every worker scans the store's queued jobs in sorted-id order and
+//! claims the first one it can. Mutual exclusion is the store's `O_EXCL`
+//! claim file, so correctness (no lost, no duplicated job) never depends
+//! on the scan order, and multiple `terse serve` processes can share a
+//! store. A job directory whose state cannot be read (one that
+//! [`JobStore::recover`] reported damaged) is skipped, as the supervisor
+//! skips it: it waits for `terse scrub` and never stops the pool.
 //!
 //! Each worker owns a [`FrameworkCache`]; frameworks are not shared across
 //! workers (the framework's rayon pool is per-instance, and jobs default
@@ -37,9 +37,9 @@
 //! retry converges on bit-identical artifacts).
 
 use crate::runner::{run_job, FrameworkCache, RunOutcome};
-use crate::store::{JobState, JobStore};
+use crate::store::JobStore;
 use crate::supervise::{backoff_deadline, supervise, SupervisorConfig};
-use crate::{Result, ServeError};
+use crate::{JobState, Result, ServeError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -128,16 +128,6 @@ fn idle_sleep_ms(idle_ms: &mut u64, processed: bool, poll_ms: u64) -> u64 {
     sleep_ms
 }
 
-/// FNV-1a shard hash (stable across runs and platforms).
-pub fn shard_of(id: &str, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % workers.max(1) as u64) as usize
-}
-
 /// Runs store recovery, then the worker pool plus supervisor, until
 /// drained (drain mode) or until `stop` is raised (daemon mode).
 ///
@@ -181,7 +171,7 @@ pub fn serve(
             let builder = std::thread::Builder::new().name(format!("terse-worker-{w}"));
             let handle = builder
                 .spawn_scoped(scope, move || {
-                    worker_loop(store, w, workers, cfg, stop, busy, on_event)
+                    worker_loop(store, w, cfg, stop, busy, on_event)
                 })
                 .map_err(|e| ServeError::Run(format!("worker spawn failed: {e}")))?;
             handles.push(handle);
@@ -241,7 +231,6 @@ pub fn serve(
 fn worker_loop(
     store: &JobStore,
     w: usize,
-    workers: usize,
     cfg: &ExecutorConfig,
     stop: &AtomicBool,
     busy: &AtomicUsize,
@@ -254,26 +243,18 @@ fn worker_loop(
         if stop.load(Ordering::SeqCst) {
             return Ok(stats);
         }
-        // Deterministic scan: own shard first, then steal, ids sorted
-        // within each bucket.
-        let ids = store.list()?;
-        let mut own = Vec::new();
-        let mut steal = Vec::new();
-        for id in ids {
-            if store.state(&id)? != JobState::Queued {
-                continue;
-            }
-            if shard_of(&id, workers) == w {
-                own.push(id);
-            } else {
-                steal.push(id);
-            }
-        }
+        // Deterministic scan in sorted-id order; a damaged dir (state
+        // unreadable) is skipped, not fatal.
+        let queued: Vec<String> = store
+            .list()?
+            .into_iter()
+            .filter(|id| matches!(store.state(id), Ok(JobState::Queued)))
+            .collect();
         // Backoff jobs still count as pending work (drain must wait for
         // them) but are not claimable yet.
-        let had_queued = !(own.is_empty() && steal.is_empty());
+        let had_queued = !queued.is_empty();
         let mut processed = false;
-        for id in own.into_iter().chain(steal) {
+        for id in queued {
             if stop.load(Ordering::SeqCst) {
                 return Ok(stats);
             }
@@ -669,14 +650,5 @@ mod tests {
         assert!(b_done, "job b was not done within 5 s of its submit");
         assert_eq!(stats.completed, 2);
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn shard_hash_is_stable_and_total() {
-        assert_eq!(shard_of("job-1", 4), shard_of("job-1", 4));
-        assert!(shard_of("anything", 1) == 0);
-        for i in 0..32 {
-            assert!(shard_of(&format!("j{i}"), 4) < 4);
-        }
     }
 }

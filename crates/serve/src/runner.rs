@@ -23,8 +23,8 @@
 //! deterministic output.
 
 use crate::spec::{JobSpec, PipelinePreset};
-use crate::store::{JobState, JobStore};
-use crate::{json::Value, Result, ServeError};
+use crate::store::JobStore;
+use crate::{json::Value, JobState, Result, ServeError};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -336,7 +336,8 @@ pub fn deterministic_section(report: &str) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{JobState, JobStore};
+    use crate::store::JobStore;
+    use crate::JobState;
 
     fn temp_store(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -387,7 +388,7 @@ mod tests {
         ]);
         assert_eq!(
             point.render(),
-            r#"{"overclock":1.4,"result":{"lambda_samples":[1.5,null,42.0],"lambda_mean":null,"lambda_sd":0.0,"total_instructions":1000.0,"mean_error_rate":null,"sd_error_rate":0.0,"dk_lambda":0.015625,"dk_count":0.3333333333333333,"chen_stein_b12_worst":-0.0},"mc":{"chips":2.0,"inputs":2.0,"pooled":[0.0,3.0]}}"#
+            r#"{"overclock":1.4,"result":{"lambda_samples":[1.5,null,42.0],"lambda_mean":null,"lambda_sd":null,"total_instructions":1000.0,"mean_error_rate":null,"sd_error_rate":null,"dk_lambda":0.015625,"dk_count":0.3333333333333333,"chen_stein_b12_worst":-0.0},"mc":{"chips":2.0,"inputs":2.0,"pooled":[0.0,3.0]}}"#
         );
     }
 
@@ -397,7 +398,7 @@ mod tests {
         let store = JobStore::open(&root).unwrap();
         let spec = tiny_spec("t1", r#","chips":3,"mc_inputs":2,"seed":9"#);
         store.submit(&spec).unwrap();
-        assert!(store.try_claim("t1").unwrap());
+        assert!(store.try_claim_token("t1").unwrap().is_some());
         store
             .transition("t1", JobState::Queued, JobState::Running)
             .unwrap();
@@ -486,7 +487,7 @@ mod tests {
 
         let spec2 = tiny_spec("c2", "");
         store.submit(&spec2).unwrap();
-        assert!(store.try_claim("c2").unwrap());
+        assert!(store.try_claim_token("c2").unwrap().is_some());
         store
             .transition("c2", JobState::Queued, JobState::Running)
             .unwrap();

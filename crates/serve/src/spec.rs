@@ -1,9 +1,20 @@
 //! The job spec: what one queued estimation job runs.
 //!
 //! A spec is a flat JSON object submitted via `terse submit`. Parsing is
-//! strict (unknown keys are errors) and validation is delegated to the
-//! analyzer's JS001–JS004 pass ([`terse_analyze::analyze_job_spec`]), so
-//! the CLI, the store, and `terse-analyze` agree on what is admissible.
+//! strict (unknown keys are errors), and [`JobSpec::validate`] runs the
+//! JS001–JS004 checks, which live here and nowhere else:
+//!
+//! | code  | meaning |
+//! |-------|---------|
+//! | JS001 | workload unresolved: unknown benchmark name, or neither/both of benchmark and inline asm given |
+//! | JS002 | invalid operating-point grid: empty, or a non-finite / non-positive overclock factor |
+//! | JS003 | invalid parameters: empty or unsafe job id, zero samples, zero threads, zero checkpoint interval |
+//! | JS004 | Monte Carlo population mismatch: exactly one of `chips` / `mc_inputs` is zero |
+//!
+//! Every finding is an error. A failed spec becomes a [`ServeError::Spec`]
+//! holding the rendered [`AnalysisReport`], one line per finding, in the
+//! code order above. The store-side codes (JS005–JS012) are audited by
+//! `terse_analyze::job_pass`.
 //!
 //! ```json
 //! {
@@ -40,7 +51,7 @@
 use crate::json::Value;
 use crate::{Result, ServeError};
 use terse::{PipelineConfig, Workload};
-use terse_analyze::{analyze_job_spec, AnalysisReport, JobSpecView};
+use terse_analyze::{AnalysisReport, Severity};
 use terse_workloads::DatasetSize;
 
 /// The workload a job runs.
@@ -208,41 +219,92 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Runs the analyzer's JS001–JS004 pass over this spec.
+    /// Runs the JS001–JS004 checks over this spec.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Spec`] carrying the rendered diagnostics when the
-    /// pass reports any error-severity finding.
+    /// [`ServeError::Spec`] carrying the rendered diagnostics when any
+    /// check fails.
     pub fn validate(&self) -> Result<()> {
-        let report = self.analysis();
+        let entity = if self.id.is_empty() {
+            "<job>"
+        } else {
+            &self.id
+        };
+        let mut report = AnalysisReport::new();
+        // JS001 — a named benchmark must resolve in the registry (the
+        // parser already rejected neither/both workloads).
+        if let WorkloadSpec::Benchmark { name, .. } = &self.workload {
+            let known: Vec<&str> = terse_workloads::all().iter().map(|s| s.name).collect();
+            if !known.contains(&name.as_str()) {
+                report.push(
+                    "JS001",
+                    Severity::Error,
+                    entity,
+                    format!("unknown benchmark `{name}`"),
+                    format!("known benchmarks: {}", known.join(", ")),
+                );
+            }
+        }
+        // JS002 — the operating-point grid must be non-empty, finite, positive.
+        if self.grid.is_empty() {
+            report.push(
+                "JS002",
+                Severity::Error,
+                entity,
+                "operating-point grid is empty",
+                "list at least one overclock factor in `grid`",
+            );
+        }
+        for (i, &f) in self.grid.iter().enumerate() {
+            if !(f > 0.0 && f.is_finite()) {
+                report.push(
+                    "JS002",
+                    Severity::Error,
+                    format!("{entity} grid[{i}]"),
+                    format!("overclock factor {f} is not a finite positive number"),
+                    "overclock factors scale the rated period and must be finite and > 0",
+                );
+            }
+        }
+        // JS003 — scalar parameters must be usable as-is (no silent clamping).
+        check_id(&mut report, entity, &self.id);
+        for (value, what, hint) in [
+            (self.samples, "samples", "lambda replicas"),
+            (self.threads, "threads", "worker-local rayon threads"),
+            (
+                self.checkpoint_every,
+                "checkpoint_every",
+                "blocks or MC lane-group tasks per checkpoint flush",
+            ),
+        ] {
+            if value == 0 {
+                report.push(
+                    "JS003",
+                    Severity::Error,
+                    entity,
+                    format!("`{what}` is 0"),
+                    format!("`{what}` ({hint}) must be >= 1"),
+                );
+            }
+        }
+        // JS004 — the Monte Carlo grid is (chips × inputs): both or neither.
+        if (self.chips == 0) != (self.mc_inputs == 0) {
+            report.push(
+                "JS004",
+                Severity::Error,
+                entity,
+                format!(
+                    "Monte Carlo population mismatch: chips = {}, mc_inputs = {}",
+                    self.chips, self.mc_inputs
+                ),
+                "set both `chips` and `mc_inputs` to >= 1 (enable) or both to 0 (disable)",
+            );
+        }
         if report.has_errors() {
             return Err(ServeError::Spec(report.render_text()));
         }
         Ok(())
-    }
-
-    /// The JS001–JS004 analysis report of this spec (errors and warnings).
-    pub fn analysis(&self) -> AnalysisReport {
-        let names: Vec<&str> = terse_workloads::all().iter().map(|s| s.name).collect();
-        let (benchmark, has_asm) = match &self.workload {
-            WorkloadSpec::Benchmark { name, .. } => (Some(name.as_str()), false),
-            WorkloadSpec::Asm { .. } => (None, true),
-        };
-        let view = JobSpecView {
-            id: &self.id,
-            benchmark,
-            has_asm,
-            samples: self.samples as u64,
-            grid: &self.grid,
-            chips: self.chips,
-            mc_inputs: self.mc_inputs,
-            threads: self.threads,
-            checkpoint_every: self.checkpoint_every,
-        };
-        let mut report = AnalysisReport::new();
-        analyze_job_spec(&view, &names, &mut report);
-        report
     }
 
     /// The canonical JSON rendering of this spec (every field explicit,
@@ -447,27 +509,47 @@ fn parse_workload(v: &Value) -> Result<WorkloadSpec> {
                 .unwrap_or_else(|| "custom".into());
             Ok(WorkloadSpec::Asm { name, source })
         }
-        // Let JS001 phrase the error consistently with `terse-analyze`.
-        (both_or_neither_a, _) => {
-            let has_asm = both_or_neither_a.is_some();
+        // JS001 — the workload must resolve to exactly one source. The
+        // entity is the `<spec>` placeholder, and the error has always
+        // carried a second line, JS003 on that placeholder (it is not a
+        // safe id); both stay so the text is unchanged.
+        (both, _) => {
             let mut report = AnalysisReport::new();
-            analyze_job_spec(
-                &JobSpecView {
-                    id: "<spec>",
-                    benchmark: if has_asm { Some("") } else { None },
-                    has_asm,
-                    samples: 1,
-                    grid: &[1.0],
-                    chips: 0,
-                    mc_inputs: 0,
-                    threads: 1,
-                    checkpoint_every: 1,
-                },
-                &[""],
-                &mut report,
-            );
+            let (message, hint) = if both.is_some() {
+                (
+                    "spec names two workloads: both `benchmark` and `asm` are present",
+                    "keep exactly one of `workload.benchmark` and `workload.asm`",
+                )
+            } else {
+                (
+                    "spec names no workload: neither `benchmark` nor `asm` is present",
+                    "set `workload.benchmark` to a known name or provide `workload.asm`",
+                )
+            };
+            report.push("JS001", Severity::Error, "<spec>", message, hint);
+            check_id(&mut report, "<spec>", "<spec>");
             Err(ServeError::Spec(report.render_text()))
         }
+    }
+}
+
+/// JS003 on the job id: it must be safe to use verbatim as a store
+/// directory name.
+fn check_id(report: &mut AnalysisReport, entity: &str, id: &str) {
+    let safe = !id.is_empty()
+        && id.len() <= 64
+        && id
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
+        && !id.starts_with('.');
+    if !safe {
+        report.push(
+            "JS003",
+            Severity::Error,
+            entity,
+            format!("job id `{id}` is not a safe store directory name"),
+            "ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`",
+        );
     }
 }
 
@@ -582,6 +664,140 @@ mod tests {
                     }
                 }
                 other => panic!("expected a spec error for {src}, got {other:?}"),
+            }
+        }
+    }
+
+    /// The full `ServeError::Spec` text of every JS001–JS004 error, pinned
+    /// byte for byte: the CLI prints it, and scripts match on it.
+    #[test]
+    fn spec_error_texts_are_pinned() {
+        let json = |src: &str| JobSpec::from_json(src).map(drop);
+        let parse = |extra: &str| {
+            json(&format!(
+                r#"{{"id":"x","workload":{{"benchmark":"dijkstra"}}{extra}}}"#
+            ))
+        };
+        // JSON has no NaN or infinity: set those grids on a parsed spec.
+        let grid = |g: f64| {
+            let mut s = JobSpec::from_json(&minimal("x")).unwrap();
+            s.grid = vec![g];
+            s.validate()
+        };
+        let cases: Vec<(&str, Result<()>, &str)> = vec![
+            (
+                "neither workload",
+                json(r#"{"id":"x","workload":{"name":"n"}}"#),
+                concat!(
+                    "error [JS001] <spec>: spec names no workload: neither `benchmark` nor `asm` is present (hint: set `workload.benchmark` to a known name or provide `workload.asm`)\n",
+                    "error [JS003] <spec>: job id `<spec>` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
+                    "2 error(s), 0 warning(s), 2 diagnostic(s) total\n",
+                ),
+            ),
+            (
+                "both workloads",
+                json(r#"{"id":"x","workload":{"benchmark":"dijkstra","asm":"halt"}}"#),
+                concat!(
+                    "error [JS001] <spec>: spec names two workloads: both `benchmark` and `asm` are present (hint: keep exactly one of `workload.benchmark` and `workload.asm`)\n",
+                    "error [JS003] <spec>: job id `<spec>` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
+                    "2 error(s), 0 warning(s), 2 diagnostic(s) total\n",
+                ),
+            ),
+            (
+                "unknown benchmark",
+                json(r#"{"id":"x","workload":{"benchmark":"nope"}}"#),
+                concat!(
+                    "error [JS001] x: unknown benchmark `nope` (hint: known benchmarks: basicmath, bitcount, dijkstra, patricia, pgp.encode, pgp.decode, tiff2bw, typeset, ghostscript, stringsearch, gsm.encode, gsm.decode)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                ),
+            ),
+            ("empty grid", parse(r#","grid":[]"#), concat!(
+                    "error [JS002] x: operating-point grid is empty (hint: list at least one overclock factor in `grid`)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            ("zero grid point", parse(r#","grid":[1.15,0.0]"#), concat!(
+                    "error [JS002] x grid[1]: overclock factor 0 is not a finite positive number (hint: overclock factors scale the rated period and must be finite and > 0)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            ("negative grid point", parse(r#","grid":[-1.0]"#), concat!(
+                    "error [JS002] x grid[0]: overclock factor -1 is not a finite positive number (hint: overclock factors scale the rated period and must be finite and > 0)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            (
+                "NaN grid point",
+                grid(f64::NAN),
+                concat!(
+                    "error [JS002] x grid[0]: overclock factor NaN is not a finite positive number (hint: overclock factors scale the rated period and must be finite and > 0)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                ),
+            ),
+            (
+                "infinite grid point",
+                grid(f64::INFINITY),
+                concat!(
+                    "error [JS002] x grid[0]: overclock factor inf is not a finite positive number (hint: overclock factors scale the rated period and must be finite and > 0)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                ),
+            ),
+            (
+                "unsafe id",
+                json(r#"{"id":"../up","workload":{"benchmark":"dijkstra"}}"#),
+                concat!(
+                    "error [JS003] ../up: job id `../up` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                ),
+            ),
+            (
+                "empty id",
+                json(r#"{"id":"","workload":{"benchmark":"dijkstra"}}"#),
+                concat!(
+                    "error [JS003] <job>: job id `` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                ),
+            ),
+            (
+                "hidden id",
+                json(r#"{"id":".hidden","workload":{"benchmark":"dijkstra"}}"#),
+                concat!(
+                    "error [JS003] .hidden: job id `.hidden` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                ),
+            ),
+            ("zero samples", parse(r#","samples":0"#), concat!(
+                    "error [JS003] x: `samples` is 0 (hint: `samples` (lambda replicas) must be >= 1)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            ("zero threads", parse(r#","threads":0"#), concat!(
+                    "error [JS003] x: `threads` is 0 (hint: `threads` (worker-local rayon threads) must be >= 1)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            ("zero checkpoint_every", parse(r#","checkpoint_every":0"#), concat!(
+                    "error [JS003] x: `checkpoint_every` is 0 (hint: `checkpoint_every` (blocks or MC lane-group tasks per checkpoint flush) must be >= 1)\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            ("chips without inputs", parse(r#","chips":4"#), concat!(
+                    "error [JS004] x: Monte Carlo population mismatch: chips = 4, mc_inputs = 0 (hint: set both `chips` and `mc_inputs` to >= 1 (enable) or both to 0 (disable))\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            ("inputs without chips", parse(r#","mc_inputs":2"#), concat!(
+                    "error [JS004] x: Monte Carlo population mismatch: chips = 0, mc_inputs = 2 (hint: set both `chips` and `mc_inputs` to >= 1 (enable) or both to 0 (disable))\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
+                )),
+            (
+                "several errors, in check order",
+                parse(r#","grid":[0.0],"samples":0,"chips":3"#),
+                concat!(
+                    "error [JS002] x grid[0]: overclock factor 0 is not a finite positive number (hint: overclock factors scale the rated period and must be finite and > 0)\n",
+                    "error [JS003] x: `samples` is 0 (hint: `samples` (lambda replicas) must be >= 1)\n",
+                    "error [JS004] x: Monte Carlo population mismatch: chips = 3, mc_inputs = 0 (hint: set both `chips` and `mc_inputs` to >= 1 (enable) or both to 0 (disable))\n",
+                    "3 error(s), 0 warning(s), 3 diagnostic(s) total\n",
+                ),
+            ),
+        ];
+        for (case, got, want) in cases {
+            match got {
+                Err(ServeError::Spec(text)) => assert_eq!(text, want, "{case}"),
+                other => panic!("{case}: expected a spec error, got {other:?}"),
             }
         }
     }

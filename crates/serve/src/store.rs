@@ -47,69 +47,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use terse_analyze::{crc32_hex, is_terminal_state, valid_transition, JOB_STATES};
-
-/// A job's lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobState {
-    /// Submitted, waiting for a worker.
-    Queued,
-    /// Claimed by a worker.
-    Running,
-    /// Completed; `report.json` is in place.
-    Done,
-    /// Terminated with a job error (recorded in `error.txt`).
-    Failed,
-    /// Cancelled before completion.
-    Cancelled,
-    /// Exhausted its retry budget; parked with a diagnostic bundle.
-    Quarantined,
-}
-
-impl JobState {
-    /// The canonical string (what the `state` file holds).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-            JobState::Quarantined => "quarantined",
-        }
-    }
-
-    /// Parses a canonical state string.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::State`] on anything else.
-    pub fn parse(s: &str) -> Result<JobState> {
-        match s {
-            "queued" => Ok(JobState::Queued),
-            "running" => Ok(JobState::Running),
-            "done" => Ok(JobState::Done),
-            "failed" => Ok(JobState::Failed),
-            "cancelled" => Ok(JobState::Cancelled),
-            "quarantined" => Ok(JobState::Quarantined),
-            _ => Err(ServeError::State(format!(
-                "unknown state `{s}` (states: {})",
-                JOB_STATES.join(", ")
-            ))),
-        }
-    }
-
-    /// Whether this state has no outgoing transitions.
-    pub fn is_terminal(self) -> bool {
-        is_terminal_state(self.as_str())
-    }
-}
-
-impl std::fmt::Display for JobState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+use terse_analyze::{crc32_hex, valid_transition, JobState};
 
 /// A fencing token returned by [`JobStore::try_claim_token`]: the exact
 /// content of the claim file (`pid:counter`). [`JobStore::release_claim_if`]
@@ -249,7 +187,13 @@ impl JobStore {
     pub fn state(&self, id: &str) -> Result<JobState> {
         let path = self.job_dir(id).join("state");
         let text = fs::read_to_string(&path).map_err(|e| io_err("read state", &path, &e))?;
-        JobState::parse(text.trim())
+        let text = text.trim();
+        JobState::parse(text).ok_or_else(|| {
+            ServeError::State(format!(
+                "unknown state `{text}` (states: {})",
+                JobState::ALL.map(JobState::as_str).join(", ")
+            ))
+        })
     }
 
     /// All job ids, sorted (deterministic scan order).
@@ -285,7 +229,7 @@ impl JobStore {
     /// not in [`valid_transition`]'s table; [`ServeError::Io`] on write
     /// failure.
     pub fn transition(&self, id: &str, from: JobState, to: JobState) -> Result<()> {
-        if !valid_transition(from.as_str(), to.as_str()) {
+        if !valid_transition(from, to) {
             return Err(ServeError::State(format!(
                 "`{from} -> {to}` is not a legal transition"
             )));
@@ -321,16 +265,8 @@ impl JobStore {
     }
 
     /// Claims a job for exclusive processing (`O_EXCL` create of the
-    /// `claim` file). Returns `false` when another worker holds it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on filesystem failure other than "exists".
-    pub fn try_claim(&self, id: &str) -> Result<bool> {
-        Ok(self.try_claim_token(id)?.is_some())
-    }
-
-    /// [`JobStore::try_claim`], returning the fencing token on success.
+    /// `claim` file), returning the fencing token on success and `None`
+    /// when another worker holds it.
     /// The claim file holds `pid:counter`; the supervisor uses the pid to
     /// detect claims from dead processes, and workers release through
     /// [`JobStore::release_claim_if`] so a broken-and-retaken claim is
@@ -368,20 +304,6 @@ impl JobStore {
         text.split(':').next()?.trim().parse().ok()
     }
 
-    /// Releases a claim taken by [`JobStore::try_claim`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on failure other than "already gone".
-    pub fn release_claim(&self, id: &str) -> Result<()> {
-        let path = self.job_dir(id).join("claim");
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err("release claim", &path, &e)),
-        }
-    }
-
     /// Releases a claim only while `token` still holds it. Returns whether
     /// the claim was ours to release — `false` means the supervisor broke
     /// the claim (and possibly another worker retook the job) while we
@@ -394,7 +316,7 @@ impl JobStore {
         let path = self.job_dir(id).join("claim");
         match fs::read_to_string(&path) {
             Ok(content) if content == token.0 => {
-                self.release_claim(id)?;
+                self.break_claim(id)?;
                 Ok(true)
             }
             Ok(_) => Ok(false),
@@ -412,14 +334,21 @@ impl JobStore {
             .unwrap_or(false)
     }
 
-    /// Breaks a claim regardless of holder — supervisor-only, used when
-    /// reclaiming a hung or dead worker's job.
+    /// Removes a claim regardless of holder: the one unfenced release.
+    /// [`JobStore::recover`] clears stale claims with it, the supervisor
+    /// breaks a hung or dead worker's claim with it, and
+    /// [`JobStore::release_claim_if`] calls it once the token matched.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] on failure other than "already gone".
     pub fn break_claim(&self, id: &str) -> Result<()> {
-        self.release_claim(id)
+        let path = self.job_dir(id).join("claim");
+        match fs::remove_file(&path) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(io_err("release claim", &path, &e)),
+        }
     }
 
     /// Advances a job's heartbeat sequence. Workers call this at phase
@@ -627,7 +556,7 @@ impl JobStore {
                 rec.requeued.push(id.clone());
             }
             if !state.is_terminal() {
-                self.release_claim(&id)?;
+                self.break_claim(&id)?;
             }
         }
         Ok(rec)
@@ -645,7 +574,7 @@ impl JobStore {
                     .and_then(|l| l.split(" -> ").nth(1).map(str::to_owned))
             })
             .unwrap_or_else(|| "queued".to_owned());
-        if tail != state.as_str() && valid_transition(&tail, state.as_str()) {
+        if JobState::parse(&tail).is_some_and(|from| valid_transition(from, state)) {
             append_line(&log_path, &format!("{tail} -> {}\n", state))?;
         }
         Ok(())
@@ -813,8 +742,8 @@ mod tests {
         // Double submit is rejected.
         assert!(store.submit(&spec("a")).is_err());
         // Claim is exclusive.
-        assert!(store.try_claim("a").unwrap());
-        assert!(!store.try_claim("a").unwrap());
+        assert!(store.try_claim_token("a").unwrap().is_some());
+        assert!(store.try_claim_token("a").unwrap().is_none());
         store
             .transition("a", JobState::Queued, JobState::Running)
             .unwrap();
@@ -830,15 +759,15 @@ mod tests {
         store
             .transition("a", JobState::Running, JobState::Done)
             .unwrap();
-        store.release_claim("a").unwrap();
-        assert!(store.try_claim("a").unwrap());
+        store.break_claim("a").unwrap();
+        assert!(store.try_claim_token("a").unwrap().is_some());
         // The log records the full chain.
         let log = fs::read_to_string(store.job_dir("a").join("transitions.log")).unwrap();
         assert_eq!(log, "queued -> running\nrunning -> done\n");
         // The analyzer agrees the store is clean.
         let mut report = terse_analyze::AnalysisReport::new();
         terse_analyze::analyze_job_store(&root, &mut report).unwrap();
-        store.release_claim("a").unwrap();
+        store.break_claim("a").unwrap();
         assert!(report.is_clean(), "{}", report.render_text());
         fs::remove_dir_all(&root).unwrap();
     }
@@ -891,7 +820,7 @@ mod tests {
         let root = temp_store("quar");
         let store = JobStore::open(&root).unwrap();
         store.submit(&spec("q")).unwrap();
-        assert!(store.try_claim("q").unwrap());
+        assert!(store.try_claim_token("q").unwrap().is_some());
         store
             .transition("q", JobState::Queued, JobState::Running)
             .unwrap();
@@ -910,7 +839,7 @@ mod tests {
             store.read_error("q").as_deref(),
             Some("injected: it kept failing")
         );
-        store.release_claim("q").unwrap();
+        store.break_claim("q").unwrap();
         // The scrub pass agrees the bundle is complete.
         let mut report = terse_analyze::AnalysisReport::new();
         terse_analyze::scrub_job_store(&root, &mut report).unwrap();
@@ -948,7 +877,7 @@ mod tests {
         assert_eq!(store.cancel("q").unwrap(), JobState::Cancelled);
 
         store.submit(&spec("r")).unwrap();
-        assert!(store.try_claim("r").unwrap());
+        assert!(store.try_claim_token("r").unwrap().is_some());
         store
             .transition("r", JobState::Queued, JobState::Running)
             .unwrap();
@@ -963,7 +892,7 @@ mod tests {
         let root = temp_store("recover");
         let store = JobStore::open(&root).unwrap();
         store.submit(&spec("x")).unwrap();
-        assert!(store.try_claim("x").unwrap());
+        assert!(store.try_claim_token("x").unwrap().is_some());
         store
             .transition("x", JobState::Queued, JobState::Running)
             .unwrap();
@@ -974,7 +903,7 @@ mod tests {
         assert!(rec.repaired.is_empty() && rec.damaged.is_empty());
         assert_eq!(store.state("x").unwrap(), JobState::Queued);
         // Claim was stale and is gone.
-        assert!(store.try_claim("x").unwrap());
+        assert!(store.try_claim_token("x").unwrap().is_some());
         let log = fs::read_to_string(store.job_dir("x").join("transitions.log")).unwrap();
         assert_eq!(log, "queued -> running\nrunning -> queued\n");
         fs::remove_dir_all(&root).unwrap();
@@ -1003,21 +932,5 @@ mod tests {
         assert!(live_beat.exists(), "a live writer's tmp file was removed");
         assert_eq!(store.state("t").unwrap(), JobState::Queued);
         fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn state_strings_round_trip_and_match_analyzer() {
-        for s in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Failed,
-            JobState::Cancelled,
-            JobState::Quarantined,
-        ] {
-            assert_eq!(JobState::parse(s.as_str()).unwrap(), s);
-            assert!(JOB_STATES.contains(&s.as_str()));
-        }
-        assert!(JobState::parse("paused").is_err());
     }
 }

@@ -22,8 +22,8 @@
 //! reclaimed worker that later wakes cannot release the next holder's
 //! claim or commit terminal transitions for a job it no longer owns.
 
-use crate::store::{epoch_ms, JobState, JobStore};
-use crate::{Result, ServeError};
+use crate::store::{epoch_ms, JobStore};
+use crate::{JobState, Result, ServeError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -280,7 +280,7 @@ mod tests {
         let root = temp_store("hang");
         let store = JobStore::open(&root).unwrap();
         store.submit(&spec("h", r#","retries":2"#)).unwrap();
-        assert!(store.try_claim("h").unwrap());
+        assert!(store.try_claim_token("h").unwrap().is_some());
         store
             .transition("h", JobState::Queued, JobState::Running)
             .unwrap();
@@ -305,7 +305,7 @@ mod tests {
         assert_eq!(store.attempts("h"), 1);
         assert!(store.in_backoff("h"));
         // The stale worker's claim is gone: the job is claimable again.
-        assert!(store.try_claim("h").unwrap());
+        assert!(store.try_claim_token("h").unwrap().is_some());
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -322,7 +322,10 @@ mod tests {
         let mut watch = HashMap::new();
         let mut stats = SupervisorStats::default();
         for round in 0..2 {
-            assert!(store.try_claim("x").unwrap(), "round {round}");
+            assert!(
+                store.try_claim_token("x").unwrap().is_some(),
+                "round {round}"
+            );
             store
                 .transition("x", JobState::Queued, JobState::Running)
                 .unwrap();
@@ -346,7 +349,7 @@ mod tests {
         let root = temp_store("zero");
         let store = JobStore::open(&root).unwrap();
         store.submit(&spec("z", "")).unwrap();
-        assert!(store.try_claim("z").unwrap());
+        assert!(store.try_claim_token("z").unwrap().is_some());
         store
             .transition("z", JobState::Queued, JobState::Running)
             .unwrap();
@@ -370,7 +373,7 @@ mod tests {
         store
             .submit(&spec("d", r#","retries":1,"deadline_ms":1"#))
             .unwrap();
-        assert!(store.try_claim("d").unwrap());
+        assert!(store.try_claim_token("d").unwrap().is_some());
         store.mark_started("d").unwrap();
         store
             .transition("d", JobState::Queued, JobState::Running)
@@ -398,7 +401,7 @@ mod tests {
         let root = temp_store("deadpid");
         let store = JobStore::open(&root).unwrap();
         store.submit(&spec("p", r#","retries":1"#)).unwrap();
-        assert!(store.try_claim("p").unwrap());
+        assert!(store.try_claim_token("p").unwrap().is_some());
         store
             .transition("p", JobState::Queued, JobState::Running)
             .unwrap();

@@ -92,6 +92,30 @@ fn unparsable_spec_without_state_is_reported_damaged() {
     fs::remove_dir_all(&root).unwrap();
 }
 
+/// A damaged job dir must not stop the pool: the worker scan skips it,
+/// as the supervisor scan does, and the good job next to it still drains
+/// to `done`.
+#[test]
+fn damaged_dir_does_not_stop_the_drain() {
+    let root = temp_store("damaged_drain");
+    let store = JobStore::open(&root).unwrap();
+    let wreck = store.job_dir("wreck");
+    fs::create_dir_all(&wreck).unwrap();
+    fs::write(wreck.join("spec.json"), "{not json").unwrap();
+    store
+        .submit(&JobSpec::from_json(&spec_json("good")).unwrap())
+        .unwrap();
+
+    let stats = drain(&store);
+    assert_eq!(stats.completed, 1, "{stats:?}");
+    assert_eq!(store.state("good").unwrap(), JobState::Done);
+    assert!(
+        !wreck.join("state").exists(),
+        "the damaged dir is left alone"
+    );
+    fs::remove_dir_all(&root).unwrap();
+}
+
 /// A claim file whose recorded pid belongs to a dead process (pid 0 is
 /// never a live worker) is stale by definition; recovery clears it so
 /// the job is claimable again.

@@ -139,7 +139,7 @@ impl SampleRv {
     pub fn variance(&self) -> f64 {
         let m = self.mean();
         let s: KahanSum = self.samples.iter().map(|&x| (x - m) * (x - m)).collect();
-        (s.value() / self.len() as f64).max(0.0)
+        s.value() / self.len() as f64
     }
 
     /// Population standard deviation.
@@ -317,6 +317,14 @@ mod tests {
         assert!((a.mean() - 2.5).abs() < 1e-15);
         assert!((a.variance() - 1.25).abs() < 1e-15);
         assert!((a.sd() - 1.25f64.sqrt()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn nan_sample_gives_nan_variance_and_sd() {
+        // `from_fn` admits NaN; the spread must say so, not read as 0.
+        let a = SampleRv::from_fn(3, |i| [1.5, f64::NAN, 42.0][i]);
+        assert!(a.variance().is_nan());
+        assert!(a.sd().is_nan());
     }
 
     #[test]

@@ -273,7 +273,7 @@ fn deadline_expire_fault_forces_a_supervisor_reclaim() {
         JobSpec::from_json(r#"{"id":"fi-dl","workload":{"asm":"halt\n"},"samples":1,"retries":1}"#)
             .unwrap();
     store.submit(&spec).unwrap();
-    assert!(store.try_claim("fi-dl").unwrap());
+    assert!(store.try_claim_token("fi-dl").unwrap().is_some());
     store
         .transition("fi-dl", JobState::Queued, JobState::Running)
         .unwrap();
