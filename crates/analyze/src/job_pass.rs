@@ -496,6 +496,77 @@ fn scrub_job_dir(dir: &Path, id: &str, report: &mut AnalysisReport) {
 mod tests {
     use super::*;
 
+    // JS001–JS004 are emitted by the spec parser in `terse_serve::spec`.
+    use terse_serve::{JobSpec, ServeError};
+
+    /// Whether `spec` is rejected with a `code` diagnostic.
+    fn rejects<T>(spec: Result<T, ServeError>, code: &str) -> bool {
+        matches!(spec, Err(ServeError::Spec(t)) if t.contains(&format!("error [{code}]")))
+    }
+
+    /// Parses a `dijkstra` spec with the top-level keys `keys` (`id` included).
+    fn spec(keys: &str) -> Result<JobSpec, ServeError> {
+        JobSpec::from_json(&format!(
+            r#"{{"workload":{{"benchmark":"dijkstra"}},{keys}}}"#
+        ))
+    }
+
+    #[test]
+    fn unknown_benchmark_is_js001() {
+        let nope = JobSpec::from_json(r#"{"id":"j","workload":{"benchmark":"nope"}}"#);
+        assert!(rejects(nope, "JS001"));
+    }
+
+    #[test]
+    fn zero_and_double_workloads_are_js001() {
+        for w in [
+            r#"{"name":"n"}"#,
+            r#"{"benchmark":"dijkstra","asm":"halt"}"#,
+        ] {
+            let spec = JobSpec::from_json(&format!(r#"{{"id":"j","workload":{w}}}"#));
+            assert!(rejects(spec, "JS001"), "{w}");
+        }
+    }
+
+    #[test]
+    fn bad_grids_are_js002() {
+        for grid in ["[]", "[0.0]", "[-1.0]"] {
+            assert!(rejects(
+                spec(&format!(r#""id":"j","grid":{grid}"#)),
+                "JS002"
+            ));
+        }
+        // JSON has no NaN: set it on a parsed spec.
+        let mut nan = spec(r#""id":"j""#).unwrap();
+        nan.grid = vec![f64::NAN];
+        assert!(rejects(nan.validate(), "JS002"));
+        // A repeated point is accepted (its duplicate warning was retired).
+        spec(r#""id":"j","grid":[1.15,1.15]"#).unwrap();
+    }
+
+    #[test]
+    fn zero_params_and_unsafe_ids_are_js003() {
+        for keys in [
+            r#""id":"j","samples":0"#,
+            r#""id":"j","threads":0"#,
+            r#""id":"j","checkpoint_every":0"#,
+            r#""id":"""#,
+            r#""id":"../escape""#,
+            r#""id":".hidden""#,
+        ] {
+            assert!(rejects(spec(keys), "JS003"), "{keys}");
+        }
+    }
+
+    #[test]
+    fn mc_population_mismatch_is_js004() {
+        for (chips, inputs, bad) in [(0, 2, true), (4, 0, true), (0, 0, false), (4, 2, false)] {
+            let got = spec(&format!(r#""id":"j","chips":{chips},"mc_inputs":{inputs}"#));
+            assert_eq!(got.is_ok(), !bad, "chips={chips} inputs={inputs}");
+            assert_eq!(rejects(got, "JS004"), bad, "chips={chips} inputs={inputs}");
+        }
+    }
+
     #[test]
     fn transition_table_matches_the_design() {
         use JobState::*;
