@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use terse_analyze::{analyze_cfg, analyze_netlist, analyze_stage_slacks, AnalysisReport};
 use terse_dta::cache::{DtsCache, DtsCacheStats};
-use terse_dta::control::{characterize_control_with, training_inputs};
+use terse_dta::control::{self, training_inputs, EdgeTrace};
 use terse_dta::datapath::DatapathModel;
 use terse_dta::engine::DtsEngine;
 use terse_dta::instmodel::InstructionErrorModel;
@@ -281,8 +281,8 @@ pub struct Framework {
     dts_cache: Option<Arc<DtsCache>>,
     pool: rayon::ThreadPool,
     datapath_cache: OnceLock<DatapathModel>,
-    /// Accumulated co-simulation work counters across every training run
-    /// this framework has performed.
+    /// Accumulated co-simulation work counters across every training and
+    /// characterization run this framework has performed.
     cosim_stats: Mutex<CosimStats>,
     /// Pre-screening pair counters accumulated across every training run.
     prescreen_stats: Mutex<PrescreenStats>,
@@ -472,6 +472,9 @@ impl Framework {
     /// the workload's [`Framework::prune_plan`], so `(instruction, stage)`
     /// pairs it proves immune are skipped.
     ///
+    /// This is [`Framework::characterize`] followed by
+    /// [`Framework::train_from`], without keeping the characterization.
+    ///
     /// # Errors
     ///
     /// Propagates DTA errors.
@@ -485,35 +488,105 @@ impl Framework {
         // sequences, so it runs on the framework's pool like every other
         // stage; the DTA calls inside each unit then run inline.
         self.pool.install(|| {
-            let mut engine = self.engine()?;
-            let plan = Arc::new(self.prune_plan(w.program())?);
-            engine.set_prune_plan(Arc::clone(&plan));
-            let (char_edges, hints) = training_inputs(cfg, w.program(), profiles);
-            let hint_fn = move |i: u32| hints[i as usize];
-            let mut stats = CosimStats::default();
-            let control = characterize_control_with(
-                &self.pipeline,
-                w.program(),
-                cfg,
-                &engine,
-                &char_edges,
-                &hint_fn,
-                &mut stats,
-            )?;
-            let datapath = self.datapath(&engine, &mut stats)?;
-            match self.cosim_stats.lock() {
-                Ok(mut g) => g.merge(stats),
-                Err(p) => p.into_inner().merge(stats),
-            }
-            let s = plan.stats();
-            let mut g = match self.prescreen_stats.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            g.pairs_total += s.pairs_total;
-            g.pairs_pruned += s.pairs_pruned;
-            Ok(InstructionErrorModel::new(cfg, control, datapath))
+            let traces = self.edge_traces(w, cfg, profiles)?;
+            self.train_on(w, cfg, &traces)
         })
+    }
+
+    /// The period-free half of training: co-simulates every control edge
+    /// `profiles` activates (plus program entry) once, on the framework's
+    /// pool, and keeps the traces with the profiles. Frameworks that share
+    /// this one's pipeline, sample count and profiler, and differ only in
+    /// operating point, train from it with [`Framework::train_from`]; the
+    /// co-simulation is counted in this framework's
+    /// [`Framework::cosim_stats`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates co-simulation errors.
+    pub fn characterize(
+        &self,
+        w: &Workload,
+        cfg: &Cfg,
+        profiles: Vec<ProfileResult>,
+    ) -> Result<Characterization> {
+        let traces = self.pool.install(|| self.edge_traces(w, cfg, &profiles))?;
+        Ok(Characterization {
+            pipeline: self.pipeline.config(),
+            samples: self.samples,
+            profiler: self.profiler,
+            program: w.program().clone(),
+            profiles,
+            traces,
+        })
+    }
+
+    /// The per-period half of training: [`Framework::train_model`] from a
+    /// shared [`Characterization`] of `w`, bitwise identical to training
+    /// from its profiles. Algorithm 2, the prune plan and the datapath
+    /// model are this framework's, at its working period.
+    ///
+    /// # Errors
+    ///
+    /// [`TerseError::Characterization`] when `ch` was built by a framework
+    /// with a different pipeline, sample count or profiler, or for another
+    /// program; otherwise as [`Framework::train_model`].
+    pub fn train_from(
+        &self,
+        w: &Workload,
+        cfg: &Cfg,
+        ch: &Characterization,
+    ) -> Result<InstructionErrorModel> {
+        ch.check(self, w)?;
+        self.pool.install(|| self.train_on(w, cfg, &ch.traces))
+    }
+
+    /// Co-simulates the control edges training characterizes for
+    /// `profiles` and counts the work in [`Framework::cosim_stats`].
+    fn edge_traces(
+        &self,
+        w: &Workload,
+        cfg: &Cfg,
+        profiles: &[ProfileResult],
+    ) -> Result<Vec<EdgeTrace>> {
+        let (edges, hints) = training_inputs(cfg, w.program(), profiles);
+        let hint_fn = move |i: u32| hints[i as usize];
+        let (traces, stats) =
+            control::edge_traces(&self.pipeline, w.program(), cfg, &edges, &hint_fn)?;
+        self.count_cosim(stats);
+        Ok(traces)
+    }
+
+    /// Algorithm 2 over `traces` and the datapath model, at the working
+    /// period with the workload's prune plan attached.
+    fn train_on(
+        &self,
+        w: &Workload,
+        cfg: &Cfg,
+        traces: &[EdgeTrace],
+    ) -> Result<InstructionErrorModel> {
+        let mut engine = self.engine()?;
+        let plan = Arc::new(self.prune_plan(w.program())?);
+        engine.set_prune_plan(Arc::clone(&plan));
+        let control = control::control_table(&engine, traces)?;
+        let mut stats = CosimStats::default();
+        let datapath = self.datapath(&engine, &mut stats)?;
+        self.count_cosim(stats);
+        let s = plan.stats();
+        let mut g = match self.prescreen_stats.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        };
+        g.pairs_total += s.pairs_total;
+        g.pairs_pruned += s.pairs_pruned;
+        Ok(InstructionErrorModel::new(cfg, control, datapath))
+    }
+
+    fn count_cosim(&self, stats: CosimStats) {
+        match self.cosim_stats.lock() {
+            Ok(mut g) => g.merge(stats),
+            Err(p) => p.into_inner().merge(stats),
+        }
     }
 
     fn datapath(&self, engine: &DtsEngine<'_>, stats: &mut CosimStats) -> Result<DatapathModel> {
@@ -525,9 +598,10 @@ impl Framework {
         Ok(m)
     }
 
-    /// Accumulated co-simulation work counters across every
-    /// [`Framework::train_model`] call so far (cycles and gate
-    /// evaluations).
+    /// Accumulated co-simulation work counters (cycles and gate
+    /// evaluations) across every [`Framework::train_model`],
+    /// [`Framework::characterize`] and [`Framework::train_from`] call so
+    /// far. Each co-simulation counts once, in the framework that ran it.
     pub fn cosim_stats(&self) -> CosimStats {
         match self.cosim_stats.lock() {
             Ok(g) => *g,
@@ -819,6 +893,50 @@ impl Framework {
             dta_cache: self.dta_cache_stats(),
             prescreen: Some(self.prescreen_stats()),
         }
+    }
+}
+
+/// The period-free half of a workload's training, built once by
+/// [`Framework::characterize`] and shared by every operating point: the
+/// profiles, and the co-simulated trace of every characterized control
+/// edge. It records the pipeline configuration, sample count, profiler and
+/// program that made it, and [`Framework::train_from`] refuses it for any
+/// other. A workload's input datasets are closures and cannot be compared,
+/// so estimate from [`Characterization::profiles`], not from a fresh
+/// profile of another workload that shares the program.
+#[derive(Debug)]
+pub struct Characterization {
+    pipeline: PipelineConfig,
+    samples: usize,
+    profiler: Profiler,
+    program: Program,
+    profiles: Vec<ProfileResult>,
+    traces: Vec<EdgeTrace>,
+}
+
+impl Characterization {
+    /// The profiles the characterization was built from, one per
+    /// data-variation sample.
+    pub fn profiles(&self) -> &[ProfileResult] {
+        &self.profiles
+    }
+
+    /// Whether `fw` may train `w` from this characterization.
+    fn check(&self, fw: &Framework, w: &Workload) -> Result<()> {
+        let differs = if self.pipeline != fw.pipeline.config() {
+            "pipeline configuration"
+        } else if self.samples != fw.samples {
+            "sample count"
+        } else if self.profiler != fw.profiler {
+            "profiler"
+        } else if self.program != *w.program() {
+            "program"
+        } else {
+            return Ok(());
+        };
+        Err(TerseError::Characterization(format!(
+            "built with a different {differs} than the training framework and workload"
+        )))
     }
 }
 

@@ -54,7 +54,7 @@ pub mod operating;
 pub mod perf;
 pub mod report;
 
-pub use framework::{Framework, FrameworkBuilder, Workload};
+pub use framework::{Characterization, Framework, FrameworkBuilder, Workload};
 pub use operating::{OperatingConfig, OperatingPoint};
 pub use perf::TsPerformanceModel;
 pub use report::{ErrorRateEstimate, RateCdfPoint, Report, RunTimings};
@@ -98,6 +98,10 @@ pub enum TerseError {
     /// Static analysis found errors in an input IR, so the run was refused
     /// before any phase started.
     Preflight(String),
+    /// A shared [`Characterization`] was built by a framework with a
+    /// different pipeline, sample count or profiler, or for another
+    /// program, than the one asked to train from it.
+    Characterization(String),
     /// An estimate sweep ran out of its configured unit budget; the
     /// checkpoint (if any) holds the completed blocks and a re-run resumes
     /// from it.
@@ -125,6 +129,7 @@ impl fmt::Display for TerseError {
             }
             TerseError::Checkpoint(m) => write!(f, "estimate checkpoint failed: {m}"),
             TerseError::Preflight(m) => write!(f, "preflight static analysis failed: {m}"),
+            TerseError::Characterization(m) => write!(f, "characterization mismatch: {m}"),
             TerseError::Interrupted { completed, total } => write!(
                 f,
                 "estimation interrupted after {completed}/{total} blocks \

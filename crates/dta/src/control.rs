@@ -75,6 +75,10 @@ impl ControlDtsTable {
 /// `Sync`, because edges are characterized in parallel.
 pub type OperandHint = dyn Fn(u32) -> (u32, u32) + Sync;
 
+/// A characterized control edge: `(predecessor, block)`, with `None` for
+/// the program-entry context.
+pub type ControlEdge = (Option<BlockId>, BlockId);
+
 /// Builds a synthetic retired-instruction record for characterization: the
 /// control network sees instruction encodings and PCs; operand values come
 /// from the `operand_hint` (typically profile-representative values, or
@@ -110,7 +114,8 @@ fn synth_retired(index: u32, inst: Instruction, next_index: u32, hint: &OperandH
 /// Characterizes the control network of a program: for every basic block
 /// and every incoming edge in `edges` (pass the profiler's dynamic edge set
 /// plus `(None, entry)`), co-simulates the predecessor tail followed by the
-/// block and records each instruction's control-endpoint DTS.
+/// block ([`edge_traces`]) and records each instruction's control-endpoint
+/// DTS ([`control_table`]).
 ///
 /// `operand_hint(instr_index)` supplies representative operand values for
 /// the synthetic execution (zeros are acceptable; profile means are
@@ -124,82 +129,98 @@ pub fn characterize_control(
     program: &Program,
     cfg: &Cfg,
     engine: &DtsEngine<'_>,
-    edges: &[(Option<BlockId>, BlockId)],
+    edges: &[ControlEdge],
     operand_hint: &OperandHint,
 ) -> Result<ControlDtsTable> {
-    let mut stats = CosimStats::default();
-    characterize_control_with(
-        pipeline,
-        program,
-        cfg,
-        engine,
-        edges,
-        operand_hint,
-        &mut stats,
-    )
+    let (traces, _) = edge_traces(pipeline, program, cfg, edges, operand_hint)?;
+    control_table(engine, &traces)
 }
 
-/// [`characterize_control`], folding the co-simulation work counters of
-/// every characterized edge into `stats`.
+/// The co-simulated characterization trace of one control edge
+/// ([`edge_trace`]). It depends on the pipeline, the program and the
+/// operand hints, not on the clock period, so one set of traces serves
+/// every operating point.
+#[derive(Debug)]
+pub struct EdgeTrace {
+    /// The characterized `(predecessor, block)` edge.
+    edge: ControlEdge,
+    /// The co-simulated stream: predecessor tail, block, drain.
+    trace: CoSimTrace,
+    /// Positions of the block's instructions in `trace.retired`.
+    body: Range<usize>,
+}
+
+/// The characterization traces of `edges`, in edge order, and the summed
+/// co-simulation counters.
 ///
-/// Edges are characterized in parallel, one edge per unit, on the calling
-/// thread's pool; the table, the counters and the reported error are the
+/// Edges are co-simulated in parallel, one edge per unit, on the calling
+/// thread's pool; the traces, the counters and the reported error are the
 /// same for every thread count.
 ///
 /// # Errors
 ///
-/// Propagates co-simulation and DTA errors.
-pub fn characterize_control_with(
+/// Propagates co-simulation errors (the lowest-index edge's error wins).
+pub fn edge_traces(
     pipeline: &PipelineNetlist,
     program: &Program,
     cfg: &Cfg,
-    engine: &DtsEngine<'_>,
-    edges: &[(Option<BlockId>, BlockId)],
+    edges: &[ControlEdge],
     operand_hint: &OperandHint,
-    stats: &mut CosimStats,
-) -> Result<ControlDtsTable> {
-    // One unit per edge: its co-simulation (trace kept local to the task)
-    // and Algorithm 2 over the block. Units are independent, so they fan
-    // out; results come back in edge order, counters are summed in that
-    // order and the lowest-index error wins, whatever the schedule.
-    let units: Vec<(Vec<Option<CanonicalRv>>, CosimStats)> = edges
+) -> Result<(Vec<EdgeTrace>, CosimStats)> {
+    // Results come back in edge order and counters are summed in that
+    // order, whatever the schedule.
+    let units: Vec<(EdgeTrace, CosimStats)> = edges
         .par_iter()
         .map(|&(pred, block)| {
-            characterize_edge(pipeline, program, cfg, engine, pred, block, operand_hint)
+            let (trace, body, stats) =
+                edge_trace(pipeline, program, cfg, pred, block, operand_hint)?;
+            let edge = (pred, block);
+            Ok((EdgeTrace { edge, trace, body }, stats))
+        })
+        .collect::<Result<_>>()?;
+    let mut stats = CosimStats::default();
+    let mut traces = Vec::with_capacity(units.len());
+    for (trace, unit_stats) in units {
+        stats.merge(unit_stats);
+        traces.push(trace);
+    }
+    Ok((traces, stats))
+}
+
+/// Algorithm 2 on control endpoints over characterization traces: the
+/// control DTS of every block instruction on each edge's trace, at
+/// `engine`'s period (and under its prune plan, if one is attached).
+///
+/// Edges are processed in parallel, one edge per unit, on the calling
+/// thread's pool; the table and the reported error are the same for every
+/// thread count.
+///
+/// # Errors
+///
+/// Propagates DTA errors (the lowest-index edge's error wins).
+pub fn control_table(engine: &DtsEngine<'_>, traces: &[EdgeTrace]) -> Result<ControlDtsTable> {
+    let units: Vec<Vec<Option<CanonicalRv>>> = traces
+        .par_iter()
+        .map(|t| {
+            t.body
+                .clone()
+                .map(|k| {
+                    engine.inst_dts_for(
+                        &t.trace,
+                        k,
+                        EndpointFilter::Control,
+                        Some(t.trace.retired[k].index),
+                    )
+                })
+                .collect::<Result<_>>()
         })
         .collect::<Result<_>>()?;
     let mut table = ControlDtsTable::default();
-    for (&(pred, block), (slacks, unit_stats)) in edges.iter().zip(units) {
-        stats.merge(unit_stats);
+    for (t, slacks) in traces.iter().zip(units) {
+        let (pred, block) = t.edge;
         table.entries.insert((block, pred), slacks);
     }
     Ok(table)
-}
-
-/// Characterizes one `(pred, block)` edge: records each block
-/// instruction's control DTS on the edge's [`edge_trace`].
-fn characterize_edge(
-    pipeline: &PipelineNetlist,
-    program: &Program,
-    cfg: &Cfg,
-    engine: &DtsEngine<'_>,
-    pred: Option<BlockId>,
-    block: BlockId,
-    operand_hint: &OperandHint,
-) -> Result<(Vec<Option<CanonicalRv>>, CosimStats)> {
-    let (trace, body, stats) = edge_trace(pipeline, program, cfg, pred, block, operand_hint)?;
-    // Algorithm 2 on control endpoints, per block instruction.
-    let slacks = body
-        .map(|k| {
-            engine.inst_dts_for(
-                &trace,
-                k,
-                EndpointFilter::Control,
-                Some(trace.retired[k].index),
-            )
-        })
-        .collect::<Result<_>>()?;
-    Ok((slacks, stats))
 }
 
 /// The characterization trace of one `(pred, block)` edge: co-simulates up
@@ -267,10 +288,6 @@ pub fn edge_trace(
     Ok((trace, body, stats))
 }
 
-/// A characterized control edge: `(predecessor, block)`, with `None` for
-/// the program-entry context.
-pub type ControlEdge = (Option<BlockId>, BlockId);
-
 /// The control edges and per-instruction operand hints training
 /// characterizes for `profiles`: every profiled edge plus program entry
 /// ([`characterization_edges`]), and each static instruction's first
@@ -303,8 +320,8 @@ pub fn training_inputs(
 pub fn characterization_edges(
     cfg: &Cfg,
     profiled: impl IntoIterator<Item = (BlockId, BlockId)>,
-) -> Vec<(Option<BlockId>, BlockId)> {
-    let mut edges: Vec<(Option<BlockId>, BlockId)> = Vec::new();
+) -> Vec<ControlEdge> {
+    let mut edges: Vec<ControlEdge> = Vec::new();
     edges.push((None, cfg.block_containing(0)));
     for (from, to) in profiled {
         edges.push((Some(from), to));

@@ -48,7 +48,7 @@ pub mod instmodel;
 pub mod prescreen;
 
 pub use cache::{DtsCache, DtsCacheStats};
-pub use control::{characterize_control, characterize_control_with, ControlDtsTable, OperandHint};
+pub use control::{characterize_control, ControlDtsTable, EdgeTrace, OperandHint};
 pub use datapath::{DatapathModel, FuncUnit};
 pub use engine::{DtsEngine, EndpointFilter};
 pub use instmodel::InstructionErrorModel;

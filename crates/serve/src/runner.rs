@@ -21,6 +21,20 @@
 //! A SIGKILL at *any* instant therefore loses at most the work since the
 //! last checkpoint flush, and a re-run converges to byte-identical
 //! deterministic output.
+//!
+//! ## One characterization per attempt
+//!
+//! The grid points of a job differ only in the clock period, and the
+//! profiles and the co-simulated control-edge traces do not depend on it.
+//! So an attempt profiles the workload and co-simulates its control edges
+//! ([`Framework::characterize`]) once, at the first point it has to
+//! compute, and every point it computes trains from that
+//! [`Characterization`] ([`Framework::train_from`]) and estimates from its
+//! profiles. Everything that reads the period (Algorithm 2, the prune plan,
+//! the datapath model, the estimate) still runs per point, so each point's
+//! result is bitwise the one a separate `train_model` would give. An
+//! attempt whose points are all on disk profiles and co-simulates nothing;
+//! a requeued attempt characterizes again.
 
 use crate::spec::{JobSpec, PipelinePreset};
 use crate::store::JobStore;
@@ -28,7 +42,9 @@ use crate::{json::Value, JobState, Result, ServeError};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
-use terse::{Checkpoint, Framework, OperatingConfig, RunTimings, TerseError, Workload};
+use terse::{
+    Characterization, Checkpoint, Framework, OperatingConfig, RunTimings, TerseError, Workload,
+};
 use terse_isa::Cfg;
 use terse_sim::monte_carlo::{self, MonteCarloConfig};
 use terse_sim::SimError;
@@ -140,6 +156,7 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
     let mut timings = RunTimings::default();
     let mut mc_s = 0.0f64;
     let mut last_point: Option<(Rc<Framework>, terse::ErrorRateEstimate)> = None;
+    let mut shared: Option<Characterization> = None;
     for (g, &overclock) in spec.grid.iter().enumerate() {
         if store.cancel_requested(id) {
             return Ok(RunOutcome::Cancelled);
@@ -160,16 +177,16 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
             let _ = std::fs::remove_file(&point_path);
         }
         let fw = cache.framework(&spec, overclock)?;
-        // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
-        let t0 = Instant::now();
-        let profiles = fw
-            .profile_workload(&workload, &cfg)
-            .map_err(|e| ServeError::Run(format!("profiling failed: {e}")))?;
-        timings.simulation_s += t0.elapsed().as_secs_f64();
+        // The first point this attempt computes profiles and co-simulates
+        // the control edges; every later point reuses both.
+        let ch = match shared {
+            Some(ref ch) => ch,
+            None => &*shared.insert(characterize(&fw, &workload, &cfg, &mut timings)?),
+        };
         // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
         let t1 = Instant::now();
         let model = fw
-            .train_model(&workload, &cfg, &profiles)
+            .train_from(&workload, &cfg, ch)
             .map_err(|e| ServeError::Run(format!("training failed: {e}")))?;
         timings.training_s += t1.elapsed().as_secs_f64();
         // --- Estimation (TERSECP1 checkpoint path) -----------------------
@@ -182,7 +199,7 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
         let estimated = fw.estimate_with(
             &workload,
             &cfg,
-            &profiles,
+            ch.profiles(),
             &model,
             Some(&ckpt),
             spec.block_budget,
@@ -285,6 +302,29 @@ pub fn run_job(store: &JobStore, id: &str, cache: &mut FrameworkCache) -> Result
     }
     store.write_report(id, &report.render())?;
     Ok(RunOutcome::Done)
+}
+
+/// Profiles `workload` and co-simulates its control edges on `fw`, adding
+/// the phases' wall clock to `timings`.
+fn characterize(
+    fw: &Framework,
+    workload: &Workload,
+    cfg: &Cfg,
+    timings: &mut RunTimings,
+) -> Result<Characterization> {
+    // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
+    let t0 = Instant::now();
+    let profiles = fw
+        .profile_workload(workload, cfg)
+        .map_err(|e| ServeError::Run(format!("profiling failed: {e}")))?;
+    timings.simulation_s += t0.elapsed().as_secs_f64();
+    // terse-analyze: allow(AZ003): wall-clock telemetry only; never feeds results.
+    let t1 = Instant::now();
+    let ch = fw
+        .characterize(workload, cfg, profiles)
+        .map_err(|e| ServeError::Run(format!("training failed: {e}")))?;
+    timings.training_s += t1.elapsed().as_secs_f64();
+    Ok(ch)
 }
 
 /// The non-deterministic tail of a report: wall-clock timings and perf
@@ -497,6 +537,64 @@ mod tests {
             run_job(&store, "c2", &mut cache).unwrap(),
             RunOutcome::Cancelled
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Sums the co-simulation counters of every framework in `cache`.
+    fn cosim_total(cache: &FrameworkCache) -> (u64, u64) {
+        cache.map.values().fold((0, 0), |(c, g), fw| {
+            let s = fw.cosim_stats();
+            (c + s.cycles, g + s.gates_evaluated)
+        })
+    }
+
+    /// The points of one attempt share one characterization: a two-point
+    /// job co-simulates its control edges once, and trains the datapath
+    /// model once per point's framework.
+    #[test]
+    fn two_point_job_co_simulates_each_control_edge_once_per_attempt() {
+        let root = temp_store("shared");
+        let store = JobStore::open(&root).unwrap();
+        let mut spec = tiny_spec("two", "");
+        spec.grid = vec![1.15, 1.33];
+        store.submit(&spec).unwrap();
+        let mut cache = FrameworkCache::new();
+        assert_eq!(
+            run_job(&store, "two", &mut cache).unwrap(),
+            RunOutcome::Done
+        );
+        assert_eq!(cache.len(), 2);
+        let total = cosim_total(&cache);
+        // Reference counts from a fresh framework of the same configuration:
+        // its first `train_model` co-simulates the control edges and the
+        // datapath sequences, its second only the control edges (the
+        // datapath model is cached).
+        let mut fresh = FrameworkCache::new();
+        let fw = fresh.framework(&spec, 1.15).unwrap();
+        let w = spec.build_workload().unwrap();
+        let cfg = Cfg::from_program(w.program());
+        let profiles = fw.profile_workload(&w, &cfg).unwrap();
+        fw.train_model(&w, &cfg, &profiles).unwrap();
+        let first = fw.cosim_stats();
+        fw.train_model(&w, &cfg, &profiles).unwrap();
+        let second = fw.cosim_stats();
+        let control = (
+            second.cycles - first.cycles,
+            second.gates_evaluated - first.gates_evaluated,
+        );
+        let datapath = (first.cycles - control.0, first.gates_evaluated - control.1);
+        assert!(control.0 > 0 && datapath.0 > 0);
+        assert_eq!(
+            total,
+            (control.0 + 2 * datapath.0, control.1 + 2 * datapath.1),
+            "control edges co-simulated more than once"
+        );
+        // A re-run with every point on disk computes nothing.
+        assert_eq!(
+            run_job(&store, "two", &mut cache).unwrap(),
+            RunOutcome::Done
+        );
+        assert_eq!(cosim_total(&cache), total);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

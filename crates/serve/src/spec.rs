@@ -510,9 +510,8 @@ fn parse_workload(v: &Value) -> Result<WorkloadSpec> {
             Ok(WorkloadSpec::Asm { name, source })
         }
         // JS001 — the workload must resolve to exactly one source. The
-        // entity is the `<spec>` placeholder, and the error has always
-        // carried a second line, JS003 on that placeholder (it is not a
-        // safe id); both stay so the text is unchanged.
+        // entity is the `<spec>` placeholder; the id's own JS003 check is
+        // validation's.
         (both, _) => {
             let mut report = AnalysisReport::new();
             let (message, hint) = if both.is_some() {
@@ -527,7 +526,6 @@ fn parse_workload(v: &Value) -> Result<WorkloadSpec> {
                 )
             };
             report.push("JS001", Severity::Error, "<spec>", message, hint);
-            check_id(&mut report, "<spec>", "<spec>");
             Err(ServeError::Spec(report.render_text()))
         }
     }
@@ -690,8 +688,7 @@ mod tests {
                 json(r#"{"id":"x","workload":{"name":"n"}}"#),
                 concat!(
                     "error [JS001] <spec>: spec names no workload: neither `benchmark` nor `asm` is present (hint: set `workload.benchmark` to a known name or provide `workload.asm`)\n",
-                    "error [JS003] <spec>: job id `<spec>` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
-                    "2 error(s), 0 warning(s), 2 diagnostic(s) total\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
                 ),
             ),
             (
@@ -699,8 +696,7 @@ mod tests {
                 json(r#"{"id":"x","workload":{"benchmark":"dijkstra","asm":"halt"}}"#),
                 concat!(
                     "error [JS001] <spec>: spec names two workloads: both `benchmark` and `asm` are present (hint: keep exactly one of `workload.benchmark` and `workload.asm`)\n",
-                    "error [JS003] <spec>: job id `<spec>` is not a safe store directory name (hint: ids are 1-64 chars of [A-Za-z0-9._-], not starting with `.`)\n",
-                    "2 error(s), 0 warning(s), 2 diagnostic(s) total\n",
+                    "1 error(s), 0 warning(s), 1 diagnostic(s) total\n",
                 ),
             ),
             (

@@ -167,8 +167,8 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
     /// batch without a checkpoint). Only the units this call computes are
     /// grouped, so an item the budget or an earlier run cut through passes
     /// just its pending units. The checkpoint is flushed after every batch
-    /// and removed once the sweep is complete; the result holds every unit
-    /// in index order.
+    /// but the one that completes the sweep, and removed once the sweep is
+    /// complete; the result holds every unit in index order.
     ///
     /// # Errors
     ///
@@ -185,9 +185,17 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
         }
         let items: Vec<Vec<usize>> = items.into_values().collect();
         let every_n = self.ckpt.map_or(items.len(), Checkpoint::every_n);
-        for chunk in items.chunks(every_n.max(1)) {
+        let complete = self.run.len() == self.pending;
+        let chunks = items.chunks(every_n.max(1));
+        let last = chunks.len();
+        for (c, chunk) in chunks.enumerate() {
             for (u, result) in batch(&chunk.concat())? {
                 self.slots[u] = Some(result);
+            }
+            // The batch that completes the sweep is not flushed: the image
+            // would be removed straight away.
+            if complete && c + 1 == last {
+                break;
             }
             if let Some(ck) = self.ckpt {
                 integrity::store_checkpoint(ck.path(), &self.format.encode(&self.slots))
@@ -195,7 +203,7 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
             }
         }
         let total = self.slots.len();
-        if self.run.len() < self.pending {
+        if !complete {
             return Err(SweepError::Interrupted {
                 completed: total - (self.pending - self.run.len()),
                 total,
@@ -212,17 +220,22 @@ impl<'a, F: CheckpointFormat> Sweep<'a, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
-    /// A sweep whose unit `u` computes to `u`; its images are never read
-    /// back.
-    struct Units(usize);
+    /// A sweep whose unit `u` computes to `u`; it counts the images it
+    /// encodes (one per flush), which are never read back.
+    struct Units {
+        units: usize,
+        flushes: Cell<usize>,
+    }
     impl CheckpointFormat for Units {
         type Unit = usize;
         const MAGIC: [u8; 8] = *b"TESTUNIT";
         fn units(&self) -> usize {
-            self.0
+            self.units
         }
         fn encode(&self, _: &[Option<usize>]) -> Vec<u8> {
+            self.flushes.set(self.flushes.get() + 1);
             Self::MAGIC.to_vec()
         }
         fn parse(&self, _: &[u8]) -> Result<Vec<Option<usize>>, String> {
@@ -230,13 +243,16 @@ mod tests {
         }
     }
 
-    /// Runs a 10-unit sweep with three units per item and returns the
-    /// batches it computed and how it ended.
-    fn batches(
-        ckpt: Option<&Checkpoint>,
-        budget: Option<usize>,
-    ) -> (Vec<Vec<usize>>, Result<Vec<usize>, SweepError>) {
-        let format = Units(10);
+    /// The batches a sweep computed, how it ended, and how often it
+    /// flushed.
+    type Trace = (Vec<Vec<usize>>, Result<Vec<usize>, SweepError>, usize);
+
+    /// Runs a 10-unit sweep with three units per item.
+    fn batches(ckpt: Option<&Checkpoint>, budget: Option<usize>) -> Trace {
+        let format = Units {
+            units: 10,
+            flushes: Cell::new(0),
+        };
         let mut seen = Vec::new();
         let result = Sweep::start(&format, ckpt, budget).and_then(|sweep| {
             sweep.run(
@@ -247,7 +263,7 @@ mod tests {
                 },
             )
         });
-        (seen, result)
+        (seen, result, format.flushes.get())
     }
 
     #[test]
@@ -256,12 +272,12 @@ mod tests {
         path.push(format!("terse_sweep_items_{}.bin", std::process::id()));
         let ck = Checkpoint::new(&path, 2);
         // Items {0,1,2} {3,4,5} {6,7,8} {9}: two whole items per flush.
-        let (seen, result) = batches(Some(&ck), None);
+        let (seen, result, _) = batches(Some(&ck), None);
         assert_eq!(seen, [vec![0, 1, 2, 3, 4, 5], vec![6, 7, 8, 9]]);
         assert_eq!(result, Ok((0..10).collect()));
         assert!(!path.exists(), "a finished sweep removes its checkpoint");
         // A budget of 7 units cuts item {6,7,8} after unit 6.
-        let (seen, result) = batches(Some(&ck), Some(7));
+        let (seen, result, _) = batches(Some(&ck), Some(7));
         assert_eq!(seen, [vec![0, 1, 2, 3, 4, 5], vec![6]]);
         assert_eq!(
             result,
@@ -272,7 +288,31 @@ mod tests {
         );
         integrity::finish_checkpoint(&path).unwrap();
         // Without a checkpoint every item runs in one batch.
-        let (seen, _) = batches(None, None);
+        let (seen, _, _) = batches(None, None);
         assert_eq!(seen, [(0..10).collect::<Vec<_>>()]);
+    }
+
+    /// Every batch but the one that completes the sweep is flushed: a
+    /// budget cut still leaves the work up to its last batch on disk.
+    #[test]
+    fn the_completing_batch_is_not_flushed() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("terse_sweep_flush_{}.bin", std::process::id()));
+        // Two batches; only the first is flushed.
+        let (seen, result, flushes) = batches(Some(&Checkpoint::new(&path, 2)), None);
+        assert_eq!((seen.len(), flushes), (2, 1));
+        assert_eq!(result, Ok((0..10).collect()));
+        assert!(!path.exists());
+        // One batch that completes the sweep writes no image at all.
+        let (seen, result, flushes) = batches(Some(&Checkpoint::new(&path, 4)), None);
+        assert_eq!((seen.len(), flushes), (1, 0));
+        assert_eq!(result, Ok((0..10).collect()));
+        assert!(!path.exists(), "a completing batch never creates the file");
+        // A budget cut flushes its last batch too.
+        let (seen, result, flushes) = batches(Some(&Checkpoint::new(&path, 2)), Some(7));
+        assert_eq!((seen.len(), flushes), (2, 2));
+        assert!(matches!(result, Err(SweepError::Interrupted { .. })));
+        assert!(path.exists(), "an interrupted sweep keeps its last batch");
+        integrity::finish_checkpoint(&path).unwrap();
     }
 }
